@@ -14,19 +14,22 @@ Four arrangements:
                     beta_i = [l_{i-k}..l_i, r_i..r_{i+k}] with a single
                     softmax layer; no decoder recurrence.
 
+alpha_i is the context stack with k = 0, so both encoder architectures
+build their decoder inputs, and route the gradients back to l and r,
+through the same code.
+
 Encoders of the Elman family emit hidden vectors (length H); Jordan
 family encoders carry and emit their own softmax output vectors (length
-O) through per-direction output layers.
+O) through per-direction output layers.  Each cell reports its family
+and its state width itself (carries_output, carry_dim).
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import linalg
 from .cells import (
-    CELLS,
-    ELMAN_FAMILY,
     CellConfig,
     SoftmaxOutput,
     cell_for,
@@ -70,8 +73,8 @@ class ModelSpec:
             if self.encoder_cell is not None:
                 raise ValueError("basic architecture takes no encoder")
         else:
-            cell_for(self.encoder_cell)
-            if self.arch == CONTEXTUAL and self.encoder_cell not in ELMAN_FAMILY:
+            enc = cell_for(self.encoder_cell)
+            if self.arch == CONTEXTUAL and enc.carries_output:
                 raise ValueError(
                     "contextual encoder must be Elman-family, got %r" % self.encoder_cell)
 
@@ -84,23 +87,29 @@ class ModelSpec:
         """Width of one encoder state: H for Elman family, O for Jordan."""
         if self.encoder_cell is None:
             return 0
-        return self.hidden if self.encoder_cell in ELMAN_FAMILY else self.n_tags
+        return cell_for(self.encoder_cell).carry_dim(self.hidden, self.n_tags)
 
     @property
     def encoder_has_output(self):
-        return self.encoder_cell is not None and self.encoder_cell not in ELMAN_FAMILY
+        return self.encoder_cell is not None and cell_for(self.encoder_cell).carries_output
+
+    @property
+    def context_k(self):
+        """k of the context stack over the encoder states; the
+        bidirectional alpha_i = [l_i, r_i] is the k = 0 stack."""
+        return self.mesnil_k if self.arch == MESNIL else 0
 
     @property
     def dec_input_dim(self):
         if self.arch in (BASIC, CONTEXTUAL):
             return self.n_in
         if self.arch == BIDIRECTIONAL:
-            return 2 * self.enc_state_dim
+            return self.beta_dim
         return None  # mesnil: no recurrent decoder
 
     @property
     def beta_dim(self):
-        return 2 * (self.mesnil_k + 1) * self.enc_state_dim
+        return 2 * (self.context_k + 1) * self.enc_state_dim
 
 
 def bundle_shapes(spec):
@@ -138,11 +147,6 @@ def zero_model_grads(params):
     return {name: zero_grads(bundle) for name, bundle in params.items()}
 
 
-def softmax_vjp(o, do):
-    """d(loss)/d(logits) given d(loss)/d(softmax output)."""
-    return o * (do - np.dot(do, o))
-
-
 @dataclass
 class ChainRun:
     states: list       # emitted state per position (h or o)
@@ -164,12 +168,8 @@ def run_chain(cell, params, out_params, xs, cfg, hidden, n_tags, extra=None):
             o, otape = SoftmaxOutput.step(out_params, h, cfg)
             dists.append(o)
             otapes.append(otape)
-        if cell.carries_output:
-            carry = dists[-1]
-            states.append(dists[-1])
-        else:
-            carry = h
-            states.append(h)
+        carry = dists[-1] if cell.carries_output else h
+        states.append(carry)
     return ChainRun(states=states, dists=dists, cell_tapes=ctapes, out_tapes=otapes)
 
 
@@ -186,44 +186,28 @@ def chain_backward(cell, params, out_params, run, cfg, acc, acc_out,
     dxs = [None] * n
     dextra_total = None
     for i in reversed(range(n)):
+        dstate = np.zeros_like(run.states[i])
+        if dcarry is not None:
+            dstate += dcarry
+        if dstates is not None and dstates[i] is not None:
+            dstate += dstates[i]
+        dl = dlogits[i] if dlogits is not None else None
         if cell.carries_output:
-            do = np.zeros_like(run.dists[i])
-            if dcarry is not None:
-                do += dcarry
-            if dstates is not None and dstates[i] is not None:
-                do += dstates[i]
-            dl = softmax_vjp(run.dists[i], do)
-            if dlogits is not None and dlogits[i] is not None:
-                dl = dl + dlogits[i]
+            # the emitted state is the output distribution itself, so its
+            # gradient joins the loss gradient at the logits
+            dl_state = SoftmaxOutput.logit_grad(run.out_tapes[i], dstate)
+            dl = dl_state if dl is None else dl_state + dl
             dh = SoftmaxOutput.backward_from_logits(out_params, run.out_tapes[i], dl, cfg, acc_out)
         else:
-            dh = np.zeros_like(run.states[i])
-            if dcarry is not None:
-                dh += dcarry
-            if dstates is not None and dstates[i] is not None:
-                dh += dstates[i]
-            if dlogits is not None and dlogits[i] is not None:
+            dh = dstate
+            if dl is not None:
                 dh += SoftmaxOutput.backward_from_logits(
-                    out_params, run.out_tapes[i], dlogits[i], cfg, acc_out)
+                    out_params, run.out_tapes[i], dl, cfg, acc_out)
         dx, dcarry, dextra = cell.backward(params, run.cell_tapes[i], dh, cfg, acc)
         dxs[i] = dx
         if dextra is not None:
             dextra_total = dextra if dextra_total is None else dextra_total + dextra
     return dxs, dextra_total
-
-
-def encode_forward(cell_kind, params, xs, cfg, hidden, n_tags, out_params=None):
-    """Public helper: left-to-right encoder states from zero state."""
-    run = run_chain(cell_for(cell_kind), params, out_params, xs, cfg, hidden, n_tags)
-    return run.states
-
-
-def encode_backward(cell_kind, params, xs, cfg, hidden, n_tags, out_params=None):
-    """Right-to-left encoder states, returned aligned with positions
-    (element i corresponds to token i)."""
-    run = run_chain(cell_for(cell_kind), params, out_params, list(reversed(xs)),
-                    cfg, hidden, n_tags)
-    return list(reversed(run.states))
 
 
 @dataclass
@@ -238,10 +222,6 @@ class Encoded:
     r: list = None
 
 
-def _encoder_out(params, name):
-    return params.get(name)
-
-
 def encode(spec, params, xs):
     """Run whatever encoders the architecture needs over the full sentence."""
     if len(xs) < 1:
@@ -251,32 +231,26 @@ def encode(spec, params, xs):
     if spec.arch == BASIC:
         enc.dec_inputs = xs
         return enc
+    cell = cell_for(spec.encoder_cell)
     if spec.arch == CONTEXTUAL:
-        cell = cell_for(spec.encoder_cell)
         enc.enc_fwd = run_chain(cell, params["encoder_fwd"], None, xs, cfg,
                                 spec.hidden, spec.n_tags)
         enc.c_n = enc.enc_fwd.states[-1]
         enc.extra = params["context"]["S"] @ enc.c_n
         enc.dec_inputs = xs
         return enc
-    cell = cell_for(spec.encoder_cell)
-    enc.enc_fwd = run_chain(cell, params["encoder_fwd"],
-                            _encoder_out(params, "encoder_fwd_out"), xs, cfg,
-                            spec.hidden, spec.n_tags)
-    enc.enc_bwd = run_chain(cell, params["encoder_bwd"],
-                            _encoder_out(params, "encoder_bwd_out"),
+    enc.enc_fwd = run_chain(cell, params["encoder_fwd"], params.get("encoder_fwd_out"),
+                            xs, cfg, spec.hidden, spec.n_tags)
+    enc.enc_bwd = run_chain(cell, params["encoder_bwd"], params.get("encoder_bwd_out"),
                             list(reversed(xs)), cfg, spec.hidden, spec.n_tags)
     enc.l = enc.enc_fwd.states
     enc.r = list(reversed(enc.enc_bwd.states))
-    if spec.arch == BIDIRECTIONAL:
-        enc.dec_inputs = [np.concatenate([li, ri]) for li, ri in zip(enc.l, enc.r)]
-    else:
-        enc.dec_inputs = [_beta(enc.l, enc.r, i, spec.mesnil_k) for i in range(len(xs))]
+    enc.dec_inputs = [_beta(enc.l, enc.r, i, spec.context_k) for i in range(len(xs))]
     return enc
 
 
 def _beta(l, r, i, k):
-    """Context stack for the word-wise variant, zero-padded off the ends."""
+    """Context stack [l_{i-k}..l_i, r_i..r_{i+k}], zero-padded off the ends."""
     n = len(l)
     width = l[0].shape[0]
     parts = []
@@ -307,12 +281,10 @@ def decode_window(spec, params, enc, lo, hi):
         raise ValueError("window [%d, %d] out of range for %d positions" % (lo, hi, n))
     cfg = spec.cell_config
     if spec.arch == MESNIL:
-        dists, otapes = [], []
-        for i in range(lo, hi + 1):
-            o, tape = SoftmaxOutput.step(params["mesnil_out"], enc.dec_inputs[i], cfg)
-            dists.append(o)
-            otapes.append(tape)
-        return DecodeRun(dists=dists, lo=lo, hi=hi, out_tapes=otapes)
+        steps = [SoftmaxOutput.step(params["mesnil_out"], beta, cfg)
+                 for beta in enc.dec_inputs[lo : hi + 1]]
+        return DecodeRun(dists=[o for o, _ in steps], lo=lo, hi=hi,
+                         out_tapes=[tape for _, tape in steps])
     cell = cell_for(spec.decoder_cell)
     run = run_chain(cell, params["decoder"], params["decoder_out"],
                     enc.dec_inputs[lo : hi + 1], cfg, spec.hidden, spec.n_tags,
@@ -331,56 +303,36 @@ def backward_window(spec, params, enc, dec, dlogits, acc):
     dxs = [np.zeros_like(x) for x in enc.xs]
 
     if spec.arch == MESNIL:
-        d_dec = []
-        for wi, dl in enumerate(dlogits):
-            if dl is None:
-                d_dec.append(None)
-                continue
-            d_dec.append(SoftmaxOutput.backward_from_logits(
-                params["mesnil_out"], dec.out_tapes[wi], dl, cfg, acc["mesnil_out"]))
-        dl_states, dr_states = _scatter_beta_grads(spec, enc, dec, d_dec)
-        _encoders_backward(spec, params, enc, dl_states, dr_states, dxs, acc)
-        return dxs
-
-    cell = cell_for(spec.decoder_cell)
-    d_dec, dextra = chain_backward(
-        cell, params["decoder"], params["decoder_out"], dec.run, cfg,
-        acc["decoder"], acc["decoder_out"], dlogits=dlogits)
+        d_dec = [None if dl is None else SoftmaxOutput.backward_from_logits(
+                     params["mesnil_out"], tape, dl, cfg, acc["mesnil_out"])
+                 for tape, dl in zip(dec.out_tapes, dlogits)]
+    else:
+        cell = cell_for(spec.decoder_cell)
+        d_dec, dextra = chain_backward(
+            cell, params["decoder"], params["decoder_out"], dec.run, cfg,
+            acc["decoder"], acc["decoder_out"], dlogits=dlogits)
 
     if spec.arch in (BASIC, CONTEXTUAL):
         for wi, dx in enumerate(d_dec):
             dxs[dec.lo + wi] += dx
         if spec.arch == CONTEXTUAL:
-            if dextra is None:
-                dextra = np.zeros(spec.hidden)
+            # every decoder step received S @ c_n, so dextra sums them all
             acc["context"]["S"] += np.outer(dextra, enc.c_n)
-            dc_n = params["context"]["S"].T @ dextra
             dstates = [None] * n
-            dstates[n - 1] = dc_n
-            enc_cell = cell_for(spec.encoder_cell)
-            d_enc_xs, _ = chain_backward(enc_cell, params["encoder_fwd"], None,
-                                         enc.enc_fwd, cfg, acc["encoder_fwd"], None,
-                                         dstates=dstates)
-            for j, dx in enumerate(d_enc_xs):
-                dxs[j] += dx
+            dstates[n - 1] = params["context"]["S"].T @ dextra
+            _encoder_backward(spec, params, "encoder_fwd", enc.enc_fwd, dstates, dxs, acc)
         return dxs
 
-    # bidirectional: split each alpha gradient into its l and r halves
-    sd = spec.enc_state_dim
-    dl_states = [None] * n
-    dr_states = [None] * n
-    for wi, dalpha in enumerate(d_dec):
-        i = dec.lo + wi
-        dl_states[i] = dalpha[:sd] if dl_states[i] is None else dl_states[i] + dalpha[:sd]
-        dr_states[i] = dalpha[sd:] if dr_states[i] is None else dr_states[i] + dalpha[sd:]
-    _encoders_backward(spec, params, enc, dl_states, dr_states, dxs, acc)
+    dl_states, dr_states = _scatter_beta_grads(spec, enc, dec, d_dec)
+    _encoder_backward(spec, params, "encoder_fwd", enc.enc_fwd, dl_states, dxs, acc)
+    _encoder_backward(spec, params, "encoder_bwd", enc.enc_bwd, dr_states, dxs, acc, flip=True)
     return dxs
 
 
 def _scatter_beta_grads(spec, enc, dec, d_dec):
-    """Undo the beta concatenation: route slice grads to l and r states."""
+    """Undo the context-stack concatenation: route slice grads to l and r states."""
     n = len(enc.xs)
-    k = spec.mesnil_k
+    k = spec.context_k
     sd = spec.enc_state_dim
     dl = [None] * n
     dr = [None] * n
@@ -403,25 +355,17 @@ def _scatter_beta_grads(spec, enc, dec, d_dec):
     return dl, dr
 
 
-def _encoders_backward(spec, params, enc, dl_states, dr_states, dxs, acc):
-    cfg = spec.cell_config
-    enc_cell = cell_for(spec.encoder_cell)
-    fwd_out = "encoder_fwd_out" if spec.encoder_has_output else None
-    bwd_out = "encoder_bwd_out" if spec.encoder_has_output else None
-    d_fwd_xs, _ = chain_backward(
-        enc_cell, params["encoder_fwd"],
-        params.get("encoder_fwd_out"), enc.enc_fwd, cfg,
-        acc["encoder_fwd"], acc.get(fwd_out), dstates=dl_states)
-    for j, dx in enumerate(d_fwd_xs):
-        dxs[j] += dx
-    # the backward encoder ran over reversed inputs, so flip the state
-    # grads going in and the input grads coming out
-    d_bwd_xs, _ = chain_backward(
-        enc_cell, params["encoder_bwd"],
-        params.get("encoder_bwd_out"), enc.enc_bwd, cfg,
-        acc["encoder_bwd"], acc.get(bwd_out),
-        dstates=list(reversed(dr_states)))
-    for j, dx in enumerate(reversed(d_bwd_xs)):
+def _encoder_backward(spec, params, name, run, dstates, dxs, acc, flip=False):
+    """BPTT through one encoder, adding its input gradients into dxs.
+
+    The backward encoder ran over reversed inputs; flip=True flips the
+    state grads going in and the input grads coming out.
+    """
+    out = name + "_out"   # the Jordan family's own output layer, if any
+    d_xs, _ = chain_backward(
+        cell_for(spec.encoder_cell), params[name], params.get(out), run, spec.cell_config,
+        acc[name], acc.get(out), dstates=list(reversed(dstates)) if flip else dstates)
+    for j, dx in enumerate(reversed(d_xs) if flip else d_xs):
         dxs[j] += dx
 
 

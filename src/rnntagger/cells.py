@@ -1,9 +1,16 @@
-"""The four recurrent step functions and the softmax output layer.
+"""The recurrent cells and the softmax output layer.
 
-Each forward step returns a tape of intermediates; the matching backward
-consumes it and produces exact analytic gradients for the parameters,
-the step input x_i, and the carried state (h_prev for the Elman family,
-o_prev for the Jordan family).
+Two cell families cover the four kinds the paper compares:
+
+* the plain cell, h_i = Φ(U x_i + V carry), is ElmanCell when the carry
+  is the previous hidden state h_{i-1} and JordanCell when it is the
+  previous output distribution o_{i-1};
+* the gated cell (a GRU) is ElmanGruCell over h_{i-1} and JordanGruCell
+  over o_{i-1}, which it first maps into hidden space through T.
+
+Each forward step returns a typed tape of intermediates; the matching
+backward consumes it and produces exact analytic gradients for the
+parameters, the step input x_i, and the carried state.
 
 Faithful to the update rules as given: no bias terms unless the config
 flag turns them on, and the GRU candidate activation is the logistic
@@ -21,6 +28,7 @@ ELMAN = "ELMAN"
 JORDAN = "JORDAN"
 ELMAN_GRU = "ELMAN_GRU"
 JORDAN_GRU = "JORDAN_GRU"
+SOFTMAX = "SOFTMAX"
 
 
 @dataclass
@@ -45,29 +53,66 @@ def _candidate_grad(c, cfg):
     return c * (1.0 - c)
 
 
+@dataclass(slots=True)
+class PlainTape:
+    kind: str
+    x: np.ndarray
+    carry: np.ndarray
+    h: np.ndarray
+    has_extra: bool
+
+
+@dataclass(slots=True)
+class GatedTape:
+    kind: str
+    x: np.ndarray
+    carry: np.ndarray
+    t: np.ndarray       # the state the gates read: the carry, or T @ carry
+    r: np.ndarray
+    z: np.ndarray
+    rt: np.ndarray      # r * t, the candidate's recurrent input
+    c: np.ndarray       # the candidate activation
+    has_extra: bool
+
+
+@dataclass(slots=True)
+class SoftmaxTape:
+    h: np.ndarray
+    o: np.ndarray
+    kind = SOFTMAX
+
+
 def _check_tape(tape, kind):
-    if tape.get("kind") != kind:
-        raise ValueError("tape from %r passed to %s backward" % (tape.get("kind"), kind))
+    got = getattr(tape, "kind", None)
+    if got != kind:
+        raise ValueError("tape from %r passed to %s backward" % (got, kind))
 
 
-class ElmanCell:
-    """h_i = Φ(U x_i + V h_{i-1}); carries its own hidden state."""
+def _cell_class(name, kind, carries_output, doc, param_shapes, step, backward):
+    """One class per cell kind, each holding its own step and backward,
+    so a wrapper put on one kind leaves the others alone."""
 
-    kind = ELMAN
-    carries_output = False
-
-    @staticmethod
     def carry_dim(hidden, n_out):
-        return hidden
+        return n_out if carries_output else hidden
 
-    @staticmethod
+    return type(name, (), {
+        "__doc__": doc,
+        "kind": kind,
+        "carries_output": carries_output,
+        "carry_dim": staticmethod(carry_dim),
+        "param_shapes": staticmethod(param_shapes),
+        "step": staticmethod(step),
+        "backward": staticmethod(backward),
+    })
+
+
+def _plain_cell(name, kind, carries_output, doc):
     def param_shapes(n_in, hidden, n_out, cfg):
-        shapes = {"U": (hidden, n_in), "V": (hidden, hidden)}
+        shapes = {"U": (hidden, n_in), "V": (hidden, n_out if carries_output else hidden)}
         if cfg.bias:
             shapes["b"] = (hidden,)
         return shapes
 
-    @staticmethod
     def step(p, x, carry, cfg, extra=None):
         pre = matvec(p["U"], x) + matvec(p["V"], carry)
         if cfg.bias:
@@ -75,181 +120,42 @@ class ElmanCell:
         if extra is not None:
             pre = pre + extra
         h = sigmoid(pre)
-        return h, {"kind": ELMAN, "x": x, "carry": carry, "h": h,
-                   "has_extra": extra is not None}
+        return h, PlainTape(kind, x, carry, h, extra is not None)
 
-    @staticmethod
     def backward(p, tape, dh, cfg, acc):
-        _check_tape(tape, ELMAN)
-        h = tape["h"]
+        _check_tape(tape, kind)
+        h = tape.h
         dpre = dh * h * (1.0 - h)
-        acc["U"] += np.outer(dpre, tape["x"])
-        acc["V"] += np.outer(dpre, tape["carry"])
+        acc["U"] += np.outer(dpre, tape.x)
+        acc["V"] += np.outer(dpre, tape.carry)
         if cfg.bias:
             acc["b"] += dpre
         dx = p["U"].T @ dpre
         dcarry = p["V"].T @ dpre
-        dextra = dpre if tape["has_extra"] else None
+        dextra = dpre if tape.has_extra else None
         return dx, dcarry, dextra
 
-
-class JordanCell:
-    """h_i = Φ(U x_i + V o_{i-1}); carries the previous output distribution."""
-
-    kind = JORDAN
-    carries_output = True
-
-    @staticmethod
-    def carry_dim(hidden, n_out):
-        return n_out
-
-    @staticmethod
-    def param_shapes(n_in, hidden, n_out, cfg):
-        shapes = {"U": (hidden, n_in), "V": (hidden, n_out)}
-        if cfg.bias:
-            shapes["b"] = (hidden,)
-        return shapes
-
-    @staticmethod
-    def step(p, x, carry, cfg, extra=None):
-        pre = matvec(p["U"], x) + matvec(p["V"], carry)
-        if cfg.bias:
-            pre = pre + p["b"]
-        if extra is not None:
-            pre = pre + extra
-        h = sigmoid(pre)
-        return h, {"kind": JORDAN, "x": x, "carry": carry, "h": h,
-                   "has_extra": extra is not None}
-
-    @staticmethod
-    def backward(p, tape, dh, cfg, acc):
-        _check_tape(tape, JORDAN)
-        h = tape["h"]
-        dpre = dh * h * (1.0 - h)
-        acc["U"] += np.outer(dpre, tape["x"])
-        acc["V"] += np.outer(dpre, tape["carry"])
-        if cfg.bias:
-            acc["b"] += dpre
-        dx = p["U"].T @ dpre
-        dcarry = p["V"].T @ dpre
-        dextra = dpre if tape["has_extra"] else None
-        return dx, dcarry, dextra
+    return _cell_class(name, kind, carries_output, doc, param_shapes, step, backward)
 
 
-class ElmanGruCell:
-    """Gated variant of the Elman cell.
+def _gated_cell(name, kind, carries_output, doc):
+    # the candidate weights are W_h/U_h/b_h over h_prev and W_o/U_o/b_o
+    # over o_prev; model files store them under these names
+    W, U, B = ("W_o", "U_o", "b_o") if carries_output else ("W_h", "U_h", "b_h")
 
-    r_i = Φ(W_r x_i + U_r h_prev), z_i = Φ(W_z x_i + U_z h_prev),
-    cand = act(W_h x_i + U_h (r_i * h_prev)),
-    h_i = z_i * cand + (1 - z_i) * h_prev.
-    """
-
-    kind = ELMAN_GRU
-    carries_output = False
-
-    @staticmethod
-    def carry_dim(hidden, n_out):
-        return hidden
-
-    @staticmethod
     def param_shapes(n_in, hidden, n_out, cfg):
         shapes = {
-            "W_h": (hidden, n_in), "W_z": (hidden, n_in), "W_r": (hidden, n_in),
-            "U_h": (hidden, hidden), "U_z": (hidden, hidden), "U_r": (hidden, hidden),
+            W: (hidden, n_in), "W_z": (hidden, n_in), "W_r": (hidden, n_in),
+            U: (hidden, hidden), "U_z": (hidden, hidden), "U_r": (hidden, hidden),
         }
+        if carries_output:
+            shapes["T"] = (hidden, n_out)
         if cfg.bias:
-            shapes.update({"b_h": (hidden,), "b_z": (hidden,), "b_r": (hidden,)})
+            shapes.update({B: (hidden,), "b_z": (hidden,), "b_r": (hidden,)})
         return shapes
 
-    @staticmethod
     def step(p, x, carry, cfg, extra=None):
-        pre_r = matvec(p["W_r"], x) + matvec(p["U_r"], carry)
-        pre_z = matvec(p["W_z"], x) + matvec(p["U_z"], carry)
-        if cfg.bias:
-            pre_r = pre_r + p["b_r"]
-            pre_z = pre_z + p["b_z"]
-        r = sigmoid(pre_r)
-        z = sigmoid(pre_z)
-        rh = r * carry
-        # the additive context term enters the candidate only, not the gates
-        pre_c = matvec(p["W_h"], x) + matvec(p["U_h"], rh)
-        if cfg.bias:
-            pre_c = pre_c + p["b_h"]
-        if extra is not None:
-            pre_c = pre_c + extra
-        c = _candidate(pre_c, cfg)
-        h = z * c + (1.0 - z) * carry
-        tape = {"kind": ELMAN_GRU, "x": x, "carry": carry, "r": r, "z": z,
-                "rh": rh, "c": c, "has_extra": extra is not None}
-        return h, tape
-
-    @staticmethod
-    def backward(p, tape, dh, cfg, acc):
-        _check_tape(tape, ELMAN_GRU)
-        x, carry = tape["x"], tape["carry"]
-        r, z, c = tape["r"], tape["z"], tape["c"]
-
-        dz = dh * (c - carry)
-        dc = dh * z
-        dcarry = dh * (1.0 - z)
-
-        dpre_c = dc * _candidate_grad(c, cfg)
-        acc["W_h"] += np.outer(dpre_c, x)
-        acc["U_h"] += np.outer(dpre_c, tape["rh"])
-        drh = p["U_h"].T @ dpre_c
-        dr = drh * carry
-        dcarry = dcarry + drh * r
-
-        dpre_z = dz * z * (1.0 - z)
-        acc["W_z"] += np.outer(dpre_z, x)
-        acc["U_z"] += np.outer(dpre_z, carry)
-        dcarry = dcarry + p["U_z"].T @ dpre_z
-
-        dpre_r = dr * r * (1.0 - r)
-        acc["W_r"] += np.outer(dpre_r, x)
-        acc["U_r"] += np.outer(dpre_r, carry)
-        dcarry = dcarry + p["U_r"].T @ dpre_r
-
-        if cfg.bias:
-            acc["b_h"] += dpre_c
-            acc["b_z"] += dpre_z
-            acc["b_r"] += dpre_r
-
-        dx = p["W_h"].T @ dpre_c + p["W_z"].T @ dpre_z + p["W_r"].T @ dpre_r
-        dextra = dpre_c if tape["has_extra"] else None
-        return dx, dcarry, dextra
-
-
-class JordanGruCell:
-    """Gated variant of the Jordan cell.
-
-    The previous output distribution is first mapped into hidden space,
-    t = T o_prev; gates and candidate then read t where the Elman GRU
-    reads h_prev, and the skip branch carries t itself:
-    h_i = z_i * cand + (1 - z_i) * t.
-    """
-
-    kind = JORDAN_GRU
-    carries_output = True
-
-    @staticmethod
-    def carry_dim(hidden, n_out):
-        return n_out
-
-    @staticmethod
-    def param_shapes(n_in, hidden, n_out, cfg):
-        shapes = {
-            "W_o": (hidden, n_in), "W_z": (hidden, n_in), "W_r": (hidden, n_in),
-            "U_o": (hidden, hidden), "U_z": (hidden, hidden), "U_r": (hidden, hidden),
-            "T": (hidden, n_out),
-        }
-        if cfg.bias:
-            shapes.update({"b_o": (hidden,), "b_z": (hidden,), "b_r": (hidden,)})
-        return shapes
-
-    @staticmethod
-    def step(p, x, carry, cfg, extra=None):
-        t = matvec(p["T"], carry)
+        t = matvec(p["T"], carry) if carries_output else carry
         pre_r = matvec(p["W_r"], x) + matvec(p["U_r"], t)
         pre_z = matvec(p["W_z"], x) + matvec(p["U_z"], t)
         if cfg.bias:
@@ -258,31 +164,29 @@ class JordanGruCell:
         r = sigmoid(pre_r)
         z = sigmoid(pre_z)
         rt = r * t
-        pre_c = matvec(p["W_o"], x) + matvec(p["U_o"], rt)
+        # the additive context term enters the candidate only, not the gates
+        pre_c = matvec(p[W], x) + matvec(p[U], rt)
         if cfg.bias:
-            pre_c = pre_c + p["b_o"]
+            pre_c = pre_c + p[B]
         if extra is not None:
             pre_c = pre_c + extra
         c = _candidate(pre_c, cfg)
         h = z * c + (1.0 - z) * t
-        tape = {"kind": JORDAN_GRU, "x": x, "carry": carry, "t": t, "r": r,
-                "z": z, "rt": rt, "c": c, "has_extra": extra is not None}
-        return h, tape
+        return h, GatedTape(kind, x, carry, t, r, z, rt, c, extra is not None)
 
-    @staticmethod
     def backward(p, tape, dh, cfg, acc):
-        _check_tape(tape, JORDAN_GRU)
-        x, t = tape["x"], tape["t"]
-        r, z, c = tape["r"], tape["z"], tape["c"]
+        _check_tape(tape, kind)
+        x, t = tape.x, tape.t
+        r, z, c = tape.r, tape.z, tape.c
 
         dz = dh * (c - t)
         dc = dh * z
         dt = dh * (1.0 - z)
 
         dpre_c = dc * _candidate_grad(c, cfg)
-        acc["W_o"] += np.outer(dpre_c, x)
-        acc["U_o"] += np.outer(dpre_c, tape["rt"])
-        drt = p["U_o"].T @ dpre_c
+        acc[W] += np.outer(dpre_c, x)
+        acc[U] += np.outer(dpre_c, tape.rt)
+        drt = p[U].T @ dpre_c
         dr = drt * t
         dt = dt + drt * r
 
@@ -297,21 +201,54 @@ class JordanGruCell:
         dt = dt + p["U_r"].T @ dpre_r
 
         if cfg.bias:
-            acc["b_o"] += dpre_c
+            acc[B] += dpre_c
             acc["b_z"] += dpre_z
             acc["b_r"] += dpre_r
 
-        acc["T"] += np.outer(dt, tape["carry"])
-        dcarry = p["T"].T @ dt
-        dx = p["W_o"].T @ dpre_c + p["W_z"].T @ dpre_z + p["W_r"].T @ dpre_r
-        dextra = dpre_c if tape["has_extra"] else None
+        if carries_output:
+            acc["T"] += np.outer(dt, tape.carry)
+            dcarry = p["T"].T @ dt
+        else:
+            dcarry = dt
+        dx = p[W].T @ dpre_c + p["W_z"].T @ dpre_z + p["W_r"].T @ dpre_r
+        dextra = dpre_c if tape.has_extra else None
         return dx, dcarry, dextra
+
+    return _cell_class(name, kind, carries_output, doc, param_shapes, step, backward)
+
+
+ElmanCell = _plain_cell(
+    "ElmanCell", ELMAN, False,
+    "h_i = Φ(U x_i + V h_{i-1}); carries its own hidden state.")
+
+JordanCell = _plain_cell(
+    "JordanCell", JORDAN, True,
+    "h_i = Φ(U x_i + V o_{i-1}); carries the previous output distribution.")
+
+ElmanGruCell = _gated_cell(
+    "ElmanGruCell", ELMAN_GRU, False,
+    """Gated variant of the Elman cell.
+
+    r_i = Φ(W_r x_i + U_r h_prev), z_i = Φ(W_z x_i + U_z h_prev),
+    cand = act(W_h x_i + U_h (r_i * h_prev)),
+    h_i = z_i * cand + (1 - z_i) * h_prev.
+    """)
+
+JordanGruCell = _gated_cell(
+    "JordanGruCell", JORDAN_GRU, True,
+    """Gated variant of the Jordan cell.
+
+    The previous output distribution is first mapped into hidden space,
+    t = T o_prev; gates and candidate then read t where the Elman GRU
+    reads h_prev, and the skip branch carries t itself:
+    h_i = z_i * cand + (1 - z_i) * t.
+    """)
 
 
 class SoftmaxOutput:
     """o_i = softmax(W h_i); the per-position output layer."""
 
-    kind = "SOFTMAX"
+    kind = SOFTMAX
 
     @staticmethod
     def param_shapes(hidden, n_out, cfg):
@@ -326,36 +263,33 @@ class SoftmaxOutput:
         if cfg.bias:
             logits = logits + p["b"]
         o = softmax(logits)
-        return o, {"kind": "SOFTMAX", "h": h, "o": o}
+        return o, SoftmaxTape(h, o)
+
+    @staticmethod
+    def logit_grad(tape, do):
+        """d(loss)/d(logits) given d(loss)/d(o): the softmax VJP."""
+        _check_tape(tape, SOFTMAX)
+        o = tape.o
+        return o * (do - np.dot(do, o))
 
     @staticmethod
     def backward(p, tape, do, cfg, acc):
         """Gradient through the softmax given d(loss)/d(o)."""
-        _check_tape(tape, "SOFTMAX")
-        o = tape["o"]
-        dlogits = o * (do - np.dot(do, o))
+        dlogits = SoftmaxOutput.logit_grad(tape, do)
         return SoftmaxOutput.backward_from_logits(p, tape, dlogits, cfg, acc)
 
     @staticmethod
     def backward_from_logits(p, tape, dlogits, cfg, acc):
         """Entry point when d(loss)/d(logits) is already known
         (softmax + nll collapses to o - onehot(y))."""
-        _check_tape(tape, "SOFTMAX")
-        acc["W"] += np.outer(dlogits, tape["h"])
+        _check_tape(tape, SOFTMAX)
+        acc["W"] += np.outer(dlogits, tape.h)
         if cfg.bias:
             acc["b"] += dlogits
         return p["W"].T @ dlogits
 
 
-CELLS = {
-    ELMAN: ElmanCell,
-    JORDAN: JordanCell,
-    ELMAN_GRU: ElmanGruCell,
-    JORDAN_GRU: JordanGruCell,
-}
-
-ELMAN_FAMILY = (ELMAN, ELMAN_GRU)
-JORDAN_FAMILY = (JORDAN, JORDAN_GRU)
+CELLS = {cell.kind: cell for cell in (ElmanCell, JordanCell, ElmanGruCell, JordanGruCell)}
 
 
 def cell_for(kind):

@@ -175,16 +175,6 @@ def build_vocab(sentences, min_count=1, lowercase=True, digits_to_zero=True):
     return vocab
 
 
-def word_counts(sentences, lowercase=True, digits_to_zero=True):
-    """Normalized-surface frequency table (used by embedding pre-training)."""
-    freq = {}
-    for sent in sentences:
-        for tok in sent.tokens:
-            key = normalize(tok.surface, lowercase, digits_to_zero)
-            freq[key] = freq.get(key, 0) + 1
-    return freq
-
-
 def load_lexicon(path, name=None):
     """One phrase per line, lowercased, deduplicated."""
     entries = set()

@@ -105,35 +105,6 @@ def matvec(m, v):
     return m @ v
 
 
-def concat(*vs):
-    return np.concatenate([np.asarray(v, dtype=np.float64) for v in vs])
-
-
-def add(a, b):
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    if a.shape != b.shape:
-        raise ValueError("add: shape mismatch %s vs %s" % (a.shape, b.shape))
-    return a + b
-
-
-def mul(a, b):
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    if a.shape != b.shape:
-        raise ValueError("mul: shape mismatch %s vs %s" % (a.shape, b.shape))
-    return a * b
-
-
-def axpy(alpha, x, y):
-    """y += alpha * x, in place. Returns y."""
-    x = np.asarray(x, dtype=np.float64)
-    if x.shape != y.shape:
-        raise ValueError("axpy: shape mismatch %s vs %s" % (x.shape, y.shape))
-    y += alpha * x
-    return y
-
-
 def uniform_init(rng, shape, radius):
     """Matrix/vector filled from U[-radius, radius)."""
     n = int(np.prod(shape))

@@ -155,15 +155,6 @@ def gazetteer_mask(surfaces, lexicon):
     return mask
 
 
-def gazetteer_features(sentence, i, lexicons):
-    surfaces = sentence.surfaces()
-    return np.array([gazetteer_mask(surfaces, lex)[i] for lex in lexicons])
-
-
-def trigger_features(sentence, i, trigger_lexicon):
-    return np.array([1.0 if sentence.tokens[i].surface in trigger_lexicon else 0.0])
-
-
 class DocCache:
     """Most recent label per lowercased surface within one document."""
 

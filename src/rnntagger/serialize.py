@@ -11,7 +11,7 @@ import json
 
 import numpy as np
 
-from .architectures import ModelSpec
+from .architectures import ModelSpec, bundle_shapes
 from .corpus import Lexicon, Vocabulary
 from .model import Model
 from .representation import EmbeddingTable, FeatureConfig
@@ -75,21 +75,57 @@ def save_model(model, path):
         fh.write("\n")
 
 
+def _array(value, where, shape):
+    try:
+        arr = np.array(value, dtype=np.float64)
+    except (TypeError, ValueError):
+        raise ValueError("%s is not a numeric array" % where) from None
+    if arr.shape != tuple(shape):
+        raise ValueError("%s has shape %s, expected %s" % (where, arr.shape, tuple(shape)))
+    if not np.all(np.isfinite(arr)):
+        raise ValueError("%s holds a non-finite value" % where)
+    return arr
+
+
+def _params_from_obj(raw, spec):
+    """Parameter bundles, checked against the shapes the cells declare."""
+    shapes = bundle_shapes(spec)
+    if set(raw) != set(shapes):
+        raise ValueError("params: bundles %s, expected %s" % (sorted(raw), sorted(shapes)))
+    params = {}
+    for bundle in sorted(shapes):
+        if set(raw[bundle]) != set(shapes[bundle]):
+            raise ValueError("params.%s: parameters %s, expected %s"
+                             % (bundle, sorted(raw[bundle]), sorted(shapes[bundle])))
+        params[bundle] = {name: _array(raw[bundle][name], "params.%s.%s" % (bundle, name), shape)
+                          for name, shape in sorted(shapes[bundle].items())}
+    return params
+
+
 def model_from_obj(obj):
-    if obj.get("format") != MODEL_FORMAT:
-        raise ValueError("not a model file (format tag %r)" % obj.get("format"))
+    """The model a parsed file holds; any defect is a ValueError that
+    names the key."""
+    if not isinstance(obj, dict) or obj.get("format") != MODEL_FORMAT:
+        raise ValueError("not a model file (no %r format tag)" % MODEL_FORMAT)
     if obj.get("version") != MODEL_VERSION:
         raise ValueError("unsupported model version %r" % obj.get("version"))
+    try:
+        return _model_from_obj(obj)
+    except KeyError as e:
+        raise ValueError("missing key %s" % e) from None
+    except TypeError as e:
+        raise ValueError("malformed model: %s" % e) from None
 
+
+def _model_from_obj(obj):
     spec = ModelSpec(**obj["spec"])
     v = obj["vocab"]
     vocab = Vocabulary(index_to_word=list(v["words"]),
                        lowercase=v["lowercase"],
                        digits_to_zero=v["digits_to_zero"])
     emb = obj["embedding"]
-    table = EmbeddingTable(vocab, emb["dim"],
-                           np.array(emb["matrix"], dtype=np.float64),
-                           trainable=emb["trainable"])
+    matrix = _array(emb["matrix"], "embedding.matrix", (len(vocab), emb["dim"]))
+    table = EmbeddingTable(vocab, emb["dim"], matrix, trainable=emb["trainable"])
     f = obj["features"]
     trigger = f["trigger"]
     fconf = FeatureConfig(
@@ -98,15 +134,24 @@ def model_from_obj(obj):
         trigger=Lexicon(trigger["name"], set(trigger["entries"])) if trigger else None,
         cache_tagset=list(f["cache_tagset"]) if f["cache_tagset"] else None,
     )
-    params = {bundle: {name: np.array(arr, dtype=np.float64)
-                       for name, arr in grads.items()}
-              for bundle, grads in obj["params"].items()}
-    return Model(spec=spec, params=params, table=table, fconf=fconf,
-                 tagset=list(obj["tagset"]), scheme=obj["scheme"],
-                 v_c=obj["v_c"])
+    v_c = obj["v_c"]
+    if spec.n_in != (table.dim + fconf.width) * (2 * v_c + 1):
+        raise ValueError("spec.n_in is %d, expected (dim %d + features %d) x (2 v_c + 1) = %d"
+                         % (spec.n_in, table.dim, fconf.width,
+                            (table.dim + fconf.width) * (2 * v_c + 1)))
+    if len(obj["tagset"]) != spec.n_tags:
+        raise ValueError("tagset has %d tags, spec.n_tags is %d"
+                         % (len(obj["tagset"]), spec.n_tags))
+    return Model(spec=spec, params=_params_from_obj(obj["params"], spec), table=table,
+                 fconf=fconf, tagset=list(obj["tagset"]), scheme=obj["scheme"], v_c=v_c)
 
 
 def load_model(path):
-    with open(path, encoding="utf-8") as fh:
-        obj = json.load(fh)
-    return model_from_obj(obj)
+    """Read and check a model file; every defect in it is a ValueError
+    that names the file and the key."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            obj = json.load(fh)
+        return model_from_obj(obj)
+    except ValueError as e:
+        raise ValueError("%s: %s" % (path, e)) from None

@@ -13,8 +13,6 @@ from rnntagger.architectures import (
     bundle_shapes,
     decode_window,
     encode,
-    encode_backward,
-    encode_forward,
     full_forward,
     init_model,
     predict_tags,
@@ -98,15 +96,15 @@ class TestEncodeForward:
         from rnntagger.cells import init_params
         p = init_params(cell.param_shapes(4, 3, 2, CFG), rng)
         x = rng.uniform(4, -1, 1)
-        states = encode_forward(ELMAN, p, [x], CFG, 3, 2)
+        states = run_chain(cell, p, None, [x], CFG, 3, 2).states
         h, _ = cell.step(p, x, np.zeros(3), CFG)
         assert np.array_equal(states[0], h)
 
     def test_severed_recurrence_is_feedforward(self):
         p = {"U": np.array([[1.0, -1.0]]), "V": np.zeros((1, 1))}
         xs = [np.array([0.3, 0.1]), np.array([-0.5, 0.2]), np.array([0.9, 0.9])]
-        states = encode_forward(ELMAN, p, xs, CFG, 1, 1)
-        flipped = encode_forward(ELMAN, p, list(reversed(xs)), CFG, 1, 1)
+        states = run_chain(cell_for(ELMAN), p, None, xs, CFG, 1, 1).states
+        flipped = run_chain(cell_for(ELMAN), p, None, list(reversed(xs)), CFG, 1, 1).states
         assert np.allclose(states, list(reversed(flipped)), atol=0)
 
     def test_three_step_scalar_chain_oracle(self):
@@ -116,37 +114,44 @@ class TestEncodeForward:
         h1 = phi(0.5)
         h2 = phi(-0.25 + 2 * h1)
         h3 = phi(1.0 + 2 * h2)
-        states = encode_forward(ELMAN, p, xs, CFG, 1, 1)
+        states = run_chain(cell_for(ELMAN), p, None, xs, CFG, 1, 1).states
         assert [s[0] for s in states] == pytest.approx([h1, h2, h3], abs=1e-15)
 
 
 class TestEncodeBackward:
-    def _params(self, seed=5):
-        from rnntagger.cells import init_params
-        return init_params(cell_for(ELMAN).param_shapes(3, 2, 2, CFG), SeededRng(seed))
+    """The right-to-left states r_i that encode() aligns with positions."""
+
+    def _model(self, seed=5, shared=False):
+        spec = ModelSpec(BIDIRECTIONAL, n_in=3, hidden=2, n_tags=2,
+                         decoder_cell=ELMAN, encoder_cell=ELMAN)
+        params = init_model(spec, SeededRng(seed))
+        if shared:
+            params["encoder_bwd"] = params["encoder_fwd"]
+        return spec, params
 
     def test_definitional_identity(self):
-        p = self._params()
+        spec, params = self._model()
         xs = rand_xs(SeededRng(6), 4, 3)
-        r = encode_backward(ELMAN, p, xs, CFG, 2, 2)
-        expect = list(reversed(encode_forward(ELMAN, p, list(reversed(xs)), CFG, 2, 2)))
+        r = encode(spec, params, xs).r
+        run = run_chain(cell_for(ELMAN), params["encoder_bwd"], None,
+                        list(reversed(xs)), CFG, 2, 2)
+        expect = list(reversed(run.states))
         assert all(np.array_equal(a, b) for a, b in zip(r, expect))
 
     def test_palindrome_with_shared_params(self):
-        p = self._params()
+        spec, params = self._model(shared=True)
         a, b = SeededRng(7).uniform(3, -1, 1), SeededRng(8).uniform(3, -1, 1)
         xs = [a, b, a]  # palindrome
-        l = encode_forward(ELMAN, p, xs, CFG, 2, 2)
-        r = encode_backward(ELMAN, p, xs, CFG, 2, 2)
+        enc = encode(spec, params, xs)
         n = len(xs)
         for i in range(n):
-            assert np.allclose(l[i], r[n - 1 - i], atol=0)
+            assert np.allclose(enc.l[i], enc.r[n - 1 - i], atol=0)
 
     def test_single_token(self):
-        p = self._params()
+        spec, params = self._model(shared=True)
         x = SeededRng(9).uniform(3, -1, 1)
-        assert np.array_equal(encode_backward(ELMAN, p, [x], CFG, 2, 2)[0],
-                              encode_forward(ELMAN, p, [x], CFG, 2, 2)[0])
+        enc = encode(spec, params, [x])
+        assert np.array_equal(enc.r[0], enc.l[0])
 
 
 class TestContextual:

@@ -86,7 +86,7 @@ class TestElmanGruStep:
         p["W_z"] = np.full((2, 1), 1000.0)  # saturates z to exactly 1
         carry = np.array([0.9, 0.2])
         h, tape = ElmanGruCell.step(p, np.array([1.0]), carry, CFG)
-        assert np.array_equal(h, tape["c"])
+        assert np.array_equal(h, tape.c)
 
     def test_forced_update_gate_zero(self):
         p = self._params(2, 1)
@@ -110,8 +110,8 @@ class TestElmanGruStep:
             x = rng.uniform(3, -2, 2)
             carry = rng.uniform(4, 0, 1)
             h, tape = ElmanGruCell.step(p, x, carry, cfg)
-            lo = np.minimum(tape["c"], carry) - 1e-12
-            hi = np.maximum(tape["c"], carry) + 1e-12
+            lo = np.minimum(tape.c, carry) - 1e-12
+            hi = np.maximum(tape.c, carry) + 1e-12
             assert np.all(h >= lo) and np.all(h <= hi)
 
 
@@ -127,7 +127,7 @@ class TestJordanGruStep:
         p = self._params(2, 1, 3)
         p["W_o"][:] = 0.7
         h, tape = JordanGruCell.step(p, np.array([1.0]), np.zeros(3), CFG)
-        assert np.allclose(h, tape["z"] * tape["c"], atol=1e-15)
+        assert np.allclose(h, tape.z * tape.c, atol=1e-15)
 
     def test_zero_t_matrix_same_as_zero_carry(self):
         p = self._params(2, 1, 3)

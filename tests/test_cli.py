@@ -1,5 +1,8 @@
 """Exit codes, config-file merging, and end-to-end command wiring."""
 
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -8,6 +11,8 @@ from rnntagger.corpus import load_conll, write_conll
 from rnntagger.serialize import load_model
 from rnntagger.synth import memorize_corpus
 from rnntagger.training import GradCheckReport
+
+DATA_DIR = Path(__file__).parent / "data"
 
 
 def run(argv, capsys):
@@ -60,6 +65,29 @@ def test_missing_input_file_is_data_error(tmp_path, capsys):
                         "--out", str(tmp_path / "p.conll")], capsys)
     assert rc == 2
     assert "data error" in err
+
+
+def tag_with_model(tmp_path, capsys, model_text):
+    model = tmp_path / "m.json"
+    model.write_text(model_text)
+    rc, out, err = run(["tag", "--model", str(model), "--input", write_gold(tmp_path / "in.conll"),
+                        "--out", str(tmp_path / "p.conll")], capsys)
+    return rc, err, str(model)
+
+
+def test_truncated_model_file_is_data_error(tmp_path, capsys):
+    rc, err, path = tag_with_model(tmp_path, capsys,
+                                   '{"format":"rnn-mention-tagger","version":1}')
+    assert rc == 2
+    assert "%s: missing key 'spec'" % path in err
+
+
+def test_wrong_parameter_shape_is_data_error(tmp_path, capsys):
+    obj = json.loads((DATA_DIR / "bidirectional_gru.json").read_text())
+    obj["params"]["encoder_fwd"]["U_z"] = [[0.0]]
+    rc, err, path = tag_with_model(tmp_path, capsys, json.dumps(obj))
+    assert rc == 2
+    assert "%s: params.encoder_fwd.U_z has shape (1, 1), expected (4, 4)" % path in err
 
 
 def test_eval_sentence_count_mismatch_is_data_error(tmp_path, capsys):

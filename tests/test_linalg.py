@@ -81,25 +81,6 @@ def test_matvec_distributes_over_addition(rows, cols, seed):
     assert np.allclose(lhs, rhs, atol=1e-12)
 
 
-def test_add_mul_shape_errors():
-    with pytest.raises(ValueError, match="add"):
-        linalg.add(np.zeros(2), np.zeros(3))
-    with pytest.raises(ValueError, match="mul"):
-        linalg.mul(np.zeros(2), np.zeros(3))
-
-
-def test_axpy_in_place():
-    y = np.ones(3)
-    out = linalg.axpy(2.0, np.array([1.0, 2.0, 3.0]), y)
-    assert out is y
-    assert np.array_equal(y, [3.0, 5.0, 7.0])
-
-
-def test_concat_order():
-    v = linalg.concat(np.array([1.0]), np.array([2.0, 3.0]), np.array([4.0]))
-    assert np.array_equal(v, [1.0, 2.0, 3.0, 4.0])
-
-
 class TestSeededRng:
     def test_equal_seeds_equal_streams(self):
         a = SeededRng(12345).uniform(10000)

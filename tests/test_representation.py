@@ -12,10 +12,7 @@ from rnntagger.representation import (
     cache_feature,
     capitalization_features,
     encode_sentence,
-    gazetteer_features,
-    gazetteer_mask,
     load_embeddings,
-    trigger_features,
 )
 
 
@@ -54,53 +51,57 @@ class TestCapitalization:
         assert capitalization_features(s).sum() == 1
 
 
+def feature_columns(words, **features):
+    """The feature columns of each word's w-vector, as encode_sentence
+    builds them (v_c = 0, so x_i is w_i itself)."""
+    table = EmbeddingTable.random(small_vocab(*words), 2, SeededRng(1))
+    enc = encode_sentence(sent(*words), table, FeatureConfig(**features), v_c=0)
+    return [x[table.dim:].tolist() for x in enc.xs]
+
+
 class TestGazetteer:
     def test_phrase_match_marks_both_tokens(self):
         lex = Lexicon("geo", {"new york"})
-        s = sent("in", "New", "York")
-        bits = [gazetteer_features(s, i, [lex])[0] for i in range(3)]
-        assert bits == [0, 1, 1]
+        cols = feature_columns(["in", "New", "York"], gazetteers=[lex])
+        assert cols == [[0], [1], [1]]
 
     def test_empty_lexicon_all_zero(self):
         lex = Lexicon("geo", set())
-        s = sent("New", "York")
-        assert gazetteer_features(s, 0, [lex]).tolist() == [0]
+        assert feature_columns(["New", "York"], gazetteers=[lex]) == [[0], [0]]
 
     def test_longest_first_greedy(self):
         # both 2-token phrases known; greedy takes "new york" first,
         # leaving "City" unmatched since "york city" would overlap
         lex = Lexicon("geo", {"new york", "york city"})
-        mask = gazetteer_mask(["New", "York", "City"], lex)
-        assert mask.tolist() == [1, 1, 0]
+        cols = feature_columns(["New", "York", "City"], gazetteers=[lex])
+        assert cols == [[1], [1], [0]]
 
     def test_longer_beats_shorter_at_same_start(self):
         lex = Lexicon("geo", {"new", "new york"})
-        mask = gazetteer_mask(["New", "York"], lex)
-        assert mask.tolist() == [1, 1]
+        assert feature_columns(["New", "York"], gazetteers=[lex]) == [[1], [1]]
 
     def test_case_insensitive(self):
         lex = Lexicon("geo", {"paris"})
-        assert gazetteer_mask(["PARIS"], lex).tolist() == [1]
+        assert feature_columns(["PARIS"], gazetteers=[lex]) == [[1]]
 
     def test_one_bit_per_lexicon(self):
         g1 = Lexicon("a", {"paris"})
         g2 = Lexicon("b", {"london"})
-        s = sent("paris")
-        assert gazetteer_features(s, 0, [g1, g2]).tolist() == [1, 0]
+        assert feature_columns(["paris"], gazetteers=[g1, g2]) == [[1, 0]]
 
 
 class TestTrigger:
     def test_trigger_word_fires(self):
         lex = Lexicon("trig", {"mr."})
-        assert trigger_features(sent("Mr."), 0, lex).tolist() == [1]
+        assert feature_columns(["Mr.", "Smith"], trigger=lex) == [[1], [0]]
 
     def test_empty_list_never_fires(self):
         lex = Lexicon("trig", set())
-        assert trigger_features(sent("Mr."), 0, lex).tolist() == [0]
+        assert feature_columns(["Mr."], trigger=lex) == [[0]]
 
     def test_non_trigger(self):
         lex = Lexicon("trig", {"president"})
-        assert trigger_features(sent("banana"), 0, lex).tolist() == [0]
+        assert feature_columns(["banana"], trigger=lex) == [[0]]
 
 
 class TestCache:

@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ from rnntagger.corpus import Lexicon, Sentence, Token, build_vocab
 from rnntagger.linalg import SeededRng
 from rnntagger.model import Model, tag_corpus
 from rnntagger.representation import EmbeddingTable, FeatureConfig
-from rnntagger.serialize import load_model, save_model
+from rnntagger.serialize import load_model, model_from_obj, save_model
 from rnntagger.tagging import BIO2, make_tagset
 from rnntagger.training import TrainConfig, train_epoch
 
@@ -136,3 +137,99 @@ def test_wrong_version_rejected(tmp_path):
 def test_missing_file_raises_oserror(tmp_path):
     with pytest.raises(OSError):
         load_model(str(tmp_path / "nope.json"))
+
+
+# Two small trained models (bias on) saved before the four cell classes
+# were folded into the plain and gated families, with the tags they gave
+# on COMPAT_INPUT at the time.  The bidirectional one has an ELMAN_GRU
+# encoder and a JORDAN_GRU decoder; the contextual one an ELMAN encoder,
+# a JORDAN decoder, and every feature channel.
+DATA_DIR = Path(__file__).parent / "data"
+COMPAT_INPUT = [
+    Sentence([Token(w) for w in ["Anna", "visits", "Acme", "Corp", "today"]], doc_id="0"),
+    Sentence([Token(w) for w in ["Mr.", "Bob", "naps"]], doc_id="0"),
+    Sentence([Token(w) for w in ["Globex", "hires", "Anna"]], doc_id="1"),
+]
+
+
+@pytest.mark.parametrize("name", ["bidirectional_gru.json", "contextual_elman_jordan.json"])
+def test_committed_model_files_load_tag_and_resave_identically(name, tmp_path):
+    path = DATA_DIR / name
+    model = load_model(str(path))
+    expected = json.loads((DATA_DIR / "compat_tags.json").read_text())[name]
+    assert tag_corpus(model, COMPAT_INPUT) == expected
+    save_model(model, str(tmp_path / name))
+    assert (tmp_path / name).read_bytes() == path.read_bytes()
+
+
+def model_obj(**changes):
+    obj = json.loads((DATA_DIR / "bidirectional_gru.json").read_text())
+    obj.update(changes)
+    return obj
+
+
+def test_missing_key_is_named():
+    obj = model_obj()
+    del obj["vocab"]
+    with pytest.raises(ValueError, match="missing key 'vocab'"):
+        model_from_obj(obj)
+    with pytest.raises(ValueError, match="missing key 'spec'"):
+        model_from_obj({"format": "rnn-mention-tagger", "version": 1})
+
+
+def test_parameter_shape_checked_against_the_cells():
+    obj = model_obj()
+    obj["params"]["decoder"]["T"] = obj["params"]["decoder"]["T"][:-1]
+    with pytest.raises(ValueError, match=r"params\.decoder\.T has shape \(3, 5\), expected \(4, 5\)"):
+        model_from_obj(obj)
+
+
+def test_parameter_names_checked_against_the_cells():
+    obj = model_obj()
+    obj["params"]["decoder"]["W_h"] = obj["params"]["decoder"].pop("W_o")
+    with pytest.raises(ValueError, match=r"params\.decoder: parameters"):
+        model_from_obj(obj)
+    obj = model_obj()
+    del obj["params"]["encoder_bwd"]
+    with pytest.raises(ValueError, match="params: bundles"):
+        model_from_obj(obj)
+
+
+def test_input_width_must_match_window_and_features():
+    with pytest.raises(ValueError, match="n_in"):
+        model_from_obj(model_obj(v_c=2))
+
+
+def test_tagset_must_match_output_width():
+    obj = model_obj()
+    obj["tagset"] = obj["tagset"][:-1]
+    with pytest.raises(ValueError, match="tagset has 4 tags, spec.n_tags is 5"):
+        model_from_obj(obj)
+
+
+def test_malformed_values_rejected():
+    with pytest.raises(ValueError, match="malformed model"):
+        model_from_obj(model_obj(spec=[1, 2]))
+    obj = model_obj()
+    obj["params"]["decoder_out"]["W"][1] = [0.5]
+    with pytest.raises(ValueError, match=r"params\.decoder_out\.W is not a numeric array"):
+        model_from_obj(obj)
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf")])
+def test_non_finite_arrays_rejected(value):
+    obj = model_obj()
+    obj["params"]["decoder_out"]["W"][0][0] = value
+    with pytest.raises(ValueError, match=r"params\.decoder_out\.W holds a non-finite"):
+        model_from_obj(obj)
+    obj = model_obj()
+    obj["embedding"]["matrix"][2][1] = value
+    with pytest.raises(ValueError, match=r"embedding\.matrix holds a non-finite"):
+        model_from_obj(obj)
+
+
+def test_load_error_names_the_file(tmp_path):
+    path = tmp_path / "trunc.json"
+    path.write_text('{"format":"rnn-mention-tagger","version":1}')
+    with pytest.raises(ValueError, match="trunc.json: missing key 'spec'"):
+        load_model(str(path))
