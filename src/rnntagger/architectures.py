@@ -18,6 +18,10 @@ alpha_i is the context stack with k = 0, so both encoder architectures
 build their decoder inputs, and route the gradients back to l and r,
 through the same code.
 
+A sentence is an (n, I) array with one input row per position, and every
+chain (encoder, decoder window) keeps its states, distributions and cell
+intermediates as arrays with one row per position.
+
 Encoders of the Elman family emit hidden vectors (length H); Jordan
 family encoders carry and emit their own softmax output vectors (length
 O) through per-direction output layers.  Each cell reports its family
@@ -149,81 +153,94 @@ def zero_model_grads(params):
 
 @dataclass
 class ChainRun:
-    states: list       # emitted state per position (h or o)
-    dists: list        # output distributions, when an output layer runs
-    cell_tapes: list
-    out_tapes: list
+    xs: np.ndarray       # (m, I) inputs
+    mid: np.ndarray      # (m, n_mid, H) cell intermediates, h last
+    states: np.ndarray   # (m, carry width) emitted states: h, or o for the Jordan family
+    dists: np.ndarray    # (m, O) output distributions, or None without an output layer
+    has_extra: bool
+
+    @property
+    def hidden(self):
+        return self.mid[:, -1]
+
+    @property
+    def carries(self):
+        """The carry each position read: zero, then the previous state."""
+        return np.vstack([np.zeros((1, self.states.shape[1])), self.states[:-1]])
 
 
 def run_chain(cell, params, out_params, xs, cfg, hidden, n_tags, extra=None):
-    """Left-to-right recurrence from a zero initial carry."""
-    carry = linalg.zeros(cell.carry_dim(hidden, n_tags))
+    """Left-to-right recurrence from a zero initial carry over the rows of xs."""
     if cell.carries_output and out_params is None:
         raise ValueError("%s chain needs an output layer to carry o_prev" % cell.kind)
-    states, dists, ctapes, otapes = [], [], [], []
-    for x in xs:
-        h, tape = cell.step(params, x, carry, cfg, extra)
-        ctapes.append(tape)
-        if out_params is not None:
-            o, otape = SoftmaxOutput.step(out_params, h, cfg)
-            dists.append(o)
-            otapes.append(otape)
-        carry = dists[-1] if cell.carries_output else h
-        states.append(carry)
-    return ChainRun(states=states, dists=dists, cell_tapes=ctapes, out_tapes=otapes)
+    xs = np.asarray(xs, dtype=np.float64)
+    proj = cell.project(params, xs, cfg, extra)
+    mid = np.empty((len(xs), cell.n_mid, hidden))
+    dists = np.empty((len(xs), n_tags)) if cell.carries_output else None
+    carry = linalg.zeros(cell.carry_dim(hidden, n_tags))
+    for i in range(len(xs)):
+        mid[i] = cell.step(params, proj[i], carry, cfg)
+        if cell.carries_output:
+            carry = dists[i] = SoftmaxOutput.step(out_params, mid[i, -1], cfg)
+        else:
+            carry = mid[i, -1]
+    if out_params is not None and not cell.carries_output:
+        dists = SoftmaxOutput.step(out_params, mid[:, -1], cfg)
+    states = dists if cell.carries_output else mid[:, -1]
+    return ChainRun(xs=xs, mid=mid, states=states, dists=dists, has_extra=extra is not None)
 
 
 def chain_backward(cell, params, out_params, run, cfg, acc, acc_out,
                    dstates=None, dlogits=None):
     """BPTT over one chain.
 
-    dstates[i]: upstream gradient on the emitted state at position i.
-    dlogits[i]: upstream gradient on the output-layer logits (loss path).
-    Either may be None (treated as zero). Returns (dxs, dextra_total).
+    dstates: (m, state width) upstream gradient on the emitted states.
+    dlogits: (m, O) upstream gradient on the output-layer logits (loss path).
+    Either may be None (zero). Returns (dX, dextra); dextra is None
+    when the chain ran without an extra term.
     """
-    n = len(run.cell_tapes)
-    dcarry = None
-    dxs = [None] * n
-    dextra_total = None
-    for i in reversed(range(n)):
-        dstate = np.zeros_like(run.states[i])
-        if dcarry is not None:
-            dstate += dcarry
-        if dstates is not None and dstates[i] is not None:
-            dstate += dstates[i]
-        dl = dlogits[i] if dlogits is not None else None
+    m, _, hidden = run.mid.shape
+    if dstates is None:
+        dstates = np.zeros_like(run.states)
+    if cell.carries_output:
+        # the emitted state is the output distribution itself, so its
+        # gradient joins the loss gradient at the logits, step by step
+        dlogits = np.zeros_like(run.dists) if dlogits is None else dlogits.copy()
+    elif dlogits is not None:
+        dh_out = SoftmaxOutput.backward_from_logits(
+            out_params, run.hidden, dlogits, cfg, acc_out)
+    dpre = np.empty((m, cell.n_dpre, hidden))
+    dcarry = np.zeros(run.states.shape[1])
+    for i in reversed(range(m)):
+        dstate = dstates[i] + dcarry
         if cell.carries_output:
-            # the emitted state is the output distribution itself, so its
-            # gradient joins the loss gradient at the logits
-            dl_state = SoftmaxOutput.logit_grad(run.out_tapes[i], dstate)
-            dl = dl_state if dl is None else dl_state + dl
-            dh = SoftmaxOutput.backward_from_logits(out_params, run.out_tapes[i], dl, cfg, acc_out)
+            dlogits[i] += SoftmaxOutput.logit_grad(run.dists[i], dstate)
+            dh = dlogits[i] @ out_params["W"]
         else:
-            dh = dstate
-            if dl is not None:
-                dh += SoftmaxOutput.backward_from_logits(
-                    out_params, run.out_tapes[i], dl, cfg, acc_out)
-        dx, dcarry, dextra = cell.backward(params, run.cell_tapes[i], dh, cfg, acc)
-        dxs[i] = dx
-        if dextra is not None:
-            dextra_total = dextra if dextra_total is None else dextra_total + dextra
-    return dxs, dextra_total
+            dh = dstate if dlogits is None else dstate + dh_out[i]
+        dcarry, dpre[i] = cell.backward(params, run.mid[i], dh, cfg)
+    if cell.carries_output:
+        SoftmaxOutput.backward_from_logits(out_params, run.hidden, dlogits, cfg, acc_out)
+    dxs, dextra = cell.grads(params, run, dpre, cfg, acc)
+    return dxs, dextra.sum(axis=0) if run.has_extra else None
 
 
 @dataclass
 class Encoded:
-    xs: list
-    dec_inputs: list = None
+    xs: np.ndarray                 # (n, I) sentence inputs
+    dec_inputs: np.ndarray = None  # (n, decoder input width): xs or the context stacks
     extra: np.ndarray = None
     c_n: np.ndarray = None
     enc_fwd: ChainRun = None
-    enc_bwd: ChainRun = None   # run over reversed xs; states reversed = r
-    l: list = None
-    r: list = None
+    enc_bwd: ChainRun = None       # run over xs[::-1]; its states reversed are r
+    l: np.ndarray = None
+    r: np.ndarray = None
 
 
 def encode(spec, params, xs):
-    """Run whatever encoders the architecture needs over the full sentence."""
+    """Run whatever encoders the architecture needs over the full
+    sentence, xs holding one input row per position."""
+    xs = np.asarray(xs, dtype=np.float64)
     if len(xs) < 1:
         raise ValueError("cannot encode an empty sentence")
     cfg = spec.cell_config
@@ -242,32 +259,43 @@ def encode(spec, params, xs):
     enc.enc_fwd = run_chain(cell, params["encoder_fwd"], params.get("encoder_fwd_out"),
                             xs, cfg, spec.hidden, spec.n_tags)
     enc.enc_bwd = run_chain(cell, params["encoder_bwd"], params.get("encoder_bwd_out"),
-                            list(reversed(xs)), cfg, spec.hidden, spec.n_tags)
+                            xs[::-1], cfg, spec.hidden, spec.n_tags)
     enc.l = enc.enc_fwd.states
-    enc.r = list(reversed(enc.enc_bwd.states))
-    enc.dec_inputs = [_beta(enc.l, enc.r, i, spec.context_k) for i in range(len(xs))]
+    enc.r = enc.enc_bwd.states[::-1]
+    enc.dec_inputs = _beta(enc.l, enc.r, spec.context_k)
     return enc
 
 
-def _beta(l, r, i, k):
-    """Context stack [l_{i-k}..l_i, r_i..r_{i+k}], zero-padded off the ends."""
-    n = len(l)
-    width = l[0].shape[0]
-    parts = []
-    for j in range(i - k, i + 1):
-        parts.append(l[j] if 0 <= j < n else np.zeros(width))
-    for j in range(i, i + k + 1):
-        parts.append(r[j] if 0 <= j < n else np.zeros(width))
-    return np.concatenate(parts)
+def _beta(l, r, k):
+    """Context stacks [l_{i-k}..l_i, r_i..r_{i+k}] of every position i,
+    zero-padded off the ends: each slot is l or r shifted by its offset."""
+    n, width = l.shape
+    pad = np.zeros((k, width))
+    l_pad = np.vstack([pad, l])   # row i + j holds l_{i-k+j}
+    r_pad = np.vstack([r, pad])   # row i + j holds r_{i+j}
+    return np.hstack([l_pad[j : j + n] for j in range(k + 1)]
+                     + [r_pad[j : j + n] for j in range(k + 1)])
+
+
+def _scatter_beta_grads(dbeta, lo, n, k):
+    """Inverse of _beta for the stacks of positions lo.. in dbeta:
+    slice-add each slot back onto the l and r rows it was copied from."""
+    m = len(dbeta)
+    slots = dbeta.reshape(m, 2 * (k + 1), -1)
+    dl_pad = np.zeros((n + k, slots.shape[2]))
+    dr_pad = np.zeros((n + k, slots.shape[2]))
+    for j in range(k + 1):
+        dl_pad[lo + j : lo + j + m] += slots[:, j]
+        dr_pad[lo + j : lo + j + m] += slots[:, k + 1 + j]
+    return dl_pad[k:], dr_pad[:n]
 
 
 @dataclass
 class DecodeRun:
-    dists: list
+    dists: np.ndarray         # (hi - lo + 1, O)
     lo: int
     hi: int
     run: ChainRun = None      # recurrent decoders
-    out_tapes: list = None    # mesnil
 
 
 def decode_window(spec, params, enc, lo, hi):
@@ -281,10 +309,11 @@ def decode_window(spec, params, enc, lo, hi):
         raise ValueError("window [%d, %d] out of range for %d positions" % (lo, hi, n))
     cfg = spec.cell_config
     if spec.arch == MESNIL:
-        steps = [SoftmaxOutput.step(params["mesnil_out"], beta, cfg)
-                 for beta in enc.dec_inputs[lo : hi + 1]]
-        return DecodeRun(dists=[o for o, _ in steps], lo=lo, hi=hi,
-                         out_tapes=[tape for _, tape in steps])
+        # positions are independent: classify all of them in one product
+        # and slice, so a position's distribution has the same bits
+        # whichever window asks for it
+        dists = SoftmaxOutput.step(params["mesnil_out"], enc.dec_inputs, cfg)
+        return DecodeRun(dists=dists[lo : hi + 1], lo=lo, hi=hi)
     cell = cell_for(spec.decoder_cell)
     run = run_chain(cell, params["decoder"], params["decoder_out"],
                     enc.dec_inputs[lo : hi + 1], cfg, spec.hidden, spec.n_tags,
@@ -293,80 +322,46 @@ def decode_window(spec, params, enc, lo, hi):
 
 
 def backward_window(spec, params, enc, dec, dlogits, acc):
-    """Backprop a decoded window given per-window-position logit grads.
+    """Backprop a decoded window given its (window length, O) logit grads.
 
-    Accumulates parameter gradients into acc and returns per-position
-    input gradients dxs (length n; entries may be zero arrays).
+    Accumulates parameter gradients into acc and returns the (n, I)
+    input gradients, zero rows where no gradient reached.
     """
     cfg = spec.cell_config
-    n = len(enc.xs)
-    dxs = [np.zeros_like(x) for x in enc.xs]
-
+    window = slice(dec.lo, dec.hi + 1)
     if spec.arch == MESNIL:
-        d_dec = [None if dl is None else SoftmaxOutput.backward_from_logits(
-                     params["mesnil_out"], tape, dl, cfg, acc["mesnil_out"])
-                 for tape, dl in zip(dec.out_tapes, dlogits)]
+        d_dec = SoftmaxOutput.backward_from_logits(
+            params["mesnil_out"], enc.dec_inputs[window], dlogits, cfg, acc["mesnil_out"])
     else:
-        cell = cell_for(spec.decoder_cell)
         d_dec, dextra = chain_backward(
-            cell, params["decoder"], params["decoder_out"], dec.run, cfg,
-            acc["decoder"], acc["decoder_out"], dlogits=dlogits)
+            cell_for(spec.decoder_cell), params["decoder"], params["decoder_out"], dec.run,
+            cfg, acc["decoder"], acc["decoder_out"], dlogits=dlogits)
 
+    dxs = np.zeros_like(enc.xs)
     if spec.arch in (BASIC, CONTEXTUAL):
-        for wi, dx in enumerate(d_dec):
-            dxs[dec.lo + wi] += dx
+        dxs[window] += d_dec
         if spec.arch == CONTEXTUAL:
             # every decoder step received S @ c_n, so dextra sums them all
             acc["context"]["S"] += np.outer(dextra, enc.c_n)
-            dstates = [None] * n
-            dstates[n - 1] = params["context"]["S"].T @ dextra
-            _encoder_backward(spec, params, "encoder_fwd", enc.enc_fwd, dstates, dxs, acc)
+            dstates = np.zeros_like(enc.enc_fwd.states)
+            dstates[-1] = params["context"]["S"].T @ dextra
+            dxs += _encoder_backward(spec, params, "encoder_fwd", enc.enc_fwd, dstates, acc)
         return dxs
 
-    dl_states, dr_states = _scatter_beta_grads(spec, enc, dec, d_dec)
-    _encoder_backward(spec, params, "encoder_fwd", enc.enc_fwd, dl_states, dxs, acc)
-    _encoder_backward(spec, params, "encoder_bwd", enc.enc_bwd, dr_states, dxs, acc, flip=True)
+    dl, dr = _scatter_beta_grads(d_dec, dec.lo, len(dxs), spec.context_k)
+    dxs += _encoder_backward(spec, params, "encoder_fwd", enc.enc_fwd, dl, acc)
+    # the backward encoder ran over xs[::-1]: flip its grads in and out
+    dxs += _encoder_backward(spec, params, "encoder_bwd", enc.enc_bwd, dr[::-1], acc)[::-1]
     return dxs
 
 
-def _scatter_beta_grads(spec, enc, dec, d_dec):
-    """Undo the context-stack concatenation: route slice grads to l and r states."""
-    n = len(enc.xs)
-    k = spec.context_k
-    sd = spec.enc_state_dim
-    dl = [None] * n
-    dr = [None] * n
-
-    def bump(acc_list, j, g):
-        if 0 <= j < n:
-            acc_list[j] = g.copy() if acc_list[j] is None else acc_list[j] + g
-
-    for wi, dbeta in enumerate(d_dec):
-        if dbeta is None:
-            continue
-        i = dec.lo + wi
-        at = 0
-        for j in range(i - k, i + 1):
-            bump(dl, j, dbeta[at : at + sd])
-            at += sd
-        for j in range(i, i + k + 1):
-            bump(dr, j, dbeta[at : at + sd])
-            at += sd
-    return dl, dr
-
-
-def _encoder_backward(spec, params, name, run, dstates, dxs, acc, flip=False):
-    """BPTT through one encoder, adding its input gradients into dxs.
-
-    The backward encoder ran over reversed inputs; flip=True flips the
-    state grads going in and the input grads coming out.
-    """
+def _encoder_backward(spec, params, name, run, dstates, acc):
+    """BPTT through one encoder chain; returns its input gradients."""
     out = name + "_out"   # the Jordan family's own output layer, if any
-    d_xs, _ = chain_backward(
+    dxs, _ = chain_backward(
         cell_for(spec.encoder_cell), params[name], params.get(out), run, spec.cell_config,
-        acc[name], acc.get(out), dstates=list(reversed(dstates)) if flip else dstates)
-    for j, dx in enumerate(reversed(d_xs) if flip else d_xs):
-        dxs[j] += dx
+        acc[name], acc.get(out), dstates=dstates)
+    return dxs
 
 
 def full_forward(spec, params, xs):

@@ -8,9 +8,20 @@ Two cell families cover the four kinds the paper compares:
 * the gated cell (a GRU) is ElmanGruCell over h_{i-1} and JordanGruCell
   over o_{i-1}, which it first maps into hidden space through T.
 
-Each forward step returns a typed tape of intermediates; the matching
-backward consumes it and produces exact analytic gradients for the
-parameters, the step input x_i, and the carried state.
+A cell works on a whole chain of m positions at once, except for the
+part of the recurrence that needs the carry:
+
+* project   -- the input half of every pre-activation, one product
+               X @ Uᵀ per chain before the step loop;
+* step      -- one position: returns its intermediates, h last, which
+               the chain keeps as row i of an (m, n_mid, H) array;
+* backward  -- one position, right to left: returns d(carry) and the
+               position's pre-activation gradients, row i of an
+               (m, n_dpre, H) array;
+* grads     -- after the loop: every parameter gradient as one
+               dPreᵀ @ X or dPreᵀ @ Carry product; returns dX = dPre @ U
+               and the gradients of the pre-activation an additive
+               extra term enters.
 
 Faithful to the update rules as given: no bias terms unless the config
 flag turns them on, and the GRU candidate activation is the logistic
@@ -22,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
-from .linalg import matvec, sigmoid, softmax
+from .linalg import sigmoid, softmax
 
 ELMAN = "ELMAN"
 JORDAN = "JORDAN"
@@ -53,42 +64,8 @@ def _candidate_grad(c, cfg):
     return c * (1.0 - c)
 
 
-@dataclass(slots=True)
-class PlainTape:
-    kind: str
-    x: np.ndarray
-    carry: np.ndarray
-    h: np.ndarray
-    has_extra: bool
-
-
-@dataclass(slots=True)
-class GatedTape:
-    kind: str
-    x: np.ndarray
-    carry: np.ndarray
-    t: np.ndarray       # the state the gates read: the carry, or T @ carry
-    r: np.ndarray
-    z: np.ndarray
-    rt: np.ndarray      # r * t, the candidate's recurrent input
-    c: np.ndarray       # the candidate activation
-    has_extra: bool
-
-
-@dataclass(slots=True)
-class SoftmaxTape:
-    h: np.ndarray
-    o: np.ndarray
-    kind = SOFTMAX
-
-
-def _check_tape(tape, kind):
-    got = getattr(tape, "kind", None)
-    if got != kind:
-        raise ValueError("tape from %r passed to %s backward" % (got, kind))
-
-
-def _cell_class(name, kind, carries_output, doc, param_shapes, step, backward):
+def _cell_class(name, kind, carries_output, doc, n_mid, n_dpre,
+                param_shapes, project, step, backward, grads):
     """One class per cell kind, each holding its own step and backward,
     so a wrapper put on one kind leaves the others alone."""
 
@@ -99,49 +76,60 @@ def _cell_class(name, kind, carries_output, doc, param_shapes, step, backward):
         "__doc__": doc,
         "kind": kind,
         "carries_output": carries_output,
+        "n_mid": n_mid,
+        "n_dpre": n_dpre,
         "carry_dim": staticmethod(carry_dim),
         "param_shapes": staticmethod(param_shapes),
+        "project": staticmethod(project),
         "step": staticmethod(step),
         "backward": staticmethod(backward),
+        "grads": staticmethod(grads),
     })
 
 
 def _plain_cell(name, kind, carries_output, doc):
+    # intermediates per position: (h,); pre-activation gradients: (dpre,)
     def param_shapes(n_in, hidden, n_out, cfg):
         shapes = {"U": (hidden, n_in), "V": (hidden, n_out if carries_output else hidden)}
         if cfg.bias:
             shapes["b"] = (hidden,)
         return shapes
 
-    def step(p, x, carry, cfg, extra=None):
-        pre = matvec(p["U"], x) + matvec(p["V"], carry)
+    def project(p, X, cfg, extra):
+        pre = X @ p["U"].T
         if cfg.bias:
-            pre = pre + p["b"]
+            pre += p["b"]
         if extra is not None:
-            pre = pre + extra
-        h = sigmoid(pre)
-        return h, PlainTape(kind, x, carry, h, extra is not None)
+            pre += extra
+        return pre
 
-    def backward(p, tape, dh, cfg, acc):
-        _check_tape(tape, kind)
-        h = tape.h
+    def step(p, proj, carry, cfg):
+        return (sigmoid(proj + p["V"] @ carry),)
+
+    def backward(p, mid, dh, cfg):
+        (h,) = mid
         dpre = dh * h * (1.0 - h)
-        acc["U"] += np.outer(dpre, tape.x)
-        acc["V"] += np.outer(dpre, tape.carry)
-        if cfg.bias:
-            acc["b"] += dpre
-        dx = p["U"].T @ dpre
-        dcarry = p["V"].T @ dpre
-        dextra = dpre if tape.has_extra else None
-        return dx, dcarry, dextra
+        return p["V"].T @ dpre, (dpre,)
 
-    return _cell_class(name, kind, carries_output, doc, param_shapes, step, backward)
+    def grads(p, run, dpre, cfg, acc):
+        dpre = dpre[:, 0]
+        acc["U"] += dpre.T @ run.xs
+        acc["V"] += dpre.T @ run.carries
+        if cfg.bias:
+            acc["b"] += dpre.sum(axis=0)
+        return dpre @ p["U"], dpre
+
+    return _cell_class(name, kind, carries_output, doc, 1, 1,
+                       param_shapes, project, step, backward, grads)
 
 
 def _gated_cell(name, kind, carries_output, doc):
     # the candidate weights are W_h/U_h/b_h over h_prev and W_o/U_o/b_o
     # over o_prev; model files store them under these names
     W, U, B = ("W_o", "U_o", "b_o") if carries_output else ("W_h", "U_h", "b_h")
+    # input weights, recurrent weights and bias of the candidate and the
+    # two gates, in the row order of the projections and of dpre
+    parts = ((W, U, B), ("W_z", "U_z", "b_z"), ("W_r", "U_r", "b_r"))
 
     def param_shapes(n_in, hidden, n_out, cfg):
         shapes = {
@@ -154,67 +142,53 @@ def _gated_cell(name, kind, carries_output, doc):
             shapes.update({B: (hidden,), "b_z": (hidden,), "b_r": (hidden,)})
         return shapes
 
-    def step(p, x, carry, cfg, extra=None):
-        t = matvec(p["T"], carry) if carries_output else carry
-        pre_r = matvec(p["W_r"], x) + matvec(p["U_r"], t)
-        pre_z = matvec(p["W_z"], x) + matvec(p["U_z"], t)
+    def project(p, X, cfg, extra):
+        proj = np.stack([X @ p[w].T for w, _, _ in parts], axis=1)
         if cfg.bias:
-            pre_r = pre_r + p["b_r"]
-            pre_z = pre_z + p["b_z"]
-        r = sigmoid(pre_r)
-        z = sigmoid(pre_z)
-        rt = r * t
-        # the additive context term enters the candidate only, not the gates
-        pre_c = matvec(p[W], x) + matvec(p[U], rt)
-        if cfg.bias:
-            pre_c = pre_c + p[B]
+            proj += np.stack([p[b] for _, _, b in parts])
         if extra is not None:
-            pre_c = pre_c + extra
-        c = _candidate(pre_c, cfg)
-        h = z * c + (1.0 - z) * t
-        return h, GatedTape(kind, x, carry, t, r, z, rt, c, extra is not None)
+            # the additive context term enters the candidate only, not the gates
+            proj[:, 0] += extra
+        return proj
 
-    def backward(p, tape, dh, cfg, acc):
-        _check_tape(tape, kind)
-        x, t = tape.x, tape.t
-        r, z, c = tape.r, tape.z, tape.c
+    # intermediates per position: t (the state the gates read: the carry,
+    # or T @ carry), r, z, rt = r * t, the candidate c, and h; pre-activation
+    # gradients: candidate, z, r, and the Jordan GRU's dt for T
+    def step(p, proj, carry, cfg):
+        t = p["T"] @ carry if carries_output else carry
+        r = sigmoid(proj[2] + p["U_r"] @ t)
+        z = sigmoid(proj[1] + p["U_z"] @ t)
+        rt = r * t
+        c = _candidate(proj[0] + p[U] @ rt, cfg)
+        return t, r, z, rt, c, z * c + (1.0 - z) * t
 
-        dz = dh * (c - t)
-        dc = dh * z
-        dt = dh * (1.0 - z)
-
-        dpre_c = dc * _candidate_grad(c, cfg)
-        acc[W] += np.outer(dpre_c, x)
-        acc[U] += np.outer(dpre_c, tape.rt)
+    def backward(p, mid, dh, cfg):
+        t, r, z, _, c, _ = mid
+        dpre_c = dh * z * _candidate_grad(c, cfg)
         drt = p[U].T @ dpre_c
-        dr = drt * t
-        dt = dt + drt * r
-
-        dpre_z = dz * z * (1.0 - z)
-        acc["W_z"] += np.outer(dpre_z, x)
-        acc["U_z"] += np.outer(dpre_z, t)
-        dt = dt + p["U_z"].T @ dpre_z
-
-        dpre_r = dr * r * (1.0 - r)
-        acc["W_r"] += np.outer(dpre_r, x)
-        acc["U_r"] += np.outer(dpre_r, t)
-        dt = dt + p["U_r"].T @ dpre_r
-
-        if cfg.bias:
-            acc[B] += dpre_c
-            acc["b_z"] += dpre_z
-            acc["b_r"] += dpre_r
-
+        dpre_z = dh * (c - t) * z * (1.0 - z)
+        dpre_r = drt * t * r * (1.0 - r)
+        dt = dh * (1.0 - z) + drt * r + p["U_z"].T @ dpre_z + p["U_r"].T @ dpre_r
         if carries_output:
-            acc["T"] += np.outer(dt, tape.carry)
-            dcarry = p["T"].T @ dt
-        else:
-            dcarry = dt
-        dx = p[W].T @ dpre_c + p["W_z"].T @ dpre_z + p["W_r"].T @ dpre_r
-        dextra = dpre_c if tape.has_extra else None
-        return dx, dcarry, dextra
+            return p["T"].T @ dt, (dpre_c, dpre_z, dpre_r, dt)
+        return dt, (dpre_c, dpre_z, dpre_r)
 
-    return _cell_class(name, kind, carries_output, doc, param_shapes, step, backward)
+    def grads(p, run, dpre, cfg, acc):
+        t, rt = run.mid[:, 0], run.mid[:, 3]
+        dX = 0.0
+        for j, ((w, u, b), rec) in enumerate(zip(parts, (rt, t, t))):
+            d = dpre[:, j]
+            acc[w] += d.T @ run.xs
+            acc[u] += d.T @ rec
+            if cfg.bias:
+                acc[b] += d.sum(axis=0)
+            dX = dX + d @ p[w]
+        if carries_output:
+            acc["T"] += dpre[:, 3].T @ run.carries
+        return dX, dpre[:, 0]
+
+    return _cell_class(name, kind, carries_output, doc, 6, 4 if carries_output else 3,
+                       param_shapes, project, step, backward, grads)
 
 
 ElmanCell = _plain_cell(
@@ -246,7 +220,8 @@ JordanGruCell = _gated_cell(
 
 
 class SoftmaxOutput:
-    """o_i = softmax(W h_i); the per-position output layer."""
+    """o_i = softmax(W h_i); the output layer, over one state h or over
+    every row of a chain's (m, H) states."""
 
     kind = SOFTMAX
 
@@ -259,34 +234,25 @@ class SoftmaxOutput:
 
     @staticmethod
     def step(p, h, cfg):
-        logits = matvec(p["W"], h)
+        logits = h @ p["W"].T
         if cfg.bias:
             logits = logits + p["b"]
-        o = softmax(logits)
-        return o, SoftmaxTape(h, o)
+        return softmax(logits)
 
     @staticmethod
-    def logit_grad(tape, do):
-        """d(loss)/d(logits) given d(loss)/d(o): the softmax VJP."""
-        _check_tape(tape, SOFTMAX)
-        o = tape.o
+    def logit_grad(o, do):
+        """d(loss)/d(logits) given d(loss)/d(o) at one position: the softmax VJP."""
         return o * (do - np.dot(do, o))
 
     @staticmethod
-    def backward(p, tape, do, cfg, acc):
-        """Gradient through the softmax given d(loss)/d(o)."""
-        dlogits = SoftmaxOutput.logit_grad(tape, do)
-        return SoftmaxOutput.backward_from_logits(p, tape, dlogits, cfg, acc)
-
-    @staticmethod
-    def backward_from_logits(p, tape, dlogits, cfg, acc):
-        """Entry point when d(loss)/d(logits) is already known
-        (softmax + nll collapses to o - onehot(y))."""
-        _check_tape(tape, SOFTMAX)
-        acc["W"] += np.outer(dlogits, tape.h)
+    def backward_from_logits(p, H, dlogits, cfg, acc):
+        """Given d(loss)/d(logits) of every row of H (softmax + nll
+        collapses to o - onehot(y)), accumulate the layer's gradients
+        and return d(loss)/dH."""
+        acc["W"] += dlogits.T @ H
         if cfg.bias:
-            acc["b"] += dlogits
-        return p["W"].T @ dlogits
+            acc["b"] += dlogits.sum(axis=0)
+        return dlogits @ p["W"]
 
 
 CELLS = {cell.kind: cell for cell in (ElmanCell, JordanCell, ElmanGruCell, JordanGruCell)}

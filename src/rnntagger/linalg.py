@@ -1,7 +1,7 @@
 """Small dense-numerics layer shared by every model component.
 
 Vectors and matrices are plain float64 numpy arrays; the helpers here
-exist to pin down shape checking, numerically safe nonlinearities, and a
+exist to pin down numerically safe nonlinearities and a
 platform-independent RNG so that every run of the toolkit is bit-for-bit
 reproducible from a seed.
 """
@@ -85,24 +85,14 @@ def sigmoid(x):
 
 
 def softmax(x):
-    """Softmax with max-subtraction. Rejects empty input."""
+    """Softmax over the last axis (each row of a matrix), with
+    max-subtraction. Rejects empty input."""
     x = np.asarray(x, dtype=np.float64)
     if x.size == 0:
         raise ValueError("softmax: empty input")
-    shifted = x - np.max(x)
+    shifted = x - np.max(x, axis=-1, keepdims=True)
     e = np.exp(shifted)
-    return e / np.sum(e)
-
-
-def matvec(m, v):
-    m = np.asarray(m, dtype=np.float64)
-    v = np.asarray(v, dtype=np.float64)
-    if m.ndim != 2 or v.ndim != 1 or m.shape[1] != v.shape[0]:
-        raise ValueError(
-            "matvec: shape mismatch, matrix %s vs vector %s"
-            % (m.shape, v.shape)
-        )
-    return m @ v
+    return e / np.sum(e, axis=-1, keepdims=True)
 
 
 def uniform_init(rng, shape, radius):

@@ -15,7 +15,7 @@ import numpy as np
 
 from . import linalg
 from .corpus import PAD, PAD_INDEX, UNK, UNK_INDEX, Vocabulary, normalize
-from .representation import EmbeddingTable, load_embeddings
+from .representation import EmbeddingTable
 
 CBOW = "cbow"
 SKIPGRAM = "skipgram"
@@ -325,7 +325,3 @@ def save_text(model, path):
     """Write the input-vector matrix (the downstream embedding) in the
     shared text format."""
     EmbeddingTable(model.vocab, model.dim, model.input_vectors.copy()).save_text(path)
-
-
-def load_text(path):
-    return load_embeddings(path)

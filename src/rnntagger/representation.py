@@ -42,9 +42,6 @@ class EmbeddingTable:
         m[PAD_INDEX] = 0.0
         return cls(vocab, dim, m)
 
-    def row(self, i):
-        return self.matrix[i]
-
     def vector(self, surface):
         return self.matrix[self.vocab.index(surface)]
 
@@ -66,29 +63,36 @@ def load_embeddings(path, lowercase=True, digits_to_zero=True):
 
     Accepts files with or without the "count dim" header. Words absent
     from the file get deterministic rows: PAD zero, UNK the mean of all
-    loaded vectors.
+    loaded vectors. A value that is not a finite number, or a row of the
+    wrong width, raises ValueError naming the file and line.
     """
-    words, rows = [], []
+    words, rows, linenos = [], [], []
     with open(path, encoding="utf-8") as fh:
-        first = fh.readline()
-        parts = first.split()
-        if len(parts) == 2 and all(p.isdigit() for p in parts):
-            pass  # header line, skip
-        elif parts:
-            words.append(parts[0])
-            rows.append([float(v) for v in parts[1:]])
-        for raw in fh:
+        for lineno, raw in enumerate(fh, 1):
             parts = raw.split()
-            if not parts:
-                continue
+            if not parts or (lineno == 1 and len(parts) == 2
+                             and all(p.isdigit() for p in parts)):
+                continue  # blank line, or the header
+            try:
+                row = [float(v) for v in parts[1:]]
+            except ValueError as e:
+                raise ValueError("%s:%d: row for %r: %s"
+                                 % (path, lineno, parts[0], e)) from None
+            if rows and len(row) != len(rows[0]):
+                raise ValueError("%s:%d: row for %r has %d values, expected %d"
+                                 % (path, lineno, parts[0], len(row), len(rows[0])))
             words.append(parts[0])
-            rows.append([float(v) for v in parts[1:]])
+            rows.append(row)
+            linenos.append(lineno)
     if not words:
         raise ValueError("%s: no embedding rows" % path)
     dim = len(rows[0])
-    for w, r in zip(words, rows):
-        if len(r) != dim:
-            raise ValueError("%s: row for %r has %d values, expected %d" % (path, w, len(r), dim))
+    values = np.array(rows, dtype=np.float64)
+    finite = np.isfinite(values).all(axis=1)
+    if not finite.all():
+        i = int(np.argmin(finite))
+        raise ValueError("%s:%d: row for %r holds a non-finite value"
+                         % (path, linenos[i], words[i]))
 
     vocab = Vocabulary(lowercase=lowercase, digits_to_zero=digits_to_zero)
     matrix = [None, None]
@@ -100,7 +104,7 @@ def load_embeddings(path, lowercase=True, digits_to_zero=True):
             matrix.append(r)
         else:
             matrix[idx] = r
-    mean = np.mean(np.array(rows, dtype=np.float64), axis=0)
+    mean = np.mean(values, axis=0)
     if matrix[0] is None:
         matrix[0] = [0.0] * dim
     if matrix[1] is None:
@@ -212,7 +216,7 @@ class FeatureConfig:
 
 @dataclass
 class InputEncoding:
-    xs: list
+    xs: np.ndarray  # (n, (2 v_c + 1) block), one window row per position
     word_indices: list
     block: int  # dim + F, width of one w-vector
     v_c: int
@@ -259,5 +263,6 @@ def encode_sentence(sentence, table, fconf, v_c, doc_state=None):
 
     padded = np.zeros((n + 2 * v_c, block))
     padded[v_c : v_c + n] = w
-    xs = [padded[i : i + 2 * v_c + 1].reshape(-1) for i in range(n)]
+    # slot k of row i is w_{i+k-v_c}: one shifted copy of w per slot
+    xs = np.hstack([padded[k : k + n] for k in range(2 * v_c + 1)])
     return InputEncoding(xs=xs, word_indices=indices, block=block, v_c=v_c, dim=dim)

@@ -83,25 +83,30 @@ def _embedding_grads(enc_in, dxs):
     """Map input-vector gradients back onto embedding rows.
 
     Slot k of position p's input is the w-vector of sentence position
-    p + k - v_c, whose first `dim` entries came from the embedding row.
+    p + k - v_c, whose first `dim` entries came from the embedding row:
+    one shifted add per slot undoes the windowing, then positions that
+    share a row add up.
     """
-    v_c, block, dim = enc_in.v_c, enc_in.block, enc_in.dim
-    n = len(enc_in.xs)
+    v_c, dim = enc_in.v_c, enc_in.dim
+    n = len(dxs)
+    slots = dxs.reshape(n, 2 * v_c + 1, enc_in.block)[:, :, :dim]
+    padded = np.zeros((n + 2 * v_c, dim))   # row q: sentence position q - v_c
+    for k in range(2 * v_c + 1):
+        padded[k : k + n] += slots[:, k]
     rows = {}
-    for p, dx in enumerate(dxs):
-        if dx is None or not np.any(dx):
-            continue
-        for k in range(2 * v_c + 1):
-            sp = p + k - v_c
-            if not 0 <= sp < n:
-                continue
-            g = dx[k * block : k * block + dim]
-            row = enc_in.word_indices[sp]
-            if row in rows:
-                rows[row] = rows[row] + g
-            else:
-                rows[row] = g.copy()
+    for row, g in zip(enc_in.word_indices, padded[v_c : v_c + n]):
+        if np.any(g):
+            rows[row] = rows[row] + g if row in rows else g
     return rows
+
+
+def _nll_logit_grads(dists, y):
+    """d(nll of the window's last position)/d(logits) for every window
+    row: o - onehot(y) on the last row, zero on the others."""
+    dlogits = np.zeros_like(dists)
+    dlogits[-1] = dists[-1]
+    dlogits[-1, y] -= 1.0
+    return dlogits
 
 
 def _check_finite(acc, emb_rows):
@@ -144,15 +149,12 @@ def train_example(model, window, lr, cfg=None):
     lo, hi = _window_bounds(window.position, cfg.v_d)
     dec = decode_window(spec, model.params, enc, lo, hi)
 
-    o = dec.dists[-1]
-    loss = nll_loss(o, window.gold_index)
+    loss = nll_loss(dec.dists[-1], window.gold_index)
     if not math.isfinite(loss):
-        raise FloatingPointError("non-finite loss at position %d" % window.position)
+        raise FloatingPointError("non-finite loss")
 
-    dl = o.copy()
-    dl[window.gold_index] -= 1.0
-    dlogits = [None] * (hi - lo) + [dl]
     acc = zero_model_grads(model.params)
+    dlogits = _nll_logit_grads(dec.dists, window.gold_index)
     dxs = backward_window(spec, model.params, enc, dec, dlogits, acc)
 
     fine_tune = cfg.fine_tune_embeddings and model.table.trainable
@@ -214,7 +216,8 @@ def _cache_snapshots(model, sentences):
 
 def train_epoch(model, sentences, cfg, rng=None):
     """Visit every (sentence, position) example once, in seeded-shuffle
-    order when shuffle is on."""
+    order when shuffle is on.  A numeric failure names the example's
+    sentence and position, both counted from 1."""
     if not sentences:
         raise ValueError("training corpus is empty")
     if rng is None:
@@ -231,7 +234,11 @@ def train_epoch(model, sentences, cfg, rng=None):
     started = time.perf_counter()
     for si, pos in examples:
         w = ExampleWindow(sentences[si], pos, golds[si][pos], snaps[si])
-        total += train_example(model, w, cfg.learning_rate, cfg)
+        try:
+            total += train_example(model, w, cfg.learning_rate, cfg)
+        except FloatingPointError as e:
+            raise FloatingPointError("sentence %d, position %d: %s"
+                                     % (si + 1, pos + 1, e)) from None
     seconds = time.perf_counter() - started
     return EpochStats(mean_loss=total / len(examples),
                       n_examples=len(examples), seconds=seconds)
@@ -269,7 +276,10 @@ def fit(model, train_sentences, dev_sentences, cfg):
     best_matrix = None
 
     for e in range(cfg.epochs):
-        stats = train_epoch(model, train_sentences, cfg, rng)
+        try:
+            stats = train_epoch(model, train_sentences, cfg, rng)
+        except FloatingPointError as err:
+            raise FloatingPointError("epoch %d, %s" % (e + 1, err)) from None
         row = {"epoch": e + 1, "mean_loss": stats.mean_loss,
                "examples_per_sec": stats.examples_per_sec}
         last = e == cfg.epochs - 1
@@ -327,11 +337,7 @@ def analytic_total_grads(spec, params, xs, golds, v_d):
     for i, y in enumerate(golds):
         lo, hi = _window_bounds(i, v_d)
         dec = decode_window(spec, params, enc, lo, hi)
-        o = dec.dists[-1]
-        dl = o.copy()
-        dl[y] -= 1.0
-        dlogits = [None] * (hi - lo) + [dl]
-        backward_window(spec, params, enc, dec, dlogits, acc)
+        backward_window(spec, params, enc, dec, _nll_logit_grads(dec.dists, y), acc)
     return acc
 
 
@@ -343,7 +349,7 @@ def gradient_check(spec, seed, n_tokens, v_d=9):
     """
     rng = linalg.SeededRng(seed)
     params = init_model(spec, rng)
-    xs = [rng.uniform(spec.n_in, -0.5, 0.5) for _ in range(n_tokens)]
+    xs = rng.uniform(n_tokens * spec.n_in, -0.5, 0.5).reshape(n_tokens, spec.n_in)
     golds = [rng.randint(spec.n_tags) for _ in range(n_tokens)]
 
     acc = analytic_total_grads(spec, params, xs, golds, v_d)

@@ -33,7 +33,12 @@ CFG = CellConfig()
 
 
 def rand_xs(rng, n, dim):
-    return [rng.uniform(dim, -1, 1) for _ in range(n)]
+    return rng.uniform(n * dim, -1, 1).reshape(n, dim)
+
+
+def first_state(cell, p, x, hidden):
+    """h at position 0 from the zero carry, by the cell's own step."""
+    return cell.step(p, cell.project(p, x[None], CFG, None)[0], np.zeros(hidden), CFG)[-1]
 
 
 class TestModelSpec:
@@ -96,9 +101,8 @@ class TestEncodeForward:
         from rnntagger.cells import init_params
         p = init_params(cell.param_shapes(4, 3, 2, CFG), rng)
         x = rng.uniform(4, -1, 1)
-        states = run_chain(cell, p, None, [x], CFG, 3, 2).states
-        h, _ = cell.step(p, x, np.zeros(3), CFG)
-        assert np.array_equal(states[0], h)
+        states = run_chain(cell, p, None, x[None], CFG, 3, 2).states
+        assert np.array_equal(states[0], first_state(cell, p, x, 3))
 
     def test_severed_recurrence_is_feedforward(self):
         p = {"U": np.array([[1.0, -1.0]]), "V": np.zeros((1, 1))}
@@ -150,7 +154,7 @@ class TestEncodeBackward:
     def test_single_token(self):
         spec, params = self._model(shared=True)
         x = SeededRng(9).uniform(3, -1, 1)
-        enc = encode(spec, params, [x])
+        enc = encode(spec, params, x[None])
         assert np.array_equal(enc.r[0], enc.l[0])
 
 
@@ -220,10 +224,10 @@ class TestBidirectional:
         spec = self._spec()
         params = init_model(spec, SeededRng(19))
         x = SeededRng(20).uniform(4, -1, 1)
-        enc = encode(spec, params, [x])
+        enc = encode(spec, params, x[None])
         cell = cell_for(ELMAN)
-        l1, _ = cell.step(params["encoder_fwd"], x, np.zeros(3), CFG)
-        r1, _ = cell.step(params["encoder_bwd"], x, np.zeros(3), CFG)
+        l1 = first_state(cell, params["encoder_fwd"], x, 3)
+        r1 = first_state(cell, params["encoder_bwd"], x, 3)
         assert np.array_equal(enc.dec_inputs[0], np.concatenate([l1, r1]))
 
     def test_jordan_encoder_states_are_distributions(self):
@@ -342,19 +346,15 @@ def total_windowed_nll(spec, params, xs, golds, v_d):
 
 def analytic_grads(spec, params, xs, golds, v_d):
     acc = zero_model_grads(params)
-    dxs_total = [np.zeros_like(x) for x in xs]
+    dxs_total = np.zeros_like(xs)
     enc = encode(spec, params, xs)
     for i in range(len(xs)):
         lo = max(0, i - v_d)
         dec = decode_window(spec, params, enc, lo, i)
-        dlogits = [None] * (i - lo + 1)
-        o = dec.dists[-1]
-        dl = o.copy()
-        dl[golds[i]] -= 1.0
-        dlogits[-1] = dl
-        dxs = backward_window(spec, params, enc, dec, dlogits, acc)
-        for j in range(len(xs)):
-            dxs_total[j] += dxs[j]
+        dlogits = np.zeros_like(dec.dists)
+        dlogits[-1] = dec.dists[-1]
+        dlogits[-1, golds[i]] -= 1.0
+        dxs_total += backward_window(spec, params, enc, dec, dlogits, acc)
     return acc, dxs_total
 
 

@@ -8,6 +8,7 @@ import pytest
 
 from rnntagger import cli, pretrain
 from rnntagger.corpus import load_conll, write_conll
+from rnntagger.representation import load_embeddings
 from rnntagger.serialize import load_model
 from rnntagger.synth import memorize_corpus
 from rnntagger.training import GradCheckReport
@@ -206,7 +207,7 @@ def test_embed_zero_epochs_writes_initialized_matrix(tmp_path, capsys):
     expected = pretrain.init_embed_model(
         pretrain._vocab_from_counts(counts, 1), "skipgram", cfg,
         cli.SeededRng(5))
-    loaded = pretrain.load_text(str(out))
+    loaded = load_embeddings(str(out))
     assert loaded.vocab.index_to_word == expected.vocab.index_to_word
     assert np.array_equal(loaded.matrix, expected.input_vectors)
 
@@ -305,6 +306,38 @@ def test_train_with_pretrained_embeddings(tmp_path, capsys):
                     "--out-model", str(out)], capsys)
     assert rc == 0
     assert load_model(str(out)).table.dim == 6
+
+
+@pytest.mark.parametrize("row,problem", [
+    ("bob 0.1 inf 0.3", "holds a non-finite value"),
+    ("bob 0.1 x 0.3", "could not convert string to float: 'x'"),
+])
+def test_malformed_embeddings_file_is_data_error(tmp_path, capsys, row, problem):
+    vec = tmp_path / "vec.txt"
+    vec.write_text("anna 0.1 0.2 0.3\n" + row + "\n")
+    rc, _, err = run(["train", "--train", write_gold(tmp_path / "g.conll"),
+                      "--embeddings", str(vec), "--hidden", "4", "--vc", "0",
+                      "--out-model", str(tmp_path / "m.json")], capsys)
+    assert rc == 2
+    assert "data error: %s:2: row for 'bob'" % vec in err
+    assert problem in err
+    assert not (tmp_path / "m.json").exists()
+
+
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+def test_non_finite_weight_is_numeric_error_with_location(tmp_path, capsys, monkeypatch):
+    init_model = cli.init_model
+
+    def poisoned(spec, rng):
+        params = init_model(spec, rng)
+        params["decoder_out"]["W"][0, 0] = float("inf")
+        return params
+    monkeypatch.setattr(cli, "init_model", poisoned)
+    rc, _, err = run(["train", "--train", write_gold(tmp_path / "g.conll"),
+                      "--dim", "4", "--hidden", "4", "--vc", "0", "--shuffle", "false",
+                      "--out-model", str(tmp_path / "m.json")], capsys)
+    assert rc == 3
+    assert "numeric error: epoch 1, sentence 1, position 1: non-finite" in err
 
 
 def test_train_mesnil_needs_no_decoder(tmp_path, capsys):

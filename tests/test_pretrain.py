@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from rnntagger.corpus import PAD_INDEX, UNK_INDEX
 from rnntagger.linalg import SeededRng
+from rnntagger.representation import load_embeddings
 from rnntagger.pretrain import (
     CBOW,
     CCONCAT,
@@ -17,7 +18,6 @@ from rnntagger.pretrain import (
     cbow_update,
     cconcat_grads,
     init_embed_model,
-    load_text,
     negative_sample,
     save_text,
     skipgram_grads,
@@ -398,7 +398,7 @@ def test_save_load_round_trip_is_bitwise(tmp_path):
     model = train_embeddings(str(corpus), CBOW, cfg)
     out = tmp_path / "vecs.txt"
     save_text(model, str(out))
-    table = load_text(str(out))
+    table = load_embeddings(str(out))
     assert table.matrix.shape == model.input_vectors.shape
     assert np.array_equal(table.matrix, model.input_vectors)
     assert [table.vocab.index_to_word[i] for i in range(len(table.vocab))] == \

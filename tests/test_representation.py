@@ -178,6 +178,19 @@ class TestEmbeddingTable:
         with pytest.raises(ValueError):
             load_embeddings(str(path))
 
+    @pytest.mark.parametrize("text,message", [
+        ("a 1.0 2.0\nb 3.0\n", ":2: row for 'b' has 1 values, expected 2"),
+        ("3 2\na 1.0 2.0\n\nb 0.5 nan\n", ":4: row for 'b' holds a non-finite value"),
+        ("a 1.0 -inf\nb 0.5 0.5\n", ":1: row for 'a' holds a non-finite value"),
+        ("a 1.0 2.0\nb x 0.5\n", ":2: row for 'b': could not convert string to float: 'x'"),
+    ])
+    def test_malformed_row_names_file_and_line(self, tmp_path, text, message):
+        path = tmp_path / "bad.txt"
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises(ValueError) as err:
+            load_embeddings(str(path))
+        assert str(err.value) == str(path) + message
+
 
 class TestEncodeSentence:
     def _table(self, words, dim=4, seed=7):

@@ -217,6 +217,18 @@ def test_nonfinite_parameters_abort():
         train_example(model, first_window(model), 0.01, TrainConfig())
 
 
+def test_numeric_failure_names_epoch_sentence_and_position():
+    # an infinite input weight saturates h_0, so the loss stays finite,
+    # but dX = dPre @ U meets 0 * inf on the way back to the embeddings
+    model = build_model(TRAIN_SENTS, v_c=0)
+    model.params["decoder"]["U"][0, 0] = float("inf")
+    with np.errstate(invalid="ignore"), pytest.raises(FloatingPointError) as err:
+        fit(model, TRAIN_SENTS, [], TrainConfig(shuffle=False))
+    assert str(err.value) == ("epoch 1, sentence 1, position 1: "
+                              "non-finite gradient in embedding row %d"
+                              % model.table.vocab.index("anna"))
+
+
 def test_nonfinite_gradient_names_block():
     acc = {"decoder": {"U": np.array([[float("inf")]])}}
     with pytest.raises(FloatingPointError, match=r"decoder\.U"):
