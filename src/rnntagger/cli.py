@@ -379,25 +379,19 @@ def cmd_eval(args):
 # ------------------------------------------------------------ gradcheck
 
 def _grid_specs(hidden, n_in, n_tags):
-    kinds = [k.upper() for k in CELL_NAMES]
-    combos = []
-    for dec in kinds:
-        combos.append(ModelSpec(arch="basic", n_in=n_in, hidden=hidden,
-                                n_tags=n_tags, decoder_cell=dec))
-    for enc in ("ELMAN", "ELMAN_GRU"):
-        for dec in kinds:
-            combos.append(ModelSpec(arch="contextual", n_in=n_in, hidden=hidden,
-                                    n_tags=n_tags, decoder_cell=dec,
-                                    encoder_cell=enc))
-    for enc in kinds:
-        for dec in kinds:
-            combos.append(ModelSpec(arch="bidirectional", n_in=n_in,
-                                    hidden=hidden, n_tags=n_tags,
-                                    decoder_cell=dec, encoder_cell=enc))
-    for enc in kinds:
-        combos.append(ModelSpec(arch="mesnil", n_in=n_in, hidden=hidden,
-                                n_tags=n_tags, encoder_cell=enc))
-    return combos
+    """Every (architecture, encoder, decoder) that ModelSpec accepts."""
+    kinds = [None] + [k.upper() for k in CELL_NAMES]
+    specs = []
+    for arch in architectures.ARCHS:
+        for enc in kinds:
+            for dec in kinds:
+                try:
+                    specs.append(ModelSpec(arch=arch, n_in=n_in, hidden=hidden,
+                                           n_tags=n_tags, decoder_cell=dec,
+                                           encoder_cell=enc))
+                except ValueError:
+                    pass
+    return specs
 
 
 def _spec_label(spec):

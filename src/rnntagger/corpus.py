@@ -2,6 +2,7 @@
 
 import os
 import re
+from collections import Counter
 from dataclasses import dataclass, field
 
 PAD = "<pad>"
@@ -99,8 +100,9 @@ class Lexicon:
         return max(len(e.split()) for e in self.entries)
 
 
-def load_conll(path, token_col=0, tag_col=-1, tagged=True):
-    """Read a whitespace-separated column file into sentences.
+def load_conll(path, tagged=True):
+    """Read a whitespace-separated column file into sentences: the token
+    is the first column and the tag the last.
 
     Blank lines end sentences; a leading ``-DOCSTART-`` token starts a
     new document (the line itself is not a token). With tagged=False the
@@ -131,40 +133,26 @@ def load_conll(path, token_col=0, tag_col=-1, tagged=True):
                     doc_id += 1
                     emitted_in_doc = 0
                 continue
-            ncols = len(cols)
-            tok_i = token_col if token_col >= 0 else ncols + token_col
-            if not 0 <= tok_i < ncols:
-                raise ValueError(
-                    "%s line %d: token column %d out of range (%d columns)"
-                    % (path, lineno, token_col, ncols)
-                )
             tag = None
             if tagged:
-                tag_i = tag_col if tag_col >= 0 else ncols + tag_col
-                if not 0 <= tag_i < ncols or tag_i == tok_i:
-                    raise ValueError(
-                        "%s line %d: tag column %d out of range (%d columns)"
-                        % (path, lineno, tag_col, ncols)
-                    )
-                tag = cols[tag_i]
-            current.append(Token(cols[tok_i], tag))
+                if len(cols) < 2:
+                    raise ValueError("%s line %d: no tag column after the token"
+                                     % (path, lineno))
+                tag = cols[-1]
+            current.append(Token(cols[0], tag))
     flush()
     return sentences
 
 
-def build_vocab(sentences, min_count=1, lowercase=True, digits_to_zero=True):
-    """Frequency-thresholded vocabulary over normalized surfaces.
+def vocab_from_counts(freq, min_count=1, lowercase=True, digits_to_zero=True):
+    """Vocabulary of the normalized words seen at least min_count times.
 
     Index order is frequency descending with lexicographic tie-break, so
-    the map is identical across runs on the same corpus.
+    the map is identical across runs on the same corpus. A literal PAD
+    or UNK word maps to its reserved row.
     """
     if min_count < 1:
-        raise ValueError("build_vocab: min_count must be >= 1, got %d" % min_count)
-    freq = {}
-    for sent in sentences:
-        for tok in sent.tokens:
-            key = normalize(tok.surface, lowercase, digits_to_zero)
-            freq[key] = freq.get(key, 0) + 1
+        raise ValueError("min_count must be >= 1, got %d" % min_count)
     kept = sorted(
         (w for w, c in freq.items() if c >= min_count),
         key=lambda w: (-freq[w], w),
@@ -173,6 +161,13 @@ def build_vocab(sentences, min_count=1, lowercase=True, digits_to_zero=True):
     for w in kept:
         vocab.add(w)
     return vocab
+
+
+def build_vocab(sentences, min_count=1, lowercase=True, digits_to_zero=True):
+    """Frequency-thresholded vocabulary over normalized surfaces."""
+    freq = Counter(normalize(tok.surface, lowercase, digits_to_zero)
+                   for sent in sentences for tok in sent.tokens)
+    return vocab_from_counts(freq, min_count, lowercase, digits_to_zero)
 
 
 def load_lexicon(path, name=None):

@@ -4,7 +4,8 @@ Three objectives over a sliding context window: CBOW (predict the
 center from the mean of its context vectors), Skip-gram (predict each
 context word from the center), and the order-preserving variant that
 replaces CBOW's mean with a positional concatenation.  All three share
-the negative-sampling objective and frequency subsampling.
+the negative-sampling objective, frequency subsampling and one SGD
+loop; an objective only decides which predictions a kept word makes.
 """
 
 import math
@@ -14,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import linalg
-from .corpus import PAD, PAD_INDEX, UNK, UNK_INDEX, Vocabulary, normalize
+from .corpus import PAD_INDEX, UNK_INDEX, Vocabulary, normalize, vocab_from_counts
 from .representation import EmbeddingTable
 
 CBOW = "cbow"
@@ -137,27 +138,34 @@ def _sig(s):
     return e / (1.0 + e)
 
 
+def _scatter(rows, pieces):
+    """{row: sum of its pieces}, added in order.  Pieces are not copied,
+    so a row's value may share memory with a piece or another row."""
+    out = {}
+    for row, piece in zip(rows, pieces):
+        out[row] = out[row] + piece if row in out else piece
+    return out
+
+
 def _ns_grads(output, h, center, negatives):
     """Negative-sampling loss and gradients for one prediction.
 
     Returns (loss, dh, {row: du_row}); du entries accumulate when a
-    negative repeats or collides with nothing else touching that row.
+    negative repeats or equals another touched row.
     """
+    rows = [center] + list(negatives)
     loss = 0.0
     dh = np.zeros_like(h)
-    du = {}
-    for j, label in [(center, 1.0)] + [(n, 0.0) for n in negatives]:
+    du = []
+    for j, label in zip(rows, [1.0] + [0.0] * len(negatives)):
         s = float(output[j] @ h)
         p = _sig(s)
         win = p if label else 1.0 - p
         loss += -math.log(max(win, PROB_FLOOR))
         g = p - label
         dh += g * output[j]
-        if j in du:
-            du[j] = du[j] + g * h
-        else:
-            du[j] = g * h
-    return loss, dh, du
+        du.append(g * h)
+    return loss, dh, _scatter(rows, du)
 
 
 def _apply_input_grads(model, grads, lr):
@@ -178,22 +186,7 @@ def cbow_grads(model, center, context, negatives):
         raise ValueError("CBOW needs a nonempty context")
     h = np.mean(model.input_vectors[context], axis=0)
     loss, dh, du = _ns_grads(model.output_vectors, h, center, negatives)
-    dv = {}
-    share = dh / len(context)
-    for j in context:
-        if j in dv:
-            dv[j] = dv[j] + share
-        else:
-            dv[j] = share.copy()
-    return loss, dv, du
-
-
-def cbow_update(model, center, context, config, lr, table, rng):
-    negatives = negative_sample(table, center, config.negatives, rng)
-    loss, dv, du = cbow_grads(model, center, context, negatives)
-    _apply_output_grads(model, du, lr)
-    _apply_input_grads(model, dv, lr)
-    return loss
+    return loss, _scatter(context, [dh / len(context)] * len(context)), du
 
 
 def skipgram_grads(model, center, context_word, negatives):
@@ -202,39 +195,31 @@ def skipgram_grads(model, center, context_word, negatives):
     return loss, {center: dh}, du
 
 
-def skipgram_update(model, center, context_word, config, lr, table, rng):
-    negatives = negative_sample(table, context_word, config.negatives, rng)
-    loss, dv, du = skipgram_grads(model, center, context_word, negatives)
-    _apply_output_grads(model, du, lr)
-    _apply_input_grads(model, dv, lr)
-    return loss
-
-
 def cconcat_grads(model, center, slots, negatives):
     """slots: exactly 2*window word indices in positional order, with PAD
     standing in for positions off the sentence ends."""
     if len(slots) != 2 * model.window:
         raise ValueError("expected %d context slots, got %d"
                          % (2 * model.window, len(slots)))
-    dim = model.dim
-    h = np.concatenate([model.input_vectors[j] for j in slots])
+    h = model.input_vectors[slots].reshape(-1)
     loss, dh, du = _ns_grads(model.output_vectors, h, center, negatives)
-    dv = {}
-    for k, j in enumerate(slots):
-        g = dh[k * dim : (k + 1) * dim]
-        if j in dv:
-            dv[j] = dv[j] + g
-        else:
-            dv[j] = g.copy()
-    return loss, dv, du
+    return loss, _scatter(slots, dh.reshape(len(slots), model.dim)), du
 
 
-def cconcat_update(model, center, slots, config, lr, table, rng):
-    negatives = negative_sample(table, center, config.negatives, rng)
-    loss, dv, du = cconcat_grads(model, center, slots, negatives)
-    _apply_output_grads(model, du, lr)
-    _apply_input_grads(model, dv, lr)
-    return loss
+def _predictions(objective, padded, pos, w):
+    """The (word to predict, gradient function, its context argument)
+    triples of the kept word at `pos`; `padded` is the kept sentence with
+    w PADs on each side.  CBOW makes one over the context (none when it
+    is empty), skip-gram one per context word, cconcat one over the 2w
+    slots."""
+    center = padded[pos + w]
+    slots = padded[pos:pos + w] + padded[pos + w + 1:pos + 2 * w + 1]
+    if objective == CCONCAT:
+        return [(center, cconcat_grads, slots)]
+    context = [j for j in slots if j != PAD_INDEX]
+    if objective == CBOW:
+        return [(center, cbow_grads, context)] if context else []
+    return [(cw, skipgram_grads, cw) for cw in context]
 
 
 def read_corpus(path, lowercase=True, digits_to_zero=True):
@@ -249,20 +234,12 @@ def read_corpus(path, lowercase=True, digits_to_zero=True):
     return sentences
 
 
-def _vocab_from_counts(counts, min_count):
-    kept = sorted((w for w, c in counts.items() if c >= min_count),
-                  key=lambda w: (-counts[w], w))
-    index_to_word = [PAD, UNK] + kept
-    return Vocabulary(index_to_word=index_to_word,
-                      word_to_index={w: i for i, w in enumerate(index_to_word)})
-
-
 def train_embeddings(corpus_path, objective, config):
     """Epoch loop over the corpus with linear lr decay down to
     initial * 1e-4.  Deterministic for a fixed seed."""
     sentences = read_corpus(corpus_path)
     counts = Counter(w for sent in sentences for w in sent)
-    vocab = _vocab_from_counts(counts, config.min_count)
+    vocab = vocab_from_counts(counts, config.min_count)
     if len(vocab) <= 2:
         raise ValueError("no words survive the min_count=%d filter" % config.min_count)
 
@@ -294,28 +271,16 @@ def train_embeddings(corpus_path, objective, config):
                 processed += 1
                 if subsample_keep(index_counts[i], total_tokens, t, rng):
                     kept.append(i)
+            padded = [PAD_INDEX] * w + kept + [PAD_INDEX] * w
             for pos, center in enumerate(kept):
                 lr = config.learning_rate * max(
                     LR_FLOOR_FRACTION, 1.0 - processed / budget)
-                if objective == CBOW:
-                    context = kept[max(0, pos - w):pos] + kept[pos + 1:pos + w + 1]
-                    if not context:
-                        continue
-                    epoch_loss += cbow_update(model, center, context, config,
-                                              lr, table, rng)
-                    epoch_updates += 1
-                elif objective == SKIPGRAM:
-                    for cw in kept[max(0, pos - w):pos] + kept[pos + 1:pos + w + 1]:
-                        epoch_loss += skipgram_update(model, center, cw, config,
-                                                      lr, table, rng)
-                        epoch_updates += 1
-                else:
-                    slots = [kept[pos + d] if 0 <= pos + d < len(kept) else PAD_INDEX
-                             for d in range(-w, 0)]
-                    slots += [kept[pos + d] if 0 <= pos + d < len(kept) else PAD_INDEX
-                              for d in range(1, w + 1)]
-                    epoch_loss += cconcat_update(model, center, slots, config,
-                                                 lr, table, rng)
+                for target, grads, context in _predictions(objective, padded, pos, w):
+                    negatives = negative_sample(table, target, config.negatives, rng)
+                    loss, dv, du = grads(model, center, context, negatives)
+                    _apply_output_grads(model, du, lr)
+                    _apply_input_grads(model, dv, lr)
+                    epoch_loss += loss
                     epoch_updates += 1
         model.epoch_losses.append(epoch_loss / epoch_updates if epoch_updates else 0.0)
     return model

@@ -43,10 +43,6 @@ def make_tagset(types, scheme):
     return tags
 
 
-def tagset_types(tags):
-    return sorted({split_tag(t)[1] for t in tags if t != "O"})
-
-
 def spans_to_tags(spans, n, scheme):
     if scheme not in SCHEMES:
         raise ValueError("unknown scheme: %r" % scheme)
@@ -121,10 +117,6 @@ def tags_to_spans(tags, scheme):
     if open_start is not None:
         spans.append(Span(open_start, len(tags) - 1, open_type))
     return spans
-
-
-def convert_scheme(tags, from_scheme, to_scheme):
-    return spans_to_tags(tags_to_spans(tags, from_scheme), len(tags), to_scheme)
 
 
 def detect_scheme(tags):

@@ -110,26 +110,24 @@ def _nll_logit_grads(dists, y):
 
 
 def _check_finite(acc, emb_rows):
+    """Squared norm of the whole gradient, one dot product per block.
+    Only a block whose square is not finite is searched for a non-finite
+    value, which is an error that names the block."""
+    sq = 0.0
     for bundle, grads in acc.items():
         for name, g in grads.items():
-            if not np.all(np.isfinite(g)):
+            s = float(np.vdot(g, g))
+            if not math.isfinite(s) and not np.all(np.isfinite(g)):
                 raise FloatingPointError(
                     "non-finite gradient in parameter block %s.%s" % (bundle, name))
+            sq += s
     for row, g in emb_rows.items():
-        if not np.all(np.isfinite(g)):
+        s = float(np.vdot(g, g))
+        if not math.isfinite(s) and not np.all(np.isfinite(g)):
             raise FloatingPointError(
                 "non-finite gradient in embedding row %d" % row)
-
-
-def _clip_scale(acc, emb_rows, threshold):
-    sq = 0.0
-    for grads in acc.values():
-        for g in grads.values():
-            sq += float(np.sum(g * g))
-    for g in emb_rows.values():
-        sq += float(np.sum(g * g))
-    norm = math.sqrt(sq)
-    return threshold / norm if norm > threshold else 1.0
+        sq += s
+    return sq
 
 
 def train_example(model, window, lr, cfg=None):
@@ -159,9 +157,8 @@ def train_example(model, window, lr, cfg=None):
 
     fine_tune = cfg.fine_tune_embeddings and model.table.trainable
     emb_rows = _embedding_grads(enc_in, dxs) if fine_tune else {}
-    _check_finite(acc, emb_rows)
-
-    scale = _clip_scale(acc, emb_rows, cfg.clip_threshold) if cfg.clip else 1.0
+    norm = math.sqrt(_check_finite(acc, emb_rows))
+    scale = cfg.clip_threshold / norm if cfg.clip and norm > cfg.clip_threshold else 1.0
     for bundle, grads in acc.items():
         for name, g in grads.items():
             model.params[bundle][name] -= lr * scale * g
@@ -232,13 +229,16 @@ def train_epoch(model, sentences, cfg, rng=None):
 
     total = 0.0
     started = time.perf_counter()
-    for si, pos in examples:
-        w = ExampleWindow(sentences[si], pos, golds[si][pos], snaps[si])
-        try:
-            total += train_example(model, w, cfg.learning_rate, cfg)
-        except FloatingPointError as e:
-            raise FloatingPointError("sentence %d, position %d: %s"
-                                     % (si + 1, pos + 1, e)) from None
+    # the loss and gradient checks find every non-finite value and say
+    # where it is, so numpy's own warnings would only repeat them
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        for si, pos in examples:
+            w = ExampleWindow(sentences[si], pos, golds[si][pos], snaps[si])
+            try:
+                total += train_example(model, w, cfg.learning_rate, cfg)
+            except FloatingPointError as e:
+                raise FloatingPointError("sentence %d, position %d: %s"
+                                         % (si + 1, pos + 1, e)) from None
     seconds = time.perf_counter() - started
     return EpochStats(mean_loss=total / len(examples),
                       n_examples=len(examples), seconds=seconds)

@@ -13,7 +13,7 @@ import numpy as np
 from rnntagger import cli, pretrain
 from rnntagger.architectures import (ModelSpec, decode_window, encode,
                                      full_forward, init_model)
-from rnntagger.corpus import build_vocab, write_conll
+from rnntagger.corpus import build_vocab, vocab_from_counts, write_conll
 from rnntagger.evaluation import score
 from rnntagger.linalg import SeededRng
 from rnntagger.model import Model, tag_corpus
@@ -230,7 +230,7 @@ def test_span_roundtrip_and_scoring_oracle():
 
 
 def _embed_fd(objective):
-    vocab = pretrain._vocab_from_counts(Counter({"a": 3, "b": 2, "c": 1}), 1)
+    vocab = vocab_from_counts(Counter({"a": 3, "b": 2, "c": 1}))
     cfg = EmbedConfig(dim=2, window=1, negatives=2, seed=11)
     rng = SeededRng(11)
     model = init_embed_model(vocab, objective, cfg, rng)
@@ -292,7 +292,7 @@ def test_embedding_objectives_suite(tmp_path):
         assert within > cross, objective
 
     # averaging is order-blind, concatenation is not
-    vocab = pretrain._vocab_from_counts(Counter({"a": 3, "b": 2, "c": 1}), 1)
+    vocab = vocab_from_counts(Counter({"a": 3, "b": 2, "c": 1}))
     cfg = EmbedConfig(dim=3, window=1, negatives=2, seed=4)
     model = init_embed_model(vocab, CBOW, cfg, SeededRng(4))
     model.output_vectors[:] = SeededRng(9).uniform(

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from rnntagger import cli, pretrain
-from rnntagger.corpus import load_conll, write_conll
+from rnntagger.corpus import load_conll, vocab_from_counts, write_conll
 from rnntagger.representation import load_embeddings
 from rnntagger.serialize import load_model
 from rnntagger.synth import memorize_corpus
@@ -205,7 +205,7 @@ def test_embed_zero_epochs_writes_initialized_matrix(tmp_path, capsys):
     cfg = pretrain.EmbedConfig(dim=6, epochs=0, seed=5)
     counts = Counter(w for s in pretrain.read_corpus(corpus) for w in s)
     expected = pretrain.init_embed_model(
-        pretrain._vocab_from_counts(counts, 1), "skipgram", cfg,
+        vocab_from_counts(counts), "skipgram", cfg,
         cli.SeededRng(5))
     loaded = load_embeddings(str(out))
     assert loaded.vocab.index_to_word == expected.vocab.index_to_word
@@ -324,7 +324,7 @@ def test_malformed_embeddings_file_is_data_error(tmp_path, capsys, row, problem)
     assert not (tmp_path / "m.json").exists()
 
 
-@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_non_finite_weight_is_numeric_error_with_location(tmp_path, capsys, monkeypatch):
     init_model = cli.init_model
 

@@ -65,8 +65,9 @@ def test_docstart_separates_documents(tmp_path):
 
 
 def test_column_selection(tmp_path):
-    path = write(tmp_path, "h.conll", "1 John NNP B-PER\n")
-    sents = load_conll(path, token_col=1, tag_col=3)
+    # the token is the first column and the tag the last
+    path = write(tmp_path, "h.conll", "John NNP I-NP B-PER\n")
+    sents = load_conll(path)
     assert sents[0].surfaces() == ["John"]
     assert sents[0].tags() == ["B-PER"]
 

@@ -1,11 +1,14 @@
+import hashlib
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rnntagger.corpus import PAD_INDEX, UNK_INDEX
+from rnntagger.corpus import PAD, PAD_INDEX, UNK, UNK_INDEX, vocab_from_counts
 from rnntagger.linalg import SeededRng
 from rnntagger.representation import load_embeddings
 from rnntagger.pretrain import (
@@ -15,7 +18,6 @@ from rnntagger.pretrain import (
     EmbedConfig,
     UnigramTable,
     cbow_grads,
-    cbow_update,
     cconcat_grads,
     init_embed_model,
     negative_sample,
@@ -24,7 +26,6 @@ from rnntagger.pretrain import (
     subsample_keep,
     subsample_prob,
     train_embeddings,
-    _vocab_from_counts,
 )
 
 LN2 = math.log(2.0)
@@ -32,7 +33,7 @@ LN2 = math.log(2.0)
 
 def small_vocab(counts=None):
     counts = counts or {"alpha": 5, "beta": 3, "gamma": 2}
-    return _vocab_from_counts(counts, 1), counts
+    return vocab_from_counts(counts), counts
 
 
 def small_model(objective=CBOW, dim=2, window=1, seed=3):
@@ -239,13 +240,14 @@ def test_cconcat_slot_count_enforced():
         cconcat_grads(model, idx["alpha"], [idx["beta"]], negatives=[idx["gamma"]])
 
 
-def test_pad_input_row_never_updated():
-    model, cfg, idx = small_model(CCONCAT, window=1)
-    table = UnigramTable(np.array([0, 0, 5, 3, 2]))
-    rng = SeededRng(4)
-    from rnntagger.pretrain import cconcat_update
-    cconcat_update(model, idx["alpha"], [PAD_INDEX, idx["beta"]], cfg, 0.5,
-                   table, rng)
+def test_pad_input_row_never_updated(tmp_path):
+    # every position of a two-word sentence has PAD slots at window 2
+    corpus = tmp_path / "c.txt"
+    write_corpus(corpus, ["alpha beta", "beta gamma", "alpha"] * 5)
+    cfg = EmbedConfig(dim=2, window=2, subsample=1.0, negatives=2, epochs=2,
+                      learning_rate=0.5, seed=4)
+    model = train_embeddings(str(corpus), CCONCAT, cfg)
+    assert np.any(model.output_vectors != 0.0)
     assert np.all(model.input_vectors[PAD_INDEX] == 0.0)
 
 
@@ -414,3 +416,41 @@ def test_epoch_losses_are_recorded(tmp_path):
     assert len(model.epoch_losses) == 4
     assert all(l > 0 for l in model.epoch_losses)
     assert model.epoch_losses[-1] < model.epoch_losses[0]
+
+
+DATA = Path(__file__).parent / "data"
+
+
+@pytest.mark.parametrize("objective", [CBOW, SKIPGRAM, CCONCAT])
+def test_training_reproduces_recorded_run(objective, tmp_path):
+    # epoch losses and file digests recorded from the three separate
+    # per-objective update functions this loop replaced (numpy's bundled
+    # OpenBLAS, x86-64); any change to the draw order or the arithmetic
+    # shows here
+    golden = json.loads((DATA / "embed_golden.json").read_text())
+    cfg = EmbedConfig(**golden["config"])
+    want = golden["objectives"][objective]
+    model = train_embeddings(str(DATA / "embed_corpus.txt"), objective, cfg)
+    out = tmp_path / "vecs.txt"
+    save_text(model, str(out))
+    assert model.epoch_losses == want["epoch_losses"]
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == want["vectors_sha256"]
+    assert (hashlib.sha256(model.output_vectors.tobytes()).hexdigest()
+            == want["output_vectors_sha256"])
+
+
+@pytest.mark.parametrize("objective", [CBOW, SKIPGRAM, CCONCAT])
+def test_literal_reserved_words_get_their_reserved_rows(objective, tmp_path):
+    corpus = tmp_path / "c.txt"
+    write_corpus(corpus, ["a %s b %s a" % (PAD, UNK), "%s b a" % PAD] * 5)
+    cfg = EmbedConfig(dim=3, window=1, subsample=1.0, negatives=2, epochs=1,
+                      learning_rate=0.1, seed=2)
+    model = train_embeddings(str(corpus), objective, cfg)
+    assert model.vocab.index_to_word == [PAD, UNK, "a", "b"]
+    out = tmp_path / "vecs.txt"
+    save_text(model, str(out))
+    rows = [line.split()[0] for line in out.read_text().splitlines()[1:]]
+    assert rows == [PAD, UNK, "a", "b"]
+    table = load_embeddings(str(out))
+    assert np.array_equal(table.matrix, model.input_vectors)
+    assert np.all(table.matrix[PAD_INDEX] == 0.0)

@@ -6,7 +6,6 @@ from rnntagger.tagging import (
     BIO2,
     IOBES,
     Span,
-    convert_scheme,
     detect_scheme,
     make_tagset,
     spans_to_tags,
@@ -162,20 +161,23 @@ def test_total_and_matches_conlleval_oracle(tags):
 
 
 class TestConvertScheme:
+    # converting is decoding under one scheme and encoding under another
     def test_bio2_to_iobes(self):
-        assert convert_scheme(["B-PER", "I-PER"], BIO2, IOBES) == ["B-PER", "E-PER"]
+        spans = tags_to_spans(["B-PER", "I-PER"], BIO2)
+        assert spans_to_tags(spans, 2, IOBES) == ["B-PER", "E-PER"]
 
     def test_singleton_to_bio2(self):
-        assert convert_scheme(["S-LOC"], IOBES, BIO2) == ["B-LOC"]
+        assert spans_to_tags(tags_to_spans(["S-LOC"], IOBES), 1, BIO2) == ["B-LOC"]
 
     def test_all_o_fixed_point(self):
-        assert convert_scheme(["O", "O", "O"], BIO2, IOBES) == ["O", "O", "O"]
+        spans = tags_to_spans(["O", "O", "O"], BIO2)
+        assert spans_to_tags(spans, 3, IOBES) == ["O", "O", "O"]
 
     @settings(max_examples=100)
     @given(st.lists(st.sampled_from(make_tagset(TYPES, BIO2)), min_size=1, max_size=10))
     def test_idempotent_same_scheme(self, tags):
-        once = convert_scheme(tags, BIO2, BIO2)
-        assert convert_scheme(once, BIO2, BIO2) == once
+        once = spans_to_tags(tags_to_spans(tags, BIO2), len(tags), BIO2)
+        assert spans_to_tags(tags_to_spans(once, BIO2), len(once), BIO2) == once
 
 
 class TestTagSet:
