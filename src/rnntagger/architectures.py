@@ -169,25 +169,54 @@ class ChainRun:
         return np.vstack([np.zeros((1, self.states.shape[1])), self.states[:-1]])
 
 
-def run_chain(cell, params, out_params, xs, cfg, hidden, n_tags, extra=None):
-    """Left-to-right recurrence from a zero initial carry over the rows of xs."""
+def run_chain(cell, params, out_params, xss, cfg, hidden, n_tags, extras=None):
+    """Left-to-right recurrences from a zero initial carry, one over the
+    rows of each array in xss, all stepped together; returns one ChainRun
+    per array, in the order given.
+
+    The chains are sorted longest first, so step i runs the first a_i
+    rows, the chains still that long; no padded position is computed.
+    Projections, and an Elman-family output layer, are products per
+    chain, and each row of a step has the bits it has in a batch of one.
+    """
     if cell.carries_output and out_params is None:
         raise ValueError("%s chain needs an output layer to carry o_prev" % cell.kind)
-    xs = np.asarray(xs, dtype=np.float64)
-    proj = cell.project(params, xs, cfg, extra)
-    mid = np.empty((len(xs), cell.n_mid, hidden))
-    dists = np.empty((len(xs), n_tags)) if cell.carries_output else None
-    carry = linalg.zeros(cell.carry_dim(hidden, n_tags))
-    for i in range(len(xs)):
-        mid[i] = cell.step(params, proj[i], carry, cfg)
+    xss = [np.asarray(xs, dtype=np.float64) for xs in xss]
+    if extras is None:
+        extras = [None] * len(xss)
+    order = sorted(range(len(xss)), key=lambda b: -len(xss[b]))
+    projs = [cell.project(params, xss[b], cfg, extras[b]) for b in order]
+    lengths = [len(p) for p in projs]
+    steps = lengths[0]
+    # a_i: how many chains are longer than i
+    active = (np.array(lengths)[:, None] > np.arange(steps)).sum(axis=0)
+    # time-major blocks: row (i, j) is position i of the j-th longest chain
+    proj = np.zeros((steps, len(projs)) + projs[0].shape[1:])
+    for j, p in enumerate(projs):
+        proj[: len(p), j] = p
+    mid = np.empty((steps, cell.n_mid, len(projs), hidden))
+    dists = np.empty((steps, len(projs), n_tags)) if cell.carries_output else None
+    carry = linalg.zeros((len(projs), cell.carry_dim(hidden, n_tags)))
+    for i, a in enumerate(active):
+        mid[i, :, :a] = cell.step(params, proj[i, :a], carry[:a], cfg)
         if cell.carries_output:
-            carry = dists[i] = SoftmaxOutput.step(out_params, mid[i, -1], cfg)
+            # a (a, 1, H) block: one output product per row, as in the step
+            carry = dists[i, :a] = SoftmaxOutput.step(
+                out_params, mid[i, -1, :a, None], cfg)[:, 0]
         else:
-            carry = mid[i, -1]
-    if out_params is not None and not cell.carries_output:
-        dists = SoftmaxOutput.step(out_params, mid[:, -1], cfg)
-    states = dists if cell.carries_output else mid[:, -1]
-    return ChainRun(xs=xs, mid=mid, states=states, dists=dists, has_extra=extra is not None)
+            carry = mid[i, -1, :a]
+    runs = [None] * len(xss)
+    for j, (b, m) in enumerate(zip(order, lengths)):
+        chain_mid = mid[:m, :, j]
+        if cell.carries_output:
+            states = chain_dists = dists[:m, j]
+        else:
+            states = chain_mid[:, -1]
+            chain_dists = (None if out_params is None
+                           else SoftmaxOutput.step(out_params, states, cfg))
+        runs[b] = ChainRun(xs=xss[b], mid=chain_mid, states=states, dists=chain_dists,
+                           has_extra=extras[b] is not None)
+    return runs
 
 
 def chain_backward(cell, params, out_params, run, cfg, acc, acc_out,
@@ -237,33 +266,40 @@ class Encoded:
     r: np.ndarray = None
 
 
-def encode(spec, params, xs):
-    """Run whatever encoders the architecture needs over the full
-    sentence, xs holding one input row per position."""
-    xs = np.asarray(xs, dtype=np.float64)
-    if len(xs) < 1:
+def encode_batch(spec, params, xss):
+    """Run whatever encoders the architecture needs over each full
+    sentence of the batch, each xs holding one input row per position;
+    one Encoded per sentence, and every chain of the batch stepped
+    together."""
+    xss = [np.asarray(xs, dtype=np.float64) for xs in xss]
+    if any(len(xs) < 1 for xs in xss):
         raise ValueError("cannot encode an empty sentence")
     cfg = spec.cell_config
-    enc = Encoded(xs=xs)
+    encs = [Encoded(xs=xs, dec_inputs=xs) for xs in xss]
     if spec.arch == BASIC:
-        enc.dec_inputs = xs
-        return enc
+        return encs
     cell = cell_for(spec.encoder_cell)
+    fwd = run_chain(cell, params["encoder_fwd"], params.get("encoder_fwd_out"),
+                    xss, cfg, spec.hidden, spec.n_tags)
     if spec.arch == CONTEXTUAL:
-        enc.enc_fwd = run_chain(cell, params["encoder_fwd"], None, xs, cfg,
-                                spec.hidden, spec.n_tags)
-        enc.c_n = enc.enc_fwd.states[-1]
-        enc.extra = params["context"]["S"] @ enc.c_n
-        enc.dec_inputs = xs
-        return enc
-    enc.enc_fwd = run_chain(cell, params["encoder_fwd"], params.get("encoder_fwd_out"),
-                            xs, cfg, spec.hidden, spec.n_tags)
-    enc.enc_bwd = run_chain(cell, params["encoder_bwd"], params.get("encoder_bwd_out"),
-                            xs[::-1], cfg, spec.hidden, spec.n_tags)
-    enc.l = enc.enc_fwd.states
-    enc.r = enc.enc_bwd.states[::-1]
-    enc.dec_inputs = _beta(enc.l, enc.r, spec.context_k)
-    return enc
+        for enc, run in zip(encs, fwd):
+            enc.enc_fwd = run
+            enc.c_n = run.states[-1]
+            enc.extra = params["context"]["S"] @ enc.c_n
+        return encs
+    bwd = run_chain(cell, params["encoder_bwd"], params.get("encoder_bwd_out"),
+                    [xs[::-1] for xs in xss], cfg, spec.hidden, spec.n_tags)
+    for enc, run_f, run_b in zip(encs, fwd, bwd):
+        enc.enc_fwd, enc.enc_bwd = run_f, run_b
+        enc.l = run_f.states
+        enc.r = run_b.states[::-1]
+        enc.dec_inputs = _beta(enc.l, enc.r, spec.context_k)
+    return encs
+
+
+def encode(spec, params, xs):
+    """encode_batch of the one sentence xs."""
+    return encode_batch(spec, params, [xs])[0]
 
 
 def _beta(l, r, k):
@@ -298,27 +334,36 @@ class DecodeRun:
     run: ChainRun = None      # recurrent decoders
 
 
-def decode_window(spec, params, enc, lo, hi):
-    """Decode positions lo..hi (inclusive) from a zero initial carry.
+def decode_batch(spec, params, encs, windows):
+    """Decode positions lo..hi (inclusive) of each encoded sentence, from
+    a zero initial carry, with (lo, hi) the matching entry of windows;
+    the decoder chains of the batch step together.
 
     Full-sentence inference is the lo=0, hi=n-1 case; training windows
     pass lo = max(0, i - v_d), hi = i.
     """
-    n = len(enc.dec_inputs)
-    if not (0 <= lo <= hi < n):
-        raise ValueError("window [%d, %d] out of range for %d positions" % (lo, hi, n))
+    for enc, (lo, hi) in zip(encs, windows):
+        n = len(enc.dec_inputs)
+        if not (0 <= lo <= hi < n):
+            raise ValueError("window [%d, %d] out of range for %d positions" % (lo, hi, n))
     cfg = spec.cell_config
     if spec.arch == MESNIL:
-        # positions are independent: classify all of them in one product
-        # and slice, so a position's distribution has the same bits
-        # whichever window asks for it
-        dists = SoftmaxOutput.step(params["mesnil_out"], enc.dec_inputs, cfg)
-        return DecodeRun(dists=dists[lo : hi + 1], lo=lo, hi=hi)
-    cell = cell_for(spec.decoder_cell)
-    run = run_chain(cell, params["decoder"], params["decoder_out"],
-                    enc.dec_inputs[lo : hi + 1], cfg, spec.hidden, spec.n_tags,
-                    extra=enc.extra)
-    return DecodeRun(dists=run.dists, lo=lo, hi=hi, run=run)
+        # positions are independent: classify all of a sentence's
+        # positions in one product and slice, so a position's
+        # distribution has the same bits whichever window asks for it
+        return [DecodeRun(dists=SoftmaxOutput.step(params["mesnil_out"], enc.dec_inputs,
+                                                   cfg)[lo : hi + 1], lo=lo, hi=hi)
+                for enc, (lo, hi) in zip(encs, windows)]
+    runs = run_chain(cell_for(spec.decoder_cell), params["decoder"], params["decoder_out"],
+                     [enc.dec_inputs[lo : hi + 1] for enc, (lo, hi) in zip(encs, windows)],
+                     cfg, spec.hidden, spec.n_tags, extras=[enc.extra for enc in encs])
+    return [DecodeRun(dists=run.dists, lo=lo, hi=hi, run=run)
+            for run, (lo, hi) in zip(runs, windows)]
+
+
+def decode_window(spec, params, enc, lo, hi):
+    """decode_batch of the one window lo..hi of enc."""
+    return decode_batch(spec, params, [enc], [(lo, hi)])[0]
 
 
 def backward_window(spec, params, enc, dec, dlogits, acc):
@@ -364,14 +409,24 @@ def _encoder_backward(spec, params, name, run, dstates, acc):
     return dxs
 
 
+def forward_batch(spec, params, xss):
+    """Whole-sentence distributions of every sentence of the batch
+    (encode + a single decode pass each), bitwise what each sentence
+    gets alone."""
+    encs = encode_batch(spec, params, xss)
+    return [dec.dists for dec in
+            decode_batch(spec, params, encs, [(0, len(enc.xs) - 1) for enc in encs])]
+
+
 def full_forward(spec, params, xs):
-    """Whole-sentence distributions (encode + single decode pass)."""
-    enc = encode(spec, params, xs)
-    dec = decode_window(spec, params, enc, 0, len(xs) - 1)
-    return dec.dists
+    """forward_batch of the one sentence xs."""
+    return forward_batch(spec, params, [xs])[0]
+
+
+def argmax_tags(dists, tagset):
+    """Argmax decoding; ties resolve to the lowest tag index."""
+    return [tagset[k] for k in np.argmax(dists, axis=1)]
 
 
 def predict_tags(spec, params, xs, tagset):
-    """Argmax decoding; ties resolve to the lowest tag index."""
-    dists = full_forward(spec, params, xs)
-    return [tagset[int(np.argmax(o))] for o in dists]
+    return argmax_tags(full_forward(spec, params, xs), tagset)

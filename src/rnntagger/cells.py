@@ -13,8 +13,11 @@ part of the recurrence that needs the carry:
 
 * project   -- the input half of every pre-activation, one product
                X @ Uᵀ per chain before the step loop;
-* step      -- one position: returns its intermediates, h last, which
-               the chain keeps as row i of an (m, n_mid, H) array;
+* step      -- one position of B chains at once: a (B, ·) block of
+               projections and of carries, one row per chain (or a single
+               row as plain vectors); returns its intermediates, h last,
+               each one row per chain, and every recurrent product is
+               linalg.rowwise, so a row has the same bits for any B;
 * backward  -- one position, right to left: returns d(carry) and the
                position's pre-activation gradients, row i of an
                (m, n_dpre, H) array;
@@ -33,7 +36,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
-from .linalg import sigmoid, softmax
+from .linalg import rowwise, sigmoid, softmax
 
 ELMAN = "ELMAN"
 JORDAN = "JORDAN"
@@ -104,7 +107,7 @@ def _plain_cell(name, kind, carries_output, doc):
         return pre
 
     def step(p, proj, carry, cfg):
-        return (sigmoid(proj + p["V"] @ carry),)
+        return (sigmoid(proj + rowwise(carry, p["V"])),)
 
     def backward(p, mid, dh, cfg):
         (h,) = mid
@@ -155,11 +158,11 @@ def _gated_cell(name, kind, carries_output, doc):
     # or T @ carry), r, z, rt = r * t, the candidate c, and h; pre-activation
     # gradients: candidate, z, r, and the Jordan GRU's dt for T
     def step(p, proj, carry, cfg):
-        t = p["T"] @ carry if carries_output else carry
-        r = sigmoid(proj[2] + p["U_r"] @ t)
-        z = sigmoid(proj[1] + p["U_z"] @ t)
+        t = rowwise(carry, p["T"]) if carries_output else carry
+        r = sigmoid(proj[..., 2, :] + rowwise(t, p["U_r"]))
+        z = sigmoid(proj[..., 1, :] + rowwise(t, p["U_z"]))
         rt = r * t
-        c = _candidate(proj[0] + p[U] @ rt, cfg)
+        c = _candidate(proj[..., 0, :] + rowwise(rt, p[U]), cfg)
         return t, r, z, rt, c, z * c + (1.0 - z) * t
 
     def backward(p, mid, dh, cfg):
@@ -220,8 +223,9 @@ JordanGruCell = _gated_cell(
 
 
 class SoftmaxOutput:
-    """o_i = softmax(W h_i); the output layer, over one state h or over
-    every row of a chain's (m, H) states."""
+    """o_i = softmax(W h_i); the output layer, over one state h, over
+    every row of a chain's (m, H) states in one GEMM, or over a (B, 1, H)
+    block one row at a time (the o carried by B Jordan-family chains)."""
 
     kind = SOFTMAX
 

@@ -409,17 +409,21 @@ def cmd_gradcheck(args):
                                encoder_cell=_cell_kind(args.encoder))]
         except ValueError as e:
             raise UsageError(str(e))
-    worst = 0.0
+    worst = worst_abs = 0.0
     failed = False
+    print("%-45s %-22s %-9s %s" % ("spec", "block", "rel err", "max |analytic - numeric|"))
     for spec in specs:
         report = gradient_check(spec, args.seed, args.tokens, v_d=args.v_d)
         for block in sorted(report.blocks):
-            print("%-45s %-22s %.3e" % (_spec_label(spec), block,
-                                        report.blocks[block]))
+            diff = report.abs_diffs.get(block, 0.0)
+            print("%-45s %-22s %.3e %.3e" % (_spec_label(spec), block,
+                                             report.blocks[block], diff))
+            worst_abs = max(worst_abs, diff)
         worst = max(worst, report.max_error)
         if not report.ok(args.bound):
             failed = True
     print("max relative error: %.3e (bound %.1e)" % (worst, args.bound))
+    print("max absolute difference: %.3e" % worst_abs)
     if failed:
         print("gradient check FAILED", file=sys.stderr)
         return EXIT_NUMERIC

@@ -87,17 +87,19 @@ class Vocabulary:
 
 @dataclass
 class Lexicon:
+    """A set of lowercased phrases, frozen when the lexicon is built so
+    that max_len, the word count of the longest phrase, is counted once."""
+
     name: str
-    entries: set
+    entries: frozenset
+    max_len: int = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        self.entries = frozenset(self.entries)
+        self.max_len = max((len(e.split()) for e in self.entries), default=0)
 
     def __contains__(self, phrase):
         return phrase.lower() in self.entries
-
-    @property
-    def max_len(self):
-        if not self.entries:
-            return 0
-        return max(len(e.split()) for e in self.entries)
 
 
 def load_conll(path, tagged=True):

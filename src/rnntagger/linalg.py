@@ -74,14 +74,24 @@ class SeededRng:
 
 
 def sigmoid(x):
-    """Elementwise logistic function, overflow-safe for any float64 input."""
+    """Elementwise logistic function, overflow-safe for any float64 input:
+    1 / (1 + e^-x) for x >= 0 and e^x / (1 + e^x) below, both from the
+    one exponential e^-|x|, which cannot overflow."""
     x = np.asarray(x, dtype=np.float64)
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
+    e = np.exp(-np.abs(x))
+    return np.where(x >= 0, 1.0, e) / (1.0 + e)
+
+
+def rowwise(C, M):
+    """M @ c for every row c of C, or for C itself when it is a vector.
+
+    This is deliberately not the one GEMM C @ Mᵀ: BLAS gives a row of a
+    GEMM different last bits depending on the height of the matrix and
+    even on the row's place in it.  The stacked 1 x K products here each
+    match the vector product M @ c bitwise, so a sentence's recurrence has
+    the same bits in a batch of any size as it has alone.
+    """
+    return np.matmul(C[..., None, :], M.T)[..., 0, :]
 
 
 def softmax(x):

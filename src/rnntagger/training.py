@@ -10,7 +10,7 @@ preceding the target plus the target itself, from a zero carry.
 import copy
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -305,6 +305,9 @@ class GradCheckReport:
     blocks: dict      # "bundle.param" -> max guarded relative error
     n_tokens: int
     seed: int
+    # "bundle.param" -> max |analytic - numeric|, which shows the margin
+    # to the bound where the noise floor makes the relative error 0
+    abs_diffs: dict = field(default_factory=dict)
 
     @property
     def max_error(self):
@@ -345,7 +348,8 @@ def gradient_check(spec, seed, n_tokens, v_d=9):
     """Analytic windowed-BPTT gradients vs central differences.
 
     Reports the max relative error per parameter block, with absolute
-    differences below the noise floor treated as exact agreement.
+    differences below the noise floor treated as exact agreement, and
+    the max absolute difference per block.
     """
     rng = linalg.SeededRng(seed)
     params = init_model(spec, rng)
@@ -353,11 +357,11 @@ def gradient_check(spec, seed, n_tokens, v_d=9):
     golds = [rng.randint(spec.n_tags) for _ in range(n_tokens)]
 
     acc = analytic_total_grads(spec, params, xs, golds, v_d)
-    blocks = {}
+    blocks, abs_diffs = {}, {}
     for bundle in sorted(params):
         for name in sorted(params[bundle]):
             p = params[bundle][name]
-            worst = 0.0
+            worst = worst_abs = 0.0
             flat = p.reshape(-1)
             gflat = acc[bundle][name].reshape(-1)
             for j in range(flat.shape[0]):
@@ -369,5 +373,8 @@ def gradient_check(spec, seed, n_tokens, v_d=9):
                 flat[j] = keep
                 numeric = (up - down) / (2.0 * FD_STEP)
                 worst = max(worst, _guarded_rel_err(float(gflat[j]), numeric))
+                worst_abs = max(worst_abs, abs(float(gflat[j]) - numeric))
             blocks["%s.%s" % (bundle, name)] = worst
-    return GradCheckReport(blocks=blocks, n_tokens=n_tokens, seed=seed)
+            abs_diffs["%s.%s" % (bundle, name)] = worst_abs
+    return GradCheckReport(blocks=blocks, n_tokens=n_tokens, seed=seed,
+                           abs_diffs=abs_diffs)

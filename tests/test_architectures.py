@@ -101,14 +101,14 @@ class TestEncodeForward:
         from rnntagger.cells import init_params
         p = init_params(cell.param_shapes(4, 3, 2, CFG), rng)
         x = rng.uniform(4, -1, 1)
-        states = run_chain(cell, p, None, x[None], CFG, 3, 2).states
+        states = run_chain(cell, p, None, [x[None]], CFG, 3, 2)[0].states
         assert np.array_equal(states[0], first_state(cell, p, x, 3))
 
     def test_severed_recurrence_is_feedforward(self):
         p = {"U": np.array([[1.0, -1.0]]), "V": np.zeros((1, 1))}
         xs = [np.array([0.3, 0.1]), np.array([-0.5, 0.2]), np.array([0.9, 0.9])]
-        states = run_chain(cell_for(ELMAN), p, None, xs, CFG, 1, 1).states
-        flipped = run_chain(cell_for(ELMAN), p, None, list(reversed(xs)), CFG, 1, 1).states
+        states = run_chain(cell_for(ELMAN), p, None, [xs], CFG, 1, 1)[0].states
+        flipped = run_chain(cell_for(ELMAN), p, None, [list(reversed(xs))], CFG, 1, 1)[0].states
         assert np.allclose(states, list(reversed(flipped)), atol=0)
 
     def test_three_step_scalar_chain_oracle(self):
@@ -118,7 +118,7 @@ class TestEncodeForward:
         h1 = phi(0.5)
         h2 = phi(-0.25 + 2 * h1)
         h3 = phi(1.0 + 2 * h2)
-        states = run_chain(cell_for(ELMAN), p, None, xs, CFG, 1, 1).states
+        states = run_chain(cell_for(ELMAN), p, None, [xs], CFG, 1, 1)[0].states
         assert [s[0] for s in states] == pytest.approx([h1, h2, h3], abs=1e-15)
 
 
@@ -138,7 +138,7 @@ class TestEncodeBackward:
         xs = rand_xs(SeededRng(6), 4, 3)
         r = encode(spec, params, xs).r
         run = run_chain(cell_for(ELMAN), params["encoder_bwd"], None,
-                        list(reversed(xs)), CFG, 2, 2)
+                        [list(reversed(xs))], CFG, 2, 2)[0]
         expect = list(reversed(run.states))
         assert all(np.array_equal(a, b) for a, b in zip(r, expect))
 
@@ -197,7 +197,7 @@ class TestContextual:
         assert np.allclose(enc.c_n, 0.5, atol=0)
         shift = params["context"]["S"] @ np.full(3, 0.5)
         manual = run_chain(cell_for(ELMAN), params["decoder"], params["decoder_out"],
-                           xs, CFG, 3, 2, extra=shift)
+                           [xs], CFG, 3, 2, extras=[shift])[0]
         dists = full_forward(spec, params, xs)
         for o, m in zip(dists, manual.dists):
             assert np.allclose(o, m, atol=0)

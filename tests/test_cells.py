@@ -38,7 +38,7 @@ def step(cell, p, x, carry, cfg=CFG, extra=None):
 
 def elman_states(p, xs):
     hidden = p["V"].shape[0]
-    return run_chain(ElmanCell, p, None, np.array(xs), CFG, hidden, 1).states
+    return run_chain(ElmanCell, p, None, [np.array(xs)], CFG, hidden, 1)[0].states
 
 
 class TestElmanStep:
@@ -239,7 +239,7 @@ def chain_model(kind, seed, cfg):
 
 
 def run(cell, params, out, xs, cfg, extra=None):
-    return run_chain(cell, params, out, xs, cfg, HIDDEN, N_OUT, extra)
+    return run_chain(cell, params, out, [xs], cfg, HIDDEN, N_OUT, [extra])[0]
 
 
 def backward(cell, params, out, chain, g, cfg):

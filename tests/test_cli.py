@@ -359,6 +359,7 @@ def test_gradcheck_single_combo_passes(capsys):
                       "--tokens", "3"], capsys)
     assert rc == 0
     assert "passed" in out
+    assert "max absolute difference: " in out
 
 
 def test_gradcheck_grid_covers_all_archs(capsys):

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rnntagger import linalg
@@ -31,6 +31,48 @@ def test_sigmoid_extreme_inputs_do_not_overflow():
 def test_sigmoid_symmetry(x):
     s = sigmoid(np.array([x, -x]))
     assert abs(s[0] + s[1] - 1.0) < 1e-15
+
+
+def masked_sigmoid(x):
+    """The boolean-mask formula sigmoid used before, kept as its oracle."""
+    x = np.asarray(x, dtype=np.float64)
+    out = np.empty_like(x)
+    pos = x >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    ex = np.exp(x[~pos])
+    out[~pos] = ex / (1.0 + ex)
+    return out
+
+
+SIGMOID_EDGES = [0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, -5e-324,
+                 2.2e-308, -2.2e-308, 36.7, -36.7, 709.8, -745.2, 800.0, -800.0]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.one_of(st.floats(), st.sampled_from(SIGMOID_EDGES)), max_size=40),
+       st.booleans())
+def test_sigmoid_matches_masked_formula_bitwise(values, as_rows):
+    x = np.array(values, dtype=np.float64)
+    if as_rows and len(x) % 2 == 0:
+        x = x.reshape(2, -1)
+    got, want = sigmoid(x), masked_sigmoid(x)
+    assert got.shape == want.shape
+    nan = np.isnan(want)
+    assert np.array_equal(np.isnan(got), nan)
+    assert np.array_equal(got[~nan].view(np.uint64), want[~nan].view(np.uint64))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 30), st.integers(1, 120), st.integers(1, 120), st.integers(0, 2**32))
+def test_rowwise_matches_vector_products_bitwise(n_rows, k, h, seed):
+    rng = SeededRng(seed)
+    m = rng.uniform(h * k, -1, 1).reshape(h, k)
+    c = rng.uniform(n_rows * k, -1, 1).reshape(n_rows, k)
+    out = linalg.rowwise(c, m)
+    assert out.shape == (n_rows, h)
+    for row, got in zip(c, out):
+        assert np.array_equal(got, m @ row)
+    assert np.array_equal(linalg.rowwise(c[0], m), m @ c[0])
 
 
 def test_softmax_known_distribution():

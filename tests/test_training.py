@@ -13,6 +13,7 @@ from rnntagger.representation import EmbeddingTable, FeatureConfig
 from rnntagger.tagging import BIO2, make_tagset
 from rnntagger import training
 from rnntagger.training import (
+    FD_NOISE,
     ExampleWindow,
     TrainConfig,
     analytic_total_grads,
@@ -466,6 +467,16 @@ def test_gradient_check_reports_every_block():
     report = gradient_check(spec, seed=42, n_tokens=4)
     assert set(report.blocks) == {"decoder.U", "decoder.V", "decoder_out.W"}
     assert report.n_tokens == 4 and report.seed == 42
+
+
+def test_gradient_check_reports_absolute_differences():
+    # every difference here is under the noise floor, so the relative
+    # errors read 0; the absolute differences still show the margin
+    spec = ModelSpec(arch="basic", n_in=6, hidden=5, n_tags=3, decoder_cell="ELMAN")
+    report = gradient_check(spec, seed=42, n_tokens=4)
+    assert report.max_error == 0.0
+    assert set(report.abs_diffs) == set(report.blocks)
+    assert all(0.0 < d <= FD_NOISE for d in report.abs_diffs.values())
 
 
 def test_gradient_check_best_bidirectional_combo():
