@@ -33,13 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
-from .cells import (
-    CellConfig,
-    SoftmaxOutput,
-    cell_for,
-    init_params,
-    zero_grads,
-)
+from .cells import SoftmaxOutput, cell_for, init_params, zero_grads
 
 BASIC = "basic"
 CONTEXTUAL = "contextual"
@@ -57,8 +51,6 @@ class ModelSpec:
     decoder_cell: str = None
     encoder_cell: str = None
     mesnil_k: int = 1
-    bias: bool = False
-    gru_candidate: str = "sigmoid"
 
     def __post_init__(self):
         if self.arch not in ARCHS:
@@ -81,10 +73,6 @@ class ModelSpec:
             if self.arch == CONTEXTUAL and enc.carries_output:
                 raise ValueError(
                     "contextual encoder must be Elman-family, got %r" % self.encoder_cell)
-
-    @property
-    def cell_config(self):
-        return CellConfig(bias=self.bias, candidate=self.gru_candidate)
 
     @property
     def enc_state_dim(self):
@@ -118,25 +106,24 @@ class ModelSpec:
 
 def bundle_shapes(spec):
     """name -> {param -> shape} for every parameter bundle of the model."""
-    cfg = spec.cell_config
     shapes = {}
     if spec.arch != MESNIL:
         dec = cell_for(spec.decoder_cell)
-        shapes["decoder"] = dec.param_shapes(spec.dec_input_dim, spec.hidden, spec.n_tags, cfg)
-        shapes["decoder_out"] = SoftmaxOutput.param_shapes(spec.hidden, spec.n_tags, cfg)
+        shapes["decoder"] = dec.param_shapes(spec.dec_input_dim, spec.hidden, spec.n_tags)
+        shapes["decoder_out"] = SoftmaxOutput.param_shapes(spec.hidden, spec.n_tags)
     if spec.arch == CONTEXTUAL:
         enc = cell_for(spec.encoder_cell)
-        shapes["encoder_fwd"] = enc.param_shapes(spec.n_in, spec.hidden, spec.n_tags, cfg)
+        shapes["encoder_fwd"] = enc.param_shapes(spec.n_in, spec.hidden, spec.n_tags)
         shapes["context"] = {"S": (spec.hidden, spec.enc_state_dim)}
     if spec.arch in (BIDIRECTIONAL, MESNIL):
         enc = cell_for(spec.encoder_cell)
         for d in ("fwd", "bwd"):
-            shapes["encoder_%s" % d] = enc.param_shapes(spec.n_in, spec.hidden, spec.n_tags, cfg)
+            shapes["encoder_%s" % d] = enc.param_shapes(spec.n_in, spec.hidden, spec.n_tags)
             if spec.encoder_has_output:
                 shapes["encoder_%s_out" % d] = SoftmaxOutput.param_shapes(
-                    spec.hidden, spec.n_tags, cfg)
+                    spec.hidden, spec.n_tags)
     if spec.arch == MESNIL:
-        shapes["mesnil_out"] = SoftmaxOutput.param_shapes(spec.beta_dim, spec.n_tags, cfg)
+        shapes["mesnil_out"] = SoftmaxOutput.param_shapes(spec.beta_dim, spec.n_tags)
     return shapes
 
 
@@ -169,7 +156,7 @@ class ChainRun:
         return np.vstack([np.zeros((1, self.states.shape[1])), self.states[:-1]])
 
 
-def run_chain(cell, params, out_params, xss, cfg, hidden, n_tags, extras=None):
+def run_chain(cell, params, out_params, xss, hidden, n_tags, extras=None):
     """Left-to-right recurrences from a zero initial carry, one over the
     rows of each array in xss, all stepped together; returns one ChainRun
     per array, in the order given.
@@ -185,7 +172,7 @@ def run_chain(cell, params, out_params, xss, cfg, hidden, n_tags, extras=None):
     if extras is None:
         extras = [None] * len(xss)
     order = sorted(range(len(xss)), key=lambda b: -len(xss[b]))
-    projs = [cell.project(params, xss[b], cfg, extras[b]) for b in order]
+    projs = [cell.project(params, xss[b], extras[b]) for b in order]
     lengths = [len(p) for p in projs]
     steps = lengths[0]
     # a_i: how many chains are longer than i
@@ -198,11 +185,11 @@ def run_chain(cell, params, out_params, xss, cfg, hidden, n_tags, extras=None):
     dists = np.empty((steps, len(projs), n_tags)) if cell.carries_output else None
     carry = linalg.zeros((len(projs), cell.carry_dim(hidden, n_tags)))
     for i, a in enumerate(active):
-        mid[i, :, :a] = cell.step(params, proj[i, :a], carry[:a], cfg)
+        mid[i, :, :a] = cell.step(params, proj[i, :a], carry[:a])
         if cell.carries_output:
             # a (a, 1, H) block: one output product per row, as in the step
             carry = dists[i, :a] = SoftmaxOutput.step(
-                out_params, mid[i, -1, :a, None], cfg)[:, 0]
+                out_params, mid[i, -1, :a, None])[:, 0]
         else:
             carry = mid[i, -1, :a]
     runs = [None] * len(xss)
@@ -213,13 +200,13 @@ def run_chain(cell, params, out_params, xss, cfg, hidden, n_tags, extras=None):
         else:
             states = chain_mid[:, -1]
             chain_dists = (None if out_params is None
-                           else SoftmaxOutput.step(out_params, states, cfg))
+                           else SoftmaxOutput.step(out_params, states))
         runs[b] = ChainRun(xs=xss[b], mid=chain_mid, states=states, dists=chain_dists,
                            has_extra=extras[b] is not None)
     return runs
 
 
-def chain_backward(cell, params, out_params, run, cfg, acc, acc_out,
+def chain_backward(cell, params, out_params, run, acc, acc_out,
                    dstates=None, dlogits=None):
     """BPTT over one chain.
 
@@ -237,7 +224,7 @@ def chain_backward(cell, params, out_params, run, cfg, acc, acc_out,
         dlogits = np.zeros_like(run.dists) if dlogits is None else dlogits.copy()
     elif dlogits is not None:
         dh_out = SoftmaxOutput.backward_from_logits(
-            out_params, run.hidden, dlogits, cfg, acc_out)
+            out_params, run.hidden, dlogits, acc_out)
     dpre = np.empty((m, cell.n_dpre, hidden))
     dcarry = np.zeros(run.states.shape[1])
     for i in reversed(range(m)):
@@ -247,10 +234,10 @@ def chain_backward(cell, params, out_params, run, cfg, acc, acc_out,
             dh = dlogits[i] @ out_params["W"]
         else:
             dh = dstate if dlogits is None else dstate + dh_out[i]
-        dcarry, dpre[i] = cell.backward(params, run.mid[i], dh, cfg)
+        dcarry, dpre[i] = cell.backward(params, run.mid[i], dh)
     if cell.carries_output:
-        SoftmaxOutput.backward_from_logits(out_params, run.hidden, dlogits, cfg, acc_out)
-    dxs, dextra = cell.grads(params, run, dpre, cfg, acc)
+        SoftmaxOutput.backward_from_logits(out_params, run.hidden, dlogits, acc_out)
+    dxs, dextra = cell.grads(params, run, dpre, acc)
     return dxs, dextra.sum(axis=0) if run.has_extra else None
 
 
@@ -274,13 +261,12 @@ def encode_batch(spec, params, xss):
     xss = [np.asarray(xs, dtype=np.float64) for xs in xss]
     if any(len(xs) < 1 for xs in xss):
         raise ValueError("cannot encode an empty sentence")
-    cfg = spec.cell_config
     encs = [Encoded(xs=xs, dec_inputs=xs) for xs in xss]
     if spec.arch == BASIC:
         return encs
     cell = cell_for(spec.encoder_cell)
     fwd = run_chain(cell, params["encoder_fwd"], params.get("encoder_fwd_out"),
-                    xss, cfg, spec.hidden, spec.n_tags)
+                    xss, spec.hidden, spec.n_tags)
     if spec.arch == CONTEXTUAL:
         for enc, run in zip(encs, fwd):
             enc.enc_fwd = run
@@ -288,7 +274,7 @@ def encode_batch(spec, params, xss):
             enc.extra = params["context"]["S"] @ enc.c_n
         return encs
     bwd = run_chain(cell, params["encoder_bwd"], params.get("encoder_bwd_out"),
-                    [xs[::-1] for xs in xss], cfg, spec.hidden, spec.n_tags)
+                    [xs[::-1] for xs in xss], spec.hidden, spec.n_tags)
     for enc, run_f, run_b in zip(encs, fwd, bwd):
         enc.enc_fwd, enc.enc_bwd = run_f, run_b
         enc.l = run_f.states
@@ -346,17 +332,16 @@ def decode_batch(spec, params, encs, windows):
         n = len(enc.dec_inputs)
         if not (0 <= lo <= hi < n):
             raise ValueError("window [%d, %d] out of range for %d positions" % (lo, hi, n))
-    cfg = spec.cell_config
     if spec.arch == MESNIL:
         # positions are independent: classify all of a sentence's
         # positions in one product and slice, so a position's
         # distribution has the same bits whichever window asks for it
-        return [DecodeRun(dists=SoftmaxOutput.step(params["mesnil_out"], enc.dec_inputs,
-                                                   cfg)[lo : hi + 1], lo=lo, hi=hi)
+        return [DecodeRun(dists=SoftmaxOutput.step(params["mesnil_out"],
+                                                   enc.dec_inputs)[lo : hi + 1], lo=lo, hi=hi)
                 for enc, (lo, hi) in zip(encs, windows)]
     runs = run_chain(cell_for(spec.decoder_cell), params["decoder"], params["decoder_out"],
                      [enc.dec_inputs[lo : hi + 1] for enc, (lo, hi) in zip(encs, windows)],
-                     cfg, spec.hidden, spec.n_tags, extras=[enc.extra for enc in encs])
+                     spec.hidden, spec.n_tags, extras=[enc.extra for enc in encs])
     return [DecodeRun(dists=run.dists, lo=lo, hi=hi, run=run)
             for run, (lo, hi) in zip(runs, windows)]
 
@@ -372,15 +357,14 @@ def backward_window(spec, params, enc, dec, dlogits, acc):
     Accumulates parameter gradients into acc and returns the (n, I)
     input gradients, zero rows where no gradient reached.
     """
-    cfg = spec.cell_config
     window = slice(dec.lo, dec.hi + 1)
     if spec.arch == MESNIL:
         d_dec = SoftmaxOutput.backward_from_logits(
-            params["mesnil_out"], enc.dec_inputs[window], dlogits, cfg, acc["mesnil_out"])
+            params["mesnil_out"], enc.dec_inputs[window], dlogits, acc["mesnil_out"])
     else:
         d_dec, dextra = chain_backward(
             cell_for(spec.decoder_cell), params["decoder"], params["decoder_out"], dec.run,
-            cfg, acc["decoder"], acc["decoder_out"], dlogits=dlogits)
+            acc["decoder"], acc["decoder_out"], dlogits=dlogits)
 
     dxs = np.zeros_like(enc.xs)
     if spec.arch in (BASIC, CONTEXTUAL):
@@ -404,8 +388,8 @@ def _encoder_backward(spec, params, name, run, dstates, acc):
     """BPTT through one encoder chain; returns its input gradients."""
     out = name + "_out"   # the Jordan family's own output layer, if any
     dxs, _ = chain_backward(
-        cell_for(spec.encoder_cell), params[name], params.get(out), run, spec.cell_config,
-        acc[name], acc.get(out), dstates=dstates)
+        cell_for(spec.encoder_cell), params[name], params.get(out), run, acc[name],
+        acc.get(out), dstates=dstates)
     return dxs
 
 

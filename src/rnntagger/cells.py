@@ -26,12 +26,9 @@ part of the recurrence that needs the carry:
                and the gradients of the pre-activation an additive
                extra term enters.
 
-Faithful to the update rules as given: no bias terms unless the config
-flag turns them on, and the GRU candidate activation is the logistic
-sigmoid by default (tanh available behind the same config).
+Faithful to the update rules as given: no cell or output layer has a
+bias term, and the GRU candidate activation is the logistic sigmoid.
 """
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -43,28 +40,6 @@ JORDAN = "JORDAN"
 ELMAN_GRU = "ELMAN_GRU"
 JORDAN_GRU = "JORDAN_GRU"
 SOFTMAX = "SOFTMAX"
-
-
-@dataclass
-class CellConfig:
-    bias: bool = False
-    candidate: str = "sigmoid"  # GRU candidate activation
-
-    def __post_init__(self):
-        if self.candidate not in ("sigmoid", "tanh"):
-            raise ValueError("candidate must be sigmoid or tanh, got %r" % self.candidate)
-
-
-def _candidate(pre, cfg):
-    if cfg.candidate == "tanh":
-        return np.tanh(pre)
-    return sigmoid(pre)
-
-
-def _candidate_grad(c, cfg):
-    if cfg.candidate == "tanh":
-        return 1.0 - c * c
-    return c * (1.0 - c)
 
 
 def _cell_class(name, kind, carries_output, doc, n_mid, n_dpre,
@@ -92,34 +67,27 @@ def _cell_class(name, kind, carries_output, doc, n_mid, n_dpre,
 
 def _plain_cell(name, kind, carries_output, doc):
     # intermediates per position: (h,); pre-activation gradients: (dpre,)
-    def param_shapes(n_in, hidden, n_out, cfg):
-        shapes = {"U": (hidden, n_in), "V": (hidden, n_out if carries_output else hidden)}
-        if cfg.bias:
-            shapes["b"] = (hidden,)
-        return shapes
+    def param_shapes(n_in, hidden, n_out):
+        return {"U": (hidden, n_in), "V": (hidden, n_out if carries_output else hidden)}
 
-    def project(p, X, cfg, extra):
+    def project(p, X, extra):
         pre = X @ p["U"].T
-        if cfg.bias:
-            pre += p["b"]
         if extra is not None:
             pre += extra
         return pre
 
-    def step(p, proj, carry, cfg):
+    def step(p, proj, carry):
         return (sigmoid(proj + rowwise(carry, p["V"])),)
 
-    def backward(p, mid, dh, cfg):
+    def backward(p, mid, dh):
         (h,) = mid
         dpre = dh * h * (1.0 - h)
         return p["V"].T @ dpre, (dpre,)
 
-    def grads(p, run, dpre, cfg, acc):
+    def grads(p, run, dpre, acc):
         dpre = dpre[:, 0]
         acc["U"] += dpre.T @ run.xs
         acc["V"] += dpre.T @ run.carries
-        if cfg.bias:
-            acc["b"] += dpre.sum(axis=0)
         return dpre @ p["U"], dpre
 
     return _cell_class(name, kind, carries_output, doc, 1, 1,
@@ -127,28 +95,24 @@ def _plain_cell(name, kind, carries_output, doc):
 
 
 def _gated_cell(name, kind, carries_output, doc):
-    # the candidate weights are W_h/U_h/b_h over h_prev and W_o/U_o/b_o
-    # over o_prev; model files store them under these names
-    W, U, B = ("W_o", "U_o", "b_o") if carries_output else ("W_h", "U_h", "b_h")
-    # input weights, recurrent weights and bias of the candidate and the
-    # two gates, in the row order of the projections and of dpre
-    parts = ((W, U, B), ("W_z", "U_z", "b_z"), ("W_r", "U_r", "b_r"))
+    # the candidate weights are W_h/U_h over h_prev and W_o/U_o over
+    # o_prev; model files store them under these names
+    W, U = ("W_o", "U_o") if carries_output else ("W_h", "U_h")
+    # input and recurrent weights of the candidate and the two gates, in
+    # the row order of the projections and of dpre
+    parts = ((W, U), ("W_z", "U_z"), ("W_r", "U_r"))
 
-    def param_shapes(n_in, hidden, n_out, cfg):
+    def param_shapes(n_in, hidden, n_out):
         shapes = {
             W: (hidden, n_in), "W_z": (hidden, n_in), "W_r": (hidden, n_in),
             U: (hidden, hidden), "U_z": (hidden, hidden), "U_r": (hidden, hidden),
         }
         if carries_output:
             shapes["T"] = (hidden, n_out)
-        if cfg.bias:
-            shapes.update({B: (hidden,), "b_z": (hidden,), "b_r": (hidden,)})
         return shapes
 
-    def project(p, X, cfg, extra):
-        proj = np.stack([X @ p[w].T for w, _, _ in parts], axis=1)
-        if cfg.bias:
-            proj += np.stack([p[b] for _, _, b in parts])
+    def project(p, X, extra):
+        proj = np.stack([X @ p[w].T for w, _ in parts], axis=1)
         if extra is not None:
             # the additive context term enters the candidate only, not the gates
             proj[:, 0] += extra
@@ -157,17 +121,19 @@ def _gated_cell(name, kind, carries_output, doc):
     # intermediates per position: t (the state the gates read: the carry,
     # or T @ carry), r, z, rt = r * t, the candidate c, and h; pre-activation
     # gradients: candidate, z, r, and the Jordan GRU's dt for T
-    def step(p, proj, carry, cfg):
+    def step(p, proj, carry):
         t = rowwise(carry, p["T"]) if carries_output else carry
         r = sigmoid(proj[..., 2, :] + rowwise(t, p["U_r"]))
         z = sigmoid(proj[..., 1, :] + rowwise(t, p["U_z"]))
         rt = r * t
-        c = _candidate(proj[..., 0, :] + rowwise(rt, p[U]), cfg)
+        c = sigmoid(proj[..., 0, :] + rowwise(rt, p[U]))
         return t, r, z, rt, c, z * c + (1.0 - z) * t
 
-    def backward(p, mid, dh, cfg):
+    def backward(p, mid, dh):
         t, r, z, _, c, _ = mid
-        dpre_c = dh * z * _candidate_grad(c, cfg)
+        # the sigmoid's derivative c * (1 - c) stays one factor:
+        # multiplying it in term by term rounds differently
+        dpre_c = dh * z * (c * (1.0 - c))
         drt = p[U].T @ dpre_c
         dpre_z = dh * (c - t) * z * (1.0 - z)
         dpre_r = drt * t * r * (1.0 - r)
@@ -176,15 +142,13 @@ def _gated_cell(name, kind, carries_output, doc):
             return p["T"].T @ dt, (dpre_c, dpre_z, dpre_r, dt)
         return dt, (dpre_c, dpre_z, dpre_r)
 
-    def grads(p, run, dpre, cfg, acc):
+    def grads(p, run, dpre, acc):
         t, rt = run.mid[:, 0], run.mid[:, 3]
         dX = 0.0
-        for j, ((w, u, b), rec) in enumerate(zip(parts, (rt, t, t))):
+        for j, ((w, u), rec) in enumerate(zip(parts, (rt, t, t))):
             d = dpre[:, j]
             acc[w] += d.T @ run.xs
             acc[u] += d.T @ rec
-            if cfg.bias:
-                acc[b] += d.sum(axis=0)
             dX = dX + d @ p[w]
         if carries_output:
             acc["T"] += dpre[:, 3].T @ run.carries
@@ -207,7 +171,7 @@ ElmanGruCell = _gated_cell(
     """Gated variant of the Elman cell.
 
     r_i = Φ(W_r x_i + U_r h_prev), z_i = Φ(W_z x_i + U_z h_prev),
-    cand = act(W_h x_i + U_h (r_i * h_prev)),
+    cand = Φ(W_h x_i + U_h (r_i * h_prev)),
     h_i = z_i * cand + (1 - z_i) * h_prev.
     """)
 
@@ -230,18 +194,12 @@ class SoftmaxOutput:
     kind = SOFTMAX
 
     @staticmethod
-    def param_shapes(hidden, n_out, cfg):
-        shapes = {"W": (n_out, hidden)}
-        if cfg.bias:
-            shapes["b"] = (n_out,)
-        return shapes
+    def param_shapes(hidden, n_out):
+        return {"W": (n_out, hidden)}
 
     @staticmethod
-    def step(p, h, cfg):
-        logits = h @ p["W"].T
-        if cfg.bias:
-            logits = logits + p["b"]
-        return softmax(logits)
+    def step(p, h):
+        return softmax(h @ p["W"].T)
 
     @staticmethod
     def logit_grad(o, do):
@@ -249,13 +207,11 @@ class SoftmaxOutput:
         return o * (do - np.dot(do, o))
 
     @staticmethod
-    def backward_from_logits(p, H, dlogits, cfg, acc):
+    def backward_from_logits(p, H, dlogits, acc):
         """Given d(loss)/d(logits) of every row of H (softmax + nll
         collapses to o - onehot(y)), accumulate the layer's gradients
         and return d(loss)/dH."""
         acc["W"] += dlogits.T @ H
-        if cfg.bias:
-            acc["b"] += dlogits.sum(axis=0)
         return dlogits @ p["W"]
 
 
@@ -269,17 +225,11 @@ def cell_for(kind):
 
 
 def init_params(shapes, rng):
-    """Uniform init, radius scaled per matrix by its fan-in/fan-out;
-    bias vectors start at zero."""
-    params = {}
-    for name in sorted(shapes):
-        shape = shapes[name]
-        if len(shape) == 1:
-            params[name] = linalg.zeros(shape)
-        else:
-            radius = linalg.glorot_radius(shape[1], shape[0])
-            params[name] = linalg.uniform_init(rng, shape, radius)
-    return params
+    """Uniform init, radius scaled per matrix by its fan-in/fan-out,
+    drawn in sorted name order."""
+    return {name: linalg.uniform_init(rng, shapes[name],
+                                      linalg.glorot_radius(shapes[name][1], shapes[name][0]))
+            for name in sorted(shapes)}
 
 
 def zero_grads(params):

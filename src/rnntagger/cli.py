@@ -12,7 +12,7 @@ import sys
 
 from . import architectures
 from .architectures import ModelSpec, init_model
-from .corpus import build_vocab, load_conll, load_lexicon, write_conll
+from .corpus import build_vocab, load_conll, load_lexicon, read_lines, write_conll
 from .evaluation import format_kv, format_table, score
 from .linalg import SeededRng
 from .model import Model, tag_corpus
@@ -153,16 +153,16 @@ def build_parser():
 
 
 def _read_config_file(path):
+    """key -> (value, line number); a later line for a key wins."""
     entries = {}
-    with open(path, encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, 1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "=" not in line:
-                raise UsageError("%s:%d: expected key=value" % (path, lineno))
-            key, val = line.split("=", 1)
-            entries[key.strip()] = val.strip()
+    for lineno, raw in read_lines(path):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        if "=" not in line:
+            raise UsageError("%s:%d: expected key=value" % (path, lineno))
+        key, val = line.split("=", 1)
+        entries[key.strip()] = (val.strip(), lineno)
     return entries
 
 
@@ -170,9 +170,10 @@ def _namespace_from_config(cmd_parser, path):
     entries = _read_config_file(path)
     actions = {a.dest: a for a in cmd_parser._actions}
     ns = argparse.Namespace()
-    for key, val in entries.items():
+    for key, (val, lineno) in entries.items():
+        where = "%s:%d: config key %r" % (path, lineno, key)
         if key not in actions or key in ("help", "config"):
-            raise UsageError("unknown config key %r in %s" % (key, path))
+            raise UsageError("%s is unknown" % where)
         a = actions[key]
         try:
             if a.nargs in ("*", "+"):
@@ -182,10 +183,10 @@ def _namespace_from_config(cmd_parser, path):
             else:
                 value = val
         except (ValueError, argparse.ArgumentTypeError) as e:
-            raise UsageError("config key %r: %s" % (key, e))
+            raise UsageError("%s: %s" % (where, e))
         if a.choices and value not in a.choices:
-            raise UsageError("config key %r: %r is not one of %s"
-                             % (key, value, sorted(a.choices)))
+            raise UsageError("%s: %r is not one of %s"
+                             % (where, value, sorted(a.choices)))
         setattr(ns, key, value)
     return ns
 
@@ -275,6 +276,19 @@ def _detect_or_named_scheme(name, sentences):
 
 def cmd_train(args):
     _require(args, "train_path", "out_model")
+    hidden = args.hidden if args.hidden is not None else PROFILES[args.profile]["hidden"]
+    lr = (args.learning_rate if args.learning_rate is not None
+          else PROFILES[args.profile]["learning_rate"])
+    try:
+        tcfg = TrainConfig(learning_rate=lr, epochs=args.epochs, v_d=args.v_d,
+                           v_c=args.v_c, hidden=hidden, seed=args.seed,
+                           shuffle=args.shuffle,
+                           fine_tune_embeddings=args.fine_tune_embeddings,
+                           dev_eval_every=args.dev_eval_every, clip=args.clip,
+                           clip_threshold=args.clip_threshold)
+    except ValueError as e:
+        raise UsageError(str(e))
+
     train_sents = load_conll(args.train_path)
     if not train_sents:
         raise ValueError("no sentences in %s" % args.train_path)
@@ -286,10 +300,6 @@ def cmd_train(args):
     if not types:
         raise ValueError("training data contains no mention spans")
     tagset = make_tagset(types, scheme)
-
-    hidden = args.hidden if args.hidden is not None else PROFILES[args.profile]["hidden"]
-    lr = (args.learning_rate if args.learning_rate is not None
-          else PROFILES[args.profile]["learning_rate"])
 
     rng = SeededRng(args.seed)
     if args.embeddings:
@@ -314,12 +324,6 @@ def cmd_train(args):
                          decoder_cell=_cell_kind(decoder),
                          encoder_cell=_cell_kind(args.encoder),
                          mesnil_k=args.mesnil_k)
-        tcfg = TrainConfig(learning_rate=lr, epochs=args.epochs, v_d=args.v_d,
-                           v_c=args.v_c, hidden=hidden, seed=args.seed,
-                           shuffle=args.shuffle,
-                           fine_tune_embeddings=args.fine_tune_embeddings,
-                           dev_eval_every=args.dev_eval_every, clip=args.clip,
-                           clip_threshold=args.clip_threshold)
     except ValueError as e:
         raise UsageError(str(e))
 

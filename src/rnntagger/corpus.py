@@ -5,12 +5,26 @@ import re
 from collections import Counter
 from dataclasses import dataclass, field
 
+from .tagging import split_tag
+
 PAD = "<pad>"
 UNK = "<unk>"
 PAD_INDEX = 0
 UNK_INDEX = 1
 
 _DIGITS = re.compile(r"\d")
+
+
+def read_lines(path):
+    """(line number from 1, text) of every line of a UTF-8 file.  Each
+    line is decoded on its own, so a line that is not UTF-8 is a
+    ValueError naming the file and the line."""
+    with open(path, "rb") as fh:
+        for lineno, raw in enumerate(fh, 1):
+            try:
+                yield lineno, raw.decode("utf-8")
+            except UnicodeDecodeError as e:
+                raise ValueError("%s:%d: not UTF-8: %s" % (path, lineno, e)) from None
 
 
 @dataclass
@@ -34,18 +48,14 @@ class Sentence:
         return [t.gold_tag for t in self.tokens]
 
 
-def normalize(surface, lowercase=True, digits_to_zero=True):
-    """Canonical form used for vocabulary and embedding lookup.
+def normalize(surface):
+    """Canonical form used for vocabulary and embedding lookup: lowercased,
+    every digit folded to 0.
 
     Case information is not lost: the capitalization feature channel
     carries it separately.
     """
-    s = surface
-    if lowercase:
-        s = s.lower()
-    if digits_to_zero:
-        s = _DIGITS.sub("0", s)
-    return s
+    return _DIGITS.sub("0", surface.lower())
 
 
 @dataclass
@@ -54,8 +64,6 @@ class Vocabulary:
 
     index_to_word: list = field(default_factory=lambda: [PAD, UNK])
     word_to_index: dict = None
-    lowercase: bool = True
-    digits_to_zero: bool = True
 
     def __post_init__(self):
         if self.word_to_index is None:
@@ -65,16 +73,10 @@ class Vocabulary:
         return len(self.index_to_word)
 
     def __contains__(self, surface):
-        return self._key(surface) in self.word_to_index
-
-    def _key(self, surface):
-        return normalize(surface, self.lowercase, self.digits_to_zero)
+        return normalize(surface) in self.word_to_index
 
     def index(self, surface):
-        return self.word_to_index.get(self._key(surface), UNK_INDEX)
-
-    def word(self, i):
-        return self.index_to_word[i]
+        return self.word_to_index.get(normalize(surface), UNK_INDEX)
 
     def add(self, word):
         """Register an already-normalized word, returning its index."""
@@ -108,12 +110,14 @@ def load_conll(path, tagged=True):
 
     Blank lines end sentences; a leading ``-DOCSTART-`` token starts a
     new document (the line itself is not a token). With tagged=False the
-    tag column is ignored and gold_tag stays None.
+    tag column is ignored and gold_tag stays None; otherwise a tag that
+    is not O or a prefixed type is a ValueError naming the file and line.
     """
     sentences = []
     current = []
     doc_id = 0
     emitted_in_doc = 0
+    known_tags = set()   # checked once each
 
     def flush():
         nonlocal current, emitted_in_doc
@@ -122,31 +126,35 @@ def load_conll(path, tagged=True):
             current = []
             emitted_in_doc += 1
 
-    with open(path, encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line:
-                flush()
-                continue
-            cols = line.split()
-            if cols[0] == "-DOCSTART-":
-                flush()
-                if emitted_in_doc:
-                    doc_id += 1
-                    emitted_in_doc = 0
-                continue
-            tag = None
-            if tagged:
-                if len(cols) < 2:
-                    raise ValueError("%s line %d: no tag column after the token"
-                                     % (path, lineno))
-                tag = cols[-1]
-            current.append(Token(cols[0], tag))
+    for lineno, raw in read_lines(path):
+        cols = raw.split()
+        if not cols:
+            flush()
+            continue
+        if cols[0] == "-DOCSTART-":
+            flush()
+            if emitted_in_doc:
+                doc_id += 1
+                emitted_in_doc = 0
+            continue
+        tag = None
+        if tagged:
+            if len(cols) < 2:
+                raise ValueError("%s line %d: no tag column after the token"
+                                 % (path, lineno))
+            tag = cols[-1]
+            if tag not in known_tags:
+                try:
+                    split_tag(tag)
+                except ValueError as e:
+                    raise ValueError("%s:%d: %s" % (path, lineno, e)) from None
+                known_tags.add(tag)
+        current.append(Token(cols[0], tag))
     flush()
     return sentences
 
 
-def vocab_from_counts(freq, min_count=1, lowercase=True, digits_to_zero=True):
+def vocab_from_counts(freq, min_count=1):
     """Vocabulary of the normalized words seen at least min_count times.
 
     Index order is frequency descending with lexicographic tie-break, so
@@ -159,27 +167,25 @@ def vocab_from_counts(freq, min_count=1, lowercase=True, digits_to_zero=True):
         (w for w, c in freq.items() if c >= min_count),
         key=lambda w: (-freq[w], w),
     )
-    vocab = Vocabulary(lowercase=lowercase, digits_to_zero=digits_to_zero)
+    vocab = Vocabulary()
     for w in kept:
         vocab.add(w)
     return vocab
 
 
-def build_vocab(sentences, min_count=1, lowercase=True, digits_to_zero=True):
+def build_vocab(sentences, min_count=1):
     """Frequency-thresholded vocabulary over normalized surfaces."""
-    freq = Counter(normalize(tok.surface, lowercase, digits_to_zero)
-                   for sent in sentences for tok in sent.tokens)
-    return vocab_from_counts(freq, min_count, lowercase, digits_to_zero)
+    freq = Counter(normalize(tok.surface) for sent in sentences for tok in sent.tokens)
+    return vocab_from_counts(freq, min_count)
 
 
 def load_lexicon(path, name=None):
     """One phrase per line, lowercased, deduplicated."""
     entries = set()
-    with open(path, encoding="utf-8") as fh:
-        for raw in fh:
-            phrase = raw.strip()
-            if phrase:
-                entries.add(phrase.lower())
+    for _, raw in read_lines(path):
+        phrase = raw.strip()
+        if phrase:
+            entries.add(phrase.lower())
     if name is None:
         name = os.path.splitext(os.path.basename(path))[0]
     return Lexicon(name=name, entries=entries)

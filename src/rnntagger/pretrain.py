@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import linalg
-from .corpus import PAD_INDEX, UNK_INDEX, Vocabulary, normalize, vocab_from_counts
+from .corpus import PAD_INDEX, UNK_INDEX, Vocabulary, normalize, read_lines, vocab_from_counts
 from .representation import EmbeddingTable
 
 CBOW = "cbow"
@@ -44,8 +44,10 @@ class EmbedConfig:
                 raise ValueError("%s must be >= 1" % name)
         if self.epochs < 0:
             raise ValueError("epochs must be >= 0")
-        if self.subsample <= 0 or self.learning_rate <= 0:
-            raise ValueError("subsample and learning_rate must be > 0")
+        for name in ("subsample", "learning_rate"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0):
+                raise ValueError("%s must be finite and > 0, got %r" % (name, value))
 
 
 class UnigramTable:
@@ -222,15 +224,14 @@ def _predictions(objective, padded, pos, w):
     return [(cw, skipgram_grads, cw) for cw in context]
 
 
-def read_corpus(path, lowercase=True, digits_to_zero=True):
+def read_corpus(path):
     """One sentence per line, whitespace tokens, normalized the same way
     the tagging vocabulary is."""
     sentences = []
-    with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            words = [normalize(w, lowercase, digits_to_zero) for w in line.split()]
-            if words:
-                sentences.append(words)
+    for _, line in read_lines(path):
+        words = [normalize(w) for w in line.split()]
+        if words:
+            sentences.append(words)
     return sentences
 
 

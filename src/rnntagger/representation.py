@@ -10,7 +10,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import linalg
-from .corpus import PAD_INDEX, Vocabulary
+from .corpus import PAD_INDEX, Vocabulary, read_lines
 
 
 class EmbeddingTable:
@@ -42,9 +42,6 @@ class EmbeddingTable:
         m[PAD_INDEX] = 0.0
         return cls(vocab, dim, m)
 
-    def vector(self, surface):
-        return self.matrix[self.vocab.index(surface)]
-
     def add_grad(self, i, grad, lr):
         """SGD step on one row; PAD is frozen."""
         if not self.trainable or i == PAD_INDEX:
@@ -58,7 +55,7 @@ class EmbeddingTable:
                 fh.write(word + " " + " ".join(repr(float(v)) for v in self.matrix[i]) + "\n")
 
 
-def load_embeddings(path, lowercase=True, digits_to_zero=True):
+def load_embeddings(path):
     """Read the text format back into a table.
 
     Accepts files with or without the "count dim" header. Words absent
@@ -67,23 +64,22 @@ def load_embeddings(path, lowercase=True, digits_to_zero=True):
     wrong width, raises ValueError naming the file and line.
     """
     words, rows, linenos = [], [], []
-    with open(path, encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, 1):
-            parts = raw.split()
-            if not parts or (lineno == 1 and len(parts) == 2
-                             and all(p.isdigit() for p in parts)):
-                continue  # blank line, or the header
-            try:
-                row = [float(v) for v in parts[1:]]
-            except ValueError as e:
-                raise ValueError("%s:%d: row for %r: %s"
-                                 % (path, lineno, parts[0], e)) from None
-            if rows and len(row) != len(rows[0]):
-                raise ValueError("%s:%d: row for %r has %d values, expected %d"
-                                 % (path, lineno, parts[0], len(row), len(rows[0])))
-            words.append(parts[0])
-            rows.append(row)
-            linenos.append(lineno)
+    for lineno, raw in read_lines(path):
+        parts = raw.split()
+        if not parts or (lineno == 1 and len(parts) == 2
+                         and all(p.isdigit() for p in parts)):
+            continue  # blank line, or the header
+        try:
+            row = [float(v) for v in parts[1:]]
+        except ValueError as e:
+            raise ValueError("%s:%d: row for %r: %s"
+                             % (path, lineno, parts[0], e)) from None
+        if rows and len(row) != len(rows[0]):
+            raise ValueError("%s:%d: row for %r has %d values, expected %d"
+                             % (path, lineno, parts[0], len(row), len(rows[0])))
+        words.append(parts[0])
+        rows.append(row)
+        linenos.append(lineno)
     if not words:
         raise ValueError("%s: no embedding rows" % path)
     dim = len(rows[0])
@@ -94,7 +90,7 @@ def load_embeddings(path, lowercase=True, digits_to_zero=True):
         raise ValueError("%s:%d: row for %r holds a non-finite value"
                          % (path, linenos[i], words[i]))
 
-    vocab = Vocabulary(lowercase=lowercase, digits_to_zero=digits_to_zero)
+    vocab = Vocabulary()
     matrix = [None, None]
     for w, r in zip(words, rows):
         idx = vocab.add(w)

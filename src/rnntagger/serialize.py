@@ -19,6 +19,13 @@ from .representation import EmbeddingTable, FeatureConfig
 MODEL_FORMAT = "rnn-mention-tagger"
 MODEL_VERSION = 1
 
+# Keys every model file holds at one value: the model has no bias terms,
+# a sigmoid GRU candidate, and lowercased, digit-folded tokens.  They stay
+# in the format so files keep their bytes; a file with any other value
+# holds a model this code cannot run.
+FIXED_KEYS = (("spec", "bias", False), ("spec", "gru_candidate", "sigmoid"),
+              ("vocab", "lowercase", True), ("vocab", "digits_to_zero", True))
+
 
 def _lexicon_obj(lex):
     return {"name": lex.name, "entries": sorted(lex.entries)}
@@ -32,7 +39,7 @@ def _params_obj(params):
 def model_to_obj(model):
     spec = model.spec
     fconf = model.fconf
-    return {
+    obj = {
         "format": MODEL_FORMAT,
         "version": MODEL_VERSION,
         "spec": {
@@ -43,8 +50,6 @@ def model_to_obj(model):
             "decoder_cell": spec.decoder_cell,
             "encoder_cell": spec.encoder_cell,
             "mesnil_k": spec.mesnil_k,
-            "bias": spec.bias,
-            "gru_candidate": spec.gru_candidate,
         },
         "tagset": list(model.tagset),
         "scheme": model.scheme,
@@ -55,11 +60,7 @@ def model_to_obj(model):
             "trigger": _lexicon_obj(fconf.trigger) if fconf.trigger else None,
             "cache_tagset": list(fconf.cache_tagset) if fconf.cache_tagset else None,
         },
-        "vocab": {
-            "words": list(model.table.vocab.index_to_word),
-            "lowercase": model.table.vocab.lowercase,
-            "digits_to_zero": model.table.vocab.digits_to_zero,
-        },
+        "vocab": {"words": list(model.table.vocab.index_to_word)},
         "embedding": {
             "dim": model.table.dim,
             "trainable": model.table.trainable,
@@ -67,6 +68,9 @@ def model_to_obj(model):
         },
         "params": _params_obj(model.params),
     }
+    for section, key, value in FIXED_KEYS:
+        obj[section][key] = value
+    return obj
 
 
 def save_model(model, path):
@@ -118,11 +122,13 @@ def model_from_obj(obj):
 
 
 def _model_from_obj(obj):
-    spec = ModelSpec(**obj["spec"])
-    v = obj["vocab"]
-    vocab = Vocabulary(index_to_word=list(v["words"]),
-                       lowercase=v["lowercase"],
-                       digits_to_zero=v["digits_to_zero"])
+    for section, key, value in FIXED_KEYS:
+        got = obj[section][key]
+        if type(got) is not type(value) or got != value:
+            raise ValueError("%s.%s must be %r, got %r" % (section, key, value, got))
+    fixed = {(section, key) for section, key, _ in FIXED_KEYS}
+    spec = ModelSpec(**{k: v for k, v in obj["spec"].items() if ("spec", k) not in fixed})
+    vocab = Vocabulary(index_to_word=list(obj["vocab"]["words"]))
     emb = obj["embedding"]
     matrix = _array(emb["matrix"], "embedding.matrix", (len(vocab), emb["dim"]))
     table = EmbeddingTable(vocab, emb["dim"], matrix, trainable=emb["trainable"])

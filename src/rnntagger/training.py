@@ -49,8 +49,10 @@ class TrainConfig:
     clip_threshold: float = 5.0
 
     def __post_init__(self):
-        if self.learning_rate <= 0:
-            raise ValueError("learning_rate must be > 0, got %r" % self.learning_rate)
+        for name in ("learning_rate", "clip_threshold"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0):
+                raise ValueError("%s must be finite and > 0, got %r" % (name, value))
         if self.v_d < 0 or self.v_c < 0:
             raise ValueError("window sizes must be >= 0")
         if self.epochs < 0:
@@ -130,7 +132,7 @@ def _check_finite(acc, emb_rows):
     return sq
 
 
-def train_example(model, window, lr, cfg=None):
+def train_example(model, window, lr, cfg):
     """One SGD step on one (sentence, position) example; returns the loss.
 
     The sentence is re-encoded here so fine-tuned embedding rows feed the
@@ -139,8 +141,6 @@ def train_example(model, window, lr, cfg=None):
     the whole sentence and receive gradients through c_n / the state
     concatenation.
     """
-    if cfg is None:
-        cfg = TrainConfig(learning_rate=lr)
     spec = model.spec
     enc_in = model.encode_input(window.sentence, window.doc_state)
     enc = encode(spec, model.params, enc_in.xs)

@@ -24,13 +24,9 @@ from rnntagger.cells import (
     ELMAN_GRU,
     JORDAN,
     JORDAN_GRU,
-    CellConfig,
     cell_for,
 )
 from rnntagger.linalg import SeededRng
-
-CFG = CellConfig()
-
 
 def rand_xs(rng, n, dim):
     return rng.uniform(n * dim, -1, 1).reshape(n, dim)
@@ -38,7 +34,7 @@ def rand_xs(rng, n, dim):
 
 def first_state(cell, p, x, hidden):
     """h at position 0 from the zero carry, by the cell's own step."""
-    return cell.step(p, cell.project(p, x[None], CFG, None)[0], np.zeros(hidden), CFG)[-1]
+    return cell.step(p, cell.project(p, x[None], None)[0], np.zeros(hidden))[-1]
 
 
 class TestModelSpec:
@@ -99,16 +95,16 @@ class TestEncodeForward:
         rng = SeededRng(3)
         cell = cell_for(ELMAN)
         from rnntagger.cells import init_params
-        p = init_params(cell.param_shapes(4, 3, 2, CFG), rng)
+        p = init_params(cell.param_shapes(4, 3, 2), rng)
         x = rng.uniform(4, -1, 1)
-        states = run_chain(cell, p, None, [x[None]], CFG, 3, 2)[0].states
+        states = run_chain(cell, p, None, [x[None]], 3, 2)[0].states
         assert np.array_equal(states[0], first_state(cell, p, x, 3))
 
     def test_severed_recurrence_is_feedforward(self):
         p = {"U": np.array([[1.0, -1.0]]), "V": np.zeros((1, 1))}
         xs = [np.array([0.3, 0.1]), np.array([-0.5, 0.2]), np.array([0.9, 0.9])]
-        states = run_chain(cell_for(ELMAN), p, None, [xs], CFG, 1, 1)[0].states
-        flipped = run_chain(cell_for(ELMAN), p, None, [list(reversed(xs))], CFG, 1, 1)[0].states
+        states = run_chain(cell_for(ELMAN), p, None, [xs], 1, 1)[0].states
+        flipped = run_chain(cell_for(ELMAN), p, None, [list(reversed(xs))], 1, 1)[0].states
         assert np.allclose(states, list(reversed(flipped)), atol=0)
 
     def test_three_step_scalar_chain_oracle(self):
@@ -118,7 +114,7 @@ class TestEncodeForward:
         h1 = phi(0.5)
         h2 = phi(-0.25 + 2 * h1)
         h3 = phi(1.0 + 2 * h2)
-        states = run_chain(cell_for(ELMAN), p, None, [xs], CFG, 1, 1)[0].states
+        states = run_chain(cell_for(ELMAN), p, None, [xs], 1, 1)[0].states
         assert [s[0] for s in states] == pytest.approx([h1, h2, h3], abs=1e-15)
 
 
@@ -138,7 +134,7 @@ class TestEncodeBackward:
         xs = rand_xs(SeededRng(6), 4, 3)
         r = encode(spec, params, xs).r
         run = run_chain(cell_for(ELMAN), params["encoder_bwd"], None,
-                        [list(reversed(xs))], CFG, 2, 2)[0]
+                        [list(reversed(xs))], 2, 2)[0]
         expect = list(reversed(run.states))
         assert all(np.array_equal(a, b) for a, b in zip(r, expect))
 
@@ -197,7 +193,7 @@ class TestContextual:
         assert np.allclose(enc.c_n, 0.5, atol=0)
         shift = params["context"]["S"] @ np.full(3, 0.5)
         manual = run_chain(cell_for(ELMAN), params["decoder"], params["decoder_out"],
-                           [xs], CFG, 3, 2, extras=[shift])[0]
+                           [xs], 3, 2, extras=[shift])[0]
         dists = full_forward(spec, params, xs)
         for o, m in zip(dists, manual.dists):
             assert np.allclose(o, m, atol=0)

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 from rnntagger import architectures
 from rnntagger.architectures import ModelSpec, full_forward, init_model, run_chain
-from rnntagger.cells import CellConfig, cell_for, init_params
+from rnntagger.cells import cell_for, init_params
 from rnntagger.cli import _grid_specs
 from rnntagger.corpus import Sentence, Token, build_vocab
 from rnntagger.linalg import SeededRng
@@ -30,14 +30,14 @@ DIM, HIDDEN, V_C = 4, 5, 1
 SPECS = [(s.arch, s.encoder_cell, s.decoder_cell) for s in _grid_specs(1, 1, 1)]
 
 
-def make_model(arch, enc, dec, bias, cache, seed):
+def make_model(arch, enc, dec, cache, seed):
     tagset = make_tagset(["LOC", "PER"], BIO2)
     rng = SeededRng(seed)
     table = EmbeddingTable.random(build_vocab([Sentence([Token(w) for w in WORDS])]),
                                   DIM, rng)
     fconf = FeatureConfig(capitalization=True, cache_tagset=tagset if cache else None)
     spec = ModelSpec(arch=arch, n_in=(DIM + fconf.width) * (2 * V_C + 1), hidden=HIDDEN,
-                     n_tags=len(tagset), encoder_cell=enc, decoder_cell=dec, bias=bias)
+                     n_tags=len(tagset), encoder_cell=enc, decoder_cell=dec)
     params = init_model(spec, rng)
     for bundle in params.values():
         for name, p in bundle.items():
@@ -112,11 +112,10 @@ documents = st.lists(
 
 
 @settings(max_examples=120, deadline=None)
-@given(st.sampled_from(SPECS), st.booleans(), st.booleans(), documents,
-       st.integers(0, 2**16))
-def test_rounds_match_per_sentence_tagging(spec, bias, cache, docs, seed):
+@given(st.sampled_from(SPECS), st.booleans(), documents, st.integers(0, 2**16))
+def test_rounds_match_per_sentence_tagging(spec, cache, docs, seed):
     with pytest.MonkeyPatch.context() as mp:
-        assert_same_as_one_by_one(make_model(*spec, bias, cache, seed), corpus(docs), mp)
+        assert_same_as_one_by_one(make_model(*spec, cache, seed), corpus(docs), mp)
 
 
 @pytest.mark.parametrize("spec", SPECS, ids=lambda s: "-".join(map(str, s)))
@@ -124,7 +123,7 @@ def test_returning_doc_id_starts_a_fresh_cache(spec, monkeypatch):
     # a, b, a: three documents, so the second 'a' run is not fed the first
     # one's labels, and the rounds hold three sentences of unequal length
     sents = corpus([("a", [5, 3, 7]), ("b", [2, 9]), ("a", [4, 1, 6])])
-    model = make_model(*spec, bias=True, cache=True, seed=4)
+    model = make_model(*spec, cache=True, seed=4)
     batch_sizes = assert_same_as_one_by_one(model, sents, monkeypatch)
     assert batch_sizes == [3, 3, 2]
     fresh = model.encode_input(sents[5], DocCache()).xs
@@ -133,18 +132,18 @@ def test_returning_doc_id_starts_a_fresh_cache(spec, monkeypatch):
 
 def test_steps_run_only_live_rows(monkeypatch):
     cell = cell_for("ELMAN")
-    p = init_params(cell.param_shapes(3, 4, 2, CellConfig()), SeededRng(1))
+    p = init_params(cell.param_shapes(3, 4, 2), SeededRng(1))
     rows = []
     step = cell.step
 
-    def counting(params, proj, carry, cfg):
+    def counting(params, proj, carry):
         rows.append(len(carry))
-        return step(params, proj, carry, cfg)
+        return step(params, proj, carry)
 
     monkeypatch.setattr(cell, "step", staticmethod(counting))
     lengths = [2, 6, 1, 4]
     xss = [SeededRng(n).uniform(3 * n, -1, 1).reshape(n, 3) for n in lengths]
-    runs = run_chain(cell, p, None, xss, CellConfig(), 4, 2)
+    runs = run_chain(cell, p, None, xss, 4, 2)
     # one step per position of the longest chain, each over the chains
     # still running: 13 rows in all, the sum of the lengths
     assert rows == [4, 3, 2, 2, 1, 1]

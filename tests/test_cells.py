@@ -8,7 +8,6 @@ from rnntagger.cells import (
     ELMAN_GRU,
     JORDAN,
     JORDAN_GRU,
-    CellConfig,
     ElmanCell,
     ElmanGruCell,
     JordanCell,
@@ -20,8 +19,6 @@ from rnntagger.cells import (
 )
 from rnntagger.linalg import SeededRng
 
-CFG = CellConfig()
-
 # frozen scalar oracles (mpmath, 40 digits)
 PHI_1_5 = 0.8175744761936437
 PHI_0_4 = 0.598687660112452
@@ -31,14 +28,14 @@ def P(**kw):
     return {k: np.array(v, dtype=np.float64) for k, v in kw.items()}
 
 
-def step(cell, p, x, carry, cfg=CFG, extra=None):
+def step(cell, p, x, carry, extra=None):
     """One position from a given carry: the cell's intermediates, h last."""
-    return cell.step(p, cell.project(p, x[None], cfg, extra)[0], carry, cfg)
+    return cell.step(p, cell.project(p, x[None], extra)[0], carry)
 
 
 def elman_states(p, xs):
     hidden = p["V"].shape[0]
-    return run_chain(ElmanCell, p, None, [np.array(xs)], CFG, hidden, 1)[0].states
+    return run_chain(ElmanCell, p, None, [np.array(xs)], hidden, 1)[0].states
 
 
 class TestElmanStep:
@@ -119,12 +116,11 @@ class TestElmanGruStep:
 
     def test_convexity(self):
         rng = SeededRng(123)
-        cfg = CFG
         for seed in range(30):
-            p = init_params(ElmanGruCell.param_shapes(3, 4, 2, cfg), SeededRng(seed))
+            p = init_params(ElmanGruCell.param_shapes(3, 4, 2), SeededRng(seed))
             x = rng.uniform(3, -2, 2)
             carry = rng.uniform(4, 0, 1)
-            *_, c, h = step(ElmanGruCell, p, x, carry, cfg)
+            *_, c, h = step(ElmanGruCell, p, x, carry)
             lo = np.minimum(c, carry) - 1e-12
             hi = np.maximum(c, carry) + 1e-12
             assert np.all(h >= lo) and np.all(h <= hi)
@@ -163,24 +159,24 @@ class TestJordanGruStep:
 class TestSoftmaxOutput:
     def test_zero_weights_uniform(self):
         p = P(W=np.zeros((4, 3)))
-        o = SoftmaxOutput.step(p, np.array([1.0, -2.0, 0.3]), CFG)
+        o = SoftmaxOutput.step(p, np.array([1.0, -2.0, 0.3]))
         assert np.allclose(o, 0.25, atol=1e-15)
 
     def test_equal_rows_uniform(self):
         p = P(W=[[1.0, 2.0], [1.0, 2.0]])
-        o = SoftmaxOutput.step(p, np.array([0.4, 0.6]), CFG)
+        o = SoftmaxOutput.step(p, np.array([0.4, 0.6]))
         assert np.allclose(o, 0.5, atol=1e-15)
 
     def test_exponential_identity(self):
         p = P(W=[[1.0, 0.0], [0.0, 1.0]])
-        o = SoftmaxOutput.step(p, np.array([np.log(2.0), 0.0]), CFG)
+        o = SoftmaxOutput.step(p, np.array([np.log(2.0), 0.0]))
         assert np.allclose(o, [2 / 3, 1 / 3], atol=1e-15)
 
     def test_probability_simplex(self):
         rng = SeededRng(8)
         for _ in range(20):
             p = {"W": rng.uniform(12, -3, 3).reshape(4, 3)}
-            o = SoftmaxOutput.step(p, rng.uniform(3, -2, 2), CFG)
+            o = SoftmaxOutput.step(p, rng.uniform(3, -2, 2))
             assert abs(o.sum() - 1.0) < 1e-12
             assert np.all(o > 0)
 
@@ -190,16 +186,16 @@ class TestSoftmaxOutput:
         rng = SeededRng(21)
         p = {"W": rng.uniform(6, -1, 1).reshape(3, 2)}
         h = rng.uniform(2, -1, 1)
-        o = SoftmaxOutput.step(p, h, CFG)
+        o = SoftmaxOutput.step(p, h)
         y = 1
         do = np.zeros(3)
         do[y] = -1.0 / o[y]
         acc1, acc2 = zero_grads(p), zero_grads(p)
         dh1 = SoftmaxOutput.backward_from_logits(
-            p, h[None], SoftmaxOutput.logit_grad(o, do)[None], CFG, acc1)
+            p, h[None], SoftmaxOutput.logit_grad(o, do)[None], acc1)
         dlogits = o.copy()
         dlogits[y] -= 1.0
-        dh2 = SoftmaxOutput.backward_from_logits(p, h[None], dlogits[None], CFG, acc2)
+        dh2 = SoftmaxOutput.backward_from_logits(p, h[None], dlogits[None], acc2)
         assert np.allclose(dh1, dh2, atol=1e-12)
         assert np.allclose(acc1["W"], acc2["W"], atol=1e-12)
 
@@ -222,30 +218,26 @@ def rel_err(a, n):
     return abs(a - n) / max(abs(a), abs(n), 1e-8)
 
 
-def chain_model(kind, seed, cfg):
+def chain_model(kind, seed):
     """A cell's parameters, its output layer when it carries o, and a
     random length-M input, all drawn from one seed."""
     cell = cell_for(kind)
     rng = SeededRng(seed)
-    params = init_params(cell.param_shapes(N_IN, HIDDEN, N_OUT, cfg), rng)
-    out = init_params(SoftmaxOutput.param_shapes(HIDDEN, N_OUT, cfg), rng) \
+    params = init_params(cell.param_shapes(N_IN, HIDDEN, N_OUT), rng)
+    out = init_params(SoftmaxOutput.param_shapes(HIDDEN, N_OUT), rng) \
         if cell.carries_output else None
-    for bundle in (params, out or {}):
-        for name in bundle:
-            if bundle[name].ndim == 1:  # randomize biases too
-                bundle[name] = rng.uniform(bundle[name].size, -0.5, 0.5)
     xs = rng.uniform(M * N_IN, -1, 1).reshape(M, N_IN)
     return cell, params, out, xs, rng
 
 
-def run(cell, params, out, xs, cfg, extra=None):
-    return run_chain(cell, params, out, [xs], cfg, HIDDEN, N_OUT, [extra])[0]
+def run(cell, params, out, xs, extra=None):
+    return run_chain(cell, params, out, [xs], HIDDEN, N_OUT, [extra])[0]
 
 
-def backward(cell, params, out, chain, g, cfg):
+def backward(cell, params, out, chain, g):
     """chain_backward for the loss sum(g * states): (dX, dextra, acc, acc_out)."""
     acc, acc_out = zero_grads(params), zero_grads(out or {})
-    dxs, dextra = chain_backward(cell, params, out, chain, cfg, acc, acc_out, dstates=g)
+    dxs, dextra = chain_backward(cell, params, out, chain, acc, acc_out, dstates=g)
     return dxs, dextra, acc, acc_out
 
 
@@ -264,14 +256,14 @@ def fd_blocks(blocks, loss, label):
                 "%s %s[%d]: analytic %g vs numeric %g" % (label, name, k, gflat[k], numeric))
 
 
-def fd_check_cell(kind, seed, cfg):
-    cell, params, out, xs, rng = chain_model(kind, seed, cfg)
+def fd_check_cell(kind, seed):
+    cell, params, out, xs, rng = chain_model(kind, seed)
     g = rng.uniform(M * cell.carry_dim(HIDDEN, N_OUT), -1, 1).reshape(M, -1)
 
     def loss():
-        return float(np.sum(g * run(cell, params, out, xs, cfg).states))
+        return float(np.sum(g * run(cell, params, out, xs).states))
 
-    dxs, _, acc, acc_out = backward(cell, params, out, run(cell, params, out, xs, cfg), g, cfg)
+    dxs, _, acc, acc_out = backward(cell, params, out, run(cell, params, out, xs), g)
     blocks = [("x", xs, dxs)]
     blocks += [(name, params[name], acc[name]) for name in sorted(params)]
     blocks += [("out." + name, out[name], acc_out[name]) for name in sorted(out or {})]
@@ -281,13 +273,7 @@ def fd_check_cell(kind, seed, cfg):
 @pytest.mark.parametrize("kind", sorted(CELLS))
 def test_backward_matches_finite_differences_100_seeds(kind):
     for seed in range(100):
-        fd_check_cell(kind, seed, CFG)
-
-
-@pytest.mark.parametrize("kind", sorted(CELLS))
-def test_backward_with_bias_and_tanh(kind):
-    for seed in range(5):
-        fd_check_cell(kind, seed, CellConfig(bias=True, candidate="tanh"))
+        fd_check_cell(kind, seed)
 
 
 def test_softmax_backward_finite_differences():
@@ -298,21 +284,20 @@ def test_softmax_backward_finite_differences():
         g = rng.uniform(4, -1, 1)
 
         def loss():
-            return float(np.dot(g, SoftmaxOutput.step(p, h, CFG)))
+            return float(np.dot(g, SoftmaxOutput.step(p, h)))
 
-        o = SoftmaxOutput.step(p, h, CFG)
+        o = SoftmaxOutput.step(p, h)
         acc = zero_grads(p)
         dh = SoftmaxOutput.backward_from_logits(
-            p, h[None], SoftmaxOutput.logit_grad(o, g)[None], CFG, acc)
+            p, h[None], SoftmaxOutput.logit_grad(o, g)[None], acc)
         fd_blocks([("h", h, dh), ("W", p["W"], acc["W"])], loss, "softmax")
 
 
 def test_zero_upstream_gradient_zero_grads():
     for kind in sorted(CELLS):
-        cell, params, out, xs, _ = chain_model(kind, 3, CFG)
-        chain = run(cell, params, out, xs, CFG)
-        dxs, _, acc, acc_out = backward(cell, params, out, chain,
-                                        np.zeros_like(chain.states), CFG)
+        cell, params, out, xs, _ = chain_model(kind, 3)
+        chain = run(cell, params, out, xs)
+        dxs, _, acc, acc_out = backward(cell, params, out, chain, np.zeros_like(chain.states))
         assert np.all(dxs == 0)
         assert all(np.all(v == 0) for v in list(acc.values()) + list(acc_out.values()))
 
@@ -320,17 +305,17 @@ def test_zero_upstream_gradient_zero_grads():
 def test_hidden_states_stay_in_unit_interval():
     for kind in (ELMAN, JORDAN):
         for seed in range(20):
-            cell, params, out, _, rng = chain_model(kind, seed, CFG)
+            cell, params, out, _, rng = chain_model(kind, seed)
             xs = rng.uniform(5 * N_IN, -10, 10).reshape(5, N_IN)
-            h = run(cell, params, out, xs, CFG).hidden
+            h = run(cell, params, out, xs).hidden
             assert np.all(h > 0) and np.all(h < 1)
 
 
 def test_determinism_bitwise():
     for kind in sorted(CELLS):
-        cell, params, out, xs, _ = chain_model(kind, 9, CFG)
-        a = run(cell, params, out, xs, CFG)
-        b = run(cell, params, out, xs, CFG)
+        cell, params, out, xs, _ = chain_model(kind, 9)
+        a = run(cell, params, out, xs)
+        b = run(cell, params, out, xs)
         assert np.array_equal(a.mid, b.mid)
         assert np.array_equal(a.states, b.states)
 
@@ -340,48 +325,26 @@ def test_unknown_cell_kind():
         cell_for("LSTM")
 
 
-def test_tanh_candidate_changes_output():
-    p = init_params(ElmanGruCell.param_shapes(2, 3, 2, CFG), SeededRng(4))
-    x = np.array([0.5, -0.5])
-    carry = np.array([0.2, 0.8, 0.5])
-    h_sig = step(ElmanGruCell, p, x, carry, CellConfig(candidate="sigmoid"))[-1]
-    h_tanh = step(ElmanGruCell, p, x, carry, CellConfig(candidate="tanh"))[-1]
-    assert not np.array_equal(h_sig, h_tanh)
-
-
-def test_bias_shapes_present_when_enabled():
-    cfg = CellConfig(bias=True)
-    assert "b" in ElmanCell.param_shapes(2, 3, 2, cfg)
-    assert "b_h" in ElmanGruCell.param_shapes(2, 3, 2, cfg)
-    assert "b_o" in JordanGruCell.param_shapes(2, 3, 2, cfg)
-    assert "b" in SoftmaxOutput.param_shapes(3, 2, cfg)
-
-
-def test_invalid_candidate_rejected():
-    with pytest.raises(ValueError):
-        CellConfig(candidate="relu")
-
-
 def test_extra_term_gradient_finite_differences():
     # the additive context hook: injected into the pre-activation
     # (Elman/Jordan) or the candidate pre-activation (GRUs) at every position
     for kind in sorted(CELLS):
         for seed in range(10):
-            cell, params, out, xs, rng = chain_model(kind, seed + 1000, CFG)
+            cell, params, out, xs, rng = chain_model(kind, seed + 1000)
             extra = rng.uniform(HIDDEN, -1, 1)
             g = rng.uniform(M * cell.carry_dim(HIDDEN, N_OUT), -1, 1).reshape(M, -1)
 
             def loss():
-                return float(np.sum(g * run(cell, params, out, xs, CFG, extra).states))
+                return float(np.sum(g * run(cell, params, out, xs, extra).states))
 
-            chain = run(cell, params, out, xs, CFG, extra)
-            _, dextra, _, _ = backward(cell, params, out, chain, g, CFG)
+            chain = run(cell, params, out, xs, extra)
+            _, dextra, _, _ = backward(cell, params, out, chain, g)
             assert dextra is not None
             fd_blocks([("extra", extra, dextra)], loss, kind)
 
 
 def test_no_extra_returns_none():
-    cell, params, out, xs, _ = chain_model(ELMAN, 1, CFG)
-    chain = run(cell, params, out, xs, CFG)
-    _, dextra, _, _ = backward(cell, params, out, chain, np.ones_like(chain.states), CFG)
+    cell, params, out, xs, _ = chain_model(ELMAN, 1)
+    chain = run(cell, params, out, xs)
+    _, dextra, _, _ = backward(cell, params, out, chain, np.ones_like(chain.states))
     assert dextra is None

@@ -84,11 +84,33 @@ def test_truncated_model_file_is_data_error(tmp_path, capsys):
 
 
 def test_wrong_parameter_shape_is_data_error(tmp_path, capsys):
-    obj = json.loads((DATA_DIR / "bidirectional_gru.json").read_text())
+    obj = json.loads((DATA_DIR / "compat" / "bidirectional_gru.json").read_text())
     obj["params"]["encoder_fwd"]["U_z"] = [[0.0]]
     rc, err, path = tag_with_model(tmp_path, capsys, json.dumps(obj))
     assert rc == 2
     assert "%s: params.encoder_fwd.U_z has shape (1, 1), expected (4, 4)" % path in err
+
+
+@pytest.mark.parametrize("name", ["bidirectional_gru.json", "contextual_elman_jordan.json"])
+def test_bias_on_model_file_is_data_error(tmp_path, capsys, name):
+    path = DATA_DIR / name
+    rc, out, err = run(["tag", "--model", str(path), "--input", write_gold(tmp_path / "in.conll"),
+                        "--out", str(tmp_path / "p.conll")], capsys)
+    assert rc == 2
+    assert "%s: spec.bias must be False" % path in err
+
+
+@pytest.mark.parametrize("section,key,value", [
+    ("spec", "gru_candidate", "tanh"),
+    ("vocab", "lowercase", False),
+    ("vocab", "digits_to_zero", False),
+])
+def test_model_file_fixed_key_is_data_error(tmp_path, capsys, section, key, value):
+    obj = json.loads((DATA_DIR / "compat" / "bidirectional_gru.json").read_text())
+    obj[section][key] = value
+    rc, err, path = tag_with_model(tmp_path, capsys, json.dumps(obj))
+    assert rc == 2
+    assert "%s: %s.%s must be " % (path, section, key) in err
 
 
 def test_eval_sentence_count_mismatch_is_data_error(tmp_path, capsys):
@@ -144,12 +166,93 @@ def test_config_respects_choices(tmp_path, capsys):
     assert rc == 1
 
 
+@pytest.mark.parametrize("line,problem", [
+    ("hidden=abc", "config key 'hidden': invalid literal for int()"),
+    ("sneed=9", "config key 'sneed' is unknown"),
+    ("arch=wide", "config key 'arch': 'wide' is not one of"),
+])
+def test_config_errors_name_file_and_line(tmp_path, capsys, line, problem):
+    cfg = tmp_path / "train.cfg"
+    cfg.write_text("# settings\n\nepochs=1\n" + line + "\nseed=2\n")
+    rc, out, err = run(["train", "--config", str(cfg), "--out-model",
+                        str(tmp_path / "m.json")], capsys)
+    assert rc == 1
+    assert "usage error: %s:4: %s" % (cfg, problem) in err
+
+
 def test_effective_config_is_echoed_sorted(tmp_path, capsys):
     rc, out, err = run(["synth", "--out", str(tmp_path / "x.conll")], capsys)
     keys = [l.split("=", 1)[0] for l in out.splitlines()
             if "=" in l and not l.startswith("#")]
     assert keys == sorted(keys)
     assert "seed" in keys and "task" in keys
+
+
+# ------------------------------------------------------- input files
+
+# each reader meets a byte that is not UTF-8 on line 2 of its file
+READER_FILES = {
+    "conll": b"anna B-PER\ncaf\xff O\n",
+    "lexicon": b"acme corp\ncaf\xff\n",
+    "embeddings": b"anna 0.1 0.2\ncaf\xff 0.3 0.4\n",
+    "raw text": b"anna runs\ncaf\xff naps\n",
+    "config": b"epochs=1\nhidden=\xff\n",
+}
+
+
+def reader_argv(reader, path, tmp_path):
+    if reader == "raw text":
+        return ["embed", path, "--dim", "4", "--out", str(tmp_path / "v.txt")]
+    train = ["train", "--train", write_gold(tmp_path / "g.conll"), "--dim", "4",
+             "--hidden", "4", "--vc", "0", "--epochs", "1",
+             "--out-model", str(tmp_path / "m.json")]
+    flag = {"conll": "--train", "lexicon": "--gazetteers",
+            "embeddings": "--embeddings", "config": "--config"}[reader]
+    return train + [flag, path]
+
+
+@pytest.mark.parametrize("reader", sorted(READER_FILES))
+def test_non_utf8_line_names_file_and_line(tmp_path, capsys, reader):
+    path = tmp_path / "input.txt"
+    path.write_bytes(READER_FILES[reader])
+    rc, out, err = run(reader_argv(reader, str(path), tmp_path), capsys)
+    assert rc == 2
+    assert "data error: %s:2: not UTF-8: 'utf-8' codec can't decode byte 0xff" % path in err
+
+
+def test_unknown_tag_names_file_and_line(tmp_path, capsys):
+    gold = tmp_path / "g.conll"
+    gold.write_text("anna B-PER\nruns O\n\nbob X-PER\nnaps O\n")
+    rc, out, err = run(["train", "--train", str(gold), "--out-model",
+                        str(tmp_path / "m.json")], capsys)
+    assert rc == 2
+    assert "data error: %s:4: unknown tag string: 'X-PER'" % gold in err
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "0", "-1"])
+@pytest.mark.parametrize("command,flag", [
+    ("train", "--lr"), ("train", "--clip-threshold"),
+    ("embed", "--lr"), ("embed", "--subsample"),
+])
+def test_rates_must_be_finite_and_positive(tmp_path, capsys, command, flag, value):
+    out = tmp_path / "out"
+    if command == "train":
+        argv = ["train", "--train", write_gold(tmp_path / "g.conll"), "--dim", "4",
+                "--hidden", "4", "--vc", "0", "--epochs", "1", "--clip", "true",
+                "--out-model", str(out)]
+    else:
+        argv = ["embed", corpus_file(tmp_path), "--dim", "4", "--out", str(out)]
+    rc, _, err = run(argv + [flag, value], capsys)
+    assert rc == 1
+    assert "must be finite and > 0, got %r" % float(value) in err
+    assert not out.exists()
+
+
+def test_bad_rate_is_reported_before_the_data_is_read(tmp_path, capsys):
+    rc, _, err = run(["train", "--train", str(tmp_path / "missing.conll"), "--lr", "nan",
+                      "--out-model", str(tmp_path / "m.json")], capsys)
+    assert rc == 1
+    assert "learning_rate must be finite and > 0" in err
 
 
 # ---------------------------------------------------------------- synth

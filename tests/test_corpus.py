@@ -122,8 +122,8 @@ class TestVocabulary:
 
     def test_reserved_indices(self):
         vocab = Vocabulary()
-        assert vocab.word(PAD_INDEX) == corpus.PAD
-        assert vocab.word(UNK_INDEX) == corpus.UNK
+        assert vocab.index_to_word[PAD_INDEX] == corpus.PAD
+        assert vocab.index_to_word[UNK_INDEX] == corpus.UNK
 
     def test_lookup_normalizes(self, tmp_path):
         vocab = build_vocab(self._sents(tmp_path, ["Madrid", "tel5551234"]))
@@ -137,8 +137,6 @@ class TestVocabulary:
 
 def test_normalize_modes():
     assert normalize("Abc123") == "abc000"
-    assert normalize("Abc123", lowercase=False) == "Abc000"
-    assert normalize("Abc123", digits_to_zero=False) == "abc123"
 
 
 class TestLexicon:

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rnntagger.corpus import PAD_INDEX, Lexicon, Sentence, Token, Vocabulary
+from rnntagger.corpus import PAD_INDEX, UNK_INDEX, Lexicon, Sentence, Token, Vocabulary
 from rnntagger.linalg import SeededRng
 from rnntagger.representation import (
     DocCache,
@@ -150,7 +150,7 @@ class TestEmbeddingTable:
     def test_vector_lookup_unknown_goes_to_unk(self):
         vocab = small_vocab("known")
         t = EmbeddingTable.random(vocab, 4, SeededRng(3))
-        assert np.array_equal(t.vector("zzz"), t.matrix[vocab.index("zzz")])
+        assert np.array_equal(t.matrix[vocab.index("zzz")], t.matrix[UNK_INDEX])
 
     def test_save_load_round_trip_exact(self, tmp_path):
         vocab = small_vocab("alpha", "beta")
@@ -167,10 +167,10 @@ class TestEmbeddingTable:
         path.write_text("hello 1.0 2.0\nworld 3.0 4.0\n", encoding="utf-8")
         t = load_embeddings(str(path))
         assert t.dim == 2
-        assert np.array_equal(t.vector("hello"), [1.0, 2.0])
+        assert np.array_equal(t.matrix[t.vocab.index("hello")], [1.0, 2.0])
         # absent reserved rows are synthesized: PAD zero, UNK mean
         assert np.array_equal(t.matrix[PAD_INDEX], [0.0, 0.0])
-        assert np.array_equal(t.vector("unseen"), [2.0, 3.0])
+        assert np.array_equal(t.matrix[t.vocab.index("unseen")], [2.0, 3.0])
 
     def test_ragged_row_rejected(self, tmp_path):
         path = tmp_path / "bad.txt"
@@ -199,7 +199,7 @@ class TestEncodeSentence:
     def test_zero_window_is_w_itself(self):
         t = self._table(["a", "b"])
         enc = encode_sentence(sent("a", "b"), t, FeatureConfig(), v_c=0)
-        assert np.array_equal(enc.xs[0], t.vector("a"))
+        assert np.array_equal(enc.xs[0], t.matrix[t.vocab.index("a")])
 
     def test_padding_at_edges(self):
         t = self._table(["a"], dim=3)
@@ -207,7 +207,7 @@ class TestEncodeSentence:
         x = enc.xs[0]
         assert len(x) == 9
         assert np.all(x[:3] == 0)
-        assert np.array_equal(x[3:6], t.vector("a"))
+        assert np.array_equal(x[3:6], t.matrix[t.vocab.index("a")])
         assert np.all(x[6:] == 0)
 
     def test_full_scale_width(self):

@@ -139,12 +139,15 @@ def test_missing_file_raises_oserror(tmp_path):
         load_model(str(tmp_path / "nope.json"))
 
 
-# Two small trained models (bias on) saved before the four cell classes
-# were folded into the plain and gated families, with the tags they gave
+# Two small trained models saved by the code that still had the bias and
+# GRU-candidate options (both at their defaults), with the tags they gave
 # on COMPAT_INPUT at the time.  The bidirectional one has an ELMAN_GRU
 # encoder and a JORDAN_GRU decoder; the contextual one an ELMAN encoder,
-# a JORDAN decoder, and every feature channel.
+# a JORDAN decoder, and every feature channel.  The files of the same
+# names in DATA_DIR have the same specs with bias on, which this code
+# rejects.
 DATA_DIR = Path(__file__).parent / "data"
+COMPAT_DIR = DATA_DIR / "compat"
 COMPAT_INPUT = [
     Sentence([Token(w) for w in ["Anna", "visits", "Acme", "Corp", "today"]], doc_id="0"),
     Sentence([Token(w) for w in ["Mr.", "Bob", "naps"]], doc_id="0"),
@@ -154,7 +157,7 @@ COMPAT_INPUT = [
 
 @pytest.mark.parametrize("name", ["bidirectional_gru.json", "contextual_elman_jordan.json"])
 def test_committed_model_files_load_tag_and_resave_identically(name, tmp_path):
-    path = DATA_DIR / name
+    path = COMPAT_DIR / name
     model = load_model(str(path))
     expected = json.loads((DATA_DIR / "compat_tags.json").read_text())[name]
     assert tag_corpus(model, COMPAT_INPUT) == expected
@@ -163,9 +166,33 @@ def test_committed_model_files_load_tag_and_resave_identically(name, tmp_path):
 
 
 def model_obj(**changes):
-    obj = json.loads((DATA_DIR / "bidirectional_gru.json").read_text())
+    obj = json.loads((COMPAT_DIR / "bidirectional_gru.json").read_text())
     obj.update(changes)
     return obj
+
+
+@pytest.mark.parametrize("name", ["bidirectional_gru.json", "contextual_elman_jordan.json"])
+def test_bias_on_model_files_rejected(name):
+    path = DATA_DIR / name
+    with pytest.raises(ValueError, match=r"%s: spec\.bias must be False, got True" % path):
+        load_model(str(path))
+
+
+@pytest.mark.parametrize("section,key,value", [
+    ("spec", "bias", True),
+    ("spec", "bias", 0),
+    ("spec", "gru_candidate", "tanh"),
+    ("vocab", "lowercase", False),
+    ("vocab", "digits_to_zero", False),
+])
+def test_fixed_keys_hold_their_one_value(section, key, value):
+    obj = model_obj()
+    obj[section][key] = value
+    with pytest.raises(ValueError, match=r"^%s\.%s must be " % (section, key)):
+        model_from_obj(obj)
+    del obj[section][key]
+    with pytest.raises(ValueError, match="missing key '%s'" % key):
+        model_from_obj(obj)
 
 
 def test_missing_key_is_named():
