@@ -140,7 +140,7 @@ def load_conll(path, tagged=True):
         tag = None
         if tagged:
             if len(cols) < 2:
-                raise ValueError("%s line %d: no tag column after the token"
+                raise ValueError("%s:%d: no tag column after the token"
                                  % (path, lineno))
             tag = cols[-1]
             if tag not in known_tags:

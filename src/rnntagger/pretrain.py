@@ -68,6 +68,7 @@ class UnigramTable:
         self.n_words = int(np.count_nonzero(self.probs))
 
     def sample(self, rng):
+        """One word; sample_many(rng, n) gives what n of these calls would."""
         u = rng.uniform_scalar()
         return int(np.searchsorted(self.cum, u, side="right"))
 
@@ -76,18 +77,37 @@ class UnigramTable:
         return np.searchsorted(self.cum, us, side="right")
 
 
-def negative_sample(table, exclude, k, rng):
-    """k i.i.d. draws from the table, redrawing any collision with
-    `exclude`."""
+def negative_sample(table, targets, k, rng):
+    """k negatives for each word in `targets`: one list per target.
+
+    The draws come from one block of the stream, handed out in order;
+    a draw equal to the current target is dropped, and the block is
+    topped up only by the draws still missing, so the negatives and the
+    rng state afterwards are those of drawing one word at a time."""
     if k < 1:
         raise ValueError("k must be >= 1")
     if table.n_words < 2:
         raise ValueError("negative sampling needs at least 2 sampleable words")
     out = []
-    while len(out) < k:
-        j = table.sample(rng)
-        if j != exclude:
-            out.append(j)
+    draws = table.sample_many(rng, k * len(targets)).tolist()
+    pos = 0
+    for target in targets:
+        block = draws[pos:pos + k]
+        if len(block) == k and target not in block:
+            out.append(block)
+            pos += k
+            continue
+        negs = []
+        while len(negs) < k:
+            if pos == len(draws):
+                missing = k * (len(targets) - len(out)) - len(negs)
+                draws = table.sample_many(rng, missing).tolist()
+                pos = 0
+            j = draws[pos]
+            pos += 1
+            if j != target:
+                negs.append(j)
+        out.append(negs)
     return out
 
 
@@ -153,33 +173,33 @@ def _ns_grads(output, h, center, negatives):
     """Negative-sampling loss and gradients for one prediction.
 
     Returns (loss, dh, {row: du_row}); du entries accumulate when a
-    negative repeats or equals another touched row.
+    negative repeats or equals another touched row.  Each score is its
+    own stacked 1 x d product, which has the bits of output[j] @ h.  dh
+    is summed row by row in order: a reduction over the rows may pair
+    them up and round differently.
     """
     rows = [center] + list(negatives)
+    O = output.take(rows, axis=0)
+    scores = np.matmul(O[:, None, :], h[:, None]).ravel().tolist()
+    p = [_sig(s) for s in scores]
     loss = 0.0
-    dh = np.zeros_like(h)
-    du = []
-    for j, label in zip(rows, [1.0] + [0.0] * len(negatives)):
-        s = float(output[j] @ h)
-        p = _sig(s)
-        win = p if label else 1.0 - p
+    for win in [p[0]] + [1.0 - q for q in p[1:]]:
         loss += -math.log(max(win, PROB_FLOOR))
-        g = p - label
-        dh += g * output[j]
-        du.append(g * h)
-    return loss, dh, _scatter(rows, du)
+    g = np.array([p[0] - 1.0] + p[1:])[:, None]
+    dh = np.zeros_like(h)
+    for piece in g * O:
+        dh += piece
+    return loss, dh, _scatter(rows, g * h)
 
 
 def _apply_input_grads(model, grads, lr):
-    for row, g in grads.items():
-        if row == PAD_INDEX:
-            continue
-        model.input_vectors[row] -= lr * g
+    rows = [row for row in grads if row != PAD_INDEX]
+    if rows:
+        model.input_vectors[np.array(rows)] -= lr * np.array([grads[row] for row in rows])
 
 
 def _apply_output_grads(model, du, lr):
-    for row, g in du.items():
-        model.output_vectors[row] -= lr * g
+    model.output_vectors[np.array(list(du))] -= lr * np.array(list(du.values()))
 
 
 def cbow_grads(model, center, context, negatives):
@@ -272,17 +292,23 @@ def train_embeddings(corpus_path, objective, config):
                 processed += 1
                 if subsample_keep(index_counts[i], total_tokens, t, rng):
                     kept.append(i)
+            lr = config.learning_rate * max(
+                LR_FLOOR_FRACTION, 1.0 - processed / budget)
             padded = [PAD_INDEX] * w + kept + [PAD_INDEX] * w
-            for pos, center in enumerate(kept):
-                lr = config.learning_rate * max(
-                    LR_FLOOR_FRACTION, 1.0 - processed / budget)
-                for target, grads, context in _predictions(objective, padded, pos, w):
-                    negatives = negative_sample(table, target, config.negatives, rng)
-                    loss, dv, du = grads(model, center, context, negatives)
-                    _apply_output_grads(model, du, lr)
-                    _apply_input_grads(model, dv, lr)
-                    epoch_loss += loss
-                    epoch_updates += 1
+            predictions = [(center, target, grads, context)
+                           for pos, center in enumerate(kept)
+                           for target, grads, context
+                           in _predictions(objective, padded, pos, w)]
+            if not predictions:
+                continue
+            negatives = negative_sample(table, [p[1] for p in predictions],
+                                        config.negatives, rng)
+            for (center, _, grads, context), negs in zip(predictions, negatives):
+                loss, dv, du = grads(model, center, context, negs)
+                _apply_output_grads(model, du, lr)
+                _apply_input_grads(model, dv, lr)
+                epoch_loss += loss
+                epoch_updates += 1
         model.epoch_losses.append(epoch_loss / epoch_updates if epoch_updates else 0.0)
     return model
 

@@ -8,6 +8,7 @@ byte-identical files and load(save(m)) reproduces every array exactly.
 """
 
 import json
+from dataclasses import fields
 
 import numpy as np
 
@@ -25,6 +26,16 @@ MODEL_VERSION = 1
 # holds a model this code cannot run.
 FIXED_KEYS = (("spec", "bias", False), ("spec", "gru_candidate", "sigmoid"),
               ("vocab", "lowercase", True), ("vocab", "digits_to_zero", True))
+
+# Every key the writer emits at the top and in the two sections whose
+# keys are not otherwise checked; a key outside them would be dropped
+# unread, so the loader rejects it.
+KNOWN_KEYS = {
+    "": {"format", "version", "spec", "tagset", "scheme", "v_c", "features",
+         "vocab", "embedding", "params"},
+    "spec.": {f.name for f in fields(ModelSpec)} | {"bias", "gru_candidate"},
+    "vocab.": {"words", "lowercase", "digits_to_zero"},
+}
 
 
 def _lexicon_obj(lex):
@@ -126,6 +137,10 @@ def _model_from_obj(obj):
         got = obj[section][key]
         if type(got) is not type(value) or got != value:
             raise ValueError("%s.%s must be %r, got %r" % (section, key, value, got))
+    for prefix, section in (("", obj), ("spec.", obj["spec"]), ("vocab.", obj["vocab"])):
+        unknown = sorted(set(section) - KNOWN_KEYS[prefix])
+        if unknown:
+            raise ValueError("unknown key %s%s" % (prefix, unknown[0]))
     fixed = {(section, key) for section, key, _ in FIXED_KEYS}
     spec = ModelSpec(**{k: v for k, v in obj["spec"].items() if ("spec", k) not in fixed})
     vocab = Vocabulary(index_to_word=list(obj["vocab"]["words"]))

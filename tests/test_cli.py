@@ -113,6 +113,14 @@ def test_model_file_fixed_key_is_data_error(tmp_path, capsys, section, key, valu
     assert "%s: %s.%s must be " % (path, section, key) in err
 
 
+def test_model_file_unknown_key_is_data_error(tmp_path, capsys):
+    obj = json.loads((DATA_DIR / "compat" / "bidirectional_gru.json").read_text())
+    obj["spec"]["foo"] = 1
+    rc, err, path = tag_with_model(tmp_path, capsys, json.dumps(obj))
+    assert rc == 2
+    assert "%s: unknown key spec.foo" % path in err
+
+
 def test_eval_sentence_count_mismatch_is_data_error(tmp_path, capsys):
     a = write_gold(tmp_path / "a.conll", size=4)
     b = write_gold(tmp_path / "b.conll", size=6)
@@ -197,6 +205,7 @@ READER_FILES = {
     "embeddings": b"anna 0.1 0.2\ncaf\xff 0.3 0.4\n",
     "raw text": b"anna runs\ncaf\xff naps\n",
     "config": b"epochs=1\nhidden=\xff\n",
+    "triggers": b"mr.\ncaf\xff\n",
 }
 
 
@@ -207,7 +216,8 @@ def reader_argv(reader, path, tmp_path):
              "--hidden", "4", "--vc", "0", "--epochs", "1",
              "--out-model", str(tmp_path / "m.json")]
     flag = {"conll": "--train", "lexicon": "--gazetteers",
-            "embeddings": "--embeddings", "config": "--config"}[reader]
+            "embeddings": "--embeddings", "config": "--config",
+            "triggers": "--triggers"}[reader]
     return train + [flag, path]
 
 
@@ -358,6 +368,25 @@ def test_train_same_seed_same_model_bytes(tmp_path, capsys):
     run(["train", "--train", gold] + TRAIN_FLAGS + ["--out-model", str(a)], capsys)
     run(["train", "--train", gold] + TRAIN_FLAGS + ["--out-model", str(b)], capsys)
     assert a.read_bytes() == b.read_bytes()
+
+
+def test_train_with_triggers_is_seeded(tmp_path, capsys):
+    gold = write_gold(tmp_path / "g.conll")
+    words = sorted({tok.surface for sent in load_conll(gold) for tok in sent.tokens})
+    triggers = tmp_path / "triggers.txt"
+    triggers.write_text("\n".join(words[:3]) + "\n")
+    model_path = tmp_path / "m.json"
+    rc, _, _ = run(["train", "--train", gold, "--triggers", str(triggers)] + TRAIN_FLAGS
+                   + ["--out-model", str(model_path)], capsys)
+    assert rc == 0
+    trigger = load_model(str(model_path)).fconf.trigger
+    assert trigger.name == "triggers"
+    assert trigger.entries == {w.lower() for w in words[:3]}
+    preds = [tmp_path / "a.conll", tmp_path / "b.conll"]
+    for pred in preds:
+        assert run(["tag", "--model", str(model_path), "--input", gold,
+                    "--out", str(pred)], capsys)[0] == 0
+    assert preds[0].read_bytes() == preds[1].read_bytes()
 
 
 def test_train_config_file_equivalent_to_flags(tmp_path, capsys):

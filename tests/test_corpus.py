@@ -46,7 +46,7 @@ def test_three_sentences_token_counts(tmp_path):
 
 def test_missing_column_reports_line_number(tmp_path):
     path = write(tmp_path, "e.conll", "fine O\nbroken\n")
-    with pytest.raises(ValueError, match="line 2"):
+    with pytest.raises(ValueError, match=r"e\.conll:2: no tag column after the token$"):
         load_conll(path)
 
 

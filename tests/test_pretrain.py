@@ -144,24 +144,51 @@ def test_monte_carlo_matches_analytic_within_one_percent():
 
 def test_negative_sample_never_returns_exclude():
     table = UnigramTable(np.array([0, 0, 4, 1]))
-    rng = SeededRng(5)
-    for _ in range(50):
-        negs = negative_sample(table, exclude=2, k=3, rng=rng)
+    targets = [2, 3] * 25
+    lists = negative_sample(table, targets=targets, k=3, rng=SeededRng(5))
+    assert len(lists) == len(targets)
+    for target, negs in zip(targets, lists):
         assert len(negs) == 3
-        assert 2 not in negs
+        assert target not in negs
 
 
 def test_negative_sample_needs_two_words():
     table = UnigramTable(np.array([0, 0, 9]))
     with pytest.raises(ValueError):
-        negative_sample(table, exclude=2, k=1, rng=SeededRng(0))
+        negative_sample(table, targets=[2], k=1, rng=SeededRng(0))
 
 
 def test_negative_sample_deterministic():
     table = UnigramTable(np.array([0, 0, 4, 1, 2]))
-    a = negative_sample(table, 2, 5, SeededRng(9))
-    b = negative_sample(table, 2, 5, SeededRng(9))
+    a = negative_sample(table, [2, 3, 2], 5, SeededRng(9))
+    b = negative_sample(table, [2, 3, 2], 5, SeededRng(9))
     assert a == b
+
+
+def scalar_negative_sample(table, exclude, k, rng):
+    """Reference for one prediction: one word at a time until k of them
+    differ from `exclude`."""
+    out = []
+    while len(out) < k:
+        j = table.sample(rng)
+        if j != exclude:
+            out.append(j)
+    return out
+
+
+@settings(max_examples=300, deadline=None)
+@given(counts=st.lists(st.integers(1, 30), min_size=2, max_size=4),
+       data=st.data(), k=st.integers(1, 12), seed=st.integers(0, 2 ** 64 - 1))
+def test_block_draw_matches_one_word_at_a_time(counts, data, k, seed):
+    # few sampleable words, some of them dominant, so a target often
+    # collides with its draws and the block is topped up several times
+    table = UnigramTable(np.array([0, 0] + counts))
+    targets = data.draw(st.lists(st.integers(0, len(counts) + 1), max_size=8))
+    block_rng, scalar_rng = SeededRng(seed), SeededRng(seed)
+    got = negative_sample(table, targets, k, block_rng)
+    want = [scalar_negative_sample(table, t, k, scalar_rng) for t in targets]
+    assert got == want
+    assert block_rng.next_u64() == scalar_rng.next_u64()
 
 
 # ------------------------------------------------------------- gradients
@@ -437,6 +464,17 @@ def test_training_reproduces_recorded_run(objective, tmp_path):
     assert hashlib.sha256(out.read_bytes()).hexdigest() == want["vectors_sha256"]
     assert (hashlib.sha256(model.output_vectors.tobytes()).hexdigest()
             == want["output_vectors_sha256"])
+
+
+@pytest.mark.parametrize("objective", [CBOW, SKIPGRAM])
+def test_sentences_without_predictions_draw_no_negatives(objective, tmp_path):
+    # one-word sentences have no context, so CBOW and skip-gram make no
+    # prediction and need no second sampleable word
+    corpus = tmp_path / "c.txt"
+    write_corpus(corpus, ["a"] * 3)
+    cfg = EmbedConfig(dim=3, window=1, negatives=2, epochs=1, seed=1)
+    model = train_embeddings(str(corpus), objective, cfg)
+    assert model.epoch_losses == [0.0]
 
 
 @pytest.mark.parametrize("objective", [CBOW, SKIPGRAM, CCONCAT])

@@ -1,4 +1,5 @@
 import json
+import re
 from pathlib import Path
 
 import numpy as np
@@ -202,6 +203,20 @@ def test_missing_key_is_named():
         model_from_obj(obj)
     with pytest.raises(ValueError, match="missing key 'spec'"):
         model_from_obj({"format": "rnn-mention-tagger", "version": 1})
+
+
+@pytest.mark.parametrize("section,key", [(None, "notes"), ("spec", "foo"), ("vocab", "extra")])
+def test_unknown_key_is_named(section, key, tmp_path):
+    obj = model_obj()
+    (obj if section is None else obj[section])[key] = 1
+    name = key if section is None else "%s.%s" % (section, key)
+    with pytest.raises(ValueError, match=r"^unknown key %s$" % re.escape(name)):
+        model_from_obj(obj)
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps(obj))
+    message = r"^%s: unknown key %s$" % (re.escape(str(path)), re.escape(name))
+    with pytest.raises(ValueError, match=message):
+        load_model(str(path))
 
 
 def test_parameter_shape_checked_against_the_cells():
