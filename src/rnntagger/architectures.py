@@ -410,7 +410,3 @@ def full_forward(spec, params, xs):
 def argmax_tags(dists, tagset):
     """Argmax decoding; ties resolve to the lowest tag index."""
     return [tagset[k] for k in np.argmax(dists, axis=1)]
-
-
-def predict_tags(spec, params, xs, tagset):
-    return argmax_tags(full_forward(spec, params, xs), tagset)

@@ -317,10 +317,9 @@ def cmd_train(args):
     decoder = args.decoder
     if args.arch != "mesnil" and decoder is None:
         decoder = "elman"
-    n_in = (table.dim + fconf.width) * (2 * args.v_c + 1)
     try:
-        spec = ModelSpec(arch=args.arch, n_in=n_in, hidden=hidden,
-                         n_tags=len(tagset),
+        spec = ModelSpec(arch=args.arch, n_in=fconf.input_width(table.dim, args.v_c),
+                         hidden=hidden, n_tags=len(tagset),
                          decoder_cell=_cell_kind(decoder),
                          encoder_cell=_cell_kind(args.encoder),
                          mesnil_k=args.mesnil_k)

@@ -72,9 +72,6 @@ class Vocabulary:
     def __len__(self):
         return len(self.index_to_word)
 
-    def __contains__(self, surface):
-        return normalize(surface) in self.word_to_index
-
     def index(self, surface):
         return self.word_to_index.get(normalize(surface), UNK_INDEX)
 

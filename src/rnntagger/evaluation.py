@@ -68,18 +68,6 @@ def score(gold, pred):
     return EvalReport(p, r, f, n_gold, n_pred, n_correct, per_type)
 
 
-def token_accuracy(gold_tags, pred_tags):
-    """Tag-identity rate over all tokens; a debug statistic, not the
-    headline metric."""
-    total = correct = 0
-    for gs, ps in zip(gold_tags, pred_tags):
-        if len(gs) != len(ps):
-            raise ValueError("sentence length mismatch: %d vs %d" % (len(gs), len(ps)))
-        total += len(gs)
-        correct += sum(1 for g, p in zip(gs, ps) if g == p)
-    return 100.0 * correct / total if total else 0.0
-
-
 def format_table(report):
     """Aligned text table, percentages to two decimals."""
     names = ["ALL"] + sorted(report.per_type)

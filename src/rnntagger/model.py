@@ -24,9 +24,9 @@ class Model:
         return encode_sentence(sentence, self.table, self.fconf, self.v_c, doc_state)
 
 
-def tag_sentence(model, sentence, doc_state=None):
-    enc_in = model.encode_input(sentence, doc_state)
-    return architectures.predict_tags(model.spec, model.params, enc_in.xs, model.tagset)
+def tag_sentence(model, sentence):
+    """Tags of one sentence, tagged as a document of its own."""
+    return tag_corpus(model, [sentence])[0]
 
 
 def tag_corpus(model, sentences):

@@ -209,6 +209,10 @@ class FeatureConfig:
     def uses_cache(self):
         return self.cache_tagset is not None
 
+    def input_width(self, dim, v_c):
+        """Width of one model input: 2 v_c + 1 w-vectors of dim + F."""
+        return (dim + self.width) * (2 * v_c + 1)
+
 
 @dataclass
 class InputEncoding:

@@ -8,7 +8,7 @@ byte-identical files and load(save(m)) reproduces every array exactly.
 """
 
 import json
-from dataclasses import fields
+from dataclasses import asdict, fields
 
 import numpy as np
 
@@ -48,20 +48,11 @@ def _params_obj(params):
 
 
 def model_to_obj(model):
-    spec = model.spec
     fconf = model.fconf
     obj = {
         "format": MODEL_FORMAT,
         "version": MODEL_VERSION,
-        "spec": {
-            "arch": spec.arch,
-            "n_in": spec.n_in,
-            "hidden": spec.hidden,
-            "n_tags": spec.n_tags,
-            "decoder_cell": spec.decoder_cell,
-            "encoder_cell": spec.encoder_cell,
-            "mesnil_k": spec.mesnil_k,
-        },
+        "spec": asdict(model.spec),
         "tagset": list(model.tagset),
         "scheme": model.scheme,
         "v_c": model.v_c,
@@ -156,10 +147,10 @@ def _model_from_obj(obj):
         cache_tagset=list(f["cache_tagset"]) if f["cache_tagset"] else None,
     )
     v_c = obj["v_c"]
-    if spec.n_in != (table.dim + fconf.width) * (2 * v_c + 1):
+    n_in = fconf.input_width(table.dim, v_c)
+    if spec.n_in != n_in:
         raise ValueError("spec.n_in is %d, expected (dim %d + features %d) x (2 v_c + 1) = %d"
-                         % (spec.n_in, table.dim, fconf.width,
-                            (table.dim + fconf.width) * (2 * v_c + 1)))
+                         % (spec.n_in, table.dim, fconf.width, n_in))
     if len(obj["tagset"]) != spec.n_tags:
         raise ValueError("tagset has %d tags, spec.n_tags is %d"
                          % (len(obj["tagset"]), spec.n_tags))

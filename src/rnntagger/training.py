@@ -5,6 +5,9 @@ Each training example is one (sentence, position) pair.  Encoder passes
 (context vector, bidirectional states) always run over the full
 sentence; only the decoder is windowed, covering the v_d positions
 preceding the target plus the target itself, from a zero carry.
+`window_nll` is that objective and its gradient, written once: an SGD
+step takes it over one example, and the gradient check takes it over
+every position of a sentence, so the check audits the code SGD runs.
 """
 
 import copy
@@ -61,24 +64,10 @@ class TrainConfig:
             raise ValueError("dev_eval_every must be >= 1")
 
 
-@dataclass
-class ExampleWindow:
-    """One local training example: sentence, target position, gold tag
-    index, and the document cache state the sentence is encoded under."""
-    sentence: object
-    position: int
-    gold_index: int
-    doc_state: object = None
-
-
 def nll_loss(o, y):
     if not 0 <= y < len(o):
         raise IndexError("tag index %d out of range for %d classes" % (y, len(o)))
     return -math.log(max(float(o[y]), LOSS_FLOOR))
-
-
-def _window_bounds(i, v_d):
-    return max(0, i - v_d), i
 
 
 def _embedding_grads(enc_in, dxs):
@@ -132,28 +121,39 @@ def _check_finite(acc, emb_rows):
     return sq
 
 
-def train_example(model, window, lr, cfg):
+def window_nll(spec, params, xs, examples, v_d, acc=None):
+    """The windowed objective over one encode of xs: the summed nll of
+    every (position i, gold index) example, its window i - v_d..i (cut
+    at 0) decoded from a zero carry.
+
+    Returns (loss, dxs).  With acc, each window is also backpropagated,
+    parameter gradients accumulate into acc, and dxs is the summed (n, I)
+    input gradient; without, dxs is None.
+    """
+    enc = encode(spec, params, xs)
+    total = 0.0
+    dxs = None
+    for i, y in examples:
+        dec = decode_window(spec, params, enc, max(0, i - v_d), i)
+        total += nll_loss(dec.dists[-1], y)
+        if acc is not None:
+            d = backward_window(spec, params, enc, dec, _nll_logit_grads(dec.dists, y), acc)
+            dxs = d if dxs is None else dxs + d
+    return total, dxs
+
+
+def train_example(model, sentence, position, gold, cfg, doc_state=None):
     """One SGD step on one (sentence, position) example; returns the loss.
 
-    The sentence is re-encoded here so fine-tuned embedding rows feed the
-    very next example.  The decoder runs over the window ending at the
-    target position; encoders (when the architecture has them) run over
-    the whole sentence and receive gradients through c_n / the state
-    concatenation.
+    The sentence is re-encoded here, under the document cache state
+    doc_state, so fine-tuned embedding rows feed the very next example.
     """
-    spec = model.spec
-    enc_in = model.encode_input(window.sentence, window.doc_state)
-    enc = encode(spec, model.params, enc_in.xs)
-    lo, hi = _window_bounds(window.position, cfg.v_d)
-    dec = decode_window(spec, model.params, enc, lo, hi)
-
-    loss = nll_loss(dec.dists[-1], window.gold_index)
+    enc_in = model.encode_input(sentence, doc_state)
+    acc = zero_model_grads(model.params)
+    loss, dxs = window_nll(model.spec, model.params, enc_in.xs, [(position, gold)],
+                           cfg.v_d, acc)
     if not math.isfinite(loss):
         raise FloatingPointError("non-finite loss")
-
-    acc = zero_model_grads(model.params)
-    dlogits = _nll_logit_grads(dec.dists, window.gold_index)
-    dxs = backward_window(spec, model.params, enc, dec, dlogits, acc)
 
     fine_tune = cfg.fine_tune_embeddings and model.table.trainable
     emb_rows = _embedding_grads(enc_in, dxs) if fine_tune else {}
@@ -161,9 +161,9 @@ def train_example(model, window, lr, cfg):
     scale = cfg.clip_threshold / norm if cfg.clip and norm > cfg.clip_threshold else 1.0
     for bundle, grads in acc.items():
         for name, g in grads.items():
-            model.params[bundle][name] -= lr * scale * g
+            model.params[bundle][name] -= cfg.learning_rate * scale * g
     for row, g in emb_rows.items():
-        model.table.add_grad(row, scale * g, lr)
+        model.table.add_grad(row, scale * g, cfg.learning_rate)
     return loss
 
 
@@ -233,9 +233,9 @@ def train_epoch(model, sentences, cfg, rng=None):
     # where it is, so numpy's own warnings would only repeat them
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         for si, pos in examples:
-            w = ExampleWindow(sentences[si], pos, golds[si][pos], snaps[si])
             try:
-                total += train_example(model, w, cfg.learning_rate, cfg)
+                total += train_example(model, sentences[si], pos, golds[si][pos], cfg,
+                                       snaps[si])
             except FloatingPointError as e:
                 raise FloatingPointError("sentence %d, position %d: %s"
                                          % (si + 1, pos + 1, e)) from None
@@ -323,29 +323,9 @@ def _guarded_rel_err(a, n):
     return abs(a - n) / max(abs(a), abs(n), 1e-8)
 
 
-def total_windowed_nll(spec, params, xs, golds, v_d):
-    """Sum of per-position windowed losses; the gradient-check objective."""
-    enc = encode(spec, params, xs)
-    total = 0.0
-    for i, y in enumerate(golds):
-        lo, hi = _window_bounds(i, v_d)
-        dec = decode_window(spec, params, enc, lo, hi)
-        total += nll_loss(dec.dists[-1], y)
-    return total
-
-
-def analytic_total_grads(spec, params, xs, golds, v_d):
-    acc = zero_model_grads(params)
-    enc = encode(spec, params, xs)
-    for i, y in enumerate(golds):
-        lo, hi = _window_bounds(i, v_d)
-        dec = decode_window(spec, params, enc, lo, hi)
-        backward_window(spec, params, enc, dec, _nll_logit_grads(dec.dists, y), acc)
-    return acc
-
-
 def gradient_check(spec, seed, n_tokens, v_d=9):
-    """Analytic windowed-BPTT gradients vs central differences.
+    """Analytic windowed-BPTT gradients of window_nll over every position
+    of a random sentence vs central differences of the same function.
 
     Reports the max relative error per parameter block, with absolute
     differences below the noise floor treated as exact agreement, and
@@ -354,9 +334,10 @@ def gradient_check(spec, seed, n_tokens, v_d=9):
     rng = linalg.SeededRng(seed)
     params = init_model(spec, rng)
     xs = rng.uniform(n_tokens * spec.n_in, -0.5, 0.5).reshape(n_tokens, spec.n_in)
-    golds = [rng.randint(spec.n_tags) for _ in range(n_tokens)]
+    examples = [(i, rng.randint(spec.n_tags)) for i in range(n_tokens)]
 
-    acc = analytic_total_grads(spec, params, xs, golds, v_d)
+    acc = zero_model_grads(params)
+    window_nll(spec, params, xs, examples, v_d, acc)
     blocks, abs_diffs = {}, {}
     for bundle in sorted(params):
         for name in sorted(params[bundle]):
@@ -367,9 +348,9 @@ def gradient_check(spec, seed, n_tokens, v_d=9):
             for j in range(flat.shape[0]):
                 keep = flat[j]
                 flat[j] = keep + FD_STEP
-                up = total_windowed_nll(spec, params, xs, golds, v_d)
+                up, _ = window_nll(spec, params, xs, examples, v_d)
                 flat[j] = keep - FD_STEP
-                down = total_windowed_nll(spec, params, xs, golds, v_d)
+                down, _ = window_nll(spec, params, xs, examples, v_d)
                 flat[j] = keep
                 numeric = (up - down) / (2.0 * FD_STEP)
                 worst = max(worst, _guarded_rel_err(float(gflat[j]), numeric))

@@ -9,13 +9,13 @@ from rnntagger.architectures import (
     CONTEXTUAL,
     MESNIL,
     ModelSpec,
+    argmax_tags,
     backward_window,
     bundle_shapes,
     decode_window,
     encode,
     full_forward,
     init_model,
-    predict_tags,
     run_chain,
     zero_model_grads,
 )
@@ -302,7 +302,7 @@ class TestPredictTags:
         params = init_model(spec, SeededRng(31))
         params["decoder_out"]["W"][:] = 0.0
         xs = rand_xs(SeededRng(32), 3, 4)
-        assert predict_tags(spec, params, xs, self.TAGS) == ["O", "O", "O"]
+        assert argmax_tags(full_forward(spec, params, xs), self.TAGS) == ["O", "O", "O"]
 
     def test_peaked_distribution_wins(self):
         spec = ModelSpec(BASIC, n_in=2, hidden=2, n_tags=3, decoder_cell=ELMAN)
@@ -310,23 +310,23 @@ class TestPredictTags:
         params["decoder_out"]["W"][:] = 0.0
         params["decoder_out"]["W"][2, :] = 50.0  # hidden states are positive
         xs = rand_xs(SeededRng(34), 2, 2)
-        assert predict_tags(spec, params, xs, self.TAGS) == ["I-X", "I-X"]
+        assert argmax_tags(full_forward(spec, params, xs), self.TAGS) == ["I-X", "I-X"]
 
     def test_determinism(self):
         spec = ModelSpec(BIDIRECTIONAL, n_in=3, hidden=2, n_tags=3,
                          decoder_cell=JORDAN_GRU, encoder_cell=ELMAN_GRU)
         params = init_model(spec, SeededRng(35))
         xs = rand_xs(SeededRng(36), 5, 3)
-        assert predict_tags(spec, params, xs, self.TAGS) == predict_tags(
-            spec, params, xs, self.TAGS)
+        assert argmax_tags(full_forward(spec, params, xs), self.TAGS) == argmax_tags(
+            full_forward(spec, params, xs), self.TAGS)
 
     def test_temperature_invariance_without_ties(self):
         spec = ModelSpec(BASIC, n_in=3, hidden=4, n_tags=3, decoder_cell=ELMAN)
         params = init_model(spec, SeededRng(37))
         xs = rand_xs(SeededRng(38), 4, 3)
-        before = predict_tags(spec, params, xs, self.TAGS)
+        before = argmax_tags(full_forward(spec, params, xs), self.TAGS)
         params["decoder_out"]["W"] *= 3.0  # Elman carry is W-independent
-        assert predict_tags(spec, params, xs, self.TAGS) == before
+        assert argmax_tags(full_forward(spec, params, xs), self.TAGS) == before
 
 
 # --- windowed-loss gradients, including the input (embedding) path ---

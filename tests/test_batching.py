@@ -18,7 +18,7 @@ from rnntagger.cells import cell_for, init_params
 from rnntagger.cli import _grid_specs
 from rnntagger.corpus import Sentence, Token, build_vocab
 from rnntagger.linalg import SeededRng
-from rnntagger.model import Model, tag_corpus
+from rnntagger.model import Model, tag_corpus, tag_sentence
 from rnntagger.representation import DocCache, EmbeddingTable, FeatureConfig
 from rnntagger.tagging import BIO2, make_tagset
 
@@ -128,6 +128,15 @@ def test_returning_doc_id_starts_a_fresh_cache(spec, monkeypatch):
     assert batch_sizes == [3, 3, 2]
     fresh = model.encode_input(sents[5], DocCache()).xs
     assert np.array_equal(tag_one_by_one(model, sents)[5][1], fresh)
+
+
+def test_tag_sentence_is_a_document_of_its_own():
+    # an empty cache and no cache at all give the same all-zero cache block
+    for spec in SPECS:
+        model = make_model(*spec, cache=True, seed=5)
+        for sent in corpus([("a", [1, 6, 11])]):
+            dists = full_forward(model.spec, model.params, model.encode_input(sent, None).xs)
+            assert tag_sentence(model, sent) == architectures.argmax_tags(dists, model.tagset)
 
 
 def test_steps_run_only_live_rows(monkeypatch):

@@ -7,7 +7,6 @@ from rnntagger.evaluation import (
     format_kv,
     format_table,
     score,
-    token_accuracy,
 )
 from rnntagger.tagging import Span
 
@@ -140,14 +139,6 @@ def test_adding_a_correct_prediction_never_lowers_recall():
     after = score(gold, pred2)
     assert after.recall >= before.recall
     assert after.n_correct == before.n_correct + 1
-
-
-def test_token_accuracy():
-    gold = [["O", "B-PER", "I-PER"], ["O"]]
-    pred = [["O", "B-PER", "O"], ["O"]]
-    assert token_accuracy(gold, pred) == 75.0
-    with pytest.raises(ValueError):
-        token_accuracy([["O"]], [["O", "O"]])
 
 
 def test_format_table_two_decimals():

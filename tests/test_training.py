@@ -4,7 +4,14 @@ import math
 import numpy as np
 import pytest
 
-from rnntagger.architectures import ModelSpec, decode_window, encode, full_forward, init_model
+from rnntagger.architectures import (
+    ModelSpec,
+    decode_window,
+    encode,
+    full_forward,
+    init_model,
+    zero_model_grads,
+)
 from rnntagger.corpus import Sentence, Token, build_vocab
 from rnntagger.evaluation import EvalReport
 from rnntagger.linalg import SeededRng
@@ -14,15 +21,13 @@ from rnntagger.tagging import BIO2, make_tagset
 from rnntagger import training
 from rnntagger.training import (
     FD_NOISE,
-    ExampleWindow,
     TrainConfig,
-    analytic_total_grads,
     fit,
     gradient_check,
     nll_loss,
-    total_windowed_nll,
     train_epoch,
     train_example,
+    window_nll,
 )
 
 
@@ -54,9 +59,10 @@ def build_model(sentences, arch="basic", decoder="ELMAN", encoder=None,
 
 
 def first_window(model, si=0, pos=0):
+    """(sentence, position, gold index) of one training example."""
     s = TRAIN_SENTS[si]
     y = model.tag_to_index[s.tokens[pos].gold_tag]
-    return ExampleWindow(s, pos, y)
+    return s, pos, y
 
 
 def model_state(model):
@@ -123,38 +129,55 @@ def test_nll_index_out_of_range():
 
 # --------------------------------------------------------- train_example
 
-def test_zero_lr_changes_nothing():
-    model = build_model(TRAIN_SENTS)
-    before = model_state(model)
-    loss = train_example(model, first_window(model), 0.0, TrainConfig())
-    assert loss > 0.0
-    assert states_equal(before, model_state(model))
-
-
 def test_loss_is_preupdate_windowed_nll():
     model = build_model(TRAIN_SENTS, arch="bidirectional", decoder="JORDAN",
                         encoder="ELMAN")
     probe = copy.deepcopy(model)
-    w = first_window(model, si=0, pos=3)
+    s, pos, y = first_window(model, si=0, pos=3)
     cfg = TrainConfig(learning_rate=0.1, v_d=2)
-    loss = train_example(model, w, cfg.learning_rate, cfg)
+    loss = train_example(model, s, pos, y, cfg)
 
-    enc_in = probe.encode_input(w.sentence)
+    enc_in = probe.encode_input(s)
     enc = encode(probe.spec, probe.params, enc_in.xs)
     dec = decode_window(probe.spec, probe.params, enc, 1, 3)  # max(0, 3-2)..3
-    assert loss == nll_loss(dec.dists[-1], w.gold_index)
+    assert loss == nll_loss(dec.dists[-1], y)
+
+
+@pytest.mark.parametrize("arch,decoder,encoder", [
+    ("basic", "ELMAN_GRU", None),
+    ("contextual", "JORDAN", "ELMAN"),
+    ("bidirectional", "JORDAN_GRU", "ELMAN_GRU"),
+    ("mesnil", None, "JORDAN"),
+])
+def test_step_is_minus_lr_times_audited_gradient(arch, decoder, encoder):
+    # the gradient check audits window_nll; an SGD step must take exactly
+    # its loss and move every parameter by exactly -lr times its gradient
+    model = build_model(TRAIN_SENTS, arch=arch, decoder=decoder, encoder=encoder)
+    probe = copy.deepcopy(model)
+    s, pos, y = first_window(model, si=0, pos=3)
+    cfg = TrainConfig(learning_rate=0.1, v_d=2, fine_tune_embeddings=False)
+    loss = train_example(model, s, pos, y, cfg)
+
+    acc = zero_model_grads(probe.params)
+    want, _ = window_nll(probe.spec, probe.params, probe.encode_input(s).xs,
+                         [(pos, y)], cfg.v_d, acc)
+    assert loss == want
+    for b in probe.params:
+        for n, p in probe.params[b].items():
+            assert np.array_equal(model.params[b][n], p - cfg.learning_rate * acc[b][n]), (b, n)
+    assert np.array_equal(model.table.matrix, probe.table.matrix)
 
 
 def test_first_position_is_single_step_from_zero_state():
     model = build_model(TRAIN_SENTS)
     probe = copy.deepcopy(model)
-    w = first_window(model, pos=0)
-    loss = train_example(model, w, 0.01, TrainConfig())
-    enc_in = probe.encode_input(w.sentence)
+    s, pos, y = first_window(model, pos=0)
+    loss = train_example(model, s, pos, y, TrainConfig())
+    enc_in = probe.encode_input(s)
     enc = encode(probe.spec, probe.params, enc_in.xs)
     dec = decode_window(probe.spec, probe.params, enc, 0, 0)
     assert len(dec.dists) == 1
-    assert loss == nll_loss(dec.dists[0], w.gold_index)
+    assert loss == nll_loss(dec.dists[0], y)
 
 
 @pytest.mark.parametrize("arch,decoder,encoder", [
@@ -168,7 +191,7 @@ def test_repeated_training_decreases_loss_monotonically(arch, decoder, encoder):
     model = build_model(TRAIN_SENTS, arch=arch, decoder=decoder, encoder=encoder)
     w = first_window(model, si=0, pos=2)
     cfg = TrainConfig(learning_rate=0.02)
-    losses = [train_example(model, w, 0.02, cfg) for _ in range(100)]
+    losses = [train_example(model, *w, cfg) for _ in range(100)]
     for a, b in zip(losses, losses[1:]):
         assert b <= a + 1e-9
     assert losses[-1] < losses[0] - 1e-4
@@ -180,7 +203,7 @@ def test_fine_tuning_updates_only_reachable_rows():
     before = model.table.matrix.copy()
     w = first_window(model, si=0, pos=2)
     cfg = TrainConfig(learning_rate=0.5, v_d=0)
-    train_example(model, w, 0.5, cfg)
+    train_example(model, *w, cfg)
 
     touched = model.table.vocab.index("acme")
     assert not np.array_equal(model.table.matrix[touched], before[touched])
@@ -194,7 +217,7 @@ def test_fine_tune_flag_off_freezes_embeddings():
     model = build_model(TRAIN_SENTS)
     before = model.table.matrix.copy()
     cfg = TrainConfig(learning_rate=0.5, fine_tune_embeddings=False)
-    train_example(model, first_window(model), 0.5, cfg)
+    train_example(model, *first_window(model), cfg)
     assert np.array_equal(model.table.matrix, before)
 
 
@@ -204,7 +227,7 @@ def test_window_truncation_limits_embedding_reach():
     before = model.table.matrix.copy()
     cfg = TrainConfig(learning_rate=0.5, v_d=0)
     w = first_window(model, si=0, pos=3)
-    train_example(model, w, 0.5, cfg)
+    train_example(model, *w, cfg)
     changed = {word for word in ["anna", "visited", "acme", "corp", "today"]
                if not np.array_equal(model.table.matrix[model.table.vocab.index(word)],
                                      before[model.table.vocab.index(word)])}
@@ -215,7 +238,7 @@ def test_nonfinite_parameters_abort():
     model = build_model(TRAIN_SENTS)
     model.params["decoder"]["U"][0, 0] = float("nan")
     with pytest.raises(FloatingPointError):
-        train_example(model, first_window(model), 0.01, TrainConfig())
+        train_example(model, *first_window(model), TrainConfig())
 
 
 def test_numeric_failure_names_epoch_sentence_and_position():
@@ -240,7 +263,7 @@ def test_clip_caps_global_update_norm():
     model = build_model(TRAIN_SENTS)
     reference = copy.deepcopy(model)
     cfg = TrainConfig(learning_rate=1.0, clip=True, clip_threshold=1e-3)
-    train_example(model, first_window(model), 1.0, cfg)
+    train_example(model, *first_window(model), cfg)
 
     sq = 0.0
     for b in model.params:
@@ -257,9 +280,8 @@ def test_huge_clip_threshold_is_identity():
     m1 = build_model(TRAIN_SENTS)
     m2 = copy.deepcopy(m1)
     w = first_window(m1)
-    train_example(m1, w, 0.1, TrainConfig(learning_rate=0.1, clip=True,
-                                          clip_threshold=1e9))
-    train_example(m2, w, 0.1, TrainConfig(learning_rate=0.1))
+    train_example(m1, *w, TrainConfig(learning_rate=0.1, clip=True, clip_threshold=1e9))
+    train_example(m2, *w, TrainConfig(learning_rate=0.1))
     assert states_equal(model_state(m1), model_state(m2))
 
 
@@ -280,7 +302,7 @@ def test_single_token_dataset_is_one_update():
     stats = train_epoch(m1, data, TrainConfig(learning_rate=0.05))
     assert stats.n_examples == 1
     y = m2.tag_to_index["B-PER"]
-    train_example(m2, ExampleWindow(data[0], 0, y), 0.05, TrainConfig(learning_rate=0.05))
+    train_example(m2, data[0], 0, y, TrainConfig(learning_rate=0.05))
     assert states_equal(model_state(m1), model_state(m2))
 
 
@@ -299,7 +321,7 @@ def test_epoch_without_shuffle_is_corpus_order():
     for s in TRAIN_SENTS:
         for pos in range(len(s)):
             y = m2.tag_to_index[s.tokens[pos].gold_tag]
-            train_example(m2, ExampleWindow(s, pos, y), 0.05, cfg)
+            train_example(m2, s, pos, y, cfg)
     assert states_equal(model_state(m1), model_state(m2))
 
 
@@ -502,10 +524,12 @@ def test_zero_parameters_give_symmetric_point_gradient():
     xs = [rng.uniform(4, -0.5, 0.5) for _ in range(4)]
     golds = [0, 2, 1, 0]
 
-    total = total_windowed_nll(spec, params, xs, golds, v_d=9)
+    examples = list(enumerate(golds))
+    total, _ = window_nll(spec, params, xs, examples, v_d=9)
     assert total == pytest.approx(4 * math.log(3), abs=1e-12)
 
-    acc = analytic_total_grads(spec, params, xs, golds, v_d=9)
+    acc = zero_model_grads(params)
+    window_nll(spec, params, xs, examples, v_d=9, acc=acc)
     # W = 0 makes the output uniform no matter what h is, so U and V get
     # no gradient, and dW = sum_i outer(1/O - onehot(y_i), 0.5 * ones)
     assert np.all(acc["decoder"]["U"] == 0.0)
