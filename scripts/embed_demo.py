@@ -1,10 +1,12 @@
 """Trains the three embedding objectives on a toy two-class corpus and
-prints the resulting cosine structure.
+prints the resulting cosine structure.  Exits 1 if any objective's
+mean within-class cosine is not above its mean cross-class cosine.
 
 Usage: python3 scripts/embed_demo.py
 """
 
 import os
+import sys
 import tempfile
 
 import numpy as np
@@ -25,6 +27,7 @@ def main():
     with os.fdopen(fd, "w") as fh:
         fh.write("\n".join(lines) + "\n")
 
+    failed = []
     try:
         for objective in (CBOW, SKIPGRAM, CCONCAT):
             cfg = EmbedConfig(dim=8, window=2, subsample=1.0, negatives=3,
@@ -39,9 +42,15 @@ def main():
             cross = np.mean([cos(x, y) for x in xs for y in ys])
             print("%-9s within-class cos %+.3f   cross-class cos %+.3f"
                   % (objective, within, cross))
+            if not within > cross:
+                failed.append(objective)
     finally:
         os.unlink(path)
+    if failed:
+        print("within-class cosine not above cross-class for: %s" % ", ".join(failed))
+        return 1
+    return 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

@@ -1,10 +1,12 @@
 """Memorization run: a bidirectional tagger driven to span F1 = 100
-on a small synthetic corpus with unambiguous lexical cues.
+on a small synthetic corpus with unambiguous lexical cues.  Exits 1 if
+the corpus is not memorized within --epochs.
 
 Usage: python3 scripts/overfit_demo.py [--size 50] [--seed 1]
 """
 
 import argparse
+import sys
 import time
 
 from rnntagger.architectures import ModelSpec, init_model
@@ -48,9 +50,10 @@ def main():
         print("epoch %3d  loss %.4f  train F1 %6.2f" % (epoch, stats.mean_loss, f1))
         if f1 == 100.0:
             print("memorized after %d epochs (%.1fs)" % (epoch, time.time() - t0))
-            return
+            return 0
     print("did not reach 100.00 in %d epochs" % args.epochs)
+    return 1
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

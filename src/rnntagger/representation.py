@@ -51,8 +51,8 @@ class EmbeddingTable:
     def save_text(self, path):
         with open(path, "w", encoding="utf-8") as fh:
             fh.write("%d %d\n" % (len(self.vocab), self.dim))
-            for i, word in enumerate(self.vocab.index_to_word):
-                fh.write(word + " " + " ".join(repr(float(v)) for v in self.matrix[i]) + "\n")
+            for word, row in zip(self.vocab.index_to_word, self.matrix):
+                fh.write(word + " " + " ".join(map(float.__repr__, row.tolist())) + "\n")
 
 
 def load_embeddings(path):

@@ -5,6 +5,15 @@ spec, every parameter bundle, the embedding table with its vocabulary,
 the feature channel setup, and the tagset.  Keys are sorted and floats
 use shortest round-trip notation, so saving the same model twice yields
 byte-identical files and load(save(m)) reproduces every array exactly.
+
+The writer streams the document: keys go out in sorted order, every
+value but an array through json's encoder, and each array row by row
+as float.__repr__ of its values, which is the notation json gives a
+finite float.  No list copy of a whole array is made, and the bytes
+are the ones json.dump(sort_keys=True, separators=(",", ":")) writes.
+A NaN or infinity has no JSON form the loader accepts, so save_model
+refuses an array that holds one with a FloatingPointError naming it,
+before the file is opened.
 """
 
 import json
@@ -37,17 +46,18 @@ KNOWN_KEYS = {
     "vocab.": {"words", "lowercase", "digits_to_zero"},
 }
 
+# Every value but an array goes through json's own encoder at the file's
+# settings, one value at a time.
+_encode = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
+
 
 def _lexicon_obj(lex):
     return {"name": lex.name, "entries": sorted(lex.entries)}
 
 
-def _params_obj(params):
-    return {bundle: {name: arr.tolist() for name, arr in grads.items()}
-            for bundle, grads in params.items()}
-
-
-def model_to_obj(model):
+def _model_sections(model):
+    """The file's content as nested dicts, with every array left as the
+    model's own ndarray for the writer to stream."""
     fconf = model.fconf
     obj = {
         "format": MODEL_FORMAT,
@@ -66,18 +76,50 @@ def model_to_obj(model):
         "embedding": {
             "dim": model.table.dim,
             "trainable": model.table.trainable,
-            "matrix": model.table.matrix.tolist(),
+            "matrix": model.table.matrix,
         },
-        "params": _params_obj(model.params),
+        "params": model.params,
     }
     for section, key, value in FIXED_KEYS:
         obj[section][key] = value
     return obj
 
 
+def _arrays(obj, where=""):
+    """(dotted key, array) for every array in obj, in file order."""
+    for key in sorted(obj):
+        value = obj[key]
+        if isinstance(value, dict):
+            yield from _arrays(value, where + key + ".")
+        elif isinstance(value, np.ndarray):
+            yield where + key, value
+
+
+def _write(fh, value):
+    if isinstance(value, dict):
+        fh.write("{")
+        for i, key in enumerate(sorted(value)):
+            fh.write("," * (i > 0) + _encode(key) + ":")
+            _write(fh, value[key])
+        fh.write("}")
+    elif isinstance(value, np.ndarray):     # every array in the file is 2-D
+        fh.write("[")
+        for i, row in enumerate(value):
+            fh.write("," * (i > 0) + "[" + ",".join(map(float.__repr__, row.tolist())) + "]")
+        fh.write("]")
+    else:
+        fh.write(_encode(value))
+
+
 def save_model(model, path):
+    """Write model to path; a non-finite array is a FloatingPointError
+    that names it, raised before the file is opened."""
+    obj = _model_sections(model)
+    for where, arr in _arrays(obj):
+        if not np.all(np.isfinite(arr)):
+            raise FloatingPointError("%s holds a non-finite value" % where)
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(model_to_obj(model), fh, sort_keys=True, separators=(",", ":"))
+        _write(fh, obj)
         fh.write("\n")
 
 

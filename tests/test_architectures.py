@@ -10,7 +10,6 @@ from rnntagger.architectures import (
     MESNIL,
     ModelSpec,
     argmax_tags,
-    backward_window,
     bundle_shapes,
     decode_window,
     encode,
@@ -27,6 +26,8 @@ from rnntagger.cells import (
     cell_for,
 )
 from rnntagger.linalg import SeededRng
+from rnntagger.training import window_nll
+
 
 def rand_xs(rng, n, dim):
     return rng.uniform(n * dim, -1, 1).reshape(n, dim)
@@ -331,29 +332,6 @@ class TestPredictTags:
 
 # --- windowed-loss gradients, including the input (embedding) path ---
 
-def total_windowed_nll(spec, params, xs, golds, v_d):
-    enc = encode(spec, params, xs)
-    total = 0.0
-    for i in range(len(xs)):
-        dec = decode_window(spec, params, enc, max(0, i - v_d), i)
-        total += -math.log(max(dec.dists[-1][golds[i]], 1e-12))
-    return total
-
-
-def analytic_grads(spec, params, xs, golds, v_d):
-    acc = zero_model_grads(params)
-    dxs_total = np.zeros_like(xs)
-    enc = encode(spec, params, xs)
-    for i in range(len(xs)):
-        lo = max(0, i - v_d)
-        dec = decode_window(spec, params, enc, lo, i)
-        dlogits = np.zeros_like(dec.dists)
-        dlogits[-1] = dec.dists[-1]
-        dlogits[-1, golds[i]] -= 1.0
-        dxs_total += backward_window(spec, params, enc, dec, dlogits, acc)
-    return acc, dxs_total
-
-
 GRID_SPECS = [
     ModelSpec(BASIC, n_in=4, hidden=3, n_tags=2, decoder_cell=ELMAN),
     ModelSpec(CONTEXTUAL, n_in=4, hidden=3, n_tags=2,
@@ -376,16 +354,17 @@ def test_input_gradients_match_finite_differences(spec):
     params = init_model(spec, rng)
     xs = rand_xs(rng, 4, spec.n_in)
     golds = [int(rng.randint(spec.n_tags)) for _ in range(4)]
+    examples = list(enumerate(golds))
     v_d = 2
-    _, dxs = analytic_grads(spec, params, xs, golds, v_d)
+    _, dxs = window_nll(spec, params, xs, examples, v_d, zero_model_grads(params))
     eps = 1e-5
     for j in range(len(xs)):
         for k in range(spec.n_in):
             keep = xs[j][k]
             xs[j][k] = keep + eps
-            up = total_windowed_nll(spec, params, xs, golds, v_d)
+            up, _ = window_nll(spec, params, xs, examples, v_d)
             xs[j][k] = keep - eps
-            down = total_windowed_nll(spec, params, xs, golds, v_d)
+            down, _ = window_nll(spec, params, xs, examples, v_d)
             xs[j][k] = keep
             numeric = (up - down) / (2 * eps)
             analytic = dxs[j][k]
@@ -402,8 +381,10 @@ def test_param_gradients_match_finite_differences(spec):
     params = init_model(spec, rng)
     xs = rand_xs(rng, 4, spec.n_in)
     golds = [int(rng.randint(spec.n_tags)) for _ in range(4)]
+    examples = list(enumerate(golds))
     v_d = 2
-    acc, _ = analytic_grads(spec, params, xs, golds, v_d)
+    acc = zero_model_grads(params)
+    window_nll(spec, params, xs, examples, v_d, acc)
     eps = 1e-5
     for bundle in sorted(params):
         for name in sorted(params[bundle]):
@@ -413,9 +394,9 @@ def test_param_gradients_match_finite_differences(spec):
             for k in range(flat.size):
                 keep = flat[k]
                 flat[k] = keep + eps
-                up = total_windowed_nll(spec, params, xs, golds, v_d)
+                up, _ = window_nll(spec, params, xs, examples, v_d)
                 flat[k] = keep - eps
-                down = total_windowed_nll(spec, params, xs, golds, v_d)
+                down, _ = window_nll(spec, params, xs, examples, v_d)
                 flat[k] = keep
                 numeric = (up - down) / (2 * eps)
                 assert abs(gflat[k] - numeric) <= 1e-9 + 1e-4 * max(

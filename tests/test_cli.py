@@ -472,6 +472,23 @@ def test_non_finite_weight_is_numeric_error_with_location(tmp_path, capsys, monk
     assert "numeric error: epoch 1, sentence 1, position 1: non-finite" in err
 
 
+def test_non_finite_model_exits_3_without_writing_the_file(tmp_path, capsys, monkeypatch):
+    fit = cli.fit
+
+    def poisoned(model, *args):
+        result = fit(model, *args)
+        result.model.table.matrix[2, 0] = float("inf")
+        return result
+    monkeypatch.setattr(cli, "fit", poisoned)
+    out = tmp_path / "m.json"
+    rc, _, err = run(["train", "--train", write_gold(tmp_path / "g.conll", size=4),
+                      "--dim", "4", "--hidden", "4", "--vc", "0", "--epochs", "1",
+                      "--out-model", str(out)], capsys)
+    assert rc == 3
+    assert "numeric error: embedding.matrix holds a non-finite value" in err
+    assert not out.exists()
+
+
 def test_train_mesnil_needs_no_decoder(tmp_path, capsys):
     gold = write_gold(tmp_path / "g.conll", size=4)
     out = tmp_path / "m.json"

@@ -1,9 +1,13 @@
+import dataclasses
 import json
 import re
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rnntagger.architectures import ModelSpec, init_model
 from rnntagger.corpus import Lexicon, Sentence, Token, build_vocab
@@ -275,3 +279,81 @@ def test_load_error_names_the_file(tmp_path):
     path.write_text('{"format":"rnn-mention-tagger","version":1}')
     with pytest.raises(ValueError, match="trunc.json: missing key 'spec'"):
         load_model(str(path))
+
+
+# ------------------------------------------------- the streaming writer
+
+def json_oracle_bytes(model):
+    """The model file as json.dump writes it from list copies of every
+    array: the writer's output must equal this byte for byte."""
+    fconf = model.fconf
+
+    def lexicon(lex):
+        return {"name": lex.name, "entries": sorted(lex.entries)}
+
+    obj = {
+        "format": "rnn-mention-tagger",
+        "version": 1,
+        "spec": dict(dataclasses.asdict(model.spec), bias=False, gru_candidate="sigmoid"),
+        "tagset": list(model.tagset),
+        "scheme": model.scheme,
+        "v_c": model.v_c,
+        "features": {
+            "capitalization": fconf.capitalization,
+            "gazetteers": [lexicon(g) for g in fconf.gazetteers],
+            "trigger": lexicon(fconf.trigger) if fconf.trigger else None,
+            "cache_tagset": list(fconf.cache_tagset) if fconf.cache_tagset else None,
+        },
+        "vocab": {"words": list(model.table.vocab.index_to_word),
+                  "lowercase": True, "digits_to_zero": True},
+        "embedding": {"dim": model.table.dim, "trainable": model.table.trainable,
+                      "matrix": model.table.matrix.tolist()},
+        "params": {bundle: {name: arr.tolist() for name, arr in grads.items()}
+                   for bundle, grads in model.params.items()},
+    }
+    return (json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n").encode("utf-8")
+
+
+EDGE_FLOATS = [-0.0, 5e-324, -5e-324, 1e308, -1e308, 1.0, 0.1 + 0.2]
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from([bare_model, featureful_model]),
+       st.integers(0, 2**32 - 1),
+       st.lists(st.text(min_size=1, max_size=6), max_size=4, unique=True),
+       st.lists(st.floats(allow_nan=False, allow_infinity=False), max_size=8))
+def test_writer_bytes_equal_json_dump(build, seed, extra_words, drawn):
+    model = build()
+    for word in extra_words:
+        model.table.vocab.add(word)
+    rng = np.random.default_rng(seed)
+    model.table = EmbeddingTable(model.table.vocab, model.table.dim,
+                                 rng.normal(size=(len(model.table.vocab), model.table.dim)),
+                                 trainable=bool(rng.integers(2)))
+    pool = np.array(EDGE_FLOATS + drawn)
+    for arr in [model.table.matrix] + [a for g in model.params.values() for a in g.values()]:
+        arr[:] = rng.normal(size=arr.shape) * 10.0 ** rng.integers(-300, 300)
+        picks = rng.random(arr.shape) < 0.5
+        arr[picks] = rng.choice(pool, size=int(picks.sum()))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "m.json"
+        save_model(model, str(path))
+        assert path.read_bytes() == json_oracle_bytes(model)
+
+
+@pytest.mark.parametrize("value", [float("inf"), float("-inf"), float("nan")])
+def test_non_finite_array_refused_before_the_file_is_touched(value, tmp_path):
+    path = tmp_path / "m.json"
+    path.write_bytes(b"previous contents")
+    model = bare_model()
+    model.params["decoder"]["U"][1, 2] = value
+    with pytest.raises(FloatingPointError, match=r"^params\.decoder\.U holds a non-finite value$"):
+        save_model(model, str(path))
+    model = bare_model()
+    model.table.matrix[3, 0] = value
+    with pytest.raises(FloatingPointError, match=r"^embedding\.matrix holds a non-finite value$"):
+        save_model(model, str(path))
+    assert path.read_bytes() == b"previous contents"
+    with pytest.raises(FloatingPointError):
+        save_model(model, str(tmp_path / "new.json"))
+    assert not (tmp_path / "new.json").exists()
