@@ -145,6 +145,7 @@ class ChainRun:
     states: np.ndarray   # (m, carry width) emitted states: h, or o for the Jordan family
     dists: np.ndarray    # (m, O) output distributions, or None without an output layer
     has_extra: bool
+    steps: int           # positions stepped; the rows past them are zero
 
     @property
     def hidden(self):
@@ -156,33 +157,44 @@ class ChainRun:
         return np.vstack([np.zeros((1, self.states.shape[1])), self.states[:-1]])
 
 
-def run_chain(cell, params, out_params, xss, hidden, n_tags, extras=None):
+def run_chain(cell, params, out_params, xss, hidden, n_tags, extras=None, steps=None):
     """Left-to-right recurrences from a zero initial carry, one over the
     rows of each array in xss, all stepped together; returns one ChainRun
     per array, in the order given.
 
-    The chains are sorted longest first, so step i runs the first a_i
-    rows, the chains still that long; no padded position is computed.
-    Projections, and an Elman-family output layer, are products per
-    chain, and each row of a step has the bits it has in a batch of one.
+    steps, when given, holds how many leading positions of each chain to
+    step (default: all of them); a chain's rows past that count stay
+    zero.  The chains are sorted by it, most first, so step i runs the
+    first a_i rows, the chains still stepping; no padded position is
+    computed.  Projections, and an Elman-family output layer, are
+    products per chain at its full height, and each row of a step has
+    the bits it has in a batch of one.
     """
     if cell.carries_output and out_params is None:
         raise ValueError("%s chain needs an output layer to carry o_prev" % cell.kind)
     xss = [np.asarray(xs, dtype=np.float64) for xs in xss]
     if extras is None:
         extras = [None] * len(xss)
-    order = sorted(range(len(xss)), key=lambda b: -len(xss[b]))
+    if steps is None:
+        steps = [len(xs) for xs in xss]
+    order = sorted(range(len(xss)), key=lambda b: -steps[b])
     projs = [cell.project(params, xss[b], extras[b]) for b in order]
-    lengths = [len(p) for p in projs]
-    steps = lengths[0]
-    # a_i: how many chains are longer than i
-    active = (np.array(lengths)[:, None] > np.arange(steps)).sum(axis=0)
-    # time-major blocks: row (i, j) is position i of the j-th longest chain
-    proj = np.zeros((steps, len(projs)) + projs[0].shape[1:])
+    counts = [steps[b] for b in order]
+    height = max(len(p) for p in projs)
+    # a_i: how many chains step position i
+    active = (np.array(counts)[:, None] > np.arange(counts[0])).sum(axis=0)
+    # time-major blocks: row (i, j) is position i of the j-th chain
+    proj = np.zeros((height, len(projs)) + projs[0].shape[1:])
     for j, p in enumerate(projs):
         proj[: len(p), j] = p
-    mid = np.empty((steps, cell.n_mid, len(projs), hidden))
-    dists = np.empty((steps, len(projs), n_tags)) if cell.carries_output else None
+    mid = np.empty((height, cell.n_mid, len(projs), hidden))
+    dists = np.empty((height, len(projs), n_tags)) if cell.carries_output else None
+    for j, (p, c) in enumerate(zip(projs, counts)):
+        # full-height products read the rows not stepped: zero, not
+        # uninitialised memory, whose NaNs would survive a times zero
+        mid[c : len(p), :, j] = 0.0
+        if dists is not None:
+            dists[c : len(p), j] = 0.0
     carry = linalg.zeros((len(projs), cell.carry_dim(hidden, n_tags)))
     for i, a in enumerate(active):
         mid[i, :, :a] = cell.step(params, proj[i, :a], carry[:a])
@@ -193,27 +205,28 @@ def run_chain(cell, params, out_params, xss, hidden, n_tags, extras=None):
         else:
             carry = mid[i, -1, :a]
     runs = [None] * len(xss)
-    for j, (b, m) in enumerate(zip(order, lengths)):
-        chain_mid = mid[:m, :, j]
+    for j, (b, p, c) in enumerate(zip(order, projs, counts)):
+        chain_mid = mid[: len(p), :, j]
         if cell.carries_output:
-            states = chain_dists = dists[:m, j]
+            states = chain_dists = dists[: len(p), j]
         else:
             states = chain_mid[:, -1]
             chain_dists = (None if out_params is None
                            else SoftmaxOutput.step(out_params, states))
         runs[b] = ChainRun(xs=xss[b], mid=chain_mid, states=states, dists=chain_dists,
-                           has_extra=extras[b] is not None)
+                           has_extra=extras[b] is not None, steps=c)
     return runs
 
 
 def chain_backward(cell, params, out_params, run, acc, acc_out,
                    dstates=None, dlogits=None):
-    """BPTT over one chain.
+    """BPTT over the positions of one chain that were stepped.
 
     dstates: (m, state width) upstream gradient on the emitted states.
     dlogits: (m, O) upstream gradient on the output-layer logits (loss path).
-    Either may be None (zero). Returns (dX, dextra); dextra is None
-    when the chain ran without an extra term.
+    Either may be None (zero), and must be zero past run.steps: a
+    position not stepped gets no gradient.  Returns (dX, dextra); dextra
+    is None when the chain ran without an extra term.
     """
     m, _, hidden = run.mid.shape
     if dstates is None:
@@ -225,9 +238,10 @@ def chain_backward(cell, params, out_params, run, acc, acc_out,
     elif dlogits is not None:
         dh_out = SoftmaxOutput.backward_from_logits(
             out_params, run.hidden, dlogits, acc_out)
-    dpre = np.empty((m, cell.n_dpre, hidden))
+    # the gradient products stay at full height m, which sets their bits
+    dpre = np.zeros((m, cell.n_dpre, hidden))
     dcarry = np.zeros(run.states.shape[1])
-    for i in reversed(range(m)):
+    for i in reversed(range(run.steps)):
         dstate = dstates[i] + dcarry
         if cell.carries_output:
             dlogits[i] += SoftmaxOutput.logit_grad(run.dists[i], dstate)
@@ -253,11 +267,18 @@ class Encoded:
     r: np.ndarray = None
 
 
-def encode_batch(spec, params, xss):
-    """Run whatever encoders the architecture needs over each full
-    sentence of the batch, each xs holding one input row per position;
-    one Encoded per sentence, and every chain of the batch stepped
-    together."""
+def encode_batch(spec, params, xss, spans=None):
+    """Run whatever encoders the architecture needs over each sentence
+    of the batch, each xs holding one input row per position; one
+    Encoded per sentence, and every chain of the batch stepped together.
+
+    spans, when given, holds for each sentence the (lo, hi) of the
+    positions whose decoder windows will be read.  Those windows read l
+    only up to hi and r only from lo on, so the forward encoder steps
+    0..hi and the backward one n - 1 down to lo, and the other rows of l
+    and r are zero.  The contextual encoder always runs whole: c_n reads
+    every position.
+    """
     xss = [np.asarray(xs, dtype=np.float64) for xs in xss]
     if any(len(xs) < 1 for xs in xss):
         raise ValueError("cannot encode an empty sentence")
@@ -265,8 +286,10 @@ def encode_batch(spec, params, xss):
     if spec.arch == BASIC:
         return encs
     cell = cell_for(spec.encoder_cell)
+    cone = spans is not None and spec.arch != CONTEXTUAL
     fwd = run_chain(cell, params["encoder_fwd"], params.get("encoder_fwd_out"),
-                    xss, spec.hidden, spec.n_tags)
+                    xss, spec.hidden, spec.n_tags,
+                    steps=[hi + 1 for _, hi in spans] if cone else None)
     if spec.arch == CONTEXTUAL:
         for enc, run in zip(encs, fwd):
             enc.enc_fwd = run
@@ -274,7 +297,8 @@ def encode_batch(spec, params, xss):
             enc.extra = params["context"]["S"] @ enc.c_n
         return encs
     bwd = run_chain(cell, params["encoder_bwd"], params.get("encoder_bwd_out"),
-                    [xs[::-1] for xs in xss], spec.hidden, spec.n_tags)
+                    [xs[::-1] for xs in xss], spec.hidden, spec.n_tags,
+                    steps=[len(xs) - lo for xs, (lo, _) in zip(xss, spans)] if cone else None)
     for enc, run_f, run_b in zip(encs, fwd, bwd):
         enc.enc_fwd, enc.enc_bwd = run_f, run_b
         enc.l = run_f.states
@@ -283,9 +307,9 @@ def encode_batch(spec, params, xss):
     return encs
 
 
-def encode(spec, params, xs):
-    """encode_batch of the one sentence xs."""
-    return encode_batch(spec, params, [xs])[0]
+def encode(spec, params, xs, span=None):
+    """encode_batch of the one sentence xs, over the cone of span."""
+    return encode_batch(spec, params, [xs], None if span is None else [span])[0]
 
 
 def _beta(l, r, k):

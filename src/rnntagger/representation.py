@@ -10,7 +10,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import linalg
-from .corpus import PAD_INDEX, Vocabulary, read_lines
+from .corpus import PAD_INDEX, UNK_INDEX, Vocabulary, read_lines
 
 
 class EmbeddingTable:
@@ -90,22 +90,16 @@ def load_embeddings(path):
         raise ValueError("%s:%d: row for %r holds a non-finite value"
                          % (path, linenos[i], words[i]))
 
+    first = {}   # word -> its first line; a duplicate line is dropped
+    for i, w in enumerate(words):
+        first.setdefault(w, i)
     vocab = Vocabulary()
-    matrix = [None, None]
-    for w, r in zip(words, rows):
-        idx = vocab.add(w)
-        if idx < len(matrix) and matrix[idx] is not None:
-            continue  # duplicate line, first wins
-        if idx >= len(matrix):
-            matrix.append(r)
-        else:
-            matrix[idx] = r
-    mean = np.mean(values, axis=0)
-    if matrix[0] is None:
-        matrix[0] = [0.0] * dim
-    if matrix[1] is None:
-        matrix[1] = list(mean)
-    return EmbeddingTable(vocab, dim, np.array(matrix, dtype=np.float64))
+    for w in first:
+        vocab.add(w)
+    matrix = np.zeros((len(vocab), dim))
+    matrix[UNK_INDEX] = np.mean(values, axis=0)   # unless the file has a row for UNK
+    matrix[[vocab.word_to_index[w] for w in first]] = values[list(first.values())]
+    return EmbeddingTable(vocab, dim, matrix)
 
 
 # --- discrete feature channels ---
@@ -113,21 +107,20 @@ def load_embeddings(path):
 CAP_WIDTH = 5
 
 
-def capitalization_features(surface):
-    """[all-lower, all-upper, init-cap, mixed, no-alpha], exactly one set."""
-    bits = np.zeros(CAP_WIDTH)
+def capitalization_class(surface):
+    """Which of [all-lower, all-upper, init-cap, mixed, no-alpha] the
+    surface is, as an index; each letter is tested on its own, so an
+    uncased letter (中) is neither lower nor upper."""
     alpha = [c for c in surface if c.isalpha()]
     if not alpha:
-        bits[4] = 1.0
-    elif all(c.islower() for c in alpha):
-        bits[0] = 1.0
-    elif all(c.isupper() for c in alpha):
-        bits[1] = 1.0
-    elif alpha[0].isupper() and all(c.islower() for c in alpha[1:]):
-        bits[2] = 1.0
-    else:
-        bits[3] = 1.0
-    return bits
+        return 4
+    if all(c.islower() for c in alpha):
+        return 0
+    if all(c.isupper() for c in alpha):
+        return 1
+    if alpha[0].isupper() and all(c.islower() for c in alpha[1:]):
+        return 2
+    return 3
 
 
 def gazetteer_mask(surfaces, lexicon):
@@ -175,15 +168,6 @@ class DocCache:
     def update_sentence(self, sentence, tags, tag_to_index):
         for tok, tag in zip(sentence.tokens, tags):
             self._latest[tok.surface.lower()] = tag_to_index[tag]
-
-
-def cache_feature(doc_state, token, width):
-    """One-hot of the cached label index; all-zero when unseen."""
-    bits = np.zeros(width)
-    idx = doc_state.get(token.surface) if doc_state is not None else None
-    if idx is not None:
-        bits[idx] = 1.0
-    return bits
 
 
 @dataclass
@@ -238,31 +222,28 @@ def encode_sentence(sentence, table, fconf, v_c, doc_state=None):
     dim = table.dim
     block = dim + fconf.width
     surfaces = sentence.surfaces()
-    gaz_masks = [gazetteer_mask(surfaces, lex) for lex in fconf.gazetteers]
-
-    w = np.zeros((n, block))
-    indices = []
-    for i, tok in enumerate(sentence.tokens):
-        idx = table.vocab.index(tok.surface)
-        indices.append(idx)
-        w[i, :dim] = table.matrix[idx]
-        at = dim
-        if fconf.capitalization:
-            w[i, at : at + CAP_WIDTH] = capitalization_features(tok.surface)
-            at += CAP_WIDTH
-        for mask in gaz_masks:
-            w[i, at] = mask[i]
-            at += 1
-        if fconf.trigger is not None:
-            w[i, at] = 1.0 if tok.surface in fconf.trigger else 0.0
-            at += 1
-        if fconf.cache_tagset is not None:
-            width = len(fconf.cache_tagset)
-            w[i, at : at + width] = cache_feature(doc_state, tok, width)
-            at += width
+    indices = [table.vocab.index(s) for s in surfaces]
 
     padded = np.zeros((n + 2 * v_c, block))
-    padded[v_c : v_c + n] = w
+    w = padded[v_c : v_c + n]   # row i is w_i, the rows either side stay zero
+    w[:, :dim] = table.matrix[indices]
+    at = dim
+    if fconf.capitalization:
+        w[np.arange(n), [at + capitalization_class(s) for s in surfaces]] = 1.0
+        at += CAP_WIDTH
+    for lex in fconf.gazetteers:
+        w[:, at] = gazetteer_mask(surfaces, lex)
+        at += 1
+    if fconf.trigger is not None:
+        w[:, at] = [s in fconf.trigger for s in surfaces]
+        at += 1
+    if fconf.cache_tagset is not None and doc_state is not None:
+        # one-hot of each token's cached label; all-zero when unseen
+        hits = [(i, at + k) for i, k in enumerate(map(doc_state.get, surfaces))
+                if k is not None]
+        if hits:
+            w[tuple(zip(*hits))] = 1.0
+
     # slot k of row i is w_{i+k-v_c}: one shifted copy of w per slot
     xs = np.hstack([padded[k : k + n] for k in range(2 * v_c + 1)])
     return InputEncoding(xs=xs, word_indices=indices, block=block, v_c=v_c, dim=dim)

@@ -1,10 +1,12 @@
 """Windowed local training: truncated BPTT, plain SGD, embedding
 fine-tuning, and the finite-difference gradient checker.
 
-Each training example is one (sentence, position) pair.  Encoder passes
-(context vector, bidirectional states) always run over the full
-sentence; only the decoder is windowed, covering the v_d positions
-preceding the target plus the target itself, from a zero carry.
+Each training example is one (sentence, position) pair.  The decoder is
+windowed, covering the v_d positions preceding the target plus the
+target itself, from a zero carry.  The encoders see the whole sentence,
+but step only the positions the window reads: the contextual c_n needs
+all of them, the bidirectional and mesnil l_i only those up to the
+target and r_i only those from the window's start on.
 `window_nll` is that objective and its gradient, written once: an SGD
 step takes it over one example, and the gradient check takes it over
 every position of a sentence, so the check audits the code SGD runs.
@@ -124,13 +126,17 @@ def _check_finite(acc, emb_rows):
 def window_nll(spec, params, xs, examples, v_d, acc=None):
     """The windowed objective over one encode of xs: the summed nll of
     every (position i, gold index) example, its window i - v_d..i (cut
-    at 0) decoded from a zero carry.
+    at 0) decoded from a zero carry.  The encoders step only the cone
+    of the examples' windows, which gives the loss and gradients the
+    bits of a whole-sentence encode.
 
     Returns (loss, dxs).  With acc, each window is also backpropagated,
     parameter gradients accumulate into acc, and dxs is the summed (n, I)
     input gradient; without, dxs is None.
     """
-    enc = encode(spec, params, xs)
+    positions = [i for i, _ in examples]
+    span = (max(0, min(positions) - v_d), max(positions)) if positions else None
+    enc = encode(spec, params, xs, span)
     total = 0.0
     dxs = None
     for i, y in examples:
@@ -161,7 +167,9 @@ def train_example(model, sentence, position, gold, cfg, doc_state=None):
     scale = cfg.clip_threshold / norm if cfg.clip and norm > cfg.clip_threshold else 1.0
     for bundle, grads in acc.items():
         for name, g in grads.items():
-            model.params[bundle][name] -= cfg.learning_rate * scale * g
+            # (lr * scale) * g, in place of a temporary per block
+            np.multiply(g, cfg.learning_rate * scale, out=g)
+            model.params[bundle][name] -= g
     for row, g in emb_rows.items():
         model.table.add_grad(row, scale * g, cfg.learning_rate)
     return loss

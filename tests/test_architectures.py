@@ -10,6 +10,7 @@ from rnntagger.architectures import (
     MESNIL,
     ModelSpec,
     argmax_tags,
+    backward_window,
     bundle_shapes,
     decode_window,
     encode,
@@ -26,7 +27,8 @@ from rnntagger.cells import (
     cell_for,
 )
 from rnntagger.linalg import SeededRng
-from rnntagger.training import window_nll
+from rnntagger import training
+from rnntagger.training import nll_loss, window_nll
 
 
 def rand_xs(rng, n, dim):
@@ -347,61 +349,115 @@ GRID_SPECS = [
 ]
 
 
-@pytest.mark.parametrize("spec", GRID_SPECS, ids=lambda s: "%s-%s-%s" % (
-    s.arch, s.encoder_cell, s.decoder_cell))
+def grid_id(spec):
+    return "%s-%s-%s" % (spec.arch, spec.encoder_cell, spec.decoder_cell)
+
+
+def fd_mismatches(spec, params, xs, examples, v_d, weights=True, inputs=True):
+    """Every parameter (weights) and input (inputs) entry whose analytic
+    gradient of window_nll disagrees with its central difference;
+    differences below 1e-9 are truncation noise and count as agreement."""
+    acc = zero_model_grads(params)
+    _, dxs = window_nll(spec, params, xs, examples, v_d, acc)
+    entries = []
+    if weights:
+        entries += [("%s.%s" % (b, name), params[b][name].reshape(-1), acc[b][name].reshape(-1))
+                    for b in sorted(params) for name in sorted(params[b])]
+    if inputs:
+        entries.append(("x", xs.reshape(-1), dxs.reshape(-1)))
+    eps = 1e-5
+    bad = []
+    for label, flat, grad in entries:
+        for k in range(flat.size):
+            keep = flat[k]
+            flat[k] = keep + eps
+            up, _ = window_nll(spec, params, xs, examples, v_d)
+            flat[k] = keep - eps
+            down, _ = window_nll(spec, params, xs, examples, v_d)
+            flat[k] = keep
+            numeric = (up - down) / (2 * eps)
+            if not abs(grad[k] - numeric) <= 1e-9 + 1e-4 * max(abs(grad[k]), abs(numeric)):
+                bad.append("%s[%d]: %g vs %g" % (label, k, grad[k], numeric))
+    return bad
+
+
+@pytest.mark.parametrize("spec", GRID_SPECS, ids=grid_id)
 def test_input_gradients_match_finite_differences(spec):
     rng = SeededRng(99)
     params = init_model(spec, rng)
     xs = rand_xs(rng, 4, spec.n_in)
-    golds = [int(rng.randint(spec.n_tags)) for _ in range(4)]
-    examples = list(enumerate(golds))
-    v_d = 2
-    _, dxs = window_nll(spec, params, xs, examples, v_d, zero_model_grads(params))
-    eps = 1e-5
-    for j in range(len(xs)):
-        for k in range(spec.n_in):
-            keep = xs[j][k]
-            xs[j][k] = keep + eps
-            up, _ = window_nll(spec, params, xs, examples, v_d)
-            xs[j][k] = keep - eps
-            down, _ = window_nll(spec, params, xs, examples, v_d)
-            xs[j][k] = keep
-            numeric = (up - down) / (2 * eps)
-            analytic = dxs[j][k]
-            # atol guard: diffs below 1e-9 are FD truncation noise
-            assert abs(analytic - numeric) <= 1e-9 + 1e-4 * max(
-                abs(analytic), abs(numeric)), "x[%d][%d]: %g vs %g" % (
-                j, k, analytic, numeric)
+    examples = [(i, int(rng.randint(spec.n_tags))) for i in range(4)]
+    assert fd_mismatches(spec, params, xs, examples, 2, weights=False) == []
 
 
-@pytest.mark.parametrize("spec", GRID_SPECS, ids=lambda s: "%s-%s-%s" % (
-    s.arch, s.encoder_cell, s.decoder_cell))
+@pytest.mark.parametrize("spec", GRID_SPECS, ids=grid_id)
 def test_param_gradients_match_finite_differences(spec):
     rng = SeededRng(123)
     params = init_model(spec, rng)
     xs = rand_xs(rng, 4, spec.n_in)
-    golds = [int(rng.randint(spec.n_tags)) for _ in range(4)]
-    examples = list(enumerate(golds))
-    v_d = 2
-    acc = zero_model_grads(params)
-    window_nll(spec, params, xs, examples, v_d, acc)
-    eps = 1e-5
-    for bundle in sorted(params):
-        for name in sorted(params[bundle]):
-            arr = params[bundle][name]
-            flat = arr.reshape(-1)
-            gflat = acc[bundle][name].reshape(-1)
-            for k in range(flat.size):
-                keep = flat[k]
-                flat[k] = keep + eps
-                up, _ = window_nll(spec, params, xs, examples, v_d)
-                flat[k] = keep - eps
-                down, _ = window_nll(spec, params, xs, examples, v_d)
-                flat[k] = keep
-                numeric = (up - down) / (2 * eps)
-                assert abs(gflat[k] - numeric) <= 1e-9 + 1e-4 * max(
-                    abs(gflat[k]), abs(numeric)), "%s.%s[%d]: %g vs %g" % (
-                    bundle, name, k, gflat[k], numeric)
+    examples = [(i, int(rng.randint(spec.n_tags))) for i in range(4)]
+    assert fd_mismatches(spec, params, xs, examples, 2, inputs=False) == []
+
+
+# --- one example's encoders step only the cone of its window ---
+
+CONE_N = 7
+CONE_VD = 2
+
+
+def whole_sentence_nll(spec, params, xs, i, y, v_d, acc):
+    """window_nll of the one example (i, y) the long way: every encoder
+    over the whole sentence, then decode_window and backward_window."""
+    enc = encode(spec, params, xs)
+    dec = decode_window(spec, params, enc, max(0, i - v_d), i)
+    dlogits = np.zeros_like(dec.dists)
+    dlogits[-1] = dec.dists[-1]
+    dlogits[-1, y] -= 1.0
+    return nll_loss(dec.dists[-1], y), backward_window(spec, params, enc, dec, dlogits, acc)
+
+
+@pytest.mark.parametrize("spec", GRID_SPECS, ids=grid_id)
+def test_one_example_cone_is_bitwise_the_whole_sentence_path(spec, monkeypatch):
+    rng = SeededRng(77)
+    params = init_model(spec, rng)
+    xs = rand_xs(rng, CONE_N, spec.n_in)
+    encoded = []
+
+    def recording_encode(*args):
+        encoded.append(encode(*args))
+        return encoded[-1]
+
+    monkeypatch.setattr(training, "encode", recording_encode)
+    for i in range(CONE_N):
+        y = int(rng.randint(spec.n_tags))
+        acc, want_acc = zero_model_grads(params), zero_model_grads(params)
+        loss, dxs = window_nll(spec, params, xs, [(i, y)], CONE_VD, acc)
+        want_loss, want_dxs = whole_sentence_nll(spec, params, xs, i, y, CONE_VD, want_acc)
+        assert np.float64(loss).tobytes() == np.float64(want_loss).tobytes()
+        assert dxs.tobytes() == want_dxs.tobytes()
+        for b in acc:
+            for name in acc[b]:
+                assert acc[b][name].tobytes() == want_acc[b][name].tobytes(), (i, b, name)
+        enc = encoded[-1]
+        if spec.arch in (BIDIRECTIONAL, MESNIL):
+            # l stepped 0..i, r from the window's start on, nothing more
+            lo = max(0, i - CONE_VD)
+            assert enc.enc_fwd.steps == i + 1
+            assert enc.enc_bwd.steps == CONE_N - lo
+            assert not enc.l[i + 1:].any() and not enc.r[:lo].any()
+        elif spec.arch == CONTEXTUAL:
+            assert enc.enc_fwd.steps == CONE_N
+
+
+@pytest.mark.parametrize("spec", [s for s in GRID_SPECS if s.arch in (BIDIRECTIONAL, MESNIL)],
+                         ids=grid_id)
+@pytest.mark.parametrize("i", [0, CONE_N // 2, CONE_N - 1])
+def test_one_example_cone_gradients_match_finite_differences(spec, i):
+    rng = SeededRng(55 + i)
+    params = init_model(spec, rng)
+    xs = rand_xs(rng, CONE_N, spec.n_in)
+    examples = [(i, int(rng.randint(spec.n_tags)))]
+    assert fd_mismatches(spec, params, xs, examples, CONE_VD) == []
 
 
 def test_empty_sentence_rejected():

@@ -3,15 +3,25 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rnntagger.corpus import PAD_INDEX, UNK_INDEX, Lexicon, Sentence, Token, Vocabulary
+from rnntagger.corpus import (
+    PAD_INDEX,
+    UNK,
+    UNK_INDEX,
+    Lexicon,
+    Sentence,
+    Token,
+    Vocabulary,
+    normalize,
+)
 from rnntagger.linalg import SeededRng
 from rnntagger.representation import (
+    CAP_WIDTH,
     DocCache,
     EmbeddingTable,
     FeatureConfig,
-    cache_feature,
-    capitalization_features,
+    capitalization_class,
     encode_sentence,
+    gazetteer_mask,
     load_embeddings,
 )
 
@@ -29,33 +39,35 @@ def small_vocab(*words):
 
 class TestCapitalization:
     def test_all_lower(self):
-        assert capitalization_features("paris").tolist() == [1, 0, 0, 0, 0]
+        assert capitalization_class("paris") == 0
 
     def test_all_upper(self):
-        assert capitalization_features("NATO").tolist() == [0, 1, 0, 0, 0]
+        assert capitalization_class("NATO") == 1
 
     def test_no_alpha(self):
-        assert capitalization_features("1984").tolist() == [0, 0, 0, 0, 1]
+        assert capitalization_class("1984") == 4
 
     def test_init_cap(self):
-        assert capitalization_features("Madrid").tolist() == [0, 0, 1, 0, 0]
+        assert capitalization_class("Madrid") == 2
 
     def test_mixed(self):
-        assert capitalization_features("McDonald").tolist() == [0, 0, 0, 1, 0]
+        assert capitalization_class("McDonald") == 3
 
     def test_init_cap_with_punctuation(self):
-        assert capitalization_features("Mr.").tolist() == [0, 0, 1, 0, 0]
+        assert capitalization_class("Mr.") == 2
 
     @given(st.text(min_size=1, max_size=12))
     def test_exactly_one_bit(self, s):
-        assert capitalization_features(s).sum() == 1
+        cols = feature_columns([s], capitalization=True)
+        assert cols[0] == np.eye(CAP_WIDTH)[capitalization_class(s)].tolist()
 
 
-def feature_columns(words, **features):
+def feature_columns(words, doc_state=None, **features):
     """The feature columns of each word's w-vector, as encode_sentence
     builds them (v_c = 0, so x_i is w_i itself)."""
     table = EmbeddingTable.random(small_vocab(*words), 2, SeededRng(1))
-    enc = encode_sentence(sent(*words), table, FeatureConfig(**features), v_c=0)
+    enc = encode_sentence(sent(*words), table, FeatureConfig(**features), v_c=0,
+                          doc_state=doc_state)
     return [x[table.dim:].tolist() for x in enc.xs]
 
 
@@ -104,30 +116,34 @@ class TestTrigger:
         assert feature_columns(["banana"], trigger=lex) == [[0]]
 
 
+def cache_columns(cache, word, width):
+    """The cache columns of word's w-vector under the document cache."""
+    return feature_columns([word], cache_tagset=list(range(width)), doc_state=cache)[0]
+
+
 class TestCache:
     def test_first_occurrence_zero(self):
         cache = DocCache()
-        assert cache_feature(cache, Token("Liverpool"), 3).sum() == 0
+        assert sum(cache_columns(cache, "Liverpool", 3)) == 0
 
     def test_recent_label_one_hot(self):
         cache = DocCache()
         s = sent("Liverpool")
         cache.update_sentence(s, ["B-ORG"], {"O": 0, "B-ORG": 1, "I-ORG": 2})
-        bits = cache_feature(cache, Token("liverpool"), 3)
-        assert bits.tolist() == [0, 1, 0]
+        assert cache_columns(cache, "liverpool", 3) == [0, 1, 0]
 
     def test_reset_clears(self):
         cache = DocCache()
         cache.update_sentence(sent("a"), ["B-X"], {"B-X": 1})
         cache.reset()
-        assert cache_feature(cache, Token("a"), 2).sum() == 0
+        assert sum(cache_columns(cache, "a", 2)) == 0
 
     def test_most_recent_wins(self):
         cache = DocCache()
         tagmap = {"O": 0, "B-ORG": 1}
         cache.update_sentence(sent("Jordan"), ["B-ORG"], tagmap)
         cache.update_sentence(sent("Jordan"), ["O"], tagmap)
-        assert cache_feature(cache, Token("Jordan"), 2).tolist() == [1, 0]
+        assert cache_columns(cache, "Jordan", 2) == [1, 0]
 
 
 class TestEmbeddingTable:
@@ -190,6 +206,26 @@ class TestEmbeddingTable:
         with pytest.raises(ValueError) as err:
             load_embeddings(str(path))
         assert str(err.value) == str(path) + message
+
+    def test_duplicate_word_keeps_first_row_and_unk_is_mean_of_all_lines(self, tmp_path):
+        rows = [("a", [0.1, 0.7]), ("b", [0.2, -0.3]), ("a", [0.3, 1e-17])]
+        path = tmp_path / "vec.txt"
+        path.write_text("".join("%s %r %r\n" % (w, *r) for w, r in rows), encoding="utf-8")
+        t = load_embeddings(str(path))
+        assert t.vocab.index_to_word[2:] == ["a", "b"]
+        assert t.matrix[t.vocab.index("a")].tobytes() == np.array([0.1, 0.7]).tobytes()
+        # the UNK row averages every line, the dropped duplicate too
+        mean = np.mean(np.array([r for _, r in rows]), axis=0)
+        assert t.matrix[UNK_INDEX].tobytes() == mean.tobytes()
+        assert t.matrix[UNK_INDEX].tolist() == [0.20000000000000004, 0.13333333333333333]
+
+    def test_unk_row_in_file_is_kept(self, tmp_path):
+        path = tmp_path / "vec.txt"
+        path.write_text("a 1.0 2.0\n%s 5.0 6.0\n%s 7.0 8.0\n" % (UNK, UNK), encoding="utf-8")
+        t = load_embeddings(str(path))
+        assert t.matrix[UNK_INDEX].tolist() == [5.0, 6.0]
+        assert t.matrix[t.vocab.index("a")].tolist() == [1.0, 2.0]
+        assert len(t.vocab) == 3
 
 
 class TestEncodeSentence:
@@ -264,3 +300,106 @@ class TestEncodeSentence:
         s = sent(*["w%d" % (k % 6) for k in range(n)])
         enc = encode_sentence(s, t, FeatureConfig(capitalization=True), v_c)
         assert all(len(x) == (2 * v_c + 1) * (3 + 5) for x in enc.xs)
+
+
+# --- encode_sentence against a per-token reference builder ---
+
+def reference_capitalization(surface):
+    bits = np.zeros(CAP_WIDTH)
+    alpha = [c for c in surface if c.isalpha()]
+    if not alpha:
+        bits[4] = 1.0
+    elif all(c.islower() for c in alpha):
+        bits[0] = 1.0
+    elif all(c.isupper() for c in alpha):
+        bits[1] = 1.0
+    elif alpha[0].isupper() and all(c.islower() for c in alpha[1:]):
+        bits[2] = 1.0
+    else:
+        bits[3] = 1.0
+    return bits
+
+
+def reference_cache(doc_state, token, width):
+    bits = np.zeros(width)
+    idx = doc_state.get(token.surface) if doc_state is not None else None
+    if idx is not None:
+        bits[idx] = 1.0
+    return bits
+
+
+def reference_encode(sentence, table, fconf, v_c, doc_state=None):
+    """(xs, word_indices) built token by token: each w-vector from its
+    own zero rows, copied into place, then the windows."""
+    n = len(sentence)
+    dim = table.dim
+    block = dim + fconf.width
+    surfaces = sentence.surfaces()
+    gaz_masks = [gazetteer_mask(surfaces, lex) for lex in fconf.gazetteers]
+    w = np.zeros((n, block))
+    indices = []
+    for i, tok in enumerate(sentence.tokens):
+        idx = table.vocab.index(tok.surface)
+        indices.append(idx)
+        w[i, :dim] = table.matrix[idx]
+        at = dim
+        if fconf.capitalization:
+            w[i, at : at + CAP_WIDTH] = reference_capitalization(tok.surface)
+            at += CAP_WIDTH
+        for mask in gaz_masks:
+            w[i, at] = mask[i]
+            at += 1
+        if fconf.trigger is not None:
+            w[i, at] = 1.0 if tok.surface in fconf.trigger else 0.0
+            at += 1
+        if fconf.cache_tagset is not None:
+            width = len(fconf.cache_tagset)
+            w[i, at : at + width] = reference_cache(doc_state, tok, width)
+            at += width
+    padded = np.zeros((n + 2 * v_c, block))
+    padded[v_c : v_c + n] = w
+    xs = np.hstack([padded[k : k + n] for k in range(2 * v_c + 1)])
+    return xs, indices
+
+
+# uncased letters (中), ß (lower, upper-cases to SS), İ (upper, lower-cases
+# to two characters), digits, punctuation and both cases
+SURFACES = st.text(alphabet="aBcD中ßİ09.-'", min_size=1, max_size=5)
+CACHE_TAGS = ["O", "B-X", "I-X"]
+
+
+@settings(max_examples=150, deadline=None)
+@given(words=st.lists(SURFACES, min_size=1, max_size=8),
+       known=st.lists(SURFACES, max_size=6),
+       v_c=st.integers(0, 3),
+       caps=st.booleans(),
+       n_gaz=st.integers(0, 2),
+       use_trigger=st.booleans(),
+       use_cache=st.booleans(),
+       data=st.data())
+def test_encode_sentence_matches_per_token_builder(words, known, v_c, caps, n_gaz,
+                                                   use_trigger, use_cache, data):
+    pool = words + known
+    table = EmbeddingTable.random(small_vocab(*{normalize(w) for w in known}), 3,
+                                  SeededRng(len(pool)))
+    phrase = st.lists(st.sampled_from(pool), min_size=1, max_size=2).map(
+        lambda ws: " ".join(ws).lower())
+    gazetteers = [Lexicon("g%d" % g, data.draw(st.sets(phrase, max_size=4)))
+                  for g in range(n_gaz)]
+    trigger = Lexicon("t", data.draw(st.sets(st.sampled_from(pool)))) if use_trigger else None
+    fconf = FeatureConfig(capitalization=caps, gazetteers=gazetteers, trigger=trigger,
+                          cache_tagset=CACHE_TAGS if use_cache else None)
+    cache = None
+    if use_cache and data.draw(st.booleans()):
+        cache = DocCache()
+        cached = data.draw(st.lists(st.tuples(st.sampled_from(pool),
+                                              st.sampled_from(CACHE_TAGS)), max_size=6))
+        if cached:
+            t2i = {t: i for i, t in enumerate(CACHE_TAGS)}
+            cache.update_sentence(sent(*[w for w, _ in cached]), [t for _, t in cached], t2i)
+    s = sent(*words)
+    xs, indices = reference_encode(s, table, fconf, v_c, cache)
+    enc = encode_sentence(s, table, fconf, v_c, cache)
+    assert enc.xs.shape == xs.shape and enc.xs.dtype == xs.dtype
+    assert enc.xs.tobytes() == xs.tobytes()
+    assert enc.word_indices == indices
