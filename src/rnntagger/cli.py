@@ -8,7 +8,12 @@ Exit codes: 0 success, 1 usage error, 2 data error, 3 numeric failure.
 """
 
 import argparse
+import contextlib
+import ctypes
+import os
 import sys
+
+import numpy as np
 
 from . import architectures
 from .architectures import ModelSpec, init_model
@@ -217,6 +222,49 @@ def _cell_kind(name):
     return name.upper() if name else None
 
 
+def _openblas_thread_fns():
+    """(get, set) of the OpenBLAS thread count bundled with numpy's wheel,
+    found with ctypes; None when numpy ships no such library."""
+    libdir = os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs")
+    try:
+        names = sorted(f for f in os.listdir(libdir) if "openblas" in f)
+    except OSError:
+        return None
+    for fname in names:
+        try:
+            lib = ctypes.CDLL(os.path.join(libdir, fname))
+        except OSError:
+            continue
+        for prefix, suffix in (("scipy_openblas_", "64_"), ("openblas_", "64_"),
+                               ("openblas_", "")):
+            get = getattr(lib, prefix + "get_num_threads" + suffix, None)
+            put = getattr(lib, prefix + "set_num_threads" + suffix, None)
+            if get is not None and put is not None:
+                get.restype, put.argtypes = ctypes.c_int, [ctypes.c_int]
+                return get, put
+    return None
+
+
+@contextlib.contextmanager
+def _one_blas_thread():
+    """Run BLAS on one thread, restoring the previous count on exit: a
+    product split across threads rounds differently, and seeded runs
+    must write the same bytes whatever the machine's thread count.
+    As a decorator it does so for each call."""
+    fns = _openblas_thread_fns()
+    if fns is None:
+        yield
+        return
+    get, put = fns
+    previous = get()
+    put(1)
+    try:
+        yield
+    finally:
+        put(previous)
+
+
+@_one_blas_thread()
 def main(argv=None):
     argv = list(sys.argv[1:]) if argv is None else list(argv)
     top, sub = build_parser()
@@ -276,6 +324,8 @@ def _detect_or_named_scheme(name, sentences):
 
 def cmd_train(args):
     _require(args, "train_path", "out_model")
+    if args.dim < 1:
+        raise UsageError("dim must be >= 1, got %d" % args.dim)
     hidden = args.hidden if args.hidden is not None else PROFILES[args.profile]["hidden"]
     lr = (args.learning_rate if args.learning_rate is not None
           else PROFILES[args.profile]["learning_rate"])

@@ -42,11 +42,12 @@ class EmbeddingTable:
         m[PAD_INDEX] = 0.0
         return cls(vocab, dim, m)
 
-    def add_grad(self, i, grad, lr):
-        """SGD step on one row; PAD is frozen."""
-        if not self.trainable or i == PAD_INDEX:
-            return
-        self.matrix[i] -= lr * grad
+    def add_grad(self, rows, grads, lr):
+        """SGD step on the distinct rows `rows`, row k of grads being the
+        gradient of rows[k]; PAD is frozen."""
+        if self.trainable:
+            keep = rows != PAD_INDEX
+            self.matrix[rows[keep]] -= lr * grads[keep]
 
     def save_text(self, path):
         with open(path, "w", encoding="utf-8") as fh:

@@ -126,7 +126,7 @@ def save_model(model, path):
 def _array(value, where, shape):
     try:
         arr = np.array(value, dtype=np.float64)
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         raise ValueError("%s is not a numeric array" % where) from None
     if arr.shape != tuple(shape):
         raise ValueError("%s has shape %s, expected %s" % (where, arr.shape, tuple(shape)))
@@ -161,7 +161,7 @@ def model_from_obj(obj):
         return _model_from_obj(obj)
     except KeyError as e:
         raise ValueError("missing key %s" % e) from None
-    except TypeError as e:
+    except (TypeError, AttributeError) as e:
         raise ValueError("malformed model: %s" % e) from None
 
 
@@ -193,11 +193,15 @@ def _model_from_obj(obj):
     if spec.n_in != n_in:
         raise ValueError("spec.n_in is %d, expected (dim %d + features %d) x (2 v_c + 1) = %d"
                          % (spec.n_in, table.dim, fconf.width, n_in))
-    if len(obj["tagset"]) != spec.n_tags:
+    tagset = obj["tagset"]
+    if not (isinstance(tagset, list) and all(isinstance(t, str) for t in tagset)
+            and len(set(tagset)) == len(tagset)):
+        raise ValueError("tagset must be a list of distinct tag strings")
+    if len(tagset) != spec.n_tags:
         raise ValueError("tagset has %d tags, spec.n_tags is %d"
-                         % (len(obj["tagset"]), spec.n_tags))
+                         % (len(tagset), spec.n_tags))
     return Model(spec=spec, params=_params_from_obj(obj["params"], spec), table=table,
-                 fconf=fconf, tagset=list(obj["tagset"]), scheme=obj["scheme"], v_c=v_c)
+                 fconf=fconf, tagset=tagset, scheme=obj["scheme"], v_c=v_c)
 
 
 def load_model(path):

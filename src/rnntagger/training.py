@@ -78,7 +78,8 @@ def _embedding_grads(enc_in, dxs):
     Slot k of position p's input is the w-vector of sentence position
     p + k - v_c, whose first `dim` entries came from the embedding row:
     one shifted add per slot undoes the windowing, then positions that
-    share a row add up.
+    share a row add up in position order.  Returns (rows, grads): the
+    sentence's distinct rows, sorted, and their (len(rows), dim) sums.
     """
     v_c, dim = enc_in.v_c, enc_in.dim
     n = len(dxs)
@@ -86,11 +87,10 @@ def _embedding_grads(enc_in, dxs):
     padded = np.zeros((n + 2 * v_c, dim))   # row q: sentence position q - v_c
     for k in range(2 * v_c + 1):
         padded[k : k + n] += slots[:, k]
-    rows = {}
-    for row, g in zip(enc_in.word_indices, padded[v_c : v_c + n]):
-        if np.any(g):
-            rows[row] = rows[row] + g if row in rows else g
-    return rows
+    rows, at = np.unique(enc_in.word_indices, return_inverse=True)
+    grads = np.zeros((len(rows), dim))
+    np.add.at(grads, at, padded[v_c : v_c + n])
+    return rows, grads
 
 
 def _nll_logit_grads(dists, y):
@@ -102,23 +102,20 @@ def _nll_logit_grads(dists, y):
     return dlogits
 
 
-def _check_finite(acc, emb_rows):
-    """Squared norm of the whole gradient, one dot product per block.
-    Only a block whose square is not finite is searched for a non-finite
-    value, which is an error that names the block."""
+def _check_finite(acc, rows, emb_grads):
+    """Squared norm of the whole gradient, one dot product per block,
+    the embedding rows' gradients being one more block.  Only a block
+    whose square is not finite is searched for a non-finite value, which
+    is an error that names the block, or the first such embedding row."""
+    blocks = [((bundle, name), g) for bundle, grads in acc.items()
+              for name, g in grads.items()]
     sq = 0.0
-    for bundle, grads in acc.items():
-        for name, g in grads.items():
-            s = float(np.vdot(g, g))
-            if not math.isfinite(s) and not np.all(np.isfinite(g)):
-                raise FloatingPointError(
-                    "non-finite gradient in parameter block %s.%s" % (bundle, name))
-            sq += s
-    for row, g in emb_rows.items():
+    for key, g in blocks + [(None, emb_grads)]:
         s = float(np.vdot(g, g))
         if not math.isfinite(s) and not np.all(np.isfinite(g)):
-            raise FloatingPointError(
-                "non-finite gradient in embedding row %d" % row)
+            where = ("parameter block %s.%s" % key if key else
+                     "embedding row %d" % rows[np.isfinite(g).all(axis=1).argmin()])
+            raise FloatingPointError("non-finite gradient in " + where)
         sq += s
     return sq
 
@@ -161,17 +158,18 @@ def train_example(model, sentence, position, gold, cfg, doc_state=None):
     if not math.isfinite(loss):
         raise FloatingPointError("non-finite loss")
 
-    fine_tune = cfg.fine_tune_embeddings and model.table.trainable
-    emb_rows = _embedding_grads(enc_in, dxs) if fine_tune else {}
-    norm = math.sqrt(_check_finite(acc, emb_rows))
+    if cfg.fine_tune_embeddings and model.table.trainable:
+        rows, emb_grads = _embedding_grads(enc_in, dxs)
+    else:
+        rows, emb_grads = np.zeros(0, dtype=int), np.zeros((0, enc_in.dim))
+    norm = math.sqrt(_check_finite(acc, rows, emb_grads))
     scale = cfg.clip_threshold / norm if cfg.clip and norm > cfg.clip_threshold else 1.0
     for bundle, grads in acc.items():
         for name, g in grads.items():
             # (lr * scale) * g, in place of a temporary per block
             np.multiply(g, cfg.learning_rate * scale, out=g)
             model.params[bundle][name] -= g
-    for row, g in emb_rows.items():
-        model.table.add_grad(row, scale * g, cfg.learning_rate)
+    model.table.add_grad(rows, scale * emb_grads, cfg.learning_rate)
     return loss
 
 

@@ -1,19 +1,23 @@
 """Exit codes, config-file merging, and end-to-end command wiring."""
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from rnntagger import cli, pretrain
-from rnntagger.corpus import load_conll, vocab_from_counts, write_conll
+from rnntagger.corpus import Sentence, load_conll, vocab_from_counts, write_conll
 from rnntagger.representation import load_embeddings
 from rnntagger.serialize import load_model
 from rnntagger.synth import memorize_corpus
 from rnntagger.training import GradCheckReport
 
 DATA_DIR = Path(__file__).parent / "data"
+SRC_DIR = Path(__file__).parent.parent / "src"
 
 
 def run(argv, capsys):
@@ -119,6 +123,38 @@ def test_model_file_unknown_key_is_data_error(tmp_path, capsys):
     rc, err, path = tag_with_model(tmp_path, capsys, json.dumps(obj))
     assert rc == 2
     assert "%s: unknown key spec.foo" % path in err
+
+
+def huge_int_in_matrix(obj):
+    obj["embedding"]["matrix"][2][0] = 10 ** 400     # no float64 holds it
+
+
+def list_in_tagset(obj):
+    obj["tagset"][0] = ["O"]
+
+
+def null_trigger_entry(obj):
+    obj["features"]["trigger"] = {"name": "t", "entries": [None]}
+
+
+@pytest.mark.parametrize("mutate,problem", [
+    (huge_int_in_matrix, "embedding.matrix is not a numeric array"),
+    (list_in_tagset, "tagset must be a list of distinct tag strings"),
+    (null_trigger_entry, "malformed model: "),
+])
+def test_model_file_value_of_the_wrong_type_is_data_error(tmp_path, capsys, mutate, problem):
+    obj = json.loads((DATA_DIR / "compat" / "bidirectional_gru.json").read_text())
+    mutate(obj)
+    rc, err, path = tag_with_model(tmp_path, capsys, json.dumps(obj))
+    assert rc == 2
+    assert "%s: %s" % (path, problem) in err
+
+
+def test_train_dim_below_one_is_usage_error(tmp_path, capsys):
+    rc, _, err = run(["train", "--train", write_gold(tmp_path / "g.conll"), "--dim", "0",
+                      "--out-model", str(tmp_path / "m.json")], capsys)
+    assert rc == 1
+    assert "dim must be >= 1, got 0" in err
 
 
 def test_eval_sentence_count_mismatch_is_data_error(tmp_path, capsys):
@@ -368,6 +404,28 @@ def test_train_same_seed_same_model_bytes(tmp_path, capsys):
     run(["train", "--train", gold] + TRAIN_FLAGS + ["--out-model", str(a)], capsys)
     run(["train", "--train", gold] + TRAIN_FLAGS + ["--out-model", str(b)], capsys)
     assert a.read_bytes() == b.read_bytes()
+
+
+def test_train_writes_the_same_bytes_whatever_the_blas_thread_count(tmp_path):
+    # 23-35 token sentences make the input-wide products big enough for
+    # a threaded BLAS to split them, and so to round them differently
+    short = memorize_corpus(size=40, seed=1)
+    gold = tmp_path / "g.conll"
+    write_conll([Sentence([t for s in short[i:i + 6] for t in s.tokens])
+                 for i in range(0, len(short), 6)], str(gold))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(SRC_DIR)] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    outs = []
+    for threads in ("1", "2"):
+        out = tmp_path / ("m%s.json" % threads)
+        subprocess.run([sys.executable, "-m", "rnntagger.cli", "train", "--train", str(gold),
+                        "--arch", "bidirectional", "--encoder", "elman_gru",
+                        "--decoder", "jordan_gru", "--dim", "50", "--caps", "true",
+                        "--profile", "conll", "--epochs", "1", "--out-model", str(out)],
+                       env=dict(env, OPENBLAS_NUM_THREADS=threads), check=True,
+                       stdout=subprocess.DEVNULL)
+        outs.append(out.read_bytes())
+    assert outs[0] == outs[1]
 
 
 def test_train_with_triggers_is_seeded(tmp_path, capsys):

@@ -11,7 +11,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rnntagger.architectures import _beta, _scatter_beta_grads
-from rnntagger.representation import InputEncoding
+from rnntagger.corpus import PAD, PAD_INDEX, Sentence, Token, Vocabulary
+from rnntagger.representation import (
+    EmbeddingTable,
+    FeatureConfig,
+    InputEncoding,
+    encode_sentence,
+)
 from rnntagger.training import _embedding_grads
 
 
@@ -103,11 +109,41 @@ def test_embedding_grads_match_per_slot_loop(n, v_c, dim, features, seed, sparse
         dxs[::2] = 0.0                       # positions no gradient reached
     word_indices = [int(i) for i in np.random.default_rng(seed).integers(0, 4, size=n)]
     enc_in = InputEncoding(xs=None, word_indices=word_indices, block=block, v_c=v_c, dim=dim)
-    got = _embedding_grads(enc_in, dxs)
+    rows, grads = _embedding_grads(enc_in, dxs)
     want = naive_embedding_grads(word_indices, dxs, v_c, block, dim)
-    # the two may differ in which rows with an all-zero gradient they
-    # list; adding zero changes no row, so a missing row counts as zero
-    assert set(got) <= set(word_indices)
+    # the loop skips positions with an all-zero gradient, so it may list
+    # fewer rows; adding zero changes no row, so a missing row counts as zero
+    assert rows.tolist() == sorted(set(word_indices))
+    assert grads.shape == (len(rows), dim)
     zero = np.zeros(dim)
-    for row in set(got) | set(want):
-        assert np.array_equal(got.get(row, zero), want.get(row, zero))
+    for row, g in zip(rows.tolist(), grads):
+        assert np.array_equal(g, want.get(row, zero))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.sampled_from([PAD, "a", "b", "c"]), min_size=1, max_size=7)
+       .filter(lambda words: PAD in words),
+       st.integers(0, 2), st.integers(0, 2 ** 32 - 1))
+def test_literal_pad_token_is_summed_but_never_written(words, v_c, seed):
+    vocab = Vocabulary()
+    for w in ("a", "b", "c"):
+        vocab.add(w)
+    table = EmbeddingTable(vocab, 3, ints(seed, len(vocab), 3))
+    enc_in = encode_sentence(Sentence([Token(w) for w in words]), table,
+                             FeatureConfig(), v_c)
+    dxs = ints(seed + 1, len(words), (2 * v_c + 1) * 3)
+    rows, grads = _embedding_grads(enc_in, dxs)
+    want = naive_embedding_grads(enc_in.word_indices, dxs, v_c, 3, 3)
+    assert PAD_INDEX in rows.tolist()
+    zero = np.zeros(3)
+    for row, g in zip(rows.tolist(), grads):
+        assert np.array_equal(g, want.get(row, zero))
+
+    before = table.matrix.copy()
+    table.add_grad(rows, grads, lr=0.5)
+    assert np.all(table.matrix[PAD_INDEX] == 0.0)
+    written = [r for r in rows.tolist() if r != PAD_INDEX]
+    assert np.array_equal(table.matrix[written],
+                          before[written] - 0.5 * grads[rows != PAD_INDEX])
+    untouched = [r for r in range(len(vocab)) if r not in rows.tolist()]
+    assert np.array_equal(table.matrix[untouched], before[untouched])

@@ -155,9 +155,11 @@ class TestEmbeddingTable:
     def test_pad_row_frozen_under_updates(self):
         vocab = small_vocab("a")
         t = EmbeddingTable.random(vocab, 4, SeededRng(1))
-        for i in range(len(vocab)):
-            t.add_grad(i, np.ones(4), lr=0.5)
+        before = t.matrix.copy()
+        rows = np.arange(len(vocab))
+        t.add_grad(rows, np.ones((len(vocab), 4)), lr=0.5)
         assert np.all(t.matrix[PAD_INDEX] == 0)
+        assert np.array_equal(t.matrix[1:], before[1:] - 0.5)
 
     def test_random_init_radius(self):
         t = EmbeddingTable.random(small_vocab("a", "b", "c"), 10, SeededRng(2))

@@ -1,5 +1,8 @@
 import copy
+import hashlib
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -17,6 +20,7 @@ from rnntagger.evaluation import EvalReport
 from rnntagger.linalg import SeededRng
 from rnntagger.model import Model
 from rnntagger.representation import EmbeddingTable, FeatureConfig
+from rnntagger.synth import MEMORIZE_TYPES, memorize_corpus
 from rnntagger.tagging import BIO2, make_tagset
 from rnntagger import training
 from rnntagger.training import (
@@ -256,7 +260,7 @@ def test_numeric_failure_names_epoch_sentence_and_position():
 def test_nonfinite_gradient_names_block():
     acc = {"decoder": {"U": np.array([[float("inf")]])}}
     with pytest.raises(FloatingPointError, match=r"decoder\.U"):
-        training._check_finite(acc, {})
+        training._check_finite(acc, np.zeros(0, dtype=int), np.zeros((0, 1)))
 
 
 def test_clip_caps_global_update_norm():
@@ -368,6 +372,61 @@ def test_untagged_training_data_rejected():
     bad = [Sentence([Token("anna")])]
     with pytest.raises(ValueError):
         train_epoch(model, bad, TrainConfig())
+
+
+# The four architecture/cell pairs the benchmark trains, each run for one
+# epoch on a small fixed corpus.  H and I stay small enough that BLAS
+# runs every product on one thread, so the bytes depend on the code only.
+SGD_GOLDEN = json.loads((Path(__file__).parent / "data" / "sgd_golden.json").read_text())
+GOLDEN_SPECS = {
+    "basic-elman": dict(arch="basic", decoder_cell="ELMAN"),
+    "contextual-elman-jordan": dict(arch="contextual", encoder_cell="ELMAN",
+                                    decoder_cell="JORDAN"),
+    "bidirectional-gru": dict(arch="bidirectional", encoder_cell="ELMAN_GRU",
+                              decoder_cell="JORDAN_GRU"),
+    "mesnil-jordan": dict(arch="mesnil", encoder_cell="JORDAN", mesnil_k=1),
+}
+
+
+def golden_epoch(name, clip):
+    """(mean loss, sha256 of every parameter block and the embedding
+    matrix) after one seeded epoch of the named config."""
+    g = SGD_GOLDEN["config"]
+    sents = memorize_corpus(size=g["sentences"], seed=g["seed"])
+    rng = SeededRng(g["seed"])
+    table = EmbeddingTable.random(build_vocab(sents), g["dim"], rng)
+    tagset = make_tagset(list(MEMORIZE_TYPES), BIO2)
+    fconf = FeatureConfig(capitalization=True, cache_tagset=tagset)
+    spec = ModelSpec(n_in=fconf.input_width(g["dim"], g["v_c"]), hidden=g["hidden"],
+                     n_tags=len(tagset), **GOLDEN_SPECS[name])
+    model = Model(spec=spec, params=init_model(spec, rng), table=table, fconf=fconf,
+                  tagset=tagset, scheme=BIO2, v_c=g["v_c"])
+    cfg = TrainConfig(learning_rate=g["learning_rate"], v_d=g["v_d"], seed=g["seed"],
+                      clip=clip, clip_threshold=g["clip_threshold"])
+    stats = train_epoch(model, sents, cfg)
+    h = hashlib.sha256()
+    for bundle in sorted(model.params):
+        for block in sorted(model.params[bundle]):
+            h.update(model.params[bundle][block].tobytes())
+    h.update(model.table.matrix.tobytes())
+    return stats.mean_loss, h.hexdigest()
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_SPECS))
+def test_unclipped_epoch_keeps_the_golden_bytes(name):
+    loss, digest = golden_epoch(name, clip=False)
+    want = SGD_GOLDEN["configs"][name]
+    assert digest == want["sha256"]
+    assert loss == want["mean_loss"]
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_SPECS))
+def test_clipped_epoch_loss_within_stated_drift(name):
+    # the clip norm may sum the gradient in another order, so the clipped
+    # path is held to the 1e-12 relative drift bound rather than its bytes
+    loss, _ = golden_epoch(name, clip=True)
+    want = SGD_GOLDEN["configs"][name]["clipped_mean_loss"]
+    assert loss == pytest.approx(want, rel=1e-12, abs=0.0)
 
 
 # ------------------------------------------------------------------- fit
