@@ -11,7 +11,7 @@ import sys
 
 import numpy as np
 
-from rnntagger.architectures import ModelSpec, full_forward, init_model
+from rnntagger.architectures import ModelSpec, forward_batch, init_model
 from rnntagger.corpus import build_vocab
 from rnntagger.linalg import SeededRng
 from rnntagger.model import Model, tag_corpus
@@ -67,8 +67,8 @@ def main():
           % first_token_accuracy(basic, sents))
 
     a, b = sents[0], sents[1]
-    da = full_forward(basic.spec, basic.params, basic.encode_input(a).xs)
-    db = full_forward(basic.spec, basic.params, basic.encode_input(b).xs)
+    da, db = (forward_batch(basic.spec, basic.params, [basic.encode_input(s).xs])[0]
+              for s in (a, b))
     print("basic position-0 outputs bitwise identical across the pair:",
           np.array_equal(da[0], db[0]))
     if acc < 0.95:

@@ -25,14 +25,13 @@ intermediates as arrays with one row per position.
 Encoders of the Elman family emit hidden vectors (length H); Jordan
 family encoders carry and emit their own softmax output vectors (length
 O) through per-direction output layers.  Each cell reports its family
-and its state width itself (carries_output, carry_dim).
+itself (carries_output).
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from . import linalg
 from .cells import SoftmaxOutput, cell_for, init_params, zero_grads
 
 BASIC = "basic"
@@ -79,11 +78,7 @@ class ModelSpec:
         """Width of one encoder state: H for Elman family, O for Jordan."""
         if self.encoder_cell is None:
             return 0
-        return cell_for(self.encoder_cell).carry_dim(self.hidden, self.n_tags)
-
-    @property
-    def encoder_has_output(self):
-        return self.encoder_cell is not None and cell_for(self.encoder_cell).carries_output
+        return self.n_tags if cell_for(self.encoder_cell).carries_output else self.hidden
 
     @property
     def context_k(self):
@@ -119,7 +114,7 @@ def bundle_shapes(spec):
         enc = cell_for(spec.encoder_cell)
         for d in ("fwd", "bwd"):
             shapes["encoder_%s" % d] = enc.param_shapes(spec.n_in, spec.hidden, spec.n_tags)
-            if spec.encoder_has_output:
+            if enc.carries_output:
                 shapes["encoder_%s_out" % d] = SoftmaxOutput.param_shapes(
                     spec.hidden, spec.n_tags)
     if spec.arch == MESNIL:
@@ -157,10 +152,11 @@ class ChainRun:
         return np.vstack([np.zeros((1, self.states.shape[1])), self.states[:-1]])
 
 
-def run_chain(cell, params, out_params, xss, hidden, n_tags, extras=None, steps=None):
+def run_chain(cell, params, out_params, xss, extras=None, steps=None):
     """Left-to-right recurrences from a zero initial carry, one over the
     rows of each array in xss, all stepped together; returns one ChainRun
-    per array, in the order given.
+    per array, in the order given.  The hidden width is the projections',
+    and a Jordan-family carry is as wide as the output layer's W is tall.
 
     steps, when given, holds how many leading positions of each chain to
     step (default: all of them); a chain's rows past that count stay
@@ -181,6 +177,8 @@ def run_chain(cell, params, out_params, xss, hidden, n_tags, extras=None, steps=
     projs = [cell.project(params, xss[b], extras[b]) for b in order]
     counts = [steps[b] for b in order]
     height = max(len(p) for p in projs)
+    hidden = projs[0].shape[-1]
+    width = out_params["W"].shape[0] if cell.carries_output else hidden
     # a_i: how many chains step position i
     active = (np.array(counts)[:, None] > np.arange(counts[0])).sum(axis=0)
     # time-major blocks: row (i, j) is position i of the j-th chain
@@ -188,14 +186,14 @@ def run_chain(cell, params, out_params, xss, hidden, n_tags, extras=None, steps=
     for j, p in enumerate(projs):
         proj[: len(p), j] = p
     mid = np.empty((height, cell.n_mid, len(projs), hidden))
-    dists = np.empty((height, len(projs), n_tags)) if cell.carries_output else None
+    dists = np.empty((height, len(projs), width)) if cell.carries_output else None
     for j, (p, c) in enumerate(zip(projs, counts)):
         # full-height products read the rows not stepped: zero, not
         # uninitialised memory, whose NaNs would survive a times zero
         mid[c : len(p), :, j] = 0.0
         if dists is not None:
             dists[c : len(p), j] = 0.0
-    carry = linalg.zeros((len(projs), cell.carry_dim(hidden, n_tags)))
+    carry = np.zeros((len(projs), width))
     for i, a in enumerate(active):
         mid[i, :, :a] = cell.step(params, proj[i, :a], carry[:a])
         if cell.carries_output:
@@ -288,8 +286,7 @@ def encode_batch(spec, params, xss, spans=None):
     cell = cell_for(spec.encoder_cell)
     cone = spans is not None and spec.arch != CONTEXTUAL
     fwd = run_chain(cell, params["encoder_fwd"], params.get("encoder_fwd_out"),
-                    xss, spec.hidden, spec.n_tags,
-                    steps=[hi + 1 for _, hi in spans] if cone else None)
+                    xss, steps=[hi + 1 for _, hi in spans] if cone else None)
     if spec.arch == CONTEXTUAL:
         for enc, run in zip(encs, fwd):
             enc.enc_fwd = run
@@ -297,7 +294,7 @@ def encode_batch(spec, params, xss, spans=None):
             enc.extra = params["context"]["S"] @ enc.c_n
         return encs
     bwd = run_chain(cell, params["encoder_bwd"], params.get("encoder_bwd_out"),
-                    [xs[::-1] for xs in xss], spec.hidden, spec.n_tags,
+                    [xs[::-1] for xs in xss],
                     steps=[len(xs) - lo for xs, (lo, _) in zip(xss, spans)] if cone else None)
     for enc, run_f, run_b in zip(encs, fwd, bwd):
         enc.enc_fwd, enc.enc_bwd = run_f, run_b
@@ -365,7 +362,7 @@ def decode_batch(spec, params, encs, windows):
                 for enc, (lo, hi) in zip(encs, windows)]
     runs = run_chain(cell_for(spec.decoder_cell), params["decoder"], params["decoder_out"],
                      [enc.dec_inputs[lo : hi + 1] for enc, (lo, hi) in zip(encs, windows)],
-                     spec.hidden, spec.n_tags, extras=[enc.extra for enc in encs])
+                     extras=[enc.extra for enc in encs])
     return [DecodeRun(dists=run.dists, lo=lo, hi=hi, run=run)
             for run, (lo, hi) in zip(runs, windows)]
 
@@ -424,11 +421,6 @@ def forward_batch(spec, params, xss):
     encs = encode_batch(spec, params, xss)
     return [dec.dists for dec in
             decode_batch(spec, params, encs, [(0, len(enc.xs) - 1) for enc in encs])]
-
-
-def full_forward(spec, params, xs):
-    """forward_batch of the one sentence xs."""
-    return forward_batch(spec, params, [xs])[0]
 
 
 def argmax_tags(dists, tagset):

@@ -46,17 +46,12 @@ def _cell_class(name, kind, carries_output, doc, n_mid, n_dpre,
                 param_shapes, project, step, backward, grads):
     """One class per cell kind, each holding its own step and backward,
     so a wrapper put on one kind leaves the others alone."""
-
-    def carry_dim(hidden, n_out):
-        return n_out if carries_output else hidden
-
     return type(name, (), {
         "__doc__": doc,
         "kind": kind,
         "carries_output": carries_output,
         "n_mid": n_mid,
         "n_dpre": n_dpre,
-        "carry_dim": staticmethod(carry_dim),
         "param_shapes": staticmethod(param_shapes),
         "project": staticmethod(project),
         "step": staticmethod(step),

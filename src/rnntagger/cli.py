@@ -48,6 +48,10 @@ class UsageError(Exception):
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        # no prefix matching: --clip must not pass for --clip-threshold
+        super().__init__(*args, allow_abbrev=False, **kwargs)
+
     def error(self, message):
         raise UsageError(message)
 
@@ -110,8 +114,7 @@ def build_parser():
     p.add_argument("--fine-tune-embeddings", dest="fine_tune_embeddings",
                    type=_bool, default=True, metavar="BOOL")
     p.add_argument("--dev-eval-every", dest="dev_eval_every", type=int, default=1)
-    p.add_argument("--clip", type=_bool, default=False, metavar="BOOL")
-    p.add_argument("--clip-threshold", dest="clip_threshold", type=float, default=5.0)
+    p.add_argument("--clip-threshold", dest="clip_threshold", type=float)
     p.add_argument("--out-model", dest="out_model")
     p.set_defaults(func=cmd_train)
 
@@ -334,7 +337,7 @@ def cmd_train(args):
                            v_c=args.v_c, hidden=hidden, seed=args.seed,
                            shuffle=args.shuffle,
                            fine_tune_embeddings=args.fine_tune_embeddings,
-                           dev_eval_every=args.dev_eval_every, clip=args.clip,
+                           dev_eval_every=args.dev_eval_every,
                            clip_threshold=args.clip_threshold)
     except ValueError as e:
         raise UsageError(str(e))
@@ -452,6 +455,11 @@ def _spec_label(spec):
 
 
 def cmd_gradcheck(args):
+    for flag, value, least in (("--hidden", args.hidden, 1), ("--n-in", args.n_in, 1),
+                               ("--n-tags", args.n_tags, 1), ("--tokens", args.tokens, 1),
+                               ("--vd", args.v_d, 0)):
+        if value < least:
+            raise UsageError("%s must be >= %d, got %d" % (flag, least, value))
     if args.grid:
         specs = _grid_specs(args.hidden, args.n_in, args.n_tags)
     else:
@@ -468,7 +476,7 @@ def cmd_gradcheck(args):
     for spec in specs:
         report = gradient_check(spec, args.seed, args.tokens, v_d=args.v_d)
         for block in sorted(report.blocks):
-            diff = report.abs_diffs.get(block, 0.0)
+            diff = report.abs_diffs[block]
             print("%-45s %-22s %.3e %.3e" % (_spec_label(spec), block,
                                              report.blocks[block], diff))
             worst_abs = max(worst_abs, diff)
@@ -488,10 +496,12 @@ def cmd_gradcheck(args):
 
 def cmd_synth(args):
     _require(args, "out")
-    if args.task == "memorize":
-        sents = memorize_corpus(size=args.size or 50, seed=args.seed)
-    else:
-        sents = future_dep_corpus(size=args.size or 40, seed=args.seed)
+    make = memorize_corpus if args.task == "memorize" else future_dep_corpus
+    size = {} if args.size is None else {"size": args.size}
+    try:
+        sents = make(seed=args.seed, **size)
+    except ValueError as e:
+        raise UsageError(str(e))
     write_conll(sents, args.out)
     print("wrote %d sentences to %s" % (len(sents), args.out))
     return EXIT_OK

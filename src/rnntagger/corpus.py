@@ -63,11 +63,10 @@ class Vocabulary:
     """Total word->index map with reserved padding and unknown entries."""
 
     index_to_word: list = field(default_factory=lambda: [PAD, UNK])
-    word_to_index: dict = None
+    word_to_index: dict = field(init=False)
 
     def __post_init__(self):
-        if self.word_to_index is None:
-            self.word_to_index = {w: i for i, w in enumerate(self.index_to_word)}
+        self.word_to_index = {w: i for i, w in enumerate(self.index_to_word)}
 
     def __len__(self):
         return len(self.index_to_word)
@@ -170,22 +169,21 @@ def vocab_from_counts(freq, min_count=1):
     return vocab
 
 
-def build_vocab(sentences, min_count=1):
-    """Frequency-thresholded vocabulary over normalized surfaces."""
+def build_vocab(sentences):
+    """Vocabulary of every normalized surface in the sentences."""
     freq = Counter(normalize(tok.surface) for sent in sentences for tok in sent.tokens)
-    return vocab_from_counts(freq, min_count)
+    return vocab_from_counts(freq)
 
 
-def load_lexicon(path, name=None):
-    """One phrase per line, lowercased, deduplicated."""
+def load_lexicon(path):
+    """One phrase per line, lowercased, deduplicated; the lexicon is
+    named after the file, without its extension."""
     entries = set()
     for _, raw in read_lines(path):
         phrase = raw.strip()
         if phrase:
             entries.add(phrase.lower())
-    if name is None:
-        name = os.path.splitext(os.path.basename(path))[0]
-    return Lexicon(name=name, entries=entries)
+    return Lexicon(name=os.path.splitext(os.path.basename(path))[0], entries=entries)
 
 
 def write_conll(sentences, path, tags=None):

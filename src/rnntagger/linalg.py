@@ -54,9 +54,9 @@ class SeededRng:
         u = (bits >> np.uint64(11)).astype(np.float64) * (2.0 ** -53)
         return low + u * (high - low)
 
-    def uniform_scalar(self, low=0.0, high=1.0):
-        u = (self.next_u64() >> 11) * (2.0 ** -53)
-        return low + u * (high - low)
+    def uniform_scalar(self):
+        """One float in [0, 1)."""
+        return (self.next_u64() >> 11) * (2.0 ** -53)
 
     def randint(self, n):
         """Uniform int in [0, n). Plain modulo: every n here (vocab sizes,
@@ -114,6 +114,3 @@ def uniform_init(rng, shape, radius):
 def glorot_radius(fan_in, fan_out):
     return float(np.sqrt(6.0 / (fan_in + fan_out)))
 
-
-def zeros(shape):
-    return np.zeros(shape, dtype=np.float64)

@@ -148,7 +148,7 @@ def init_embed_model(vocab, objective, config, rng):
     inp = linalg.uniform_init(rng, (len(vocab), dim), 0.5 / dim)
     inp[PAD_INDEX] = 0.0
     out_width = 2 * config.window * dim if objective == CCONCAT else dim
-    out = linalg.zeros((len(vocab), out_width))
+    out = np.zeros((len(vocab), out_width))
     return EmbedModel(vocab=vocab, objective=objective, input_vectors=inp,
                       output_vectors=out, window=config.window)
 

@@ -20,11 +20,9 @@ class EmbeddingTable:
     routed through add_grad, which drops anything aimed at PAD.
     """
 
-    def __init__(self, vocab, dim, matrix=None, trainable=True):
+    def __init__(self, vocab, dim, matrix, trainable=True):
         self.vocab = vocab
         self.dim = dim
-        if matrix is None:
-            matrix = linalg.zeros((len(vocab), dim))
         matrix = np.asarray(matrix, dtype=np.float64)
         if matrix.shape != (len(vocab), dim):
             raise ValueError(
@@ -61,23 +59,28 @@ def load_embeddings(path):
 
     Accepts files with or without the "count dim" header. Words absent
     from the file get deterministic rows: PAD zero, UNK the mean of all
-    loaded vectors. A value that is not a finite number, or a row of the
-    wrong width, raises ValueError naming the file and line.
+    loaded vectors. A value that is not a finite number, a row of the
+    wrong width, or a row count other than the header's raises
+    ValueError naming the file and line.
     """
     words, rows, linenos = [], [], []
+    header = None   # (count, dim), from a first line of two integers
     for lineno, raw in read_lines(path):
         parts = raw.split()
-        if not parts or (lineno == 1 and len(parts) == 2
-                         and all(p.isdigit() for p in parts)):
-            continue  # blank line, or the header
+        if not parts:
+            continue
+        if lineno == 1 and len(parts) == 2 and all(p.isdecimal() for p in parts):
+            header = tuple(map(int, parts))
+            continue
         try:
             row = [float(v) for v in parts[1:]]
         except ValueError as e:
             raise ValueError("%s:%d: row for %r: %s"
                              % (path, lineno, parts[0], e)) from None
-        if rows and len(row) != len(rows[0]):
+        width = header[1] if header else len(rows[0]) if rows else len(row)
+        if len(row) != width:
             raise ValueError("%s:%d: row for %r has %d values, expected %d"
-                             % (path, lineno, parts[0], len(row), len(rows[0])))
+                             % (path, lineno, parts[0], len(row), width))
         words.append(parts[0])
         rows.append(row)
         linenos.append(lineno)
@@ -90,6 +93,9 @@ def load_embeddings(path):
         i = int(np.argmin(finite))
         raise ValueError("%s:%d: row for %r holds a non-finite value"
                          % (path, linenos[i], words[i]))
+    if header and header[0] != len(words):
+        raise ValueError("%s:1: the header gives %d rows, the file has %d"
+                         % (path, header[0], len(words)))
 
     first = {}   # word -> its first line; a duplicate line is dropped
     for i, w in enumerate(words):

@@ -12,7 +12,7 @@ import numpy as np
 
 from rnntagger import cli, pretrain
 from rnntagger.architectures import (ModelSpec, decode_window, encode,
-                                     full_forward, init_model)
+                                     forward_batch, init_model)
 from rnntagger.corpus import build_vocab, vocab_from_counts, write_conll
 from rnntagger.evaluation import score
 from rnntagger.linalg import SeededRng
@@ -128,8 +128,8 @@ def test_future_context_separates_architectures():
     for _ in range(3):
         train_epoch(basic, sents, cfg, rng=rng_b)
     for a, b in zip(sents[0::2], sents[1::2]):
-        da = full_forward(basic.spec, basic.params, basic.encode_input(a).xs)
-        db = full_forward(basic.spec, basic.params, basic.encode_input(b).xs)
+        da = forward_batch(basic.spec, basic.params, [basic.encode_input(a).xs])[0]
+        db = forward_batch(basic.spec, basic.params, [basic.encode_input(b).xs])[0]
         assert np.array_equal(da[0], db[0])        # bitwise, not approx
         assert not np.array_equal(da[-1], db[-1])  # the inputs do differ
     tags = tag_corpus(basic, sents)
@@ -152,8 +152,8 @@ def test_zeroed_context_injection_matches_basic():
         for _ in range(25):
             n = 1 + rng.randint(8)
             xs = [rng.uniform(6, -0.5, 0.5) for _ in range(n)]
-            for o_ctx, o_basic in zip(full_forward(ctx_spec, params, xs),
-                                      full_forward(basic_spec, twin, xs)):
+            for o_ctx, o_basic in zip(forward_batch(ctx_spec, params, [xs])[0],
+                                      forward_batch(basic_spec, twin, [xs])[0]):
                 worst = max(worst, float(np.max(np.abs(o_ctx - o_basic))))
     assert worst < 1e-12
 
@@ -367,7 +367,7 @@ def test_softmax_distributions_normalized():
         params = init_model(spec, SeededRng(23))
         xs = [rng.uniform(5, -0.5, 0.5) for _ in range(6)]
         enc = encode(spec, params, xs)
-        for dists in (full_forward(spec, params, xs),
+        for dists in (forward_batch(spec, params, [xs])[0],
                       decode_window(spec, params, enc, 2, 4).dists):
             for o in dists:
                 worst = max(worst, abs(float(np.sum(o)) - 1.0))

@@ -14,7 +14,7 @@ from rnntagger.architectures import (
     bundle_shapes,
     decode_window,
     encode,
-    full_forward,
+    forward_batch,
     init_model,
     run_chain,
     zero_model_grads,
@@ -100,14 +100,14 @@ class TestEncodeForward:
         from rnntagger.cells import init_params
         p = init_params(cell.param_shapes(4, 3, 2), rng)
         x = rng.uniform(4, -1, 1)
-        states = run_chain(cell, p, None, [x[None]], 3, 2)[0].states
+        states = run_chain(cell, p, None, [x[None]])[0].states
         assert np.array_equal(states[0], first_state(cell, p, x, 3))
 
     def test_severed_recurrence_is_feedforward(self):
         p = {"U": np.array([[1.0, -1.0]]), "V": np.zeros((1, 1))}
         xs = [np.array([0.3, 0.1]), np.array([-0.5, 0.2]), np.array([0.9, 0.9])]
-        states = run_chain(cell_for(ELMAN), p, None, [xs], 1, 1)[0].states
-        flipped = run_chain(cell_for(ELMAN), p, None, [list(reversed(xs))], 1, 1)[0].states
+        states = run_chain(cell_for(ELMAN), p, None, [xs])[0].states
+        flipped = run_chain(cell_for(ELMAN), p, None, [list(reversed(xs))])[0].states
         assert np.allclose(states, list(reversed(flipped)), atol=0)
 
     def test_three_step_scalar_chain_oracle(self):
@@ -117,7 +117,7 @@ class TestEncodeForward:
         h1 = phi(0.5)
         h2 = phi(-0.25 + 2 * h1)
         h3 = phi(1.0 + 2 * h2)
-        states = run_chain(cell_for(ELMAN), p, None, [xs], 1, 1)[0].states
+        states = run_chain(cell_for(ELMAN), p, None, [xs])[0].states
         assert [s[0] for s in states] == pytest.approx([h1, h2, h3], abs=1e-15)
 
 
@@ -137,7 +137,7 @@ class TestEncodeBackward:
         xs = rand_xs(SeededRng(6), 4, 3)
         r = encode(spec, params, xs).r
         run = run_chain(cell_for(ELMAN), params["encoder_bwd"], None,
-                        [list(reversed(xs))], 2, 2)[0]
+                        [list(reversed(xs))])[0]
         expect = list(reversed(run.states))
         assert all(np.array_equal(a, b) for a, b in zip(r, expect))
 
@@ -171,8 +171,8 @@ class TestContextual:
             basic_params = {"decoder": params["decoder"],
                             "decoder_out": params["decoder_out"]}
             xs = rand_xs(SeededRng(12), 3, 4)
-            ours = full_forward(spec, params, xs)
-            base = full_forward(basic_spec, basic_params, xs)
+            ours = forward_batch(spec, params, [xs])[0]
+            base = forward_batch(basic_spec, basic_params, [xs])[0]
             for o, b in zip(ours, base):
                 assert np.allclose(o, b, atol=1e-12)
 
@@ -180,7 +180,7 @@ class TestContextual:
         spec = self._spec()
         params = init_model(spec, SeededRng(13))
         xs = rand_xs(SeededRng(14), 1, 4)
-        dists = full_forward(spec, params, xs)
+        dists = forward_batch(spec, params, [xs])[0]
         assert len(dists) == 1
         assert abs(dists[0].sum() - 1.0) < 1e-12
 
@@ -196,8 +196,8 @@ class TestContextual:
         assert np.allclose(enc.c_n, 0.5, atol=0)
         shift = params["context"]["S"] @ np.full(3, 0.5)
         manual = run_chain(cell_for(ELMAN), params["decoder"], params["decoder_out"],
-                           [xs], 3, 2, extras=[shift])[0]
-        dists = full_forward(spec, params, xs)
+                           [xs], extras=[shift])[0]
+        dists = forward_batch(spec, params, [xs])[0]
         for o, m in zip(dists, manual.dists):
             assert np.allclose(o, m, atol=0)
 
@@ -245,7 +245,7 @@ class TestBidirectional:
             for dec_cell in kinds:
                 spec = self._spec(dec=dec_cell, enc=enc_cell)
                 params = init_model(spec, SeededRng(24))
-                dists = full_forward(spec, params, xs)
+                dists = forward_batch(spec, params, [xs])[0]
                 assert len(dists) == 3
                 for o in dists:
                     assert abs(o.sum() - 1.0) < 1e-12
@@ -305,7 +305,7 @@ class TestPredictTags:
         params = init_model(spec, SeededRng(31))
         params["decoder_out"]["W"][:] = 0.0
         xs = rand_xs(SeededRng(32), 3, 4)
-        assert argmax_tags(full_forward(spec, params, xs), self.TAGS) == ["O", "O", "O"]
+        assert argmax_tags(forward_batch(spec, params, [xs])[0], self.TAGS) == ["O", "O", "O"]
 
     def test_peaked_distribution_wins(self):
         spec = ModelSpec(BASIC, n_in=2, hidden=2, n_tags=3, decoder_cell=ELMAN)
@@ -313,23 +313,23 @@ class TestPredictTags:
         params["decoder_out"]["W"][:] = 0.0
         params["decoder_out"]["W"][2, :] = 50.0  # hidden states are positive
         xs = rand_xs(SeededRng(34), 2, 2)
-        assert argmax_tags(full_forward(spec, params, xs), self.TAGS) == ["I-X", "I-X"]
+        assert argmax_tags(forward_batch(spec, params, [xs])[0], self.TAGS) == ["I-X", "I-X"]
 
     def test_determinism(self):
         spec = ModelSpec(BIDIRECTIONAL, n_in=3, hidden=2, n_tags=3,
                          decoder_cell=JORDAN_GRU, encoder_cell=ELMAN_GRU)
         params = init_model(spec, SeededRng(35))
         xs = rand_xs(SeededRng(36), 5, 3)
-        assert argmax_tags(full_forward(spec, params, xs), self.TAGS) == argmax_tags(
-            full_forward(spec, params, xs), self.TAGS)
+        assert argmax_tags(forward_batch(spec, params, [xs])[0], self.TAGS) == argmax_tags(
+            forward_batch(spec, params, [xs])[0], self.TAGS)
 
     def test_temperature_invariance_without_ties(self):
         spec = ModelSpec(BASIC, n_in=3, hidden=4, n_tags=3, decoder_cell=ELMAN)
         params = init_model(spec, SeededRng(37))
         xs = rand_xs(SeededRng(38), 4, 3)
-        before = argmax_tags(full_forward(spec, params, xs), self.TAGS)
+        before = argmax_tags(forward_batch(spec, params, [xs])[0], self.TAGS)
         params["decoder_out"]["W"] *= 3.0  # Elman carry is W-independent
-        assert argmax_tags(full_forward(spec, params, xs), self.TAGS) == before
+        assert argmax_tags(forward_batch(spec, params, [xs])[0], self.TAGS) == before
 
 
 # --- windowed-loss gradients, including the input (embedding) path ---

@@ -3,7 +3,7 @@
 tag_corpus runs the j-th sentence of every document as one batch; the
 oracle here is the per-sentence loop it replaced, with one label cache
 reset whenever doc_id changes.  Every sentence must get the same tags
-and bitwise the same distributions as full_forward gives it alone under
+and bitwise the same distributions as forward_batch gives it alone under
 the same cache state.
 """
 
@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rnntagger import architectures
-from rnntagger.architectures import ModelSpec, full_forward, init_model, run_chain
+from rnntagger.architectures import ModelSpec, forward_batch, init_model, run_chain
 from rnntagger.cells import cell_for, init_params
 from rnntagger.cli import _grid_specs
 from rnntagger.corpus import Sentence, Token, build_vocab
@@ -56,7 +56,7 @@ def tag_one_by_one(model, sentences):
         if cache is not None and sent.doc_id != prev:
             cache.reset()
         xs = model.encode_input(sent, cache).xs
-        dists = full_forward(model.spec, model.params, xs)
+        dists = forward_batch(model.spec, model.params, [xs])[0]
         tags = [model.tagset[int(np.argmax(o))] for o in dists]
         if cache is not None:
             cache.update_sentence(sent, tags, model.tag_to_index)
@@ -135,7 +135,8 @@ def test_tag_sentence_is_a_document_of_its_own():
     for spec in SPECS:
         model = make_model(*spec, cache=True, seed=5)
         for sent in corpus([("a", [1, 6, 11])]):
-            dists = full_forward(model.spec, model.params, model.encode_input(sent, None).xs)
+            xs = model.encode_input(sent, None).xs
+            dists = forward_batch(model.spec, model.params, [xs])[0]
             assert tag_sentence(model, sent) == architectures.argmax_tags(dists, model.tagset)
 
 
@@ -152,7 +153,7 @@ def test_steps_run_only_live_rows(monkeypatch):
     monkeypatch.setattr(cell, "step", staticmethod(counting))
     lengths = [2, 6, 1, 4]
     xss = [SeededRng(n).uniform(3 * n, -1, 1).reshape(n, 3) for n in lengths]
-    runs = run_chain(cell, p, None, xss, 4, 2)
+    runs = run_chain(cell, p, None, xss)
     # one step per position of the longest chain, each over the chains
     # still running: 13 rows in all, the sum of the lengths
     assert rows == [4, 3, 2, 2, 1, 1]

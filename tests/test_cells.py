@@ -34,8 +34,7 @@ def step(cell, p, x, carry, extra=None):
 
 
 def elman_states(p, xs):
-    hidden = p["V"].shape[0]
-    return run_chain(ElmanCell, p, None, [np.array(xs)], hidden, 1)[0].states
+    return run_chain(ElmanCell, p, None, [np.array(xs)])[0].states
 
 
 class TestElmanStep:
@@ -231,7 +230,7 @@ def chain_model(kind, seed):
 
 
 def run(cell, params, out, xs, extra=None):
-    return run_chain(cell, params, out, [xs], HIDDEN, N_OUT, [extra])[0]
+    return run_chain(cell, params, out, [xs], [extra])[0]
 
 
 def backward(cell, params, out, chain, g):
@@ -258,7 +257,7 @@ def fd_blocks(blocks, loss, label):
 
 def fd_check_cell(kind, seed):
     cell, params, out, xs, rng = chain_model(kind, seed)
-    g = rng.uniform(M * cell.carry_dim(HIDDEN, N_OUT), -1, 1).reshape(M, -1)
+    g = rng.uniform(M * (N_OUT if cell.carries_output else HIDDEN), -1, 1).reshape(M, -1)
 
     def loss():
         return float(np.sum(g * run(cell, params, out, xs).states))
@@ -332,7 +331,7 @@ def test_extra_term_gradient_finite_differences():
         for seed in range(10):
             cell, params, out, xs, rng = chain_model(kind, seed + 1000)
             extra = rng.uniform(HIDDEN, -1, 1)
-            g = rng.uniform(M * cell.carry_dim(HIDDEN, N_OUT), -1, 1).reshape(M, -1)
+            g = rng.uniform(M * (N_OUT if cell.carries_output else HIDDEN), -1, 1).reshape(M, -1)
 
             def loss():
                 return float(np.sum(g * run(cell, params, out, xs, extra).states))

@@ -165,7 +165,7 @@ def test_eval_sentence_count_mismatch_is_data_error(tmp_path, capsys):
 
 
 def test_gradcheck_failure_exits_3(monkeypatch, capsys):
-    bad = GradCheckReport(blocks={"decoder.U": 0.5}, n_tokens=4, seed=42)
+    bad = GradCheckReport(blocks={"decoder.U": 0.5}, abs_diffs={"decoder.U": 0.1})
     monkeypatch.setattr(cli, "gradient_check", lambda *a, **k: bad)
     rc, out, err = run(["gradcheck", "--arch", "basic", "--decoder", "elman"],
                        capsys)
@@ -214,6 +214,7 @@ def test_config_respects_choices(tmp_path, capsys):
     ("hidden=abc", "config key 'hidden': invalid literal for int()"),
     ("sneed=9", "config key 'sneed' is unknown"),
     ("arch=wide", "config key 'arch': 'wide' is not one of"),
+    ("clip=true", "config key 'clip' is unknown"),
 ])
 def test_config_errors_name_file_and_line(tmp_path, capsys, line, problem):
     cfg = tmp_path / "train.cfg"
@@ -284,7 +285,7 @@ def test_rates_must_be_finite_and_positive(tmp_path, capsys, command, flag, valu
     out = tmp_path / "out"
     if command == "train":
         argv = ["train", "--train", write_gold(tmp_path / "g.conll"), "--dim", "4",
-                "--hidden", "4", "--vc", "0", "--epochs", "1", "--clip", "true",
+                "--hidden", "4", "--vc", "0", "--epochs", "1",
                 "--out-model", str(out)]
     else:
         argv = ["embed", corpus_file(tmp_path), "--dim", "4", "--out", str(out)]
@@ -311,6 +312,25 @@ def test_synth_same_seed_same_bytes(tmp_path, capsys):
     c = tmp_path / "c.conll"
     run(["synth", "--seed", "8", "--out", str(c)], capsys)
     assert a.read_bytes() != c.read_bytes()
+
+
+@pytest.mark.parametrize("task,size", [("memorize", 50), ("future-dep", 40)])
+def test_synth_default_size(tmp_path, capsys, task, size):
+    out = tmp_path / "s.conll"
+    assert run(["synth", "--task", task, "--out", str(out)], capsys)[0] == 0
+    assert len(load_conll(str(out))) == size
+
+
+@pytest.mark.parametrize("task,size", [
+    ("memorize", "0"), ("memorize", "-3"),
+    ("future-dep", "0"), ("future-dep", "-2"), ("future-dep", "3"),
+])
+def test_synth_bad_size_is_usage_error(tmp_path, capsys, task, size):
+    out = tmp_path / "s.conll"
+    rc, _, err = run(["synth", "--task", task, "--size", size, "--out", str(out)], capsys)
+    assert rc == 1
+    assert "usage error: size must be" in err
+    assert not out.exists()
 
 
 def test_synth_future_dep_task(tmp_path, capsys):
@@ -498,6 +518,24 @@ def test_train_with_pretrained_embeddings(tmp_path, capsys):
     assert load_model(str(out)).table.dim == 6
 
 
+def test_clip_threshold_on_its_own_clips(tmp_path, capsys):
+    argv = ["train", "--train", write_gold(tmp_path / "g.conll"), "--dim", "4",
+            "--hidden", "4", "--vc", "0", "--epochs", "1", "--out-model"]
+    plain, clipped = tmp_path / "plain.json", tmp_path / "clipped.json"
+    assert run(argv + [str(plain)], capsys)[0] == 0
+    assert run(argv + [str(clipped), "--clip-threshold", "1e-6"], capsys)[0] == 0
+    assert plain.read_bytes() != clipped.read_bytes()
+
+
+def test_clip_flag_is_usage_error(tmp_path, capsys):
+    out = tmp_path / "m.json"
+    rc, _, err = run(["train", "--train", write_gold(tmp_path / "g.conll"),
+                      "--clip", "true", "--out-model", str(out)], capsys)
+    assert rc == 1
+    assert "unrecognized arguments: --clip true" in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("row,problem", [
     ("bob 0.1 inf 0.3", "holds a non-finite value"),
     ("bob 0.1 x 0.3", "could not convert string to float: 'x'"),
@@ -559,6 +597,21 @@ def test_train_mesnil_needs_no_decoder(tmp_path, capsys):
 
 
 # ------------------------------------------------------------ gradcheck
+
+@pytest.mark.parametrize("grid", ["true", "false"])
+@pytest.mark.parametrize("flag", ["--hidden", "--n-in", "--n-tags", "--tokens"])
+def test_gradcheck_size_below_one_is_usage_error(capsys, flag, grid):
+    rc, out, err = run(["gradcheck", "--grid", grid, flag, "0"], capsys)
+    assert rc == 1
+    assert "usage error: %s must be >= 1, got 0" % flag in err
+    assert "passed" not in out
+
+
+def test_gradcheck_negative_window_is_usage_error(capsys):
+    rc, _, err = run(["gradcheck", "--decoder", "elman", "--vd", "-1"], capsys)
+    assert rc == 1
+    assert "usage error: --vd must be >= 0, got -1" in err
+
 
 def test_gradcheck_single_combo_passes(capsys):
     rc, out, _ = run(["gradcheck", "--arch", "basic", "--decoder", "elman_gru",

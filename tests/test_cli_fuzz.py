@@ -46,7 +46,7 @@ def valid(tmp_path_factory):
     files["embeddings"].write_text("%d 2\n" % len(words) + "".join(
         "%s %.2f -%.2f\n" % (w, i / 10, i / 20) for i, w in enumerate(words)))
     files["config"].write_text("arch=contextual\nencoder=elman_gru\ndecoder=jordan\n"
-                               "caps=true\nseed=3\nshuffle=false\nclip=true\n")
+                               "caps=true\nseed=3\nshuffle=false\nclip_threshold=1.0\n")
     assert main(["train", "--train", str(files["conll"]), "--dim", "2", "--caps", "true",
                  "--gazetteers", str(files["lexicon"]), "--out-model", str(files["model"])]
                 + SIZES) == cli.EXIT_OK
@@ -125,7 +125,7 @@ COMMANDS = {
               "--arch", "bidirectional", "--encoder", "jordan", "--decoder", "elman_gru",
               "--mesnil-k", "1", "--caps", "true", "--cache", "true", "--scheme", "bio2",
               "--profile", "conll", "--lr", "0.1", "--seed", "2", "--shuffle", "true",
-              "--fine-tune-embeddings", "true", "--dev-eval-every", "1", "--clip", "true",
+              "--fine-tune-embeddings", "true", "--dev-eval-every", "1",
               "--clip-threshold", "1.0", "--dev", "{conll}"] + SIZES,
     "tag": ["tag", "--model", "{model}", "--input", "{conll}", "--out", "{out}"],
     "eval": ["eval", "--gold", "{conll}", "--pred", "{conll}", "--scheme", "iobes"],

@@ -1,3 +1,5 @@
+from collections import Counter
+
 import pytest
 
 from rnntagger import corpus
@@ -9,6 +11,7 @@ from rnntagger.corpus import (
     load_conll,
     load_lexicon,
     normalize,
+    vocab_from_counts,
     write_conll,
 )
 
@@ -89,16 +92,15 @@ class TestVocabulary:
         path = write(tmp_path, "v.conll", "".join("%s O\n" % w for w in words))
         return load_conll(path)
 
-    def test_min_count_threshold(self, tmp_path):
-        sents = self._sents(tmp_path, ["a", "a", "b"])
-        vocab = build_vocab(sents, min_count=2)
+    def test_min_count_threshold(self):
+        vocab = vocab_from_counts(Counter({"a": 2, "b": 1}), min_count=2)
         assert len(vocab) == 3  # PAD, UNK, a
         assert vocab.index("a") == 2
         assert vocab.index("b") == UNK_INDEX
 
     def test_min_count_one_keeps_all(self, tmp_path):
         sents = self._sents(tmp_path, ["x", "y", "z"])
-        vocab = build_vocab(sents, min_count=1)
+        vocab = build_vocab(sents)
         assert all(vocab.index(w) != UNK_INDEX for w in ["x", "y", "z"])
 
     def test_frequency_then_lexicographic_order(self, tmp_path):
@@ -130,9 +132,9 @@ class TestVocabulary:
         assert vocab.index("MADRID") == vocab.index("madrid")
         assert vocab.index("tel9999999") == vocab.index("tel5551234")
 
-    def test_min_count_zero_rejected(self, tmp_path):
+    def test_min_count_zero_rejected(self):
         with pytest.raises(ValueError):
-            build_vocab(self._sents(tmp_path, ["a"]), min_count=0)
+            vocab_from_counts(Counter({"a": 1}), min_count=0)
 
 
 def test_normalize_modes():

@@ -201,6 +201,8 @@ class TestEmbeddingTable:
         ("3 2\na 1.0 2.0\n\nb 0.5 nan\n", ":4: row for 'b' holds a non-finite value"),
         ("a 1.0 -inf\nb 0.5 0.5\n", ":1: row for 'a' holds a non-finite value"),
         ("a 1.0 2.0\nb x 0.5\n", ":2: row for 'b': could not convert string to float: 'x'"),
+        ("3 5\na 1.0 2.0\nb 3.0 4.0\n", ":2: row for 'a' has 2 values, expected 5"),
+        ("3 2\na 1.0 2.0\nb 3.0 4.0\n", ":1: the header gives 3 rows, the file has 2"),
     ])
     def test_malformed_row_names_file_and_line(self, tmp_path, text, message):
         path = tmp_path / "bad.txt"
@@ -251,7 +253,7 @@ class TestEncodeSentence:
     def test_full_scale_width(self):
         # window radius 5 with 300-dim vectors and no features: 3300
         vocab = small_vocab("w")
-        t = EmbeddingTable(vocab, 300)
+        t = EmbeddingTable(vocab, 300, np.zeros((len(vocab), 300)))
         enc = encode_sentence(sent("w"), t, FeatureConfig(), v_c=5)
         assert len(enc.xs[0]) == 3300
 
