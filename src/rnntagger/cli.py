@@ -76,14 +76,15 @@ def build_parser():
     p.add_argument("corpus", nargs="?", help="plain text, one sentence per line")
     p.add_argument("--config")
     p.add_argument("--objective", choices=OBJECTIVES, default="cbow")
-    p.add_argument("--dim", type=int, default=300)
-    p.add_argument("--window", type=int, default=5)
-    p.add_argument("--negatives", type=int, default=10)
-    p.add_argument("--subsample", type=float, default=1e-5)
-    p.add_argument("--epochs", type=int, default=1)
-    p.add_argument("--lr", dest="learning_rate", type=float, default=0.025)
-    p.add_argument("--min-count", dest="min_count", type=int, default=1)
-    p.add_argument("--seed", type=int, default=1)
+    p.add_argument("--dim", type=int, default=EmbedConfig.dim)
+    p.add_argument("--window", type=int, default=EmbedConfig.window)
+    p.add_argument("--negatives", type=int, default=EmbedConfig.negatives)
+    p.add_argument("--subsample", type=float, default=EmbedConfig.subsample)
+    p.add_argument("--epochs", type=int, default=EmbedConfig.epochs)
+    p.add_argument("--lr", dest="learning_rate", type=float,
+                   default=EmbedConfig.learning_rate)
+    p.add_argument("--min-count", dest="min_count", type=int, default=EmbedConfig.min_count)
+    p.add_argument("--seed", type=int, default=EmbedConfig.seed)
     p.add_argument("--out")
     p.set_defaults(func=cmd_embed)
 
@@ -106,14 +107,15 @@ def build_parser():
     p.add_argument("--profile", choices=sorted(PROFILES), default="ace")
     p.add_argument("--hidden", type=int)
     p.add_argument("--lr", dest="learning_rate", type=float)
-    p.add_argument("--vc", dest="v_c", type=int, default=5)
-    p.add_argument("--vd", dest="v_d", type=int, default=9)
-    p.add_argument("--epochs", type=int, default=5)
-    p.add_argument("--seed", type=int, default=1)
-    p.add_argument("--shuffle", type=_bool, default=True, metavar="BOOL")
+    p.add_argument("--vc", dest="v_c", type=int, default=TrainConfig.v_c)
+    p.add_argument("--vd", dest="v_d", type=int, default=TrainConfig.v_d)
+    p.add_argument("--epochs", type=int, default=TrainConfig.epochs)
+    p.add_argument("--seed", type=int, default=TrainConfig.seed)
+    p.add_argument("--shuffle", type=_bool, default=TrainConfig.shuffle, metavar="BOOL")
     p.add_argument("--fine-tune-embeddings", dest="fine_tune_embeddings",
-                   type=_bool, default=True, metavar="BOOL")
-    p.add_argument("--dev-eval-every", dest="dev_eval_every", type=int, default=1)
+                   type=_bool, default=TrainConfig.fine_tune_embeddings, metavar="BOOL")
+    p.add_argument("--dev-eval-every", dest="dev_eval_every", type=int,
+                   default=TrainConfig.dev_eval_every)
     p.add_argument("--clip-threshold", dest="clip_threshold", type=float)
     p.add_argument("--out-model", dest="out_model")
     p.set_defaults(func=cmd_train)

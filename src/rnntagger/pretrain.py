@@ -193,9 +193,9 @@ def _ns_grads(output, h, center, negatives):
 
 
 def _apply_input_grads(model, grads, lr):
-    rows = [row for row in grads if row != PAD_INDEX]
-    if rows:
-        model.input_vectors[np.array(rows)] -= lr * np.array([grads[row] for row in rows])
+    for row, g in grads.items():
+        if row != PAD_INDEX:
+            model.input_vectors[row] -= lr * g
 
 
 def _apply_output_grads(model, du, lr):

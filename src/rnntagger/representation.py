@@ -161,14 +161,6 @@ class DocCache:
     def __init__(self):
         self._latest = {}
 
-    def reset(self):
-        self._latest.clear()
-
-    def snapshot(self):
-        frozen = DocCache()
-        frozen._latest = dict(self._latest)
-        return frozen
-
     def get(self, surface):
         return self._latest.get(surface.lower())
 
@@ -217,40 +209,52 @@ class InputEncoding:
         return len(self.xs)
 
 
-def encode_sentence(sentence, table, fconf, v_c, doc_state=None):
-    """Window the sentence into model inputs.
-
-    x_i concatenates 2*v_c+1 consecutive w-vectors; positions beyond the
-    sentence contribute zero blocks (PAD embedding, no feature fires).
-    """
-    if v_c < 0:
-        raise ValueError("v_c must be >= 0, got %d" % v_c)
+def token_features(sentence, vocab, fconf, doc_state=None):
+    """The part of a sentence's input that fine-tuning never changes:
+    its word indices and its (n, F) 0/1 feature columns, the cache
+    columns read from doc_state."""
     n = len(sentence)
-    dim = table.dim
-    block = dim + fconf.width
     surfaces = sentence.surfaces()
-    indices = [table.vocab.index(s) for s in surfaces]
-
-    padded = np.zeros((n + 2 * v_c, block))
-    w = padded[v_c : v_c + n]   # row i is w_i, the rows either side stay zero
-    w[:, :dim] = table.matrix[indices]
-    at = dim
+    indices = [vocab.index(s) for s in surfaces]
+    features = np.zeros((n, fconf.width))
+    at = 0
     if fconf.capitalization:
-        w[np.arange(n), [at + capitalization_class(s) for s in surfaces]] = 1.0
+        features[np.arange(n), [capitalization_class(s) for s in surfaces]] = 1.0
         at += CAP_WIDTH
     for lex in fconf.gazetteers:
-        w[:, at] = gazetteer_mask(surfaces, lex)
+        features[:, at] = gazetteer_mask(surfaces, lex)
         at += 1
     if fconf.trigger is not None:
-        w[:, at] = [s in fconf.trigger for s in surfaces]
+        features[:, at] = [s in fconf.trigger for s in surfaces]
         at += 1
     if fconf.cache_tagset is not None and doc_state is not None:
         # one-hot of each token's cached label; all-zero when unseen
         hits = [(i, at + k) for i, k in enumerate(map(doc_state.get, surfaces))
                 if k is not None]
         if hits:
-            w[tuple(zip(*hits))] = 1.0
+            features[tuple(zip(*hits))] = 1.0
+    return indices, features
 
+
+def window_inputs(table, indices, features, v_c):
+    """Window the w-vectors [embedding row, feature columns] into model
+    inputs: x_i concatenates 2*v_c+1 consecutive w-vectors, and positions
+    beyond the sentence contribute zero blocks (PAD embedding, no feature
+    fires)."""
+    if v_c < 0:
+        raise ValueError("v_c must be >= 0, got %d" % v_c)
+    n, dim = len(indices), table.dim
+    block = dim + features.shape[1]
+    padded = np.zeros((n + 2 * v_c, block))
+    w = padded[v_c : v_c + n]   # row i is w_i, the rows either side stay zero
+    w[:, :dim] = table.matrix[indices]
+    w[:, dim:] = features
     # slot k of row i is w_{i+k-v_c}: one shifted copy of w per slot
     xs = np.hstack([padded[k : k + n] for k in range(2 * v_c + 1)])
     return InputEncoding(xs=xs, word_indices=indices, block=block, v_c=v_c, dim=dim)
+
+
+def encode_sentence(sentence, table, fconf, v_c, doc_state=None):
+    """Window the sentence into model inputs under the document cache
+    state doc_state."""
+    return window_inputs(table, *token_features(sentence, table.vocab, fconf, doc_state), v_c)

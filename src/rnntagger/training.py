@@ -29,7 +29,7 @@ from .architectures import (
 )
 from .evaluation import score
 from .model import Model, tag_corpus
-from .representation import DocCache
+from .representation import DocCache, token_features, window_inputs
 from .tagging import tags_to_spans
 
 LOSS_FLOOR = 1e-12
@@ -42,7 +42,7 @@ FD_NOISE = 1e-9
 @dataclass
 class TrainConfig:
     learning_rate: float = 0.01
-    epochs: int = 1
+    epochs: int = 5
     v_d: int = 9
     v_c: int = 5
     hidden: int = 200
@@ -146,13 +146,14 @@ def window_nll(spec, params, xs, examples, v_d, acc=None):
     return total, dxs
 
 
-def train_example(model, sentence, position, gold, cfg, doc_state=None):
+def train_example(model, inputs, position, gold, cfg):
     """One SGD step on one (sentence, position) example; returns the loss.
 
-    The sentence is re-encoded here, under the document cache state
-    doc_state, so fine-tuned embedding rows feed the very next example.
+    inputs is the sentence's (word indices, feature columns), built once
+    per epoch by train_epoch; only the embedding rows are gathered here,
+    so fine-tuned rows feed the very next example.
     """
-    enc_in = model.encode_input(sentence, doc_state)
+    enc_in = window_inputs(model.table, *inputs, model.v_c)
     acc = zero_model_grads(model.params)
     loss, dxs = window_nll(model.spec, model.params, enc_in.xs, [(position, gold)],
                            cfg.v_d, acc)
@@ -186,37 +187,27 @@ class EpochStats:
         return self.n_examples / self.seconds if self.seconds > 0 else float("inf")
 
 
-def _gold_indices(sentences, tag_to_index):
-    golds = []
-    for sent in sentences:
-        row = []
-        for tok in sent.tokens:
-            tag = tok.gold_tag
+def _prepare(model, sentences):
+    """Each sentence's gold indices and token_features, in corpus order.
+    Its cache columns come from a cache fed only the gold tags of the
+    earlier sentences of its document."""
+    t2i = model.tag_to_index
+    prepared = []
+    cache = None
+    for k, sent in enumerate(sentences):
+        tags = sent.tags()
+        for tok, tag in zip(sent.tokens, tags):
             if tag is None:
                 raise ValueError("untagged token %r in training data" % tok.surface)
-            if tag not in tag_to_index:
+            if tag not in t2i:
                 raise ValueError("tag %r not in the model tagset" % tag)
-            row.append(tag_to_index[tag])
-        golds.append(row)
-    return golds
-
-
-def _cache_snapshots(model, sentences):
-    """Per-sentence frozen cache states, built from gold labels in corpus
-    order; None placeholders when the cache channel is off."""
-    if not model.fconf.uses_cache:
-        return [None] * len(sentences)
-    t2i = model.tag_to_index
-    state = DocCache()
-    prev_doc = None
-    snaps = []
-    for sent in sentences:
-        if sent.doc_id != prev_doc:
-            state.reset()
-        snaps.append(state.snapshot())
-        state.update_sentence(sent, sent.tags(), t2i)
-        prev_doc = sent.doc_id
-    return snaps
+        if model.fconf.uses_cache and (k == 0 or sent.doc_id != sentences[k - 1].doc_id):
+            cache = DocCache()
+        inputs = token_features(sent, model.table.vocab, model.fconf, cache)
+        prepared.append((inputs, [t2i[tag] for tag in tags]))
+        if cache is not None:
+            cache.update_sentence(sent, tags, t2i)
+    return prepared
 
 
 def train_epoch(model, sentences, cfg, rng=None):
@@ -227,8 +218,7 @@ def train_epoch(model, sentences, cfg, rng=None):
         raise ValueError("training corpus is empty")
     if rng is None:
         rng = linalg.SeededRng(cfg.seed)
-    golds = _gold_indices(sentences, model.tag_to_index)
-    snaps = _cache_snapshots(model, sentences)
+    prepared = _prepare(model, sentences)
     examples = [(si, pos)
                 for si, sent in enumerate(sentences)
                 for pos in range(len(sent))]
@@ -242,8 +232,8 @@ def train_epoch(model, sentences, cfg, rng=None):
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         for si, pos in examples:
             try:
-                total += train_example(model, sentences[si], pos, golds[si][pos], cfg,
-                                       snaps[si])
+                inputs, golds = prepared[si]
+                total += train_example(model, inputs, pos, golds[pos], cfg)
             except FloatingPointError as e:
                 raise FloatingPointError("sentence %d, position %d: %s"
                                          % (si + 1, pos + 1, e)) from None

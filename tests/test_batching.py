@@ -1,8 +1,8 @@
 """Tagging a corpus in rounds across documents never changes a prediction.
 
 tag_corpus runs the j-th sentence of every document as one batch; the
-oracle here is the per-sentence loop it replaced, with one label cache
-reset whenever doc_id changes.  Every sentence must get the same tags
+oracle here is the per-sentence loop it replaced, with a fresh label
+cache whenever doc_id changes.  Every sentence must get the same tags
 and bitwise the same distributions as forward_batch gives it alone under
 the same cache state.
 """
@@ -49,19 +49,17 @@ def make_model(arch, enc, dec, cache, seed):
 
 def tag_one_by_one(model, sentences):
     """The per-sentence loop: (tags, inputs, distributions) per sentence."""
-    cache = DocCache() if model.fconf.uses_cache else None
-    prev = None
+    cache = None
     out = []
-    for sent in sentences:
-        if cache is not None and sent.doc_id != prev:
-            cache.reset()
+    for k, sent in enumerate(sentences):
+        if model.fconf.uses_cache and (k == 0 or sent.doc_id != sentences[k - 1].doc_id):
+            cache = DocCache()
         xs = model.encode_input(sent, cache).xs
         dists = forward_batch(model.spec, model.params, [xs])[0]
         tags = [model.tagset[int(np.argmax(o))] for o in dists]
         if cache is not None:
             cache.update_sentence(sent, tags, model.tag_to_index)
         out.append((tags, xs, dists))
-        prev = sent.doc_id
     return out
 
 

@@ -132,12 +132,6 @@ class TestCache:
         cache.update_sentence(s, ["B-ORG"], {"O": 0, "B-ORG": 1, "I-ORG": 2})
         assert cache_columns(cache, "liverpool", 3) == [0, 1, 0]
 
-    def test_reset_clears(self):
-        cache = DocCache()
-        cache.update_sentence(sent("a"), ["B-X"], {"B-X": 1})
-        cache.reset()
-        assert sum(cache_columns(cache, "a", 2)) == 0
-
     def test_most_recent_wins(self):
         cache = DocCache()
         tagmap = {"O": 0, "B-ORG": 1}

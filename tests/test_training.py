@@ -15,11 +15,17 @@ from rnntagger.architectures import (
     init_model,
     zero_model_grads,
 )
-from rnntagger.corpus import Sentence, Token, build_vocab
+from rnntagger.corpus import Lexicon, Sentence, Token, build_vocab
 from rnntagger.evaluation import EvalReport
 from rnntagger.linalg import SeededRng
 from rnntagger.model import Model
-from rnntagger.representation import EmbeddingTable, FeatureConfig
+from rnntagger.representation import (
+    DocCache,
+    EmbeddingTable,
+    FeatureConfig,
+    encode_sentence,
+    token_features,
+)
 from rnntagger.synth import MEMORIZE_TYPES, memorize_corpus
 from rnntagger.tagging import BIO2, make_tagset
 from rnntagger import training
@@ -62,11 +68,17 @@ def build_model(sentences, arch="basic", decoder="ELMAN", encoder=None,
                  tagset=tagset, scheme=BIO2, v_c=v_c)
 
 
+def inputs_of(model, s):
+    """The (word indices, feature columns) train_epoch prepares for s,
+    outside any document cache."""
+    return token_features(s, model.table.vocab, model.fconf)
+
+
 def first_window(model, si=0, pos=0):
-    """(sentence, position, gold index) of one training example."""
+    """(prepared inputs, position, gold index) of one training example."""
     s = TRAIN_SENTS[si]
     y = model.tag_to_index[s.tokens[pos].gold_tag]
-    return s, pos, y
+    return inputs_of(model, s), pos, y
 
 
 def model_state(model):
@@ -86,6 +98,7 @@ def states_equal(a, b):
 def test_config_defaults():
     cfg = TrainConfig()
     assert cfg.learning_rate == 0.01
+    assert cfg.epochs == 5
     assert cfg.v_d == 9 and cfg.v_c == 5
     assert cfg.hidden == 200
     assert cfg.shuffle and cfg.fine_tune_embeddings
@@ -137,11 +150,11 @@ def test_loss_is_preupdate_windowed_nll():
     model = build_model(TRAIN_SENTS, arch="bidirectional", decoder="JORDAN",
                         encoder="ELMAN")
     probe = copy.deepcopy(model)
-    s, pos, y = first_window(model, si=0, pos=3)
+    inputs, pos, y = first_window(model, si=0, pos=3)
     cfg = TrainConfig(learning_rate=0.1, v_d=2)
-    loss = train_example(model, s, pos, y, cfg)
+    loss = train_example(model, inputs, pos, y, cfg)
 
-    enc_in = probe.encode_input(s)
+    enc_in = probe.encode_input(TRAIN_SENTS[0])
     enc = encode(probe.spec, probe.params, enc_in.xs)
     dec = decode_window(probe.spec, probe.params, enc, 1, 3)  # max(0, 3-2)..3
     assert loss == nll_loss(dec.dists[-1], y)
@@ -158,12 +171,12 @@ def test_step_is_minus_lr_times_audited_gradient(arch, decoder, encoder):
     # its loss and move every parameter by exactly -lr times its gradient
     model = build_model(TRAIN_SENTS, arch=arch, decoder=decoder, encoder=encoder)
     probe = copy.deepcopy(model)
-    s, pos, y = first_window(model, si=0, pos=3)
+    inputs, pos, y = first_window(model, si=0, pos=3)
     cfg = TrainConfig(learning_rate=0.1, v_d=2, fine_tune_embeddings=False)
-    loss = train_example(model, s, pos, y, cfg)
+    loss = train_example(model, inputs, pos, y, cfg)
 
     acc = zero_model_grads(probe.params)
-    want, _ = window_nll(probe.spec, probe.params, probe.encode_input(s).xs,
+    want, _ = window_nll(probe.spec, probe.params, probe.encode_input(TRAIN_SENTS[0]).xs,
                          [(pos, y)], cfg.v_d, acc)
     assert loss == want
     for b in probe.params:
@@ -175,9 +188,9 @@ def test_step_is_minus_lr_times_audited_gradient(arch, decoder, encoder):
 def test_first_position_is_single_step_from_zero_state():
     model = build_model(TRAIN_SENTS)
     probe = copy.deepcopy(model)
-    s, pos, y = first_window(model, pos=0)
-    loss = train_example(model, s, pos, y, TrainConfig())
-    enc_in = probe.encode_input(s)
+    inputs, pos, y = first_window(model, pos=0)
+    loss = train_example(model, inputs, pos, y, TrainConfig())
+    enc_in = probe.encode_input(TRAIN_SENTS[0])
     enc = encode(probe.spec, probe.params, enc_in.xs)
     dec = decode_window(probe.spec, probe.params, enc, 0, 0)
     assert len(dec.dists) == 1
@@ -306,7 +319,7 @@ def test_single_token_dataset_is_one_update():
     stats = train_epoch(m1, data, TrainConfig(learning_rate=0.05))
     assert stats.n_examples == 1
     y = m2.tag_to_index["B-PER"]
-    train_example(m2, data[0], 0, y, TrainConfig(learning_rate=0.05))
+    train_example(m2, inputs_of(m2, data[0]), 0, y, TrainConfig(learning_rate=0.05))
     assert states_equal(model_state(m1), model_state(m2))
 
 
@@ -325,7 +338,7 @@ def test_epoch_without_shuffle_is_corpus_order():
     for s in TRAIN_SENTS:
         for pos in range(len(s)):
             y = m2.tag_to_index[s.tokens[pos].gold_tag]
-            train_example(m2, s, pos, y, cfg)
+            train_example(m2, inputs_of(m2, s), pos, y, cfg)
     assert states_equal(model_state(m1), model_state(m2))
 
 
@@ -352,19 +365,103 @@ def test_shuffled_epochs_differ_across_epochs_but_replay_bitwise():
 
 
 def test_gold_cache_snapshots_follow_documents():
+    # the cache columns of each prepared sentence come from the gold tags
+    # of the earlier sentences of its document, and a new document starts
+    # from an empty cache
     tagset = make_tagset(["ORG", "PER"], BIO2)
     fconf = FeatureConfig(cache_tagset=tagset)
     data = [
         sent(["anna", "smiled"], ["B-PER", "O"], doc="a"),
-        sent(["anna", "left"], ["B-PER", "O"], doc="a"),
+        sent(["anna", "left", "smiled"], ["B-PER", "O", "O"], doc="a"),
         sent(["anna", "again"], ["O", "O"], doc="b"),
     ]
     model = build_model(data, fconf=fconf)
-    snaps = training._cache_snapshots(model, data)
-    assert snaps[0].get("anna") is None
-    assert snaps[1].get("anna") == model.tag_to_index["B-PER"]
-    assert snaps[1].get("smiled") == model.tag_to_index["O"]
-    assert snaps[2].get("anna") is None  # new document
+    columns = [features for (_, features), _ in training._prepare(model, data)]
+    one_hot = np.eye(len(tagset))
+    t2i = model.tag_to_index
+    none = np.zeros(len(tagset))
+    assert np.array_equal(columns[0], [none, none])
+    assert np.array_equal(columns[1], [one_hot[t2i["B-PER"]], none, one_hot[t2i["O"]]])
+    assert np.array_equal(columns[2], [none, none])  # new document
+
+
+def test_token_features_run_once_per_sentence_per_epoch(monkeypatch):
+    calls = []
+
+    def counting(sentence, *args):
+        calls.append(sentence)
+        return token_features(sentence, *args)
+
+    monkeypatch.setattr(training, "token_features", counting)
+    model = build_model(TRAIN_SENTS)
+    stats = train_epoch(model, TRAIN_SENTS, TrainConfig())
+    train_epoch(model, TRAIN_SENTS, TrainConfig())
+    assert stats.n_examples > len(TRAIN_SENTS)
+    assert calls == TRAIN_SENTS + TRAIN_SENTS
+
+
+def reference_epoch(model, sentences, cfg):
+    """One epoch as per-example re-encoding: every example runs all of
+    encode_sentence under a copy of the gold cache taken before its
+    sentence, then takes an unclipped SGD step.  Returns the losses."""
+    t2i = model.tag_to_index
+    snaps, cache = [], DocCache()
+    for k, s in enumerate(sentences):
+        if k and s.doc_id != sentences[k - 1].doc_id:
+            cache = DocCache()
+        snaps.append(copy.deepcopy(cache))
+        cache.update_sentence(s, s.tags(), t2i)
+    examples = [(si, pos) for si, s in enumerate(sentences) for pos in range(len(s))]
+    SeededRng(cfg.seed).shuffle(examples)
+    losses = []
+    for si, pos in examples:
+        s = sentences[si]
+        enc_in = encode_sentence(s, model.table, model.fconf, model.v_c, snaps[si])
+        acc = zero_model_grads(model.params)
+        loss, dxs = window_nll(model.spec, model.params, enc_in.xs,
+                               [(pos, t2i[s.tokens[pos].gold_tag])], cfg.v_d, acc)
+        for b in acc:
+            for n, g in acc[b].items():
+                model.params[b][n] -= cfg.learning_rate * g
+        model.table.add_grad(*training._embedding_grads(enc_in, dxs), cfg.learning_rate)
+        losses.append(loss)
+    return losses
+
+
+@pytest.mark.parametrize("arch,decoder,encoder", [
+    ("basic", "ELMAN", None),
+    ("bidirectional", "JORDAN_GRU", "ELMAN_GRU"),
+])
+def test_prepared_epoch_is_bitwise_per_example_reencoding(arch, decoder, encoder,
+                                                          monkeypatch):
+    # two documents, one word cached across sentences in each, and every
+    # feature channel on: preparing a sentence's features once per epoch
+    # must give the losses and bytes of re-encoding it per example
+    tagset = make_tagset(["ORG", "PER"], BIO2)
+    fconf = FeatureConfig(capitalization=True,
+                          gazetteers=[Lexicon("gaz", {"acme corp", "anna"})],
+                          trigger=Lexicon("trig", {"visited"}), cache_tagset=tagset)
+    data = [
+        sent(["Anna", "visited", "ACME", "corp", "today"],
+             ["B-PER", "O", "B-ORG", "I-ORG", "O"], doc="a"),
+        sent(["Bob", "left", "anna", "alone"], ["B-PER", "O", "B-PER", "O"], doc="a"),
+        sent(["acme", "corp", "visited", "Bob"], ["B-ORG", "I-ORG", "O", "B-PER"], doc="b"),
+        sent(["Anna", "left"], ["B-PER", "O"], doc="b"),
+    ]
+    cfg = TrainConfig(learning_rate=0.1, v_d=2, seed=6)
+    model = build_model(data, arch=arch, decoder=decoder, encoder=encoder, fconf=fconf)
+    reference = copy.deepcopy(model)
+
+    losses = []
+
+    def recording(*args):
+        losses.append(train_example(*args))
+        return losses[-1]
+
+    monkeypatch.setattr(training, "train_example", recording)
+    train_epoch(model, data, cfg)
+    assert losses == reference_epoch(reference, data, cfg)
+    assert states_equal(model_state(model), model_state(reference))
 
 
 def test_untagged_training_data_rejected():
