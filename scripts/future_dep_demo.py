@@ -15,7 +15,7 @@ from rnntagger.architectures import ModelSpec, forward_batch, init_model
 from rnntagger.corpus import build_vocab
 from rnntagger.linalg import SeededRng
 from rnntagger.model import Model, tag_corpus
-from rnntagger.representation import EmbeddingTable, FeatureConfig
+from rnntagger.representation import EmbeddingTable, FeatureConfig, encode_sentence
 from rnntagger.synth import future_dep_corpus
 from rnntagger.tagging import BIO2, make_tagset
 from rnntagger.training import TrainConfig, train_epoch
@@ -67,7 +67,8 @@ def main():
           % first_token_accuracy(basic, sents))
 
     a, b = sents[0], sents[1]
-    da, db = (forward_batch(basic.spec, basic.params, [basic.encode_input(s).xs])[0]
+    da, db = (forward_batch(basic.spec, basic.params,
+                            [encode_sentence(s, basic.table, basic.fconf, basic.v_c)])[0]
               for s in (a, b))
     print("basic position-0 outputs bitwise identical across the pair:",
           np.array_equal(da[0], db[0]))

@@ -186,14 +186,24 @@ def load_lexicon(path):
     return Lexicon(name=os.path.splitext(os.path.basename(path))[0], entries=entries)
 
 
+def documents(sentences):
+    """The sentence indices of each document, in corpus order: a document
+    is a maximal run of consecutive sentences with one doc_id."""
+    docs = []
+    for i, sent in enumerate(sentences):
+        if not docs or sent.doc_id != sentences[i - 1].doc_id:
+            docs.append([])
+        docs[-1].append(i)
+    return docs
+
+
 def write_conll(sentences, path, tags=None):
     """Two-column output: surface and tag. `tags` overrides gold tags."""
+    starts = {doc[0] for doc in documents(sentences)[1:]}
     with open(path, "w", encoding="utf-8") as fh:
-        prev_doc = None
         for si, sent in enumerate(sentences):
-            if prev_doc is not None and sent.doc_id != prev_doc:
+            if si in starts:
                 fh.write("-DOCSTART-\n\n")
-            prev_doc = sent.doc_id
             sent_tags = tags[si] if tags is not None else sent.tags()
             for tok, tag in zip(sent.tokens, sent_tags):
                 fh.write("%s %s\n" % (tok.surface, tag if tag is not None else "O"))

@@ -14,6 +14,12 @@ MIX1 = 0xBF58476D1CE4E5B9
 MIX2 = 0x94D049BB133111EB
 
 
+def is_int(value):
+    """An integer that is not a bool: a size read as 1.0 or true from a
+    file is not one."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 def _mix_scalar(z):
     # SplitMix64 finalizer (Steele, Lea & Flood 2014).
     z = (z ^ (z >> 30)) * MIX1 & MASK64

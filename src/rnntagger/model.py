@@ -3,11 +3,17 @@
 from dataclasses import dataclass
 
 from . import architectures
+from .corpus import documents
+from .linalg import is_int
 from .representation import DocCache, encode_sentence
 
 
 @dataclass
 class Model:
+    """A trained tagger.  Its parts must agree on its shape, whoever
+    builds it: a ValueError names the key (v_c, spec.n_in, spec.n_tags
+    or features.cache_tagset) that does not."""
+
     spec: architectures.ModelSpec
     params: dict
     table: object            # EmbeddingTable
@@ -16,12 +22,23 @@ class Model:
     scheme: str
     v_c: int = 5
 
+    def __post_init__(self):
+        if not is_int(self.v_c) or self.v_c < 0:
+            raise ValueError("v_c must be an integer >= 0, got %r" % (self.v_c,))
+        n_in = self.fconf.input_width(self.table.dim, self.v_c)
+        if self.spec.n_in != n_in:
+            raise ValueError("spec.n_in is %d, expected (dim %d + features %d) x (2 v_c + 1) = %d"
+                             % (self.spec.n_in, self.table.dim, self.fconf.width, n_in))
+        if len(self.tagset) != self.spec.n_tags:
+            raise ValueError("tagset has %d tags, spec.n_tags is %d"
+                             % (len(self.tagset), self.spec.n_tags))
+        cached = self.fconf.cache_tagset
+        if cached is not None and list(cached) != list(self.tagset):
+            raise ValueError("features.cache_tagset must be null or equal tagset")
+
     @property
     def tag_to_index(self):
         return {t: i for i, t in enumerate(self.tagset)}
-
-    def encode_input(self, sentence, doc_state=None):
-        return encode_sentence(sentence, self.table, self.fconf, self.v_c, doc_state)
 
 
 def tag_sentence(model, sentence):
@@ -32,27 +49,23 @@ def tag_sentence(model, sentence):
 def tag_corpus(model, sentences):
     """Tag sentences, one tag list per sentence in corpus order.
 
-    The label cache, when enabled, is document-scoped: a document is a
-    maximal run of consecutive sentences with the same doc_id, its cache
-    starts empty and is fed the model's own predictions, so sentence
-    order within a document matters.  Documents do not depend on each
-    other, so tagging runs in rounds: round j encodes the j-th sentence
-    of every document that has one under that document's cache, runs
-    them through the model as one batch, and updates the caches from the
-    round's tags before round j + 1.  Each sentence gets bitwise the
-    distributions it gets when tagged alone.
+    The label cache, when enabled, is document-scoped: each document's
+    cache starts empty and is fed the model's own predictions, so
+    sentence order within a document matters.  Documents do not depend
+    on each other, so tagging runs in rounds: round j encodes the j-th
+    sentence of every document that has one under that document's
+    cache, runs them through the model as one batch, and updates the
+    caches from the round's tags before round j + 1.  Each sentence gets
+    bitwise the distributions it gets when tagged alone.
     """
-    docs = []
-    for i, sent in enumerate(sentences):
-        if not docs or sent.doc_id != sentences[docs[-1][-1]].doc_id:
-            docs.append([])
-        docs[-1].append(i)
+    docs = documents(sentences)
     caches = [DocCache() if model.fconf.uses_cache else None for _ in docs]
     t2i = model.tag_to_index
     out = [None] * len(sentences)
     for j in range(max(map(len, docs), default=0)):
         live = [(doc[j], cache) for doc, cache in zip(docs, caches) if j < len(doc)]
-        xss = [model.encode_input(sentences[i], cache).xs for i, cache in live]
+        xss = [encode_sentence(sentences[i], model.table, model.fconf, model.v_c, cache)
+               for i, cache in live]
         dists = architectures.forward_batch(model.spec, model.params, xss)
         for (i, cache), d in zip(live, dists):
             out[i] = architectures.argmax_tags(d, model.tagset)

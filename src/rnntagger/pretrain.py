@@ -115,8 +115,12 @@ def subsample_prob(f, N, t):
     """word2vec keep probability for a word of frequency f in N tokens."""
     if f < 1:
         raise ValueError("frequency must be >= 1")
-    ratio = f / (t * N)
-    return min(1.0, (math.sqrt(ratio) + 1.0) / ratio)
+    # as Python floats an extreme t gives a ratio of inf or 0, not a numpy
+    # warning; their limits are to drop the word and to keep it
+    ratio = float(f) / (t * N)
+    if ratio == math.inf:
+        return 0.0
+    return 1.0 if ratio <= 1.0 else min(1.0, (math.sqrt(ratio) + 1.0) / ratio)
 
 
 def subsample_keep(f, N, t, rng):

@@ -21,6 +21,8 @@ class EmbeddingTable:
     """
 
     def __init__(self, vocab, dim, matrix, trainable=True):
+        if not linalg.is_int(dim) or dim < 1:
+            raise ValueError("embedding.dim must be an integer >= 1, got %r" % (dim,))
         self.vocab = vocab
         self.dim = dim
         matrix = np.asarray(matrix, dtype=np.float64)
@@ -59,9 +61,9 @@ def load_embeddings(path):
 
     Accepts files with or without the "count dim" header. Words absent
     from the file get deterministic rows: PAD zero, UNK the mean of all
-    loaded vectors. A value that is not a finite number, a row of the
-    wrong width, or a row count other than the header's raises
-    ValueError naming the file and line.
+    loaded vectors. A value that is not a finite number, a row with no
+    values or of the wrong width, or a row count other than the header's
+    raises ValueError naming the file and line.
     """
     words, rows, linenos = [], [], []
     header = None   # (count, dim), from a first line of two integers
@@ -77,6 +79,8 @@ def load_embeddings(path):
         except ValueError as e:
             raise ValueError("%s:%d: row for %r: %s"
                              % (path, lineno, parts[0], e)) from None
+        if not row:
+            raise ValueError("%s:%d: row for %r has no values" % (path, lineno, parts[0]))
         width = header[1] if header else len(rows[0]) if rows else len(row)
         if len(row) != width:
             raise ValueError("%s:%d: row for %r has %d values, expected %d"
@@ -197,18 +201,6 @@ class FeatureConfig:
         return (dim + self.width) * (2 * v_c + 1)
 
 
-@dataclass
-class InputEncoding:
-    xs: np.ndarray  # (n, (2 v_c + 1) block), one window row per position
-    word_indices: list
-    block: int  # dim + F, width of one w-vector
-    v_c: int
-    dim: int
-
-    def __len__(self):
-        return len(self.xs)
-
-
 def token_features(sentence, vocab, fconf, doc_state=None):
     """The part of a sentence's input that fine-tuning never changes:
     its word indices and its (n, F) 0/1 feature columns, the cache
@@ -237,10 +229,10 @@ def token_features(sentence, vocab, fconf, doc_state=None):
 
 
 def window_inputs(table, indices, features, v_c):
-    """Window the w-vectors [embedding row, feature columns] into model
-    inputs: x_i concatenates 2*v_c+1 consecutive w-vectors, and positions
-    beyond the sentence contribute zero blocks (PAD embedding, no feature
-    fires)."""
+    """Window the w-vectors [embedding row, feature columns] into the
+    (n, (2 v_c + 1) (dim + F)) model inputs: x_i concatenates 2*v_c+1
+    consecutive w-vectors, and positions beyond the sentence contribute
+    zero blocks (PAD embedding, no feature fires)."""
     if v_c < 0:
         raise ValueError("v_c must be >= 0, got %d" % v_c)
     n, dim = len(indices), table.dim
@@ -250,11 +242,10 @@ def window_inputs(table, indices, features, v_c):
     w[:, :dim] = table.matrix[indices]
     w[:, dim:] = features
     # slot k of row i is w_{i+k-v_c}: one shifted copy of w per slot
-    xs = np.hstack([padded[k : k + n] for k in range(2 * v_c + 1)])
-    return InputEncoding(xs=xs, word_indices=indices, block=block, v_c=v_c, dim=dim)
+    return np.hstack([padded[k : k + n] for k in range(2 * v_c + 1)])
 
 
 def encode_sentence(sentence, table, fconf, v_c, doc_state=None):
-    """Window the sentence into model inputs under the document cache
-    state doc_state."""
+    """The sentence's (n, I) model inputs under the document cache state
+    doc_state."""
     return window_inputs(table, *token_features(sentence, table.vocab, fconf, doc_state), v_c)

@@ -188,20 +188,12 @@ def _model_from_obj(obj):
         trigger=Lexicon(trigger["name"], set(trigger["entries"])) if trigger else None,
         cache_tagset=list(f["cache_tagset"]) if f["cache_tagset"] else None,
     )
-    v_c = obj["v_c"]
-    n_in = fconf.input_width(table.dim, v_c)
-    if spec.n_in != n_in:
-        raise ValueError("spec.n_in is %d, expected (dim %d + features %d) x (2 v_c + 1) = %d"
-                         % (spec.n_in, table.dim, fconf.width, n_in))
     tagset = obj["tagset"]
     if not (isinstance(tagset, list) and all(isinstance(t, str) for t in tagset)
             and len(set(tagset)) == len(tagset)):
         raise ValueError("tagset must be a list of distinct tag strings")
-    if len(tagset) != spec.n_tags:
-        raise ValueError("tagset has %d tags, spec.n_tags is %d"
-                         % (len(tagset), spec.n_tags))
     return Model(spec=spec, params=_params_from_obj(obj["params"], spec), table=table,
-                 fconf=fconf, tagset=tagset, scheme=obj["scheme"], v_c=v_c)
+                 fconf=fconf, tagset=tagset, scheme=obj["scheme"], v_c=obj["v_c"])
 
 
 def load_model(path):

@@ -27,6 +27,7 @@ from .architectures import (
     init_model,
     zero_model_grads,
 )
+from .corpus import documents
 from .evaluation import score
 from .model import Model, tag_corpus
 from .representation import DocCache, token_features, window_inputs
@@ -73,8 +74,9 @@ def nll_loss(o, y):
     return -math.log(max(float(o[y]), LOSS_FLOOR))
 
 
-def _embedding_grads(enc_in, dxs):
-    """Map input-vector gradients back onto embedding rows.
+def _embedding_grads(indices, dxs, v_c, dim):
+    """Map the (n, I) input-vector gradients of a sentence with word
+    indices `indices` back onto embedding rows.
 
     Slot k of position p's input is the w-vector of sentence position
     p + k - v_c, whose first `dim` entries came from the embedding row:
@@ -82,13 +84,12 @@ def _embedding_grads(enc_in, dxs):
     share a row add up in position order.  Returns (rows, grads): the
     sentence's distinct rows, sorted, and their (len(rows), dim) sums.
     """
-    v_c, dim = enc_in.v_c, enc_in.dim
     n = len(dxs)
-    slots = dxs.reshape(n, 2 * v_c + 1, enc_in.block)[:, :, :dim]
+    slots = dxs.reshape(n, 2 * v_c + 1, dxs.shape[1] // (2 * v_c + 1))[:, :, :dim]
     padded = np.zeros((n + 2 * v_c, dim))   # row q: sentence position q - v_c
     for k in range(2 * v_c + 1):
         padded[k : k + n] += slots[:, k]
-    rows, at = np.unique(enc_in.word_indices, return_inverse=True)
+    rows, at = np.unique(indices, return_inverse=True)
     grads = np.zeros((len(rows), dim))
     np.add.at(grads, at, padded[v_c : v_c + n])
     return rows, grads
@@ -153,17 +154,17 @@ def train_example(model, inputs, position, gold, cfg):
     per epoch by train_epoch; only the embedding rows are gathered here,
     so fine-tuned rows feed the very next example.
     """
-    enc_in = window_inputs(model.table, *inputs, model.v_c)
+    indices, features = inputs
+    xs = window_inputs(model.table, indices, features, model.v_c)
     acc = zero_model_grads(model.params)
-    loss, dxs = window_nll(model.spec, model.params, enc_in.xs, [(position, gold)],
-                           cfg.v_d, acc)
+    loss, dxs = window_nll(model.spec, model.params, xs, [(position, gold)], cfg.v_d, acc)
     if not math.isfinite(loss):
         raise FloatingPointError("non-finite loss")
 
     if cfg.fine_tune_embeddings and model.table.trainable:
-        rows, emb_grads = _embedding_grads(enc_in, dxs)
+        rows, emb_grads = _embedding_grads(indices, dxs, model.v_c, model.table.dim)
     else:
-        rows, emb_grads = np.zeros(0, dtype=int), np.zeros((0, enc_in.dim))
+        rows, emb_grads = np.zeros(0, dtype=int), np.zeros((0, model.table.dim))
     norm = math.sqrt(_check_finite(acc, rows, emb_grads))
     cap = cfg.clip_threshold
     scale = cap / norm if cap is not None and norm > cap else 1.0
@@ -193,20 +194,19 @@ def _prepare(model, sentences):
     earlier sentences of its document."""
     t2i = model.tag_to_index
     prepared = []
-    cache = None
-    for k, sent in enumerate(sentences):
-        tags = sent.tags()
-        for tok, tag in zip(sent.tokens, tags):
-            if tag is None:
-                raise ValueError("untagged token %r in training data" % tok.surface)
-            if tag not in t2i:
-                raise ValueError("tag %r not in the model tagset" % tag)
-        if model.fconf.uses_cache and (k == 0 or sent.doc_id != sentences[k - 1].doc_id):
-            cache = DocCache()
-        inputs = token_features(sent, model.table.vocab, model.fconf, cache)
-        prepared.append((inputs, [t2i[tag] for tag in tags]))
-        if cache is not None:
-            cache.update_sentence(sent, tags, t2i)
+    for doc in documents(sentences):
+        cache = DocCache() if model.fconf.uses_cache else None
+        for sent in (sentences[k] for k in doc):
+            tags = sent.tags()
+            for tok, tag in zip(sent.tokens, tags):
+                if tag is None:
+                    raise ValueError("untagged token %r in training data" % tok.surface)
+                if tag not in t2i:
+                    raise ValueError("tag %r not in the model tagset" % tag)
+            inputs = token_features(sent, model.table.vocab, model.fconf, cache)
+            prepared.append((inputs, [t2i[tag] for tag in tags]))
+            if cache is not None:
+                cache.update_sentence(sent, tags, t2i)
     return prepared
 
 

@@ -21,7 +21,7 @@ from rnntagger.pretrain import (CBOW, CCONCAT, SKIPGRAM, EmbedConfig,
                                 UnigramTable, cbow_grads, cconcat_grads,
                                 init_embed_model, skipgram_grads,
                                 train_embeddings)
-from rnntagger.representation import EmbeddingTable, FeatureConfig
+from rnntagger.representation import EmbeddingTable, FeatureConfig, encode_sentence
 from rnntagger.synth import future_dep_corpus, memorize_corpus
 from rnntagger.tagging import (BIO2, IOBES, Span, make_tagset, spans_to_tags,
                                tags_to_spans)
@@ -128,8 +128,9 @@ def test_future_context_separates_architectures():
     for _ in range(3):
         train_epoch(basic, sents, cfg, rng=rng_b)
     for a, b in zip(sents[0::2], sents[1::2]):
-        da = forward_batch(basic.spec, basic.params, [basic.encode_input(a).xs])[0]
-        db = forward_batch(basic.spec, basic.params, [basic.encode_input(b).xs])[0]
+        da, db = (forward_batch(basic.spec, basic.params,
+                                [encode_sentence(s, basic.table, basic.fconf, basic.v_c)])[0]
+                  for s in (a, b))
         assert np.array_equal(da[0], db[0])        # bitwise, not approx
         assert not np.array_equal(da[-1], db[-1])  # the inputs do differ
     tags = tag_corpus(basic, sents)

@@ -19,7 +19,7 @@ from rnntagger.cli import _grid_specs
 from rnntagger.corpus import Sentence, Token, build_vocab
 from rnntagger.linalg import SeededRng
 from rnntagger.model import Model, tag_corpus, tag_sentence
-from rnntagger.representation import DocCache, EmbeddingTable, FeatureConfig
+from rnntagger.representation import DocCache, EmbeddingTable, FeatureConfig, encode_sentence
 from rnntagger.tagging import BIO2, make_tagset
 
 WORDS = ["Paris", "paris", "the", "Bank", "of", "Jo", "said", "X1", "ACME", "in"]
@@ -54,7 +54,7 @@ def tag_one_by_one(model, sentences):
     for k, sent in enumerate(sentences):
         if model.fconf.uses_cache and (k == 0 or sent.doc_id != sentences[k - 1].doc_id):
             cache = DocCache()
-        xs = model.encode_input(sent, cache).xs
+        xs = encode_sentence(sent, model.table, model.fconf, model.v_c, cache)
         dists = forward_batch(model.spec, model.params, [xs])[0]
         tags = [model.tagset[int(np.argmax(o))] for o in dists]
         if cache is not None:
@@ -124,7 +124,7 @@ def test_returning_doc_id_starts_a_fresh_cache(spec, monkeypatch):
     model = make_model(*spec, cache=True, seed=4)
     batch_sizes = assert_same_as_one_by_one(model, sents, monkeypatch)
     assert batch_sizes == [3, 3, 2]
-    fresh = model.encode_input(sents[5], DocCache()).xs
+    fresh = encode_sentence(sents[5], model.table, model.fconf, model.v_c, DocCache())
     assert np.array_equal(tag_one_by_one(model, sents)[5][1], fresh)
 
 
@@ -133,7 +133,7 @@ def test_tag_sentence_is_a_document_of_its_own():
     for spec in SPECS:
         model = make_model(*spec, cache=True, seed=5)
         for sent in corpus([("a", [1, 6, 11])]):
-            xs = model.encode_input(sent, None).xs
+            xs = encode_sentence(sent, model.table, model.fconf, model.v_c, None)
             dists = forward_batch(model.spec, model.params, [xs])[0]
             assert tag_sentence(model, sent) == architectures.argmax_tags(dists, model.tagset)
 

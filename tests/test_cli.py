@@ -150,6 +150,68 @@ def test_model_file_value_of_the_wrong_type_is_data_error(tmp_path, capsys, muta
     assert "%s: %s" % (path, problem) in err
 
 
+def trained_model(tmp_path, capsys, *flags):
+    """The parsed file of a small model trained by the CLI (v_c 0, dim 3)."""
+    out = tmp_path / "trained.json"
+    assert run(["train", "--train", write_gold(tmp_path / "g.conll", size=4), "--dim", "3",
+                "--hidden", "3", "--vc", "0", "--epochs", "1", "--out-model", str(out)]
+               + list(flags), capsys)[0] == 0
+    return json.loads(out.read_text())
+
+
+@pytest.mark.parametrize("arch,key,value", [
+    ("bidirectional", "v_c", 1.0),
+    ("bidirectional", "v_c", True),
+    ("bidirectional", "embedding.dim", 3.0),
+    ("bidirectional", "spec.hidden", 4.0),
+    ("bidirectional", "spec.n_in", 9.0),
+    ("bidirectional", "spec.n_tags", 5.0),
+    ("mesnil", "spec.mesnil_k", 1.0),
+])
+def test_model_file_integer_key_of_another_type_is_data_error(tmp_path, capsys, arch, key,
+                                                                 value):
+    if arch == "mesnil":
+        obj = trained_model(tmp_path, capsys, "--arch", "mesnil", "--encoder", "elman")
+    else:
+        obj = json.loads((DATA_DIR / "compat" / "bidirectional_gru.json").read_text())
+    *section, name = key.split(".")
+    (obj[section[0]] if section else obj)[name] = value
+    rc, err, path = tag_with_model(tmp_path, capsys, json.dumps(obj))
+    assert rc == 2
+    assert "%s: %s must be an integer" % (path, key) in err
+
+
+@pytest.mark.parametrize("how", ["first three tags", "reversed"])
+def test_model_file_cache_tagset_other_than_the_tagset_is_data_error(tmp_path, capsys, how):
+    obj = trained_model(tmp_path, capsys, "--cache", "true")
+    tagset = obj["tagset"]
+    assert obj["features"]["cache_tagset"] == tagset and len(tagset) == 7
+    if how == "reversed":
+        obj["features"]["cache_tagset"] = tagset[::-1]
+    else:
+        # with v_c 0 and no other feature, the last 4 input columns are
+        # the cache columns of the tags cut off; the file stays consistent
+        obj["features"]["cache_tagset"] = tagset[:3]
+        obj["spec"]["n_in"] -= 4
+        obj["params"]["decoder"]["U"] = [row[:-4] for row in obj["params"]["decoder"]["U"]]
+    rc, err, path = tag_with_model(tmp_path, capsys, json.dumps(obj))
+    assert rc == 2
+    assert "%s: features.cache_tagset must be null or equal tagset" % path in err
+
+
+@pytest.mark.parametrize("caps", ["false", "true"])
+def test_embedding_rows_with_no_values_are_data_error(tmp_path, capsys, caps):
+    vec = tmp_path / "vec.txt"
+    vec.write_text("3 0\nanna\nbob\ncarl\n")
+    out = tmp_path / "m.json"
+    rc, _, err = run(["train", "--train", write_gold(tmp_path / "g.conll"),
+                      "--embeddings", str(vec), "--caps", caps, "--hidden", "4",
+                      "--vc", "0", "--epochs", "1", "--out-model", str(out)], capsys)
+    assert rc == 2
+    assert "data error: %s:2: row for 'anna' has no values" % vec in err
+    assert not out.exists()
+
+
 def test_train_dim_below_one_is_usage_error(tmp_path, capsys):
     rc, _, err = run(["train", "--train", write_gold(tmp_path / "g.conll"), "--dim", "0",
                       "--out-model", str(tmp_path / "m.json")], capsys)

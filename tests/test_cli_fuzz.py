@@ -3,7 +3,8 @@ documented exit code, never in an exception.
 
 Valid model, embedding, CoNLL, config and lexicon files are written
 once; each example mutates one of them (truncation, spliced bytes, or a
-JSON value swapped for one of another type) or one flag value, and runs
+JSON value swapped for one of another type, an integer turned into the
+float of the same value, or a list cut short) or one flag value, and runs
 `cli.main` in-process.  Sizes stay on the command line at small values,
 where a flag overrides the config file, so no mutation can ask for a
 large model.
@@ -54,7 +55,8 @@ def valid(tmp_path_factory):
 
 
 def json_paths(value, path=()):
-    yield path
+    """(path, value) of every value in a parsed JSON document."""
+    yield path, value
     if isinstance(value, dict):
         for k, v in value.items():
             yield from json_paths(v, path + (k,))
@@ -63,11 +65,17 @@ def json_paths(value, path=()):
             yield from json_paths(v, path + (i,))
 
 
+# which values each JSON mutation may pick
+PICKS = {"json": lambda v: True, "float": lambda v: type(v) is int,
+         "list": lambda v: type(v) is list and len(v) > 0}
+
+
 @st.composite
 def mutated(draw, data, is_json):
     """A mutation of data: truncated, spliced, or (for JSON) one value
-    swapped for a value of another type."""
-    how = draw(st.sampled_from(["truncate", "splice"] + ["json"] * is_json))
+    swapped for a value of another type, an int for the float of the
+    same value, or a list for a shorter prefix of it."""
+    how = draw(st.sampled_from(["truncate", "splice"] + sorted(PICKS) * is_json))
     if how == "truncate":
         return data[:draw(st.integers(0, len(data) - 1))]
     if how == "splice":
@@ -75,12 +83,17 @@ def mutated(draw, data, is_json):
         cut = draw(st.integers(0, 8))
         return data[:at] + draw(st.binary(max_size=8)) + data[at + cut:]
     obj = json.loads(data)
-    path = draw(st.sampled_from(list(json_paths(obj))[1:]))
+    path = draw(st.sampled_from([p for p, v in list(json_paths(obj))[1:] if PICKS[how](v)]))
     parent = obj
     for key in path[:-1]:
         parent = parent[key]
     old = parent[path[-1]]
-    parent[path[-1]] = draw(st.sampled_from([v for v in SWAPS if type(v) is not type(old)]))
+    if how == "float":
+        parent[path[-1]] = float(old)
+    elif how == "list":
+        parent[path[-1]] = old[:draw(st.integers(0, len(old) - 1))]
+    else:
+        parent[path[-1]] = draw(st.sampled_from([v for v in SWAPS if type(v) is not type(old)]))
     return json.dumps(obj).encode()
 
 

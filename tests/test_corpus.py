@@ -1,13 +1,20 @@
+import tempfile
 from collections import Counter
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rnntagger import corpus
 from rnntagger.corpus import (
     PAD_INDEX,
     UNK_INDEX,
+    Sentence,
+    Token,
     Vocabulary,
     build_vocab,
+    documents,
     load_conll,
     load_lexicon,
     normalize,
@@ -85,6 +92,33 @@ def test_write_then_load_round_trip(tmp_path):
     assert [(s.surfaces(), s.tags()) for s in again] == [
         (s.surfaces(), s.tags()) for s in sents
     ]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.sampled_from("abc"), max_size=12))
+def test_documents_are_the_maximal_runs_of_one_doc_id(ids):
+    docs = documents([Sentence([Token("w")], doc_id=d) for d in ids])
+    assert [i for doc in docs for i in doc] == list(range(len(ids)))
+    assert all(doc and len({ids[i] for i in doc}) == 1 for doc in docs)
+    assert all(ids[a[-1]] != ids[b[0]] for a, b in zip(docs, docs[1:]))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.tuples(st.sampled_from("abc"),
+                          st.lists(st.tuples(st.sampled_from(["Anna", "x", "7"]),
+                                             st.sampled_from(["O", "B-PER", "I-PER"])),
+                                   min_size=1, max_size=4)),
+                max_size=8))
+def test_write_then_load_keeps_the_documents(rows):
+    sents = [Sentence([Token(w, t) for w, t in toks], doc_id=d) for d, toks in rows]
+    with tempfile.TemporaryDirectory() as d:
+        out = str(Path(d, "out.conll"))
+        write_conll(sents, out)
+        again = load_conll(out)
+
+    def grouped(ss):
+        return [[(ss[i].surfaces(), ss[i].tags()) for i in doc] for doc in documents(ss)]
+    assert grouped(again) == grouped(sents)
 
 
 class TestVocabulary:

@@ -15,8 +15,7 @@ from rnntagger.corpus import PAD, PAD_INDEX, Sentence, Token, Vocabulary
 from rnntagger.representation import (
     EmbeddingTable,
     FeatureConfig,
-    InputEncoding,
-    encode_sentence,
+    token_features,
 )
 from rnntagger.training import _embedding_grads
 
@@ -108,8 +107,7 @@ def test_embedding_grads_match_per_slot_loop(n, v_c, dim, features, seed, sparse
     if sparse:
         dxs[::2] = 0.0                       # positions no gradient reached
     word_indices = [int(i) for i in np.random.default_rng(seed).integers(0, 4, size=n)]
-    enc_in = InputEncoding(xs=None, word_indices=word_indices, block=block, v_c=v_c, dim=dim)
-    rows, grads = _embedding_grads(enc_in, dxs)
+    rows, grads = _embedding_grads(word_indices, dxs, v_c, dim)
     want = naive_embedding_grads(word_indices, dxs, v_c, block, dim)
     # the loop skips positions with an all-zero gradient, so it may list
     # fewer rows; adding zero changes no row, so a missing row counts as zero
@@ -129,11 +127,11 @@ def test_literal_pad_token_is_summed_but_never_written(words, v_c, seed):
     for w in ("a", "b", "c"):
         vocab.add(w)
     table = EmbeddingTable(vocab, 3, ints(seed, len(vocab), 3))
-    enc_in = encode_sentence(Sentence([Token(w) for w in words]), table,
-                             FeatureConfig(), v_c)
+    indices, _ = token_features(Sentence([Token(w) for w in words]), table.vocab,
+                                FeatureConfig())
     dxs = ints(seed + 1, len(words), (2 * v_c + 1) * 3)
-    rows, grads = _embedding_grads(enc_in, dxs)
-    want = naive_embedding_grads(enc_in.word_indices, dxs, v_c, 3, 3)
+    rows, grads = _embedding_grads(indices, dxs, v_c, 3)
+    want = naive_embedding_grads(indices, dxs, v_c, 3, 3)
     assert PAD_INDEX in rows.tolist()
     zero = np.zeros(3)
     for row, g in zip(rows.tolist(), grads):

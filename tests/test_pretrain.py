@@ -87,6 +87,12 @@ def test_huge_threshold_keeps_everything():
     assert all(subsample_keep(f, 100, 1e9, rng) for f in (1, 50, 100))
 
 
+def test_extreme_thresholds_give_the_limits_without_a_warning():
+    # f / (t N) overflows to inf for a subnormal t, and is 0 once t N is inf
+    assert subsample_prob(np.float64(3), 44, 1e-320) == 0.0
+    assert subsample_prob(np.float64(3), 44, 1e307) == 1.0
+
+
 def test_zero_frequency_rejected():
     with pytest.raises(ValueError):
         subsample_prob(0, 100, 0.001)

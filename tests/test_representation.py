@@ -23,6 +23,7 @@ from rnntagger.representation import (
     encode_sentence,
     gazetteer_mask,
     load_embeddings,
+    token_features,
 )
 
 
@@ -66,9 +67,9 @@ def feature_columns(words, doc_state=None, **features):
     """The feature columns of each word's w-vector, as encode_sentence
     builds them (v_c = 0, so x_i is w_i itself)."""
     table = EmbeddingTable.random(small_vocab(*words), 2, SeededRng(1))
-    enc = encode_sentence(sent(*words), table, FeatureConfig(**features), v_c=0,
-                          doc_state=doc_state)
-    return [x[table.dim:].tolist() for x in enc.xs]
+    xs = encode_sentence(sent(*words), table, FeatureConfig(**features), v_c=0,
+                         doc_state=doc_state)
+    return [x[table.dim:].tolist() for x in xs]
 
 
 class TestGazetteer:
@@ -232,13 +233,12 @@ class TestEncodeSentence:
 
     def test_zero_window_is_w_itself(self):
         t = self._table(["a", "b"])
-        enc = encode_sentence(sent("a", "b"), t, FeatureConfig(), v_c=0)
-        assert np.array_equal(enc.xs[0], t.matrix[t.vocab.index("a")])
+        xs = encode_sentence(sent("a", "b"), t, FeatureConfig(), v_c=0)
+        assert np.array_equal(xs[0], t.matrix[t.vocab.index("a")])
 
     def test_padding_at_edges(self):
         t = self._table(["a"], dim=3)
-        enc = encode_sentence(sent("a"), t, FeatureConfig(), v_c=1)
-        x = enc.xs[0]
+        x = encode_sentence(sent("a"), t, FeatureConfig(), v_c=1)[0]
         assert len(x) == 9
         assert np.all(x[:3] == 0)
         assert np.array_equal(x[3:6], t.matrix[t.vocab.index("a")])
@@ -248,8 +248,8 @@ class TestEncodeSentence:
         # window radius 5 with 300-dim vectors and no features: 3300
         vocab = small_vocab("w")
         t = EmbeddingTable(vocab, 300, np.zeros((len(vocab), 300)))
-        enc = encode_sentence(sent("w"), t, FeatureConfig(), v_c=5)
-        assert len(enc.xs[0]) == 3300
+        xs = encode_sentence(sent("w"), t, FeatureConfig(), v_c=5)
+        assert len(xs[0]) == 3300
 
     def test_width_constant_and_matches_formula(self):
         t = self._table(["a", "b", "c"], dim=5)
@@ -260,23 +260,22 @@ class TestEncodeSentence:
             cache_tagset=["O", "B-X"],
         )
         v_c = 2
-        enc = encode_sentence(sent("a", "b", "c"), t, fconf, v_c, DocCache())
+        xs = encode_sentence(sent("a", "b", "c"), t, fconf, v_c, DocCache())
         expect = (2 * v_c + 1) * (5 + fconf.width)
         assert fconf.width == 5 + 1 + 1 + 2
-        assert all(len(x) == expect for x in enc.xs)
+        assert all(len(x) == expect for x in xs)
 
     def test_feature_block_layout(self):
         t = self._table(["Paris"], dim=2)
         fconf = FeatureConfig(capitalization=True, gazetteers=[Lexicon("g", {"paris"})])
-        enc = encode_sentence(sent("Paris"), t, fconf, v_c=0)
-        x = enc.xs[0]
+        x = encode_sentence(sent("Paris"), t, fconf, v_c=0)[0]
         assert np.array_equal(x[2:7], [0, 0, 1, 0, 0])  # init-cap
         assert x[7] == 1.0  # gazetteer hit
 
     def test_word_indices_recorded(self):
         t = self._table(["a"])
-        enc = encode_sentence(sent("a", "zzz"), t, FeatureConfig(), v_c=1)
-        assert enc.word_indices == [t.vocab.index("a"), t.vocab.index("zzz")]
+        indices, _ = token_features(sent("a", "zzz"), t.vocab, FeatureConfig())
+        assert indices == [t.vocab.index("a"), t.vocab.index("zzz")]
 
     def test_reencoding_deterministic(self):
         t = self._table(["a", "b"])
@@ -284,7 +283,7 @@ class TestEncodeSentence:
         s = sent("a", "b")
         e1 = encode_sentence(s, t, fconf, v_c=2)
         e2 = encode_sentence(s, t, fconf, v_c=2)
-        assert all(np.array_equal(a, b) for a, b in zip(e1.xs, e2.xs))
+        assert all(np.array_equal(a, b) for a, b in zip(e1, e2))
 
     def test_negative_window_rejected(self):
         t = self._table(["a"])
@@ -296,8 +295,8 @@ class TestEncodeSentence:
     def test_window_width_invariant(self, v_c, n):
         t = self._table(["w%d" % k for k in range(6)], dim=3)
         s = sent(*["w%d" % (k % 6) for k in range(n)])
-        enc = encode_sentence(s, t, FeatureConfig(capitalization=True), v_c)
-        assert all(len(x) == (2 * v_c + 1) * (3 + 5) for x in enc.xs)
+        xs = encode_sentence(s, t, FeatureConfig(capitalization=True), v_c)
+        assert all(len(x) == (2 * v_c + 1) * (3 + 5) for x in xs)
 
 
 # --- encode_sentence against a per-token reference builder ---
@@ -397,7 +396,7 @@ def test_encode_sentence_matches_per_token_builder(words, known, v_c, caps, n_ga
             cache.update_sentence(sent(*[w for w, _ in cached]), [t for _, t in cached], t2i)
     s = sent(*words)
     xs, indices = reference_encode(s, table, fconf, v_c, cache)
-    enc = encode_sentence(s, table, fconf, v_c, cache)
-    assert enc.xs.shape == xs.shape and enc.xs.dtype == xs.dtype
-    assert enc.xs.tobytes() == xs.tobytes()
-    assert enc.word_indices == indices
+    got = encode_sentence(s, table, fconf, v_c, cache)
+    assert got.shape == xs.shape and got.dtype == xs.dtype
+    assert got.tobytes() == xs.tobytes()
+    assert token_features(s, table.vocab, fconf, cache)[0] == indices

@@ -96,7 +96,7 @@ def test_future_dep_first_position_input_is_identical_within_a_pair():
     table = EmbeddingTable.random(vocab, 4, SeededRng(3))
     fconf = FeatureConfig()
     for i in range(0, len(corpus), 2):
-        xa = encode_sentence(corpus[i], table, fconf, v_c=1).xs
-        xb = encode_sentence(corpus[i + 1], table, fconf, v_c=1).xs
+        xa = encode_sentence(corpus[i], table, fconf, v_c=1)
+        xb = encode_sentence(corpus[i + 1], table, fconf, v_c=1)
         assert np.array_equal(xa[0], xb[0])
         assert not np.array_equal(xa[-1], xb[-1])

@@ -1,4 +1,5 @@
 import copy
+import dataclasses
 import hashlib
 import json
 import math
@@ -72,6 +73,11 @@ def inputs_of(model, s):
     """The (word indices, feature columns) train_epoch prepares for s,
     outside any document cache."""
     return token_features(s, model.table.vocab, model.fconf)
+
+
+def xs_of(model, s):
+    """The (n, I) inputs of s outside any document cache."""
+    return encode_sentence(s, model.table, model.fconf, model.v_c)
 
 
 def first_window(model, si=0, pos=0):
@@ -154,8 +160,7 @@ def test_loss_is_preupdate_windowed_nll():
     cfg = TrainConfig(learning_rate=0.1, v_d=2)
     loss = train_example(model, inputs, pos, y, cfg)
 
-    enc_in = probe.encode_input(TRAIN_SENTS[0])
-    enc = encode(probe.spec, probe.params, enc_in.xs)
+    enc = encode(probe.spec, probe.params, xs_of(probe, TRAIN_SENTS[0]))
     dec = decode_window(probe.spec, probe.params, enc, 1, 3)  # max(0, 3-2)..3
     assert loss == nll_loss(dec.dists[-1], y)
 
@@ -176,7 +181,7 @@ def test_step_is_minus_lr_times_audited_gradient(arch, decoder, encoder):
     loss = train_example(model, inputs, pos, y, cfg)
 
     acc = zero_model_grads(probe.params)
-    want, _ = window_nll(probe.spec, probe.params, probe.encode_input(TRAIN_SENTS[0]).xs,
+    want, _ = window_nll(probe.spec, probe.params, xs_of(probe, TRAIN_SENTS[0]),
                          [(pos, y)], cfg.v_d, acc)
     assert loss == want
     for b in probe.params:
@@ -190,8 +195,7 @@ def test_first_position_is_single_step_from_zero_state():
     probe = copy.deepcopy(model)
     inputs, pos, y = first_window(model, pos=0)
     loss = train_example(model, inputs, pos, y, TrainConfig())
-    enc_in = probe.encode_input(TRAIN_SENTS[0])
-    enc = encode(probe.spec, probe.params, enc_in.xs)
+    enc = encode(probe.spec, probe.params, xs_of(probe, TRAIN_SENTS[0]))
     dec = decode_window(probe.spec, probe.params, enc, 0, 0)
     assert len(dec.dists) == 1
     assert loss == nll_loss(dec.dists[0], y)
@@ -385,6 +389,23 @@ def test_gold_cache_snapshots_follow_documents():
     assert np.array_equal(columns[2], [none, none])  # new document
 
 
+TAGSET = make_tagset(["ORG", "PER"], BIO2)
+
+
+@pytest.mark.parametrize("change,problem", [
+    ({"v_c": 2}, r"spec\.n_in is 27, expected \(dim 4 \+ features 5\) x \(2 v_c \+ 1\) = 45"),
+    ({"v_c": 1.0}, "v_c must be an integer >= 0, got 1.0"),
+    ({"tagset": TAGSET[:4]}, "tagset has 4 tags, spec.n_tags is 5"),
+    ({"fconf": FeatureConfig(cache_tagset=TAGSET[::-1])},
+     "features.cache_tagset must be null or equal tagset"),
+])
+def test_a_model_built_in_code_checks_its_own_shape(change, problem):
+    # the checks a model file meets on load hold however the model is built
+    model = build_model(TRAIN_SENTS, fconf=FeatureConfig(cache_tagset=TAGSET))
+    with pytest.raises(ValueError, match=problem):
+        dataclasses.replace(model, **change)
+
+
 def test_token_features_run_once_per_sentence_per_epoch(monkeypatch):
     calls = []
 
@@ -416,14 +437,16 @@ def reference_epoch(model, sentences, cfg):
     losses = []
     for si, pos in examples:
         s = sentences[si]
-        enc_in = encode_sentence(s, model.table, model.fconf, model.v_c, snaps[si])
+        xs = encode_sentence(s, model.table, model.fconf, model.v_c, snaps[si])
         acc = zero_model_grads(model.params)
-        loss, dxs = window_nll(model.spec, model.params, enc_in.xs,
+        loss, dxs = window_nll(model.spec, model.params, xs,
                                [(pos, t2i[s.tokens[pos].gold_tag])], cfg.v_d, acc)
         for b in acc:
             for n, g in acc[b].items():
                 model.params[b][n] -= cfg.learning_rate * g
-        model.table.add_grad(*training._embedding_grads(enc_in, dxs), cfg.learning_rate)
+        indices = [model.table.vocab.index(w) for w in s.surfaces()]
+        model.table.add_grad(*training._embedding_grads(indices, dxs, model.v_c,
+                                                        model.table.dim), cfg.learning_rate)
         losses.append(loss)
     return losses
 
@@ -621,12 +644,12 @@ def test_long_window_matches_full_decode_exactly(arch, decoder, encoder):
     model = build_model(TRAIN_SENTS, arch=arch, decoder=decoder, encoder=encoder)
     s = TRAIN_SENTS[0]
     n = len(s)
-    enc_in = model.encode_input(s)
-    enc = encode(model.spec, model.params, enc_in.xs)
+    xs = xs_of(model, s)
+    enc = encode(model.spec, model.params, xs)
     lo = max(0, (n - 1) - 9)  # v_d=9 >= n-1, so lo == 0
     assert lo == 0
     dec = decode_window(model.spec, model.params, enc, lo, n - 1)
-    full = forward_batch(model.spec, model.params, [enc_in.xs])[0]
+    full = forward_batch(model.spec, model.params, [xs])[0]
     assert np.array_equal(dec.dists[-1], full[-1])
 
 
