@@ -75,11 +75,13 @@ def load_embeddings(path):
             header = tuple(map(int, parts))
             continue
         try:
-            row = [float(v) for v in parts[1:]]
+            # numpy parses each str as float() does, without making a
+            # Python float per value
+            row = np.array(parts[1:], dtype=np.float64)
         except ValueError as e:
             raise ValueError("%s:%d: row for %r: %s"
                              % (path, lineno, parts[0], e)) from None
-        if not row:
+        if not len(row):
             raise ValueError("%s:%d: row for %r has no values" % (path, lineno, parts[0]))
         width = header[1] if header else len(rows[0]) if rows else len(row)
         if len(row) != width:
@@ -91,7 +93,8 @@ def load_embeddings(path):
     if not words:
         raise ValueError("%s: no embedding rows" % path)
     dim = len(rows[0])
-    values = np.array(rows, dtype=np.float64)
+    values = np.stack(rows)
+    del rows   # freed before the matrix is built, which lowers the peak
     finite = np.isfinite(values).all(axis=1)
     if not finite.all():
         i = int(np.argmin(finite))

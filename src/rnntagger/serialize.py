@@ -21,6 +21,7 @@ from dataclasses import asdict, fields
 
 import numpy as np
 
+from . import linalg
 from .architectures import ModelSpec, bundle_shapes
 from .corpus import Lexicon, Vocabulary
 from .model import Model
@@ -155,8 +156,11 @@ def model_from_obj(obj):
     names the key."""
     if not isinstance(obj, dict) or obj.get("format") != MODEL_FORMAT:
         raise ValueError("not a model file (no %r format tag)" % MODEL_FORMAT)
-    if obj.get("version") != MODEL_VERSION:
-        raise ValueError("unsupported model version %r" % obj.get("version"))
+    version = obj.get("version")
+    if not linalg.is_int(version):
+        raise ValueError("version must be an integer, got %r" % (version,))
+    if version != MODEL_VERSION:
+        raise ValueError("unsupported model version %r" % version)
     try:
         return _model_from_obj(obj)
     except KeyError as e:

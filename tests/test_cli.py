@@ -160,6 +160,8 @@ def trained_model(tmp_path, capsys, *flags):
 
 
 @pytest.mark.parametrize("arch,key,value", [
+    ("bidirectional", "version", 1.0),
+    ("bidirectional", "version", True),
     ("bidirectional", "v_c", 1.0),
     ("bidirectional", "v_c", True),
     ("bidirectional", "embedding.dim", 3.0),

@@ -1,9 +1,15 @@
+import tempfile
+import tracemalloc
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from rnntagger.corpus import (
+    PAD,
     PAD_INDEX,
     UNK,
     UNK_INDEX,
@@ -196,8 +202,15 @@ class TestEmbeddingTable:
         ("3 2\na 1.0 2.0\n\nb 0.5 nan\n", ":4: row for 'b' holds a non-finite value"),
         ("a 1.0 -inf\nb 0.5 0.5\n", ":1: row for 'a' holds a non-finite value"),
         ("a 1.0 2.0\nb x 0.5\n", ":2: row for 'b': could not convert string to float: 'x'"),
+        ("a 1.0 2.0\nb 0.5 abc\n", ":2: row for 'b': could not convert string to float: 'abc'"),
+        ("a 1.0 2.0\nb 1,5 0.5\n", ":2: row for 'b': could not convert string to float: '1,5'"),
+        ("2 2\na --1 2.0\n", ":2: row for 'a': could not convert string to float: '--1'"),
+        ("a 1.0 2.0\nb 0.5 infinity\n", ":2: row for 'b' holds a non-finite value"),
+        ("a 1.0 2.0\nb 1e400 0.5\n", ":2: row for 'b' holds a non-finite value"),
         ("3 5\na 1.0 2.0\nb 3.0 4.0\n", ":2: row for 'a' has 2 values, expected 5"),
         ("3 2\na 1.0 2.0\nb 3.0 4.0\n", ":1: the header gives 3 rows, the file has 2"),
+        # no buffer is sized from the header's count
+        ("1000000000 2\na 1.0 2.0\n", ":1: the header gives 1000000000 rows, the file has 1"),
     ])
     def test_malformed_row_names_file_and_line(self, tmp_path, text, message):
         path = tmp_path / "bad.txt"
@@ -205,6 +218,14 @@ class TestEmbeddingTable:
         with pytest.raises(ValueError) as err:
             load_embeddings(str(path))
         assert str(err.value) == str(path) + message
+
+    @pytest.mark.parametrize("value", ["1_000", "\u0661\u0662", "-0.0", "4.9e-324", "+.5",
+                                       "1e-400", " 7"])
+    def test_values_load_as_float_reads_them(self, tmp_path, value):
+        path = tmp_path / "vec.txt"
+        path.write_text("a %s 2.0\n" % value, encoding="utf-8")
+        t = load_embeddings(str(path))
+        assert t.matrix[t.vocab.index("a")].tobytes() == np.array([float(value), 2.0]).tobytes()
 
     def test_duplicate_word_keeps_first_row_and_unk_is_mean_of_all_lines(self, tmp_path):
         rows = [("a", [0.1, 0.7]), ("b", [0.2, -0.3]), ("a", [0.3, 1e-17])]
@@ -225,6 +246,92 @@ class TestEmbeddingTable:
         assert t.matrix[UNK_INDEX].tolist() == [5.0, 6.0]
         assert t.matrix[t.vocab.index("a")].tolist() == [1.0, 2.0]
         assert len(t.vocab) == 3
+
+
+def float_loop_load(path):
+    """The vectors file as a per-value float() loop reads it: the
+    vocabulary's words and the matrix, PAD zero and UNK the mean of
+    every line unless a line holds it."""
+    lines = [raw.split() for raw in Path(path).read_text(encoding="utf-8").splitlines()]
+    if len(lines[0]) == 2 and all(p.isdecimal() for p in lines[0]):
+        lines = lines[1:]
+    lines = [p for p in lines if p]
+    rows = [[float(v) for v in p[1:]] for p in lines]
+    first = {}
+    for p, row in zip(lines, rows):
+        first.setdefault(p[0], row)
+    vocab = small_vocab(*first)
+    matrix = np.zeros((len(vocab), len(rows[0])))
+    matrix[UNK_INDEX] = np.mean(np.array(rows), axis=0)
+    for word, row in first.items():
+        matrix[vocab.word_to_index[word]] = row
+    matrix[PAD_INDEX] = 0.0
+    return vocab.index_to_word, matrix
+
+
+# finite values with the edges of the format: signed zero, subnormals and
+# magnitudes whose mean over a few rows stays finite
+FINITE = st.one_of(st.sampled_from([-0.0, 5e-324, -2.5e-310, 1e300, -1e300]),
+                   st.floats(-1e300, 1e300))
+
+
+@settings(max_examples=60, deadline=None)
+@given(words=st.lists(st.sampled_from(["a", "b", "\u00e7a", "\u4e2d"]), min_size=1, max_size=8),
+       dim=st.integers(1, 4), header=st.booleans(), reserved=st.booleans(), data=st.data())
+def test_saved_vectors_load_back_bit_exact(words, dim, header, reserved, data):
+    """save_text then load_embeddings keeps every bit. Repeated words are
+    extra lines after the saved ones; without the saved PAD and UNK lines
+    the UNK row is the mean of every line, repeats included."""
+    distinct = list(dict.fromkeys(words))
+    table = EmbeddingTable(small_vocab(*distinct), dim,
+                           data.draw(arrays(np.float64, (len(distinct) + 2, dim),
+                                            elements=FINITE)))
+    repeats = [w for i, w in enumerate(words) if w in words[:i]]
+    extra = data.draw(arrays(np.float64, (len(repeats), dim), elements=FINITE))
+    with tempfile.TemporaryDirectory() as d:
+        path = Path(d) / "vec.txt"
+        table.save_text(str(path))
+        lines = path.read_text(encoding="utf-8").splitlines()[1:]
+        if not reserved:
+            lines = [ln for ln in lines if ln.split()[0] not in (PAD, UNK)]
+        lines += [w + " " + " ".join(map(float.__repr__, row.tolist()))
+                  for w, row in zip(repeats, extra)]
+        if header:
+            lines.insert(0, "%d %d" % (len(lines), dim))
+        path.write_text("".join(ln + "\n" for ln in lines), encoding="utf-8")
+        got = load_embeddings(str(path))
+        oracle_words, oracle = float_loop_load(path)
+    assert got.vocab.index_to_word == oracle_words
+    assert got.matrix.tobytes() == oracle.tobytes()
+    for w in table.vocab.index_to_word[2:]:
+        # the first line of a word wins
+        assert (got.matrix[got.vocab.word_to_index[w]].tobytes()
+                == table.matrix[table.vocab.word_to_index[w]].tobytes())
+    if reserved:
+        assert got.matrix.tobytes() == table.matrix.tobytes()
+    else:
+        every_line = np.concatenate([table.matrix[2:], extra])
+        assert got.matrix[UNK_INDEX].tobytes() == np.mean(every_line, axis=0).tobytes()
+
+
+def test_loading_vectors_peaks_below_six_times_the_matrix(tmp_path):
+    """The loader holds no Python float per value: loading a 5000 x 50
+    file peaks below 6x the matrix's bytes under tracemalloc."""
+    n, dim = 5000, 50
+    values = np.random.default_rng(0).standard_normal((n, dim))
+    path = tmp_path / "vec.txt"
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write("%d %d\n" % (n, dim))
+        for i, row in enumerate(values.tolist()):
+            fh.write("w%d %s\n" % (i, " ".join(map(repr, row))))
+    tracemalloc.start()
+    try:
+        t = load_embeddings(str(path))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert t.matrix[2:].tobytes() == values.tobytes()
+    assert peak < 6 * values.nbytes, "peak %.2fx the matrix" % (peak / values.nbytes)
 
 
 class TestEncodeSentence:
