@@ -86,15 +86,22 @@ class Vocabulary:
 @dataclass
 class Lexicon:
     """A set of lowercased phrases, frozen when the lexicon is built so
-    that max_len, the word count of the longest phrase, is counted once."""
+    that max_len, the word count of the longest phrase, and prefixes,
+    every phrase cut at each of its spaces and whole, are made once.  A
+    run of tokens joined by spaces can equal a phrase only if its first
+    token is one of the prefixes, whatever spaces the tokens hold."""
 
     name: str
     entries: frozenset
     max_len: int = field(init=False, repr=False, compare=False)
+    prefixes: frozenset = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.entries = frozenset(self.entries)
         self.max_len = max((len(e.split()) for e in self.entries), default=0)
+        self.prefixes = frozenset(" ".join(parts[:k]) for parts in
+                                  (e.split(" ") for e in self.entries)
+                                  for k in range(1, len(parts) + 1))
 
     def __contains__(self, phrase):
         return phrase.lower() in self.entries

@@ -80,10 +80,9 @@ class SeededRng:
 
 
 def sigmoid(x):
-    """Elementwise logistic function, overflow-safe for any float64 input:
+    """Elementwise logistic function of a float64 array, overflow-safe:
     1 / (1 + e^-x) for x >= 0 and e^x / (1 + e^x) below, both from the
     one exponential e^-|x|, which cannot overflow."""
-    x = np.asarray(x, dtype=np.float64)
     e = np.exp(-np.abs(x))
     return np.where(x >= 0, 1.0, e) / (1.0 + e)
 
@@ -101,14 +100,14 @@ def rowwise(C, M):
 
 
 def softmax(x):
-    """Softmax over the last axis (each row of a matrix), with
-    max-subtraction. Rejects empty input."""
-    x = np.asarray(x, dtype=np.float64)
+    """Softmax of a float64 array over its last axis (each row of a
+    matrix), with max-subtraction. Rejects empty input."""
     if x.size == 0:
         raise ValueError("softmax: empty input")
-    shifted = x - np.max(x, axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    return e / np.sum(e, axis=-1, keepdims=True)
+    e = x - x.max(axis=-1, keepdims=True)
+    np.exp(e, out=e)
+    e /= e.sum(axis=-1, keepdims=True)
+    return e
 
 
 def uniform_init(rng, shape, radius):

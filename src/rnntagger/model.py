@@ -2,6 +2,8 @@
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from . import architectures
 from .corpus import documents
 from .linalg import is_int
@@ -56,19 +58,33 @@ def tag_corpus(model, sentences):
     sentence of every document that has one under that document's
     cache, runs them through the model as one batch, and updates the
     caches from the round's tags before round j + 1.  Each sentence gets
-    bitwise the distributions it gets when tagged alone.
+    bitwise the distributions it gets when tagged alone.  All rounds
+    share one surface facts table (see token_features).  A distribution
+    that is not finite is a FloatingPointError naming its document, its
+    sentence in the document and its position, all counted from 1.
     """
     docs = documents(sentences)
     caches = [DocCache() if model.fconf.uses_cache else None for _ in docs]
     t2i = model.tag_to_index
+    facts = {}
     out = [None] * len(sentences)
-    for j in range(max(map(len, docs), default=0)):
-        live = [(doc[j], cache) for doc, cache in zip(docs, caches) if j < len(doc)]
-        xss = [encode_sentence(sentences[i], model.table, model.fconf, model.v_c, cache)
-               for i, cache in live]
-        dists = architectures.forward_batch(model.spec, model.params, xss)
-        for (i, cache), d in zip(live, dists):
-            out[i] = architectures.argmax_tags(d, model.tagset)
-            if cache is not None:
-                cache.update_sentence(sentences[i], out[i], t2i)
+    # the check below finds every non-finite distribution and says where
+    # it is, so numpy's own warnings would only repeat it
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        for j in range(max(map(len, docs), default=0)):
+            live = [(d, doc[j], cache) for d, (doc, cache) in enumerate(zip(docs, caches))
+                    if j < len(doc)]
+            xss = [encode_sentence(sentences[i], model.table, model.fconf, model.v_c, cache,
+                                   facts)
+                   for _, i, cache in live]
+            dists = architectures.forward_batch(model.spec, model.params, xss)
+            for (d, i, cache), dist in zip(live, dists):
+                if not np.isfinite(dist).all():
+                    p = np.isfinite(dist).all(axis=1).argmin()
+                    raise FloatingPointError(
+                        "document %d, sentence %d, position %d: non-finite output distribution"
+                        % (d + 1, j + 1, p + 1))
+                out[i] = architectures.argmax_tags(dist, model.tagset)
+                if cache is not None:
+                    cache.update_sentence(sentences[i], out[i], t2i, facts)
     return out

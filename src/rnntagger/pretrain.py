@@ -261,7 +261,8 @@ def read_corpus(path):
 
 def train_embeddings(corpus_path, objective, config):
     """Epoch loop over the corpus with linear lr decay down to
-    initial * 1e-4.  Deterministic for a fixed seed."""
+    initial * 1e-4.  Deterministic for a fixed seed.  An epoch whose
+    mean loss is not finite is a FloatingPointError naming it."""
     sentences = read_corpus(corpus_path)
     counts = Counter(w for sent in sentences for w in sent)
     vocab = vocab_from_counts(counts, config.min_count)
@@ -285,7 +286,7 @@ def train_embeddings(corpus_path, objective, config):
     t = config.subsample
     w = config.window
 
-    for _ in range(config.epochs):
+    for epoch in range(1, config.epochs + 1):
         epoch_loss = 0.0
         epoch_updates = 0
         for sent in sentences:
@@ -313,7 +314,10 @@ def train_embeddings(corpus_path, objective, config):
                 _apply_input_grads(model, dv, lr)
                 epoch_loss += loss
                 epoch_updates += 1
-        model.epoch_losses.append(epoch_loss / epoch_updates if epoch_updates else 0.0)
+        mean_loss = epoch_loss / epoch_updates if epoch_updates else 0.0
+        if not math.isfinite(mean_loss):
+            raise FloatingPointError("epoch %d: non-finite mean loss" % epoch)
+        model.epoch_losses.append(mean_loss)
     return model
 
 

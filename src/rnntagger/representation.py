@@ -10,7 +10,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import linalg
-from .corpus import PAD_INDEX, UNK_INDEX, Vocabulary, read_lines
+from .corpus import PAD_INDEX, UNK, UNK_INDEX, Vocabulary, read_lines
 
 
 class EmbeddingTable:
@@ -50,6 +50,12 @@ class EmbeddingTable:
             self.matrix[rows[keep]] -= lr * grads[keep]
 
     def save_text(self, path):
+        """Write the text format; a non-finite row is a FloatingPointError
+        that names its word, raised before the file is opened."""
+        finite = np.isfinite(self.matrix).all(axis=1)
+        if not finite.all():
+            raise FloatingPointError("the row for %r holds a non-finite value"
+                                     % self.vocab.index_to_word[finite.argmin()])
         with open(path, "w", encoding="utf-8") as fh:
             fh.write("%d %d\n" % (len(self.vocab), self.dim))
             for word, row in zip(self.vocab.index_to_word, self.matrix):
@@ -63,7 +69,8 @@ def load_embeddings(path):
     from the file get deterministic rows: PAD zero, UNK the mean of all
     loaded vectors. A value that is not a finite number, a row with no
     values or of the wrong width, or a row count other than the header's
-    raises ValueError naming the file and line.
+    raises ValueError naming the file and line; so does a mean that
+    overflows, naming the file, when the file has no row for UNK.
     """
     words, rows, linenos = [], [], []
     header = None   # (count, dim), from a first line of two integers
@@ -111,7 +118,12 @@ def load_embeddings(path):
     for w in first:
         vocab.add(w)
     matrix = np.zeros((len(vocab), dim))
-    matrix[UNK_INDEX] = np.mean(values, axis=0)   # unless the file has a row for UNK
+    if UNK not in first:
+        with np.errstate(over="ignore"):   # an overflow is reported below
+            matrix[UNK_INDEX] = np.mean(values, axis=0)
+        if not np.isfinite(matrix[UNK_INDEX]).all():
+            raise ValueError("%s: the mean of the rows, the row for %r, overflows"
+                             % (path, UNK))
     matrix[[vocab.word_to_index[w] for w in first]] = values[list(first.values())]
     return EmbeddingTable(vocab, dim, matrix)
 
@@ -137,23 +149,25 @@ def capitalization_class(surface):
     return 3
 
 
-def gazetteer_mask(surfaces, lexicon):
-    """Greedy longest-first phrase matching, one pass left to right.
+def gazetteer_mask(lowered, lexicon):
+    """Greedy longest-first phrase matching of the lowercased tokens
+    lowered, one pass left to right.
 
-    Returns a 0/1 array marking tokens covered by a match. Case folds to
-    lower; matched regions do not overlap.
+    Returns a 0/1 array marking tokens covered by a match; matched
+    regions do not overlap.  No match starts at a token outside
+    lexicon.prefixes, so no phrase is joined there.
     """
-    n = len(surfaces)
-    lowered = [s.lower() for s in surfaces]
+    n = len(lowered)
     mask = np.zeros(n)
-    cap = lexicon.max_len
+    entries, starts, cap = lexicon.entries, lexicon.prefixes, lexicon.max_len
     i = 0
     while i < n:
         hit = 0
-        for length in range(min(cap, n - i), 0, -1):
-            if " ".join(lowered[i : i + length]) in lexicon.entries:
-                hit = length
-                break
+        if lowered[i] in starts:
+            for length in range(min(cap, n - i), 0, -1):
+                if " ".join(lowered[i : i + length]) in entries:
+                    hit = length
+                    break
         if hit:
             mask[i : i + hit] = 1.0
             i += hit
@@ -168,12 +182,17 @@ class DocCache:
     def __init__(self):
         self._latest = {}
 
-    def get(self, surface):
-        return self._latest.get(surface.lower())
+    def get(self, lowered):
+        """The label index cached for a lowercased surface, or None."""
+        return self._latest.get(lowered)
 
-    def update_sentence(self, sentence, tags, tag_to_index):
-        for tok, tag in zip(sentence.tokens, tags):
-            self._latest[tok.surface.lower()] = tag_to_index[tag]
+    def update_sentence(self, sentence, tags, tag_to_index, facts=None):
+        """Cache each token's tag; facts, a surface facts table the
+        sentence has been encoded with, gives the lowercased forms."""
+        surfaces = sentence.surfaces()
+        lowered = ([facts[s][2] for s in surfaces] if facts is not None
+                   else [s.lower() for s in surfaces])
+        self._latest.update(zip(lowered, map(tag_to_index.__getitem__, tags)))
 
 
 @dataclass
@@ -204,27 +223,42 @@ class FeatureConfig:
         return (dim + self.width) * (2 * v_c + 1)
 
 
-def token_features(sentence, vocab, fconf, doc_state=None):
+def token_features(sentence, vocab, fconf, doc_state=None, facts=None):
     """The part of a sentence's input that fine-tuning never changes:
     its word indices and its (n, F) 0/1 feature columns, the cache
-    columns read from doc_state."""
+    columns read from doc_state.
+
+    facts, the surface facts table, maps a surface to its (vocab index,
+    capitalization class, lowercased form); the surfaces it lacks are
+    worked out and added, so sentences sharing one table, as tag_corpus's
+    do, work each distinct surface out once.  A table holds one vocab's
+    indices.  Without one the sentence gets its own.
+    """
     n = len(sentence)
-    surfaces = sentence.surfaces()
-    indices = [vocab.index(s) for s in surfaces]
+    facts = {} if facts is None else facts
+    rows = []
+    for s in sentence.surfaces():
+        fact = facts.get(s)
+        if fact is None:
+            fact = facts[s] = (vocab.index(s), capitalization_class(s), s.lower())
+        rows.append(fact)
+    indices = [r[0] for r in rows]
+    lowered = [r[2] for r in rows]
     features = np.zeros((n, fconf.width))
     at = 0
     if fconf.capitalization:
-        features[np.arange(n), [capitalization_class(s) for s in surfaces]] = 1.0
+        features[np.arange(n), [r[1] for r in rows]] = 1.0
         at += CAP_WIDTH
     for lex in fconf.gazetteers:
-        features[:, at] = gazetteer_mask(surfaces, lex)
+        features[:, at] = gazetteer_mask(lowered, lex)
         at += 1
     if fconf.trigger is not None:
-        features[:, at] = [s in fconf.trigger for s in surfaces]
+        entries = fconf.trigger.entries
+        features[:, at] = [w in entries for w in lowered]
         at += 1
     if fconf.cache_tagset is not None and doc_state is not None:
         # one-hot of each token's cached label; all-zero when unseen
-        hits = [(i, at + k) for i, k in enumerate(map(doc_state.get, surfaces))
+        hits = [(i, at + k) for i, k in enumerate(map(doc_state.get, lowered))
                 if k is not None]
         if hits:
             features[tuple(zip(*hits))] = 1.0
@@ -244,11 +278,16 @@ def window_inputs(table, indices, features, v_c):
     w = padded[v_c : v_c + n]   # row i is w_i, the rows either side stay zero
     w[:, :dim] = table.matrix[indices]
     w[:, dim:] = features
-    # slot k of row i is w_{i+k-v_c}: one shifted copy of w per slot
-    return np.hstack([padded[k : k + n] for k in range(2 * v_c + 1)])
+    # slot k of row i is w_{i+k-v_c}: row i of a view is the 2 v_c + 1
+    # rows of padded from row i on, and the reshape copies them all at once
+    step = padded.strides[0]
+    windows = np.lib.stride_tricks.as_strided(padded, (n, 2 * v_c + 1, block),
+                                              (step, step, padded.strides[1]))
+    return windows.reshape(n, (2 * v_c + 1) * block)
 
 
-def encode_sentence(sentence, table, fconf, v_c, doc_state=None):
+def encode_sentence(sentence, table, fconf, v_c, doc_state=None, facts=None):
     """The sentence's (n, I) model inputs under the document cache state
-    doc_state."""
-    return window_inputs(table, *token_features(sentence, table.vocab, fconf, doc_state), v_c)
+    doc_state, reading and extending the surface facts table facts."""
+    return window_inputs(table, *token_features(sentence, table.vocab, fconf, doc_state, facts),
+                         v_c)

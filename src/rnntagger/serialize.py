@@ -23,6 +23,7 @@ import numpy as np
 
 from . import linalg
 from .architectures import ModelSpec, bundle_shapes
+from .cells import CELLS, SoftmaxOutput
 from .corpus import Lexicon, Vocabulary
 from .model import Model
 from .representation import EmbeddingTable, FeatureConfig
@@ -46,6 +47,11 @@ KNOWN_KEYS = {
     "spec.": {f.name for f in fields(ModelSpec)} | {"bias", "gru_candidate"},
     "vocab.": {"words", "lowercase", "digits_to_zero"},
 }
+
+# The keys the writer puts arrays at: embedding.matrix, context.S and
+# the parameters of every cell and output layer.
+ARRAY_KEYS = ({"matrix", "S"} | set(SoftmaxOutput.param_shapes(1, 1))
+              | {k for cell in CELLS.values() for k in cell.param_shapes(1, 1, 1)})
 
 # Every value but an array goes through json's own encoder at the file's
 # settings, one value at a time.
@@ -126,7 +132,7 @@ def save_model(model, path):
 
 def _array(value, where, shape):
     try:
-        arr = np.array(value, dtype=np.float64)
+        arr = np.asarray(value, dtype=np.float64)
     except (TypeError, ValueError, OverflowError):
         raise ValueError("%s is not a numeric array" % where) from None
     if arr.shape != tuple(shape):
@@ -200,12 +206,25 @@ def _model_from_obj(obj):
                  fconf=fconf, tagset=tagset, scheme=obj["scheme"], v_c=obj["v_c"])
 
 
+def _arrays_of(obj):
+    """json's object hook: a value at an ARRAY_KEYS key becomes a float64
+    array as soon as its object is parsed, so only one object's Python
+    floats are alive at a time.  It is _array's own conversion, so a
+    value that does not convert stays for _array to reject by name."""
+    for key in ARRAY_KEYS.intersection(obj):
+        try:
+            obj[key] = np.array(obj[key], dtype=np.float64)
+        except (TypeError, ValueError, OverflowError):
+            pass
+    return obj
+
+
 def load_model(path):
     """Read and check a model file; every defect in it is a ValueError
     that names the file and the key."""
     try:
         with open(path, encoding="utf-8") as fh:
-            obj = json.load(fh)
+            obj = json.load(fh, object_hook=_arrays_of)
         return model_from_obj(obj)
     except ValueError as e:
         raise ValueError("%s: %s" % (path, e)) from None

@@ -191,8 +191,10 @@ class EpochStats:
 def _prepare(model, sentences):
     """Each sentence's gold indices and token_features, in corpus order.
     Its cache columns come from a cache fed only the gold tags of the
-    earlier sentences of its document."""
+    earlier sentences of its document.  All sentences share one
+    surface facts table (see token_features)."""
     t2i = model.tag_to_index
+    facts = {}
     prepared = []
     for doc in documents(sentences):
         cache = DocCache() if model.fconf.uses_cache else None
@@ -203,10 +205,10 @@ def _prepare(model, sentences):
                     raise ValueError("untagged token %r in training data" % tok.surface)
                 if tag not in t2i:
                     raise ValueError("tag %r not in the model tagset" % tag)
-            inputs = token_features(sent, model.table.vocab, model.fconf, cache)
+            inputs = token_features(sent, model.table.vocab, model.fconf, cache, facts)
             prepared.append((inputs, [t2i[tag] for tag in tags]))
             if cache is not None:
-                cache.update_sentence(sent, tags, t2i)
+                cache.update_sentence(sent, tags, t2i, facts)
     return prepared
 
 
@@ -282,7 +284,10 @@ def fit(model, train_sentences, dev_sentences, cfg):
                "examples_per_sec": stats.examples_per_sec}
         last = e == cfg.epochs - 1
         if dev_sentences and ((e + 1) % cfg.dev_eval_every == 0 or last):
-            report = _dev_f1(model, dev_sentences, gold_spans)
+            try:
+                report = _dev_f1(model, dev_sentences, gold_spans)
+            except FloatingPointError as err:
+                raise FloatingPointError("epoch %d, dev %s" % (e + 1, err)) from None
             row.update(dev_p=report.precision, dev_r=report.recall,
                        dev_f1=report.f1)
             if report.f1 > best_f1:

@@ -649,6 +649,42 @@ def test_non_finite_model_exits_3_without_writing_the_file(tmp_path, capsys, mon
     assert not out.exists()
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_tag_whose_outputs_overflow_exits_3_without_writing_the_file(tmp_path, capsys):
+    # every weight finite, so the file loads, but W h overflows to inf
+    obj = json.loads((DATA_DIR / "compat" / "bidirectional_gru.json").read_text())
+    obj["params"]["decoder_out"]["W"] = [[1.7e308] * len(row)
+                                         for row in obj["params"]["decoder_out"]["W"]]
+    rc, err, _ = tag_with_model(tmp_path, capsys, json.dumps(obj))
+    assert rc == 3
+    assert ("numeric error: document 1, sentence 1, position 1: "
+            "non-finite output distribution") in err
+    assert not (tmp_path / "p.conll").exists()
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_embeddings_whose_mean_overflows_are_data_error(tmp_path, capsys):
+    vec = tmp_path / "vec.txt"
+    vec.write_text("a 1.7e308 1.0\nb 1.7e308 2.0\n")
+    out = tmp_path / "m.json"
+    rc, _, err = run(["train", "--train", write_gold(tmp_path / "g.conll"),
+                      "--embeddings", str(vec), "--hidden", "4", "--vc", "0",
+                      "--epochs", "1", "--out-model", str(out)], capsys)
+    assert rc == 2
+    assert "data error: %s: the mean of the rows, the row for '<unk>', overflows" % vec in err
+    assert not out.exists()
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_embed_whose_loss_is_not_finite_exits_3_without_writing_the_file(tmp_path, capsys):
+    out = tmp_path / "vec.txt"
+    rc, _, err = run(["embed", corpus_file(tmp_path), "--dim", "4", "--lr", "1e300",
+                      "--subsample", "1", "--out", str(out)], capsys)
+    assert rc == 3
+    assert "numeric error: epoch 1: non-finite mean loss" in err
+    assert not out.exists()
+
+
 def test_train_mesnil_needs_no_decoder(tmp_path, capsys):
     gold = write_gold(tmp_path / "g.conll", size=4)
     out = tmp_path / "m.json"

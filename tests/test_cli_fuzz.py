@@ -16,12 +16,16 @@ import json
 import tempfile
 from pathlib import Path
 
+import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 from rnntagger import cli
-from rnntagger.corpus import write_conll
+from rnntagger.architectures import forward_batch
+from rnntagger.corpus import load_conll, write_conll
+from rnntagger.representation import encode_sentence, load_embeddings
+from rnntagger.serialize import load_model
 from rnntagger.synth import memorize_corpus
 
 EXIT_CODES = {cli.EXIT_OK, cli.EXIT_USAGE, cli.EXIT_DATA, cli.EXIT_NUMERIC}
@@ -179,3 +183,68 @@ def test_mutated_flag_value_ends_in_an_exit_code(valid, command, data):
         filled = [a.format(**paths) for a in argv]
         filled[at] = value
         assert main(filled) in EXIT_CODES
+
+
+# finite magnitudes, from ones a forward pass holds to ones it overflows
+EXTREMES = [1e10, 1e154, 1e300, 1.7e308]
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_tag_with_extreme_finite_weights_exits_3_or_writes_tagset_tags(valid, data):
+    """Some weight blocks at an extreme finite magnitude, signs kept: the
+    file loads, and tag exits 3 naming the place, writing nothing, exactly
+    when a distribution of the input is not finite; else it writes tags
+    from the tagset."""
+    obj = json.loads(valid["model"])
+    blocks = [(b, n) for b in sorted(obj["params"]) for n in sorted(obj["params"][b])]
+    for b, n in data.draw(st.lists(st.sampled_from(blocks), min_size=1, unique=True)):
+        w = np.array(obj["params"][b][n])
+        obj["params"][b][n] = (np.sign(w) * data.draw(st.sampled_from(EXTREMES))).tolist()
+    with tempfile.TemporaryDirectory() as d:
+        model, gold, out = Path(d, "m.json"), Path(d, "gold.conll"), Path(d, "out")
+        model.write_text(json.dumps(obj))
+        gold.write_bytes(valid["conll"])
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            rc = cli.main(["tag", "--model", str(model), "--input", str(gold),
+                           "--out", str(out)])
+        m = load_model(str(model))
+        assert not m.fconf.uses_cache     # so each sentence is a batch of its own
+        with np.errstate(all="ignore"):
+            finite = all(np.isfinite(forward_batch(m.spec, m.params, [
+                encode_sentence(s, m.table, m.fconf, m.v_c)])[0]).all()
+                for s in load_conll(str(gold), tagged=False))
+        event("finite" if finite else "not finite")
+        if finite:
+            assert rc == cli.EXIT_OK
+            assert {t for s in load_conll(str(out)) for t in s.tags()} <= set(m.tagset)
+        else:
+            assert rc == cli.EXIT_NUMERIC
+            assert "non-finite output distribution" in err.getvalue()
+            assert not out.exists()
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@settings(max_examples=30, deadline=None)
+@given(st.sampled_from(["1e-300", "1e10", "1e100", "1e200", "1e300", "1.7e308"]),
+       st.sampled_from(["cbow", "skipgram", "cconcat"]), st.integers(1, 3))
+def test_embed_at_extreme_rates_exits_3_or_writes_finite_vectors(valid, lr, objective, epochs):
+    """embed exits 3 naming the epoch, writing nothing, or writes vectors
+    that train --embeddings accepts, which requires every value finite."""
+    with tempfile.TemporaryDirectory() as d:
+        raw, out = Path(d, "raw.txt"), Path(d, "vec.txt")
+        raw.write_bytes(valid["conll"])
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            rc = cli.main(["embed", str(raw), "--objective", objective, "--dim", "2",
+                           "--window", "1", "--negatives", "2", "--subsample", "1",
+                           "--epochs", str(epochs), "--lr", lr, "--out", str(out)])
+        event("exit %d" % rc)
+        if rc == cli.EXIT_OK:
+            load_embeddings(str(out))
+        else:
+            assert rc == cli.EXIT_NUMERIC
+            assert "numeric error: epoch " in err.getvalue()
+            assert not out.exists()

@@ -27,7 +27,6 @@ from rnntagger.representation import (
     FeatureConfig,
     capitalization_class,
     encode_sentence,
-    gazetteer_mask,
     load_embeddings,
     token_features,
 )
@@ -87,6 +86,13 @@ class TestGazetteer:
     def test_empty_lexicon_all_zero(self):
         lex = Lexicon("geo", set())
         assert feature_columns(["New", "York"], gazetteers=[lex]) == [[0], [0]]
+
+    def test_phrase_starting_inside_a_token_with_a_space(self):
+        # the first token is two of the phrase's words: it is a prefix of
+        # the phrase, not its first word
+        lex = Lexicon("geo", {"new york city"})
+        cols = feature_columns(["in", "New York", "City"], gazetteers=[lex])
+        assert cols == [[0], [1], [1]]
 
     def test_longest_first_greedy(self):
         # both 2-token phrases known; greedy takes "new york" first,
@@ -190,6 +196,25 @@ class TestEmbeddingTable:
         # absent reserved rows are synthesized: PAD zero, UNK mean
         assert np.array_equal(t.matrix[PAD_INDEX], [0.0, 0.0])
         assert np.array_equal(t.matrix[t.vocab.index("unseen")], [2.0, 3.0])
+
+    def test_save_text_refuses_a_non_finite_row_before_opening(self, tmp_path):
+        t = EmbeddingTable.random(small_vocab("a", "b"), 3, SeededRng(1))
+        t.matrix[3, 1] = np.nan
+        path = tmp_path / "v.txt"
+        with pytest.raises(FloatingPointError, match="the row for 'b' holds a non-finite value"):
+            t.save_text(str(path))
+        assert not path.exists()
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_overflowing_mean_needed_only_without_an_unk_row(self, tmp_path):
+        rows = "a 1.7e308 1.0\nb 1.7e308 2.0\n"
+        path = tmp_path / "v.txt"
+        path.write_text(rows)
+        with pytest.raises(ValueError, match="v.txt: the mean of the rows"):
+            load_embeddings(str(path))
+        path.write_text(rows + "%s 0.5 0.5\n" % UNK)
+        t = load_embeddings(str(path))
+        assert t.matrix[UNK_INDEX].tolist() == [0.5, 0.5]
 
     def test_ragged_row_rejected(self, tmp_path):
         path = tmp_path / "bad.txt"
@@ -424,22 +449,30 @@ def reference_capitalization(surface):
     return bits
 
 
-def reference_cache(doc_state, token, width):
-    bits = np.zeros(width)
-    idx = doc_state.get(token.surface) if doc_state is not None else None
-    if idx is not None:
-        bits[idx] = 1.0
-    return bits
+def reference_gazetteer_mask(surfaces, lexicon):
+    """Greedy longest-first matching of lowercased phrases of at most
+    lexicon.max_len tokens, every start tried."""
+    lowered = [s.lower() for s in surfaces]
+    mask = np.zeros(len(lowered))
+    i = 0
+    while i < len(lowered):
+        lengths = [k for k in range(min(lexicon.max_len, len(lowered) - i), 0, -1)
+                   if " ".join(lowered[i : i + k]) in lexicon.entries]
+        if lengths:
+            mask[i : i + lengths[0]] = 1.0
+        i += lengths[0] if lengths else 1
+    return mask
 
 
-def reference_encode(sentence, table, fconf, v_c, doc_state=None):
+def reference_encode(sentence, table, fconf, v_c, cached=None):
     """(xs, word_indices) built token by token: each w-vector from its
-    own zero rows, copied into place, then the windows."""
+    own zero rows, copied into place, then the windows.  cached maps a
+    lowercased surface to its cached label index; None is no cache."""
     n = len(sentence)
     dim = table.dim
     block = dim + fconf.width
     surfaces = sentence.surfaces()
-    gaz_masks = [gazetteer_mask(surfaces, lex) for lex in fconf.gazetteers]
+    gaz_masks = [reference_gazetteer_mask(surfaces, lex) for lex in fconf.gazetteers]
     w = np.zeros((n, block))
     indices = []
     for i, tok in enumerate(sentence.tokens):
@@ -454,12 +487,13 @@ def reference_encode(sentence, table, fconf, v_c, doc_state=None):
             w[i, at] = mask[i]
             at += 1
         if fconf.trigger is not None:
-            w[i, at] = 1.0 if tok.surface in fconf.trigger else 0.0
+            w[i, at] = 1.0 if tok.surface.lower() in fconf.trigger.entries else 0.0
             at += 1
         if fconf.cache_tagset is not None:
-            width = len(fconf.cache_tagset)
-            w[i, at : at + width] = reference_cache(doc_state, tok, width)
-            at += width
+            label = cached.get(tok.surface.lower()) if cached is not None else None
+            if label is not None:
+                w[i, at + label] = 1.0
+            at += len(fconf.cache_tagset)
     padded = np.zeros((n + 2 * v_c, block))
     padded[v_c : v_c + n] = w
     xs = np.hstack([padded[k : k + n] for k in range(2 * v_c + 1)])
@@ -493,17 +527,59 @@ def test_encode_sentence_matches_per_token_builder(words, known, v_c, caps, n_ga
     trigger = Lexicon("t", data.draw(st.sets(st.sampled_from(pool)))) if use_trigger else None
     fconf = FeatureConfig(capitalization=caps, gazetteers=gazetteers, trigger=trigger,
                           cache_tagset=CACHE_TAGS if use_cache else None)
-    cache = None
+    cache = cached = None
     if use_cache and data.draw(st.booleans()):
-        cache = DocCache()
-        cached = data.draw(st.lists(st.tuples(st.sampled_from(pool),
-                                              st.sampled_from(CACHE_TAGS)), max_size=6))
-        if cached:
+        cache, cached = DocCache(), {}
+        pairs = data.draw(st.lists(st.tuples(st.sampled_from(pool),
+                                             st.sampled_from(CACHE_TAGS)), max_size=6))
+        if pairs:
             t2i = {t: i for i, t in enumerate(CACHE_TAGS)}
-            cache.update_sentence(sent(*[w for w, _ in cached]), [t for _, t in cached], t2i)
+            cache.update_sentence(sent(*[w for w, _ in pairs]), [t for _, t in pairs], t2i)
+            cached = {w.lower(): t2i[t] for w, t in pairs}
     s = sent(*words)
-    xs, indices = reference_encode(s, table, fconf, v_c, cache)
+    xs, indices = reference_encode(s, table, fconf, v_c, cached)
     got = encode_sentence(s, table, fconf, v_c, cache)
     assert got.shape == xs.shape and got.dtype == xs.dtype
     assert got.tobytes() == xs.tobytes()
     assert token_features(s, table.vocab, fconf, cache)[0] == indices
+
+
+# spaces inside tokens, case variants of one word, digits
+SPACED = st.text(alphabet="aBc中İ0 ", min_size=1, max_size=4)
+
+
+@settings(max_examples=150, deadline=None)
+@given(words=st.lists(SPACED, min_size=1, max_size=5, unique=True),
+       v_c=st.integers(0, 2),
+       data=st.data())
+def test_sentences_sharing_a_facts_table_match_the_per_token_builder(words, v_c, data):
+    """A document's sentences encoded with one surface facts table, the
+    cache fed with facts between them, each equals the per-token builder
+    under a cache of its own bytewise: case variants of one surface,
+    tokens holding spaces and phrases that start mid-sentence included."""
+    pool = sorted({v for w in words for v in (w, w.upper(), w.lower(), w.title())})
+    table = EmbeddingTable.random(small_vocab(*{normalize(w) for w in words[::2]}), 3,
+                                  SeededRng(len(pool)))
+    phrase = st.lists(st.sampled_from(pool), min_size=1, max_size=3).map(
+        lambda ws: " ".join(ws).lower())
+    fconf = FeatureConfig(
+        capitalization=True,
+        gazetteers=[Lexicon("g%d" % g, data.draw(st.sets(phrase, min_size=1, max_size=4)))
+                    for g in range(2)],
+        trigger=Lexicon("t", data.draw(st.sets(st.sampled_from(pool).map(str.lower)))),
+        cache_tagset=CACHE_TAGS)
+    t2i = {t: i for i, t in enumerate(CACHE_TAGS)}
+    sentences = data.draw(st.lists(st.lists(st.sampled_from(pool), min_size=1, max_size=8),
+                                   min_size=1, max_size=4))
+    facts, cache, cached = {}, DocCache(), {}
+    for words_of_sentence in sentences:
+        s = sent(*words_of_sentence)
+        want, indices = reference_encode(s, table, fconf, v_c, cached)
+        got = encode_sentence(s, table, fconf, v_c, cache, facts)
+        assert got.tobytes() == want.tobytes()
+        assert token_features(s, table.vocab, fconf, cache, facts)[0] == indices
+        tags = data.draw(st.lists(st.sampled_from(CACHE_TAGS), min_size=len(s),
+                                  max_size=len(s)))
+        cache.update_sentence(s, tags, t2i, facts)
+        cached.update((w.lower(), t2i[t]) for w, t in zip(words_of_sentence, tags))
+    assert set(facts) == {w for ws in sentences for w in ws}

@@ -281,6 +281,18 @@ def test_load_error_names_the_file(tmp_path):
         load_model(str(path))
 
 
+def test_ragged_array_in_a_file_names_the_file_and_the_key(tmp_path):
+    # the loader turns arrays into float64 as it parses; a list that does
+    # not convert is still refused by name
+    obj = model_obj()
+    obj["params"]["decoder_out"]["W"][1] = [0.5]
+    path = tmp_path / "ragged.json"
+    path.write_text(json.dumps(obj))
+    with pytest.raises(ValueError) as e:
+        load_model(str(path))
+    assert str(e.value) == "%s: params.decoder_out.W is not a numeric array" % path
+
+
 # ------------------------------------------------- the streaming writer
 
 def json_oracle_bytes(model):

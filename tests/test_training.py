@@ -32,6 +32,7 @@ from rnntagger.tagging import BIO2, make_tagset
 from rnntagger import training
 from rnntagger.training import (
     FD_NOISE,
+    EpochStats,
     TrainConfig,
     fit,
     gradient_check,
@@ -404,6 +405,18 @@ def test_a_model_built_in_code_checks_its_own_shape(change, problem):
     model = build_model(TRAIN_SENTS, fconf=FeatureConfig(cache_tagset=TAGSET))
     with pytest.raises(ValueError, match=problem):
         dataclasses.replace(model, **change)
+
+
+def test_non_finite_dev_distribution_names_the_epoch(monkeypatch):
+    # finite weights whose output layer overflows; training is stubbed out
+    # so that the dev evaluation is what meets it
+    model = build_model(TRAIN_SENTS)
+    model.params["decoder_out"]["W"][:] = 1.7e308
+    monkeypatch.setattr(training, "train_epoch",
+                        lambda *args: EpochStats(mean_loss=1.0, n_examples=1, seconds=1.0))
+    with pytest.raises(FloatingPointError, match="^epoch 1, dev document 1, sentence 1, "
+                       "position 1: non-finite output distribution$"):
+        fit(model, TRAIN_SENTS, TRAIN_SENTS, TrainConfig(epochs=1))
 
 
 def test_token_features_run_once_per_sentence_per_epoch(monkeypatch):
