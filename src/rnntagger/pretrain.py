@@ -286,38 +286,41 @@ def train_embeddings(corpus_path, objective, config):
     t = config.subsample
     w = config.window
 
-    for epoch in range(1, config.epochs + 1):
-        epoch_loss = 0.0
-        epoch_updates = 0
-        for sent in sentences:
-            indices = [vocab.word_to_index[x] for x in sent
-                       if x in vocab.word_to_index]
-            kept = []
-            for i in indices:
-                processed += 1
-                if subsample_keep(index_counts[i], total_tokens, t, rng):
-                    kept.append(i)
-            lr = config.learning_rate * max(
-                LR_FLOOR_FRACTION, 1.0 - processed / budget)
-            padded = [PAD_INDEX] * w + kept + [PAD_INDEX] * w
-            predictions = [(center, target, grads, context)
-                           for pos, center in enumerate(kept)
-                           for target, grads, context
-                           in _predictions(objective, padded, pos, w)]
-            if not predictions:
-                continue
-            negatives = negative_sample(table, [p[1] for p in predictions],
-                                        config.negatives, rng)
-            for (center, _, grads, context), negs in zip(predictions, negatives):
-                loss, dv, du = grads(model, center, context, negs)
-                _apply_output_grads(model, du, lr)
-                _apply_input_grads(model, dv, lr)
-                epoch_loss += loss
-                epoch_updates += 1
-        mean_loss = epoch_loss / epoch_updates if epoch_updates else 0.0
-        if not math.isfinite(mean_loss):
-            raise FloatingPointError("epoch %d: non-finite mean loss" % epoch)
-        model.epoch_losses.append(mean_loss)
+    # the mean-loss check below and save_text's table check report every
+    # non-finite value, so numpy's own warnings would only repeat them
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        for epoch in range(1, config.epochs + 1):
+            epoch_loss = 0.0
+            epoch_updates = 0
+            for sent in sentences:
+                indices = [vocab.word_to_index[x] for x in sent
+                           if x in vocab.word_to_index]
+                kept = []
+                for i in indices:
+                    processed += 1
+                    if subsample_keep(index_counts[i], total_tokens, t, rng):
+                        kept.append(i)
+                lr = config.learning_rate * max(
+                    LR_FLOOR_FRACTION, 1.0 - processed / budget)
+                padded = [PAD_INDEX] * w + kept + [PAD_INDEX] * w
+                predictions = [(center, target, grads, context)
+                               for pos, center in enumerate(kept)
+                               for target, grads, context
+                               in _predictions(objective, padded, pos, w)]
+                if not predictions:
+                    continue
+                negatives = negative_sample(table, [p[1] for p in predictions],
+                                            config.negatives, rng)
+                for (center, _, grads, context), negs in zip(predictions, negatives):
+                    loss, dv, du = grads(model, center, context, negs)
+                    _apply_output_grads(model, du, lr)
+                    _apply_input_grads(model, dv, lr)
+                    epoch_loss += loss
+                    epoch_updates += 1
+            mean_loss = epoch_loss / epoch_updates if epoch_updates else 0.0
+            if not math.isfinite(mean_loss):
+                raise FloatingPointError("epoch %d: non-finite mean loss" % epoch)
+            model.epoch_losses.append(mean_loss)
     return model
 
 
