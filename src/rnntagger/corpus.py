@@ -103,9 +103,6 @@ class Lexicon:
                                   (e.split(" ") for e in self.entries)
                                   for k in range(1, len(parts) + 1))
 
-    def __contains__(self, phrase):
-        return phrase.lower() in self.entries
-
 
 def load_conll(path, tagged=True):
     """Read a whitespace-separated column file into sentences: the token

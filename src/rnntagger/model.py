@@ -86,5 +86,5 @@ def tag_corpus(model, sentences):
                         % (d + 1, j + 1, p + 1))
                 out[i] = architectures.argmax_tags(dist, model.tagset)
                 if cache is not None:
-                    cache.update_sentence(sentences[i], out[i], t2i, facts)
+                    cache.update_sentence(sentences[i], out[i], t2i)
     return out

@@ -69,8 +69,8 @@ def load_embeddings(path):
     from the file get deterministic rows: PAD zero, UNK the mean of all
     loaded vectors. A value that is not a finite number, a row with no
     values or of the wrong width, or a row count other than the header's
-    raises ValueError naming the file and line; so does a mean that
-    overflows, naming the file, when the file has no row for UNK.
+    raises ValueError naming the file and line; so does a sum of the
+    rows that overflows, naming the file, when the file has no row for UNK.
     """
     words, rows, linenos = [], [], []
     header = None   # (count, dim), from a first line of two integers
@@ -122,8 +122,8 @@ def load_embeddings(path):
         with np.errstate(over="ignore"):   # an overflow is reported below
             matrix[UNK_INDEX] = np.mean(values, axis=0)
         if not np.isfinite(matrix[UNK_INDEX]).all():
-            raise ValueError("%s: the mean of the rows, the row for %r, overflows"
-                             % (path, UNK))
+            raise ValueError("%s: the row for %r, the mean of the rows, cannot be"
+                             " computed: their sum overflows" % (path, UNK))
     matrix[[vocab.word_to_index[w] for w in first]] = values[list(first.values())]
     return EmbeddingTable(vocab, dim, matrix)
 
@@ -186,13 +186,10 @@ class DocCache:
         """The label index cached for a lowercased surface, or None."""
         return self._latest.get(lowered)
 
-    def update_sentence(self, sentence, tags, tag_to_index, facts=None):
-        """Cache each token's tag; facts, a surface facts table the
-        sentence has been encoded with, gives the lowercased forms."""
-        surfaces = sentence.surfaces()
-        lowered = ([facts[s][2] for s in surfaces] if facts is not None
-                   else [s.lower() for s in surfaces])
-        self._latest.update(zip(lowered, map(tag_to_index.__getitem__, tags)))
+    def update_sentence(self, sentence, tags, tag_to_index):
+        """Cache each token's tag under its lowercased surface."""
+        self._latest.update(zip((s.lower() for s in sentence.surfaces()),
+                                map(tag_to_index.__getitem__, tags)))
 
 
 @dataclass
@@ -278,12 +275,11 @@ def window_inputs(table, indices, features, v_c):
     w = padded[v_c : v_c + n]   # row i is w_i, the rows either side stay zero
     w[:, :dim] = table.matrix[indices]
     w[:, dim:] = features
-    # slot k of row i is w_{i+k-v_c}: row i of a view is the 2 v_c + 1
-    # rows of padded from row i on, and the reshape copies them all at once
-    step = padded.strides[0]
-    windows = np.lib.stride_tricks.as_strided(padded, (n, 2 * v_c + 1, block),
-                                              (step, step, padded.strides[1]))
-    return windows.reshape(n, (2 * v_c + 1) * block)
+    # slot k of row i is w_{i+k-v_c}: row i of the view is the 2 v_c + 1
+    # rows of padded from row i on, copied all at once into a C-order array
+    # (the view itself overlaps, so a product over it would copy it anew)
+    windows = np.lib.stride_tricks.sliding_window_view(padded, 2 * v_c + 1, axis=0)
+    return np.array(windows.transpose(0, 2, 1)).reshape(n, (2 * v_c + 1) * block)
 
 
 def encode_sentence(sentence, table, fconf, v_c, doc_state=None, facts=None):

@@ -208,7 +208,7 @@ def _prepare(model, sentences):
             inputs = token_features(sent, model.table.vocab, model.fconf, cache, facts)
             prepared.append((inputs, [t2i[tag] for tag in tags]))
             if cache is not None:
-                cache.update_sentence(sent, tags, t2i, facts)
+                cache.update_sentence(sent, tags, t2i)
     return prepared
 
 

@@ -671,7 +671,8 @@ def test_embeddings_whose_mean_overflows_are_data_error(tmp_path, capsys):
                       "--embeddings", str(vec), "--hidden", "4", "--vc", "0",
                       "--epochs", "1", "--out-model", str(out)], capsys)
     assert rc == 2
-    assert "data error: %s: the mean of the rows, the row for '<unk>', overflows" % vec in err
+    assert ("data error: %s: the row for '<unk>', the mean of the rows, cannot be computed: "
+            "their sum overflows" % vec) in err
     assert not out.exists()
 
 

@@ -183,10 +183,9 @@ class TestLexicon:
         assert "mr." in lex.entries
 
     def test_membership_case_insensitive(self, tmp_path):
-        lex = load_lexicon(write(tmp_path, "l.txt", "president\n"))
-        assert "President" in lex
-        assert "PRESIDENT" in lex
-        assert "senator" not in lex
+        lex = load_lexicon(write(tmp_path, "l.txt", "President\nPRESIDENT\n"))
+        assert lex.entries == {"president"}
+        assert "senator" not in lex.entries
 
     def test_duplicates_collapse(self, tmp_path):
         lex = load_lexicon(write(tmp_path, "m.txt", "a\nA\na\n"))
@@ -200,7 +199,7 @@ class TestLexicon:
     def test_multiword_phrases(self, tmp_path):
         lex = load_lexicon(write(tmp_path, "o.txt", "New York City\nParis\n"))
         assert lex.max_len == 3
-        assert "new york city" in lex
+        assert "new york city" in lex.entries
 
     def test_name_defaults_to_stem(self, tmp_path):
         lex = load_lexicon(write(tmp_path, "cities.txt", "Paris\n"))

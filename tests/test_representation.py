@@ -210,7 +210,8 @@ class TestEmbeddingTable:
         rows = "a 1.7e308 1.0\nb 1.7e308 2.0\n"
         path = tmp_path / "v.txt"
         path.write_text(rows)
-        with pytest.raises(ValueError, match="v.txt: the mean of the rows"):
+        with pytest.raises(ValueError, match="v.txt: the row for '<unk>', the mean of the "
+                                             "rows, cannot be computed: their sum overflows"):
             load_embeddings(str(path))
         path.write_text(rows + "%s 0.5 0.5\n" % UNK)
         t = load_embeddings(str(path))
@@ -580,6 +581,6 @@ def test_sentences_sharing_a_facts_table_match_the_per_token_builder(words, v_c,
         assert token_features(s, table.vocab, fconf, cache, facts)[0] == indices
         tags = data.draw(st.lists(st.sampled_from(CACHE_TAGS), min_size=len(s),
                                   max_size=len(s)))
-        cache.update_sentence(s, tags, t2i, facts)
+        cache.update_sentence(s, tags, t2i)
         cached.update((w.lower(), t2i[t]) for w, t in zip(words_of_sentence, tags))
     assert set(facts) == {w for ws in sentences for w in ws}
