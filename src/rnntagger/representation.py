@@ -275,11 +275,12 @@ def window_inputs(table, indices, features, v_c):
     w = padded[v_c : v_c + n]   # row i is w_i, the rows either side stay zero
     w[:, :dim] = table.matrix[indices]
     w[:, dim:] = features
-    # slot k of row i is w_{i+k-v_c}: row i of the view is the 2 v_c + 1
-    # rows of padded from row i on, copied all at once into a C-order array
-    # (the view itself overlaps, so a product over it would copy it anew)
+    # slot k of row i is w_{i+k-v_c}: row i is the 2 v_c + 1 rows of padded
+    # from row i on, which lie back to back, so the reshape copies nothing
+    # and the inputs are a read-only view whose rows overlap.  Copying them
+    # out would make them 2 v_c + 1 times padded's size in memory.
     windows = np.lib.stride_tricks.sliding_window_view(padded, 2 * v_c + 1, axis=0)
-    return np.array(windows.transpose(0, 2, 1)).reshape(n, (2 * v_c + 1) * block)
+    return windows.transpose(0, 2, 1).reshape(n, (2 * v_c + 1) * block)
 
 
 def encode_sentence(sentence, table, fconf, v_c, doc_state=None, facts=None):

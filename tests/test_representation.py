@@ -430,6 +430,8 @@ class TestEncodeSentence:
         s = sent(*["w%d" % (k % 6) for k in range(n)])
         xs = encode_sentence(s, t, FeatureConfig(capitalization=True), v_c)
         assert all(len(x) == (2 * v_c + 1) * (3 + 5) for x in xs)
+        # the rows share memory, so a write to one would show in its neighbours
+        assert not xs.flags.writeable
 
 
 # --- encode_sentence against a per-token reference builder ---
