@@ -33,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cells import SoftmaxOutput, cell_for, init_params, zero_grads
-from .linalg import is_int
+from .linalg import is_int, unwindow, windows
 
 BASIC = "basic"
 CONTEXTUAL = "contextual"
@@ -315,27 +315,17 @@ def encode(spec, params, xs, span=None):
 
 
 def _beta(l, r, k):
-    """Context stacks [l_{i-k}..l_i, r_i..r_{i+k}] of every position i,
-    zero-padded off the ends: each slot is l or r shifted by its offset."""
-    n, width = l.shape
-    pad = np.zeros((k, width))
-    l_pad = np.vstack([pad, l])   # row i + j holds l_{i-k+j}
-    r_pad = np.vstack([r, pad])   # row i + j holds r_{i+j}
-    return np.hstack([l_pad[j : j + n] for j in range(k + 1)]
-                     + [r_pad[j : j + n] for j in range(k + 1)])
+    """Context stacks [l_{i-k}..l_i, r_i..r_{i+k}] of every position i: the
+    width-k+1 windows of l after k zero rows, then of r before k zero rows."""
+    pad = np.zeros((k, l.shape[1]))
+    return np.hstack([windows(np.vstack([pad, l]), k + 1),
+                      windows(np.vstack([r, pad]), k + 1)])
 
 
 def _scatter_beta_grads(dbeta, lo, n, k):
-    """Inverse of _beta for the stacks of positions lo.. in dbeta:
-    slice-add each slot back onto the l and r rows it was copied from."""
-    m = len(dbeta)
-    slots = dbeta.reshape(m, 2 * (k + 1), -1)
-    dl_pad = np.zeros((n + k, slots.shape[2]))
-    dr_pad = np.zeros((n + k, slots.shape[2]))
-    for j in range(k + 1):
-        dl_pad[lo + j : lo + j + m] += slots[:, j]
-        dr_pad[lo + j : lo + j + m] += slots[:, k + 1 + j]
-    return dl_pad[k:], dr_pad[:n]
+    """Adjoint of _beta for the stacks of positions lo.. in dbeta: (dl, dr)."""
+    halves = dbeta.reshape(len(dbeta), 2, k + 1, -1)
+    return unwindow(halves[:, 0], lo, n + k)[k:], unwindow(halves[:, 1], lo, n + k)[:n]
 
 
 @dataclass

@@ -180,13 +180,10 @@ def build_vocab(sentences):
 
 
 def load_lexicon(path):
-    """One phrase per line, lowercased, deduplicated; the lexicon is
-    named after the file, without its extension."""
-    entries = set()
-    for _, raw in read_lines(path):
-        phrase = raw.strip()
-        if phrase:
-            entries.add(phrase.lower())
+    """One phrase per line, lowercased, each run of whitespace in it made
+    one space (as gazetteer_mask joins tokens), deduplicated; the lexicon
+    is named after the file, without its extension."""
+    entries = {" ".join(raw.split()).lower() for _, raw in read_lines(path)} - {""}
     return Lexicon(name=os.path.splitext(os.path.basename(path))[0], entries=entries)
 
 

@@ -1,9 +1,9 @@
 """Small dense-numerics layer shared by every model component.
 
 Vectors and matrices are plain float64 numpy arrays; the helpers here
-exist to pin down numerically safe nonlinearities and a
-platform-independent RNG so that every run of the toolkit is bit-for-bit
-reproducible from a seed.
+exist to pin down numerically safe nonlinearities, the window layout
+and a platform-independent RNG so that every run of the toolkit is
+bit-for-bit reproducible from a seed.
 """
 
 import numpy as np
@@ -97,6 +97,25 @@ def rowwise(C, M):
     the same bits in a batch of any size as it has alone.
     """
     return np.matmul(C[..., None, :], M.T)[..., 0, :]
+
+
+def windows(padded, width):
+    """Row i joins rows i..i + width - 1 of the C-contiguous 2-D padded, which lie
+    back to back: a read-only view with padded's strides, its rows overlapping."""
+    rows, cols = padded.shape
+    view = np.ndarray((rows - width + 1, width * cols), padded.dtype, padded, 0, padded.strides)
+    view.flags.writeable = False
+    return view
+
+
+def unwindow(slots, lo, rows):
+    """Adjoint of windows for its rows lo..lo + m - 1: slot k of row i of the
+    (m, width, cols) slots is added onto row i + k of a (rows, cols) zero
+    array, one shifted add per slot in slot order."""
+    out = np.zeros((rows, slots.shape[2]))
+    for k in range(slots.shape[1]):
+        out[lo + k : lo + k + len(slots)] += slots[:, k]
+    return out
 
 
 def softmax(x):

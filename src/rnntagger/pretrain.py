@@ -262,7 +262,8 @@ def read_corpus(path):
 def train_embeddings(corpus_path, objective, config):
     """Epoch loop over the corpus with linear lr decay down to
     initial * 1e-4.  Deterministic for a fixed seed.  An epoch whose
-    mean loss is not finite is a FloatingPointError naming it."""
+    mean loss is not finite is a FloatingPointError naming it; epochs
+    that together make no prediction are a ValueError."""
     sentences = read_corpus(corpus_path)
     counts = Counter(w for sent in sentences for w in sent)
     vocab = vocab_from_counts(counts, config.min_count)
@@ -285,6 +286,7 @@ def train_embeddings(corpus_path, objective, config):
     processed = 0
     t = config.subsample
     w = config.window
+    made = 0   # predictions over all epochs
 
     # the mean-loss check below and save_text's table check report every
     # non-finite value, so numpy's own warnings would only repeat them
@@ -321,6 +323,10 @@ def train_embeddings(corpus_path, objective, config):
             if not math.isfinite(mean_loss):
                 raise FloatingPointError("epoch %d: non-finite mean loss" % epoch)
             model.epoch_losses.append(mean_loss)
+            made += epoch_updates
+    if config.epochs and not made:
+        raise ValueError("%s: no epoch made a prediction: at --subsample %g no sentence"
+                         " kept two words (one for cconcat)" % (corpus_path, t))
     return model
 
 

@@ -263,24 +263,17 @@ def token_features(sentence, vocab, fconf, doc_state=None, facts=None):
 
 
 def window_inputs(table, indices, features, v_c):
-    """Window the w-vectors [embedding row, feature columns] into the
-    (n, (2 v_c + 1) (dim + F)) model inputs: x_i concatenates 2*v_c+1
-    consecutive w-vectors, and positions beyond the sentence contribute
-    zero blocks (PAD embedding, no feature fires)."""
+    """The (n, (2 v_c + 1) (dim + F)) model inputs: linalg.windows' read-only
+    view of the w-vectors [embedding row, feature columns] with v_c zero rows
+    on each side, so positions beyond the sentence contribute zero blocks
+    (PAD embedding, no feature fires)."""
     if v_c < 0:
         raise ValueError("v_c must be >= 0, got %d" % v_c)
     n, dim = len(indices), table.dim
-    block = dim + features.shape[1]
-    padded = np.zeros((n + 2 * v_c, block))
-    w = padded[v_c : v_c + n]   # row i is w_i, the rows either side stay zero
-    w[:, :dim] = table.matrix[indices]
-    w[:, dim:] = features
-    # slot k of row i is w_{i+k-v_c}: row i is the 2 v_c + 1 rows of padded
-    # from row i on, which lie back to back, so the reshape copies nothing
-    # and the inputs are a read-only view whose rows overlap.  Copying them
-    # out would make them 2 v_c + 1 times padded's size in memory.
-    windows = np.lib.stride_tricks.sliding_window_view(padded, 2 * v_c + 1, axis=0)
-    return windows.transpose(0, 2, 1).reshape(n, (2 * v_c + 1) * block)
+    padded = np.zeros((n + 2 * v_c, dim + features.shape[1]))
+    padded[v_c : v_c + n, :dim] = table.matrix[indices]   # row v_c + i is w_i
+    padded[v_c : v_c + n, dim:] = features
+    return linalg.windows(padded, 2 * v_c + 1)   # slot k of row i is w_{i+k-v_c}
 
 
 def encode_sentence(sentence, table, fconf, v_c, doc_state=None, facts=None):

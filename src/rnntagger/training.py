@@ -42,6 +42,7 @@ FD_NOISE = 1e-9
 
 @dataclass
 class TrainConfig:
+    """SGD settings.  No training code reads v_c or hidden: perfbench/workloads.py sets them."""
     learning_rate: float = 0.01
     epochs: int = 5
     v_d: int = 9
@@ -76,22 +77,16 @@ def nll_loss(o, y):
 
 def _embedding_grads(indices, dxs, v_c, dim):
     """Map the (n, I) input-vector gradients of a sentence with word
-    indices `indices` back onto embedding rows.
-
-    Slot k of position p's input is the w-vector of sentence position
-    p + k - v_c, whose first `dim` entries came from the embedding row:
-    one shifted add per slot undoes the windowing, then positions that
-    share a row add up in position order.  Returns (rows, grads): the
-    sentence's distinct rows, sorted, and their (len(rows), dim) sums.
-    """
+    indices `indices` back onto embedding rows: linalg.unwindow undoes
+    the windowing, a w-vector's first `dim` entries are its embedding
+    row's, and positions that share a row add up in position order.
+    Returns (rows, grads): the sentence's distinct rows, sorted, and
+    their (len(rows), dim) sums."""
     n = len(dxs)
-    slots = dxs.reshape(n, 2 * v_c + 1, dxs.shape[1] // (2 * v_c + 1))[:, :, :dim]
-    padded = np.zeros((n + 2 * v_c, dim))   # row q: sentence position q - v_c
-    for k in range(2 * v_c + 1):
-        padded[k : k + n] += slots[:, k]
+    padded = linalg.unwindow(dxs.reshape(n, 2 * v_c + 1, -1)[:, :, :dim], 0, n + 2 * v_c)
     rows, at = np.unique(indices, return_inverse=True)
     grads = np.zeros((len(rows), dim))
-    np.add.at(grads, at, padded[v_c : v_c + n])
+    np.add.at(grads, at, padded[v_c : v_c + n])   # row q of padded is position q - v_c
     return rows, grads
 
 

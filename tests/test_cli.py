@@ -451,6 +451,18 @@ def test_embed_missing_out_is_usage_error(tmp_path, capsys):
     assert "--out" in err
 
 
+def test_embed_that_makes_no_prediction_exits_2_without_writing_the_file(tmp_path, capsys):
+    # at the default --subsample and seed 2 none of these 35 words is kept
+    corpus = tmp_path / "tiny.txt"
+    corpus.write_text(" ".join("w" + c for c in "abcdefghijklmnopqrstuvwxyzABCDEFGHI") + "\n")
+    out = tmp_path / "vec.txt"
+    rc, _, err = run(["embed", str(corpus), "--dim", "4", "--seed", "2", "--out", str(out)],
+                     capsys)
+    assert rc == 2
+    assert "data error: %s: no epoch made a prediction: at --subsample 1e-05" % corpus in err
+    assert not out.exists()
+
+
 # ------------------------------------------------------------- training
 
 TRAIN_FLAGS = ["--arch", "basic", "--decoder", "elman", "--dim", "6",

@@ -21,6 +21,7 @@ from rnntagger.corpus import (
     vocab_from_counts,
     write_conll,
 )
+from rnntagger.representation import gazetteer_mask
 
 
 def write(tmp_path, name, text):
@@ -200,6 +201,15 @@ class TestLexicon:
         lex = load_lexicon(write(tmp_path, "o.txt", "New York City\nParis\n"))
         assert lex.max_len == 3
         assert "new york city" in lex.entries
+
+    def test_inner_whitespace_is_one_space(self, tmp_path):
+        lex = load_lexicon(write(tmp_path, "geo.txt",
+                                 "new  york\nlos\tangeles\n  Rio \t de   Janeiro \n \t \n"))
+        assert lex.entries == {"new york", "los angeles", "rio de janeiro"}
+        assert lex.max_len == 3
+        assert {"new", "los", "rio", "rio de"} <= lex.prefixes
+        words = "in new york and los angeles".split()
+        assert gazetteer_mask(words, lex).tolist() == [0, 1, 1, 0, 1, 1]
 
     def test_name_defaults_to_stem(self, tmp_path):
         lex = load_lexicon(write(tmp_path, "cities.txt", "Paris\n"))

@@ -475,12 +475,38 @@ def test_training_reproduces_recorded_run(objective, tmp_path):
 @pytest.mark.parametrize("objective", [CBOW, SKIPGRAM])
 def test_sentences_without_predictions_draw_no_negatives(objective, tmp_path):
     # one-word sentences have no context, so CBOW and skip-gram make no
-    # prediction and need no second sampleable word
+    # prediction and need no second sampleable word: the run ends in the
+    # refusal of a run without predictions, not in negative_sample's
     corpus = tmp_path / "c.txt"
     write_corpus(corpus, ["a"] * 3)
     cfg = EmbedConfig(dim=3, window=1, negatives=2, epochs=1, seed=1)
-    model = train_embeddings(str(corpus), objective, cfg)
-    assert model.epoch_losses == [0.0]
+    with pytest.raises(ValueError, match="no epoch made a prediction"):
+        train_embeddings(str(corpus), objective, cfg)
+
+
+@pytest.mark.parametrize("objective", [CBOW, SKIPGRAM, CCONCAT])
+def test_run_whose_epochs_make_no_prediction_names_the_corpus_and_subsample(
+        objective, tmp_path):
+    # at the default threshold and seed 2 subsampling keeps none of these
+    # 35 words, so the vectors would stay the initial ones
+    corpus = tmp_path / "tiny.txt"
+    write_corpus(corpus, [" ".join("w" + c for c in "abcdefghijklmnopqrstuvwxyzABCDEFGHI")])
+    cfg = EmbedConfig(dim=3, window=5, negatives=2, epochs=1, seed=2)
+    with pytest.raises(ValueError) as err:
+        train_embeddings(str(corpus), objective, cfg)
+    assert str(corpus) in str(err.value)
+    assert "--subsample 1e-05" in str(err.value)
+
+
+def test_an_epoch_without_predictions_is_kept_when_another_made_some(tmp_path):
+    # each word is kept with p about 0.59; at seed 8 only the last of the
+    # three epochs keeps both, and only the run as a whole is refused
+    corpus = tmp_path / "c.txt"
+    write_corpus(corpus, ["a b"])
+    cfg = EmbedConfig(dim=3, window=1, subsample=0.0858, negatives=2, epochs=3, seed=8)
+    losses = train_embeddings(str(corpus), CBOW, cfg).epoch_losses
+    assert losses[:2] == [0.0, 0.0]
+    assert losses[2] > 0.0
 
 
 @pytest.mark.parametrize("objective", [CBOW, SKIPGRAM, CCONCAT])
