@@ -41,11 +41,11 @@ def main():
     cfg = TrainConfig(learning_rate=0.06, epochs=args.epochs, v_d=9, v_c=v_c,
                       hidden=hidden, seed=args.seed)
 
-    gold = [tags_to_spans(s.tags(), BIO2) for s in sents]
+    gold = [tags_to_spans(s.tags()) for s in sents]
     t0 = time.time()
     for epoch in range(1, args.epochs + 1):
         stats = train_epoch(model, sents, cfg, rng=rng)
-        pred = [tags_to_spans(t, BIO2) for t in tag_corpus(model, sents)]
+        pred = [tags_to_spans(t) for t in tag_corpus(model, sents)]
         f1 = score(gold, pred).f1
         print("epoch %3d  loss %.4f  train F1 %6.2f" % (epoch, stats.mean_loss, f1))
         if f1 == 100.0:

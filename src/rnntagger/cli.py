@@ -25,7 +25,7 @@ from .pretrain import OBJECTIVES, EmbedConfig, save_text, train_embeddings
 from .representation import EmbeddingTable, FeatureConfig, load_embeddings
 from .serialize import load_model, save_model
 from .synth import future_dep_corpus, memorize_corpus
-from .tagging import BIO2, IOBES, detect_scheme, make_tagset, tags_to_spans
+from .tagging import detect_scheme, make_tagset, tags_to_spans
 from .training import TrainConfig, fit, gradient_check
 
 EXIT_OK = 0
@@ -40,7 +40,6 @@ PROFILES = {
 }
 
 CELL_NAMES = ("elman", "jordan", "elman_gru", "jordan_gru")
-SCHEME_NAMES = {"bio2": BIO2, "iobes": IOBES}
 
 
 class UsageError(Exception):
@@ -103,7 +102,6 @@ def build_parser():
     p.add_argument("--triggers")
     p.add_argument("--caps", type=_bool, default=False, metavar="BOOL")
     p.add_argument("--cache", type=_bool, default=False, metavar="BOOL")
-    p.add_argument("--scheme", choices=sorted(SCHEME_NAMES))
     p.add_argument("--profile", choices=sorted(PROFILES), default="ace")
     p.add_argument("--hidden", type=int)
     p.add_argument("--lr", dest="learning_rate", type=float)
@@ -131,7 +129,6 @@ def build_parser():
     p.add_argument("--config")
     p.add_argument("--gold")
     p.add_argument("--pred")
-    p.add_argument("--scheme", choices=sorted(SCHEME_NAMES))
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("gradcheck", help="finite-difference gradient audit")
@@ -320,13 +317,6 @@ def cmd_embed(args):
 
 # ---------------------------------------------------------------- train
 
-def _detect_or_named_scheme(name, sentences):
-    if name:
-        return SCHEME_NAMES[name]
-    tags = [t for s in sentences for t in s.tags()]
-    return detect_scheme(tags)
-
-
 def cmd_train(args):
     _require(args, "train_path", "out_model")
     if args.dim < 1:
@@ -349,9 +339,9 @@ def cmd_train(args):
         raise ValueError("no sentences in %s" % args.train_path)
     dev_sents = load_conll(args.dev_path) if args.dev_path else []
 
-    scheme = _detect_or_named_scheme(args.scheme, train_sents)
+    scheme = detect_scheme(t for s in train_sents for t in s.tags())
     types = sorted({sp.type for s in train_sents + dev_sents
-                    for sp in tags_to_spans(s.tags(), scheme)})
+                    for sp in tags_to_spans(s.tags())})
     if not types:
         raise ValueError("training data contains no mention spans")
     tagset = make_tagset(types, scheme)
@@ -425,9 +415,8 @@ def cmd_eval(args):
         if len(g) != len(p):
             raise ValueError("sentence %d: %d gold tokens vs %d predicted"
                              % (i + 1, len(g), len(p)))
-    scheme = _detect_or_named_scheme(args.scheme, gold)
-    report = score([tags_to_spans(s.tags(), scheme) for s in gold],
-                   [tags_to_spans(s.tags(), scheme) for s in pred])
+    report = score([tags_to_spans(s.tags()) for s in gold],
+                   [tags_to_spans(s.tags()) for s in pred])
     print(format_table(report))
     print()
     print(format_kv(report))

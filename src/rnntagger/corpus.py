@@ -85,11 +85,13 @@ class Vocabulary:
 
 @dataclass
 class Lexicon:
-    """A set of lowercased phrases, frozen when the lexicon is built so
-    that max_len, the word count of the longest phrase, and prefixes,
-    every phrase cut at each of its spaces and whole, are made once.  A
-    run of tokens joined by spaces can equal a phrase only if its first
-    token is one of the prefixes, whatever spaces the tokens hold."""
+    """A set of phrases, frozen when the lexicon is built: each phrase is
+    lowercased with every run of whitespace in it made one space (as
+    gazetteer_mask joins tokens), an empty one is dropped, and max_len,
+    the word count of the longest phrase, and prefixes, every phrase cut
+    at each of its spaces and whole, are made once.  A run of tokens
+    joined by spaces can equal a phrase only if its first token is one
+    of the prefixes, whatever spaces the tokens hold."""
 
     name: str
     entries: frozenset
@@ -97,7 +99,7 @@ class Lexicon:
     prefixes: frozenset = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        self.entries = frozenset(self.entries)
+        self.entries = frozenset(" ".join(e.split()).lower() for e in self.entries) - {""}
         self.max_len = max((len(e.split()) for e in self.entries), default=0)
         self.prefixes = frozenset(" ".join(parts[:k]) for parts in
                                   (e.split(" ") for e in self.entries)
@@ -180,11 +182,10 @@ def build_vocab(sentences):
 
 
 def load_lexicon(path):
-    """One phrase per line, lowercased, each run of whitespace in it made
-    one space (as gazetteer_mask joins tokens), deduplicated; the lexicon
-    is named after the file, without its extension."""
-    entries = {" ".join(raw.split()).lower() for _, raw in read_lines(path)} - {""}
-    return Lexicon(name=os.path.splitext(os.path.basename(path))[0], entries=entries)
+    """One phrase per line, in the form Lexicon gives it; the lexicon is
+    named after the file, without its extension."""
+    return Lexicon(name=os.path.splitext(os.path.basename(path))[0],
+                   entries=[raw for _, raw in read_lines(path)])
 
 
 def documents(sentences):

@@ -14,7 +14,9 @@ from .representation import DocCache, encode_sentence
 class Model:
     """A trained tagger.  Its parts must agree on its shape, whoever
     builds it: a ValueError names the key (v_c, spec.n_in, spec.n_tags
-    or features.cache_tagset) that does not."""
+    or features.cache_tagset) that does not.  No code reads scheme: it is
+    kept for the model file's scheme key, and detect_scheme(tagset)
+    gives it."""
 
     spec: architectures.ModelSpec
     params: dict

@@ -24,7 +24,7 @@ import numpy as np
 from . import linalg
 from .architectures import ModelSpec, bundle_shapes
 from .cells import CELLS, SoftmaxOutput
-from .corpus import Lexicon, Vocabulary
+from .corpus import PAD, UNK, Lexicon, Vocabulary
 from .model import Model
 from .representation import EmbeddingTable, FeatureConfig
 
@@ -157,6 +157,11 @@ def _params_from_obj(raw, spec):
     return params
 
 
+def _distinct_strings(value):
+    return (isinstance(value, list) and all(isinstance(v, str) for v in value)
+            and len(set(value)) == len(value))
+
+
 def model_from_obj(obj):
     """The model a parsed file holds; any defect is a ValueError that
     names the key."""
@@ -186,7 +191,11 @@ def _model_from_obj(obj):
             raise ValueError("unknown key %s%s" % (prefix, unknown[0]))
     fixed = {(section, key) for section, key, _ in FIXED_KEYS}
     spec = ModelSpec(**{k: v for k, v in obj["spec"].items() if ("spec", k) not in fixed})
-    vocab = Vocabulary(index_to_word=list(obj["vocab"]["words"]))
+    words = obj["vocab"]["words"]
+    if not (_distinct_strings(words) and words[:2] == [PAD, UNK]):
+        raise ValueError("vocab.words must be a list of distinct strings that begins %r, %r"
+                         % (PAD, UNK))
+    vocab = Vocabulary(index_to_word=list(words))
     emb = obj["embedding"]
     matrix = _array(emb["matrix"], "embedding.matrix", (len(vocab), emb["dim"]))
     table = EmbeddingTable(vocab, emb["dim"], matrix, trainable=emb["trainable"])
@@ -194,13 +203,12 @@ def _model_from_obj(obj):
     trigger = f["trigger"]
     fconf = FeatureConfig(
         capitalization=f["capitalization"],
-        gazetteers=[Lexicon(g["name"], set(g["entries"])) for g in f["gazetteers"]],
-        trigger=Lexicon(trigger["name"], set(trigger["entries"])) if trigger else None,
+        gazetteers=[Lexicon(g["name"], g["entries"]) for g in f["gazetteers"]],
+        trigger=Lexicon(trigger["name"], trigger["entries"]) if trigger else None,
         cache_tagset=list(f["cache_tagset"]) if f["cache_tagset"] else None,
     )
     tagset = obj["tagset"]
-    if not (isinstance(tagset, list) and all(isinstance(t, str) for t in tagset)
-            and len(set(tagset)) == len(tagset)):
+    if not _distinct_strings(tagset):
         raise ValueError("tagset must be a list of distinct tag strings")
     return Model(spec=spec, params=_params_from_obj(obj["params"], spec), table=table,
                  fconf=fconf, tagset=tagset, scheme=obj["scheme"], v_c=obj["v_c"])

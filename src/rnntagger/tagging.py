@@ -93,15 +93,14 @@ def _chunk_start(prev_prefix, prev_type, prefix, type_):
     return prev_type != type_
 
 
-def tags_to_spans(tags, scheme):
-    """Decode tags to spans, repairing grammar violations.
+def tags_to_spans(tags):
+    """Decode BIO2 or IOBES tags to spans, repairing grammar violations.
 
-    A continuation tag with no compatible open chunk starts one; a chunk
-    stays open until a boundary (type change, O, a fresh B/S, or a
-    closing E/S). Unknown tag strings are the only error.
+    One rule reads both schemes: a continuation tag with no compatible
+    open chunk starts one; a chunk stays open until a boundary (type
+    change, O, a fresh B/S, or a closing E/S). Unknown tag strings are
+    the only error.
     """
-    if scheme not in SCHEMES:
-        raise ValueError("unknown scheme: %r" % scheme)
     spans = []
     open_start = None
     open_type = None

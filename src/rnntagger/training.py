@@ -248,7 +248,7 @@ class FitResult:
 
 def _dev_f1(model, dev_sentences, gold_spans):
     pred = tag_corpus(model, dev_sentences)
-    pred_spans = [tags_to_spans(tags, model.scheme) for tags in pred]
+    pred_spans = [tags_to_spans(tags) for tags in pred]
     return score(gold_spans, pred_spans)
 
 
@@ -263,7 +263,7 @@ def fit(model, train_sentences, dev_sentences, cfg):
     for s in dev_sentences:
         if any(t is None for t in s.tags()):
             raise ValueError("dev sentence has untagged tokens")
-    gold_spans = [tags_to_spans(s.tags(), model.scheme) for s in dev_sentences]
+    gold_spans = [tags_to_spans(s.tags()) for s in dev_sentences]
     history = []
     best_f1 = -1.0
     best_epoch = cfg.epochs

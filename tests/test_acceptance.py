@@ -90,11 +90,11 @@ def test_bidirectional_memorizes_synthetic_corpus():
                               hidden=16, v_c=1, seed=1)
     cfg = TrainConfig(learning_rate=0.06, epochs=50, v_d=9, v_c=1,
                       hidden=16, seed=1)
-    gold = [tags_to_spans(s.tags(), BIO2) for s in sents]
+    gold = [tags_to_spans(s.tags()) for s in sents]
     f1 = 0.0
     for epoch in range(1, 51):
         train_epoch(model, sents, cfg, rng=rng)
-        pred = [tags_to_spans(t, BIO2) for t in tag_corpus(model, sents)]
+        pred = [tags_to_spans(t) for t in tag_corpus(model, sents)]
         f1 = score(gold, pred).f1
         if f1 == 100.0:
             break
@@ -214,7 +214,7 @@ def test_span_roundtrip_and_scoring_oracle():
             n = 1 + rng.randint(12)
             spans = random_span_set(rng, n)
             tags = spans_to_tags(spans, n, scheme)
-            assert tags_to_spans(tags, scheme) == spans
+            assert tags_to_spans(tags) == spans
 
     for _ in range(20):
         n = 2 + rng.randint(10)

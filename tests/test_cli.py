@@ -14,6 +14,7 @@ from rnntagger.corpus import Sentence, load_conll, vocab_from_counts, write_conl
 from rnntagger.representation import load_embeddings
 from rnntagger.serialize import load_model
 from rnntagger.synth import memorize_corpus
+from rnntagger.tagging import IOBES, make_tagset, spans_to_tags, tags_to_spans
 from rnntagger.training import GradCheckReport
 
 DATA_DIR = Path(__file__).parent / "data"
@@ -137,10 +138,30 @@ def null_trigger_entry(obj):
     obj["features"]["trigger"] = {"name": "t", "entries": [None]}
 
 
+def repeated_vocab_word(obj):
+    words = obj["vocab"]["words"]
+    words[3] = words[2]         # words[3]'s row is no longer reached
+
+
+def word_on_the_pad_row(obj):
+    words = obj["vocab"]["words"]
+    words[0], words[2] = words[2], words[0]
+
+
+def unk_missing(obj):
+    del obj["vocab"]["words"][1]
+
+
+VOCAB_FORM = "vocab.words must be a list of distinct strings that begins '<pad>', '<unk>'"
+
+
 @pytest.mark.parametrize("mutate,problem", [
     (huge_int_in_matrix, "embedding.matrix is not a numeric array"),
     (list_in_tagset, "tagset must be a list of distinct tag strings"),
     (null_trigger_entry, "malformed model: "),
+    (repeated_vocab_word, VOCAB_FORM),
+    (word_on_the_pad_row, VOCAB_FORM),
+    (unk_missing, VOCAB_FORM),
 ])
 def test_model_file_value_of_the_wrong_type_is_data_error(tmp_path, capsys, mutate, problem):
     obj = json.loads((DATA_DIR / "compat" / "bidirectional_gru.json").read_text())
@@ -279,6 +300,7 @@ def test_config_respects_choices(tmp_path, capsys):
     ("sneed=9", "config key 'sneed' is unknown"),
     ("arch=wide", "config key 'arch': 'wide' is not one of"),
     ("clip=true", "config key 'clip' is unknown"),
+    ("scheme=iobes", "config key 'scheme' is unknown"),
 ])
 def test_config_errors_name_file_and_line(tmp_path, capsys, line, problem):
     cfg = tmp_path / "train.cfg"
@@ -287,6 +309,20 @@ def test_config_errors_name_file_and_line(tmp_path, capsys, line, problem):
                         str(tmp_path / "m.json")], capsys)
     assert rc == 1
     assert "usage error: %s:4: %s" % (cfg, problem) in err
+
+
+@pytest.mark.parametrize("command", ["train", "eval"])
+def test_scheme_flag_is_usage_error(tmp_path, capsys, command):
+    # train reads the scheme from its tags and eval reads spans by one
+    # rule, so neither takes a scheme
+    gold = write_gold(tmp_path / "g.conll")
+    out = tmp_path / "m.json"
+    argv = {"train": ["train", "--train", gold, "--out-model", str(out)],
+            "eval": ["eval", "--gold", gold, "--pred", gold]}[command]
+    rc, _, err = run(argv + ["--scheme", "bio2"], capsys)
+    assert rc == 1
+    assert "unrecognized arguments: --scheme bio2" in err
+    assert not out.exists()
 
 
 def test_effective_config_is_echoed_sorted(tmp_path, capsys):
@@ -492,6 +528,21 @@ def test_train_tag_eval_round_trip(tmp_path, capsys):
     rc, out, _ = run(["eval", "--gold", gold, "--pred", str(pred)], capsys)
     assert rc == 0
     assert "f1=" in out
+
+
+def test_train_on_iobes_tags_writes_an_iobes_tagset(tmp_path, capsys):
+    sents = memorize_corpus(size=8, seed=1)
+    for s in sents:
+        for tok, tag in zip(s.tokens, spans_to_tags(tags_to_spans(s.tags()), len(s), IOBES)):
+            tok.gold_tag = tag
+    gold, out = tmp_path / "g.conll", tmp_path / "m.json"
+    write_conll(sents, str(gold))
+    assert run(["train", "--train", str(gold), "--dim", "3", "--hidden", "3", "--vc", "0",
+                "--epochs", "1", "--out-model", str(out)], capsys)[0] == 0
+    obj = json.loads(out.read_text())
+    types = {sp.type for s in sents for sp in tags_to_spans(s.tags())}
+    assert obj["scheme"] == IOBES
+    assert obj["tagset"] == make_tagset(types, IOBES)
 
 
 def test_train_same_seed_same_model_bytes(tmp_path, capsys):

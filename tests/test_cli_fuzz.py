@@ -140,12 +140,12 @@ def test_mutated_input_file_ends_in_an_exit_code(valid, data):
 COMMANDS = {
     "train": ["train", "--train", "{conll}", "--out-model", "{out}", "--dim", "2",
               "--arch", "bidirectional", "--encoder", "jordan", "--decoder", "elman_gru",
-              "--mesnil-k", "1", "--caps", "true", "--cache", "true", "--scheme", "bio2",
+              "--mesnil-k", "1", "--caps", "true", "--cache", "true",
               "--profile", "conll", "--lr", "0.1", "--seed", "2", "--shuffle", "true",
               "--fine-tune-embeddings", "true", "--dev-eval-every", "1",
               "--clip-threshold", "1.0", "--dev", "{conll}"] + SIZES,
     "tag": ["tag", "--model", "{model}", "--input", "{conll}", "--out", "{out}"],
-    "eval": ["eval", "--gold", "{conll}", "--pred", "{conll}", "--scheme", "iobes"],
+    "eval": ["eval", "--gold", "{conll}", "--pred", "{conll}"],
     "embed": ["embed", "{conll}", "--objective", "skipgram", "--dim", "2", "--window", "1",
               "--negatives", "1", "--subsample", "0.5", "--epochs", "1", "--lr", "0.1",
               "--min-count", "1", "--seed", "1", "--out", "{out}"],

@@ -10,6 +10,7 @@ from rnntagger import corpus
 from rnntagger.corpus import (
     PAD_INDEX,
     UNK_INDEX,
+    Lexicon,
     Sentence,
     Token,
     Vocabulary,
@@ -210,6 +211,14 @@ class TestLexicon:
         assert {"new", "los", "rio", "rio de"} <= lex.prefixes
         words = "in new york and los angeles".split()
         assert gazetteer_mask(words, lex).tolist() == [0, 1, 1, 0, 1, 1]
+
+    @pytest.mark.parametrize("entry", ["new  york", "New York", "new\tyork", " new york\n"])
+    def test_built_entries_follow_the_file_rule(self, entry):
+        # a lexicon built from a model file's entries reads them as a
+        # lexicon file's lines are read
+        lex = Lexicon("g", {entry, " \t "})
+        assert lex.entries == {"new york"}
+        assert gazetteer_mask("in new york".split(), lex).tolist() == [0, 1, 1]
 
     def test_name_defaults_to_stem(self, tmp_path):
         lex = load_lexicon(write(tmp_path, "cities.txt", "Paris\n"))

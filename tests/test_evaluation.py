@@ -121,6 +121,15 @@ def test_counts_match_brute_force_set_intersection(gold, pred):
     assert r.n_correct == want
     assert r.n_gold == sum(len(g) for g in gold)
     assert r.n_pred == sum(len(p) for p in pred)
+    types = {sp.type for spans_ in gold + pred for sp in spans_}
+    assert sorted(r.per_type) == sorted(types)
+    for typ, s in r.per_type.items():
+        gs = [{sp for sp in g if sp.type == typ} for g in gold]
+        ps = [{sp for sp in p if sp.type == typ} for p in pred]
+        assert (s.n_gold, s.n_pred, s.n_correct) == (
+            sum(map(len, gs)), sum(map(len, ps)), sum(len(g & p) for g, p in zip(gs, ps)))
+    for field in ("n_gold", "n_pred", "n_correct"):
+        assert getattr(r, field) == sum(getattr(s, field) for s in r.per_type.values())
 
 
 @settings(max_examples=40, deadline=None)
@@ -160,6 +169,49 @@ def test_format_kv_is_full_precision():
     assert float(kv["f1"]) == r.f1
     assert int(kv["n_correct"]) == 2
     assert float(kv["type.ORG.precision"]) == r.per_type["ORG"].precision
+
+
+# the two texts of the example above, as the scorer wrote them when it
+# kept the overall and the per-type counts apart
+PINNED_TABLE = """\
+type        P        R       F1    gold    pred    corr
+ALL    66.67    50.00    57.14       4       3       2
+LOC     0.00     0.00     0.00       1       0       0
+ORG   100.00   100.00   100.00       1       1       1
+PER    50.00    50.00    50.00       2       2       1"""
+PINNED_KV = """\
+n_gold=4
+n_pred=3
+n_correct=2
+precision=66.66666666666667
+recall=50.0
+f1=57.142857142857146
+type.LOC.n_gold=1
+type.LOC.n_pred=0
+type.LOC.n_correct=0
+type.LOC.precision=0.0
+type.LOC.recall=0.0
+type.LOC.f1=0.0
+type.ORG.n_gold=1
+type.ORG.n_pred=1
+type.ORG.n_correct=1
+type.ORG.precision=100.0
+type.ORG.recall=100.0
+type.ORG.f1=100.0
+type.PER.n_gold=2
+type.PER.n_pred=2
+type.PER.n_correct=1
+type.PER.precision=50.0
+type.PER.recall=50.0
+type.PER.f1=50.0"""
+
+
+def test_format_table_and_kv_keep_their_text():
+    gold = [spans((0, 0, "PER"), (2, 3, "ORG"), (5, 5, "PER"), (7, 8, "LOC"))]
+    pred = [spans((0, 0, "PER"), (2, 3, "ORG"), (9, 9, "PER"))]
+    r = score(gold, pred)
+    assert format_table(r) == PINNED_TABLE
+    assert format_kv(r) == PINNED_KV
 
 
 def test_report_fields_are_percentages():

@@ -200,6 +200,17 @@ def test_fixed_keys_hold_their_one_value(section, key, value):
         model_from_obj(obj)
 
 
+def test_model_file_lexicon_entries_follow_the_lexicon_file_rule():
+    obj = json.loads((COMPAT_DIR / "contextual_elman_jordan.json").read_text())
+    obj["features"]["gazetteers"][0]["entries"] = ["Acme  Corp", "globex", " "]
+    obj["features"]["trigger"]["entries"] = ["dr.", "Mr.\t"]
+    model = model_from_obj(obj)
+    assert model.fconf.gazetteers[0].entries == {"acme corp", "globex"}
+    assert model.fconf.trigger.entries == {"dr.", "mr."}
+    expected = json.loads((DATA_DIR / "compat_tags.json").read_text())
+    assert tag_corpus(model, COMPAT_INPUT) == expected["contextual_elman_jordan.json"]
+
+
 def test_missing_key_is_named():
     obj = model_obj()
     del obj["vocab"]

@@ -34,14 +34,14 @@ def test_memorize_is_deterministic():
 def test_memorize_tags_are_wellformed_bio2():
     for s in memorize_corpus(size=50, seed=1):
         tags = s.tags()
-        spans = tags_to_spans(tags, BIO2)
+        spans = tags_to_spans(tags)
         assert spans_to_tags(spans, len(tags), BIO2) == tags
 
 
 def test_memorize_has_three_types():
     types = {sp.type
              for s in memorize_corpus(size=50, seed=1)
-             for sp in tags_to_spans(s.tags(), BIO2)}
+             for sp in tags_to_spans(s.tags())}
     assert types == {"LOC", "ORG", "PER"}
 
 

@@ -96,28 +96,28 @@ class TestSpansToTags:
 
 class TestTagsToSpans:
     def test_valid_bio2(self):
-        spans = tags_to_spans(["B-PER", "I-PER", "O", "B-ORG"], BIO2)
+        spans = tags_to_spans(["B-PER", "I-PER", "O", "B-ORG"])
         assert spans == [Span(0, 1, "PER"), Span(3, 3, "ORG")]
 
     def test_orphan_continuation_opens_span(self):
-        assert tags_to_spans(["O", "I-PER"], BIO2) == [Span(1, 1, "PER")]
+        assert tags_to_spans(["O", "I-PER"]) == [Span(1, 1, "PER")]
 
     def test_type_change_splits(self):
-        spans = tags_to_spans(["B-PER", "I-ORG"], BIO2)
+        spans = tags_to_spans(["B-PER", "I-ORG"])
         assert spans == [Span(0, 0, "PER"), Span(1, 1, "ORG")]
 
     def test_unterminated_iobes(self):
-        assert tags_to_spans(["B-PER", "I-PER"], IOBES) == [Span(0, 1, "PER")]
+        assert tags_to_spans(["B-PER", "I-PER"]) == [Span(0, 1, "PER")]
 
     def test_orphan_e_tag(self):
-        assert tags_to_spans(["O", "E-LOC", "O"], IOBES) == [Span(1, 1, "LOC")]
+        assert tags_to_spans(["O", "E-LOC", "O"]) == [Span(1, 1, "LOC")]
 
     def test_unknown_tag_errors(self):
         with pytest.raises(ValueError, match="unknown tag"):
-            tags_to_spans(["B-PER", "Q-PER"], BIO2)
+            tags_to_spans(["B-PER", "Q-PER"])
 
     def test_empty(self):
-        assert tags_to_spans([], BIO2) == []
+        assert tags_to_spans([]) == []
 
 
 def spans_strategy(n, types=TYPES):
@@ -142,42 +142,41 @@ def spans_strategy(n, types=TYPES):
 @given(st.integers(1, 12).flatmap(lambda n: st.tuples(st.just(n), spans_strategy(n))))
 def test_round_trip_identity_bio2(case):
     n, spans = case
-    assert tags_to_spans(spans_to_tags(spans, n, BIO2), BIO2) == spans
+    assert tags_to_spans(spans_to_tags(spans, n, BIO2)) == spans
 
 
 @settings(max_examples=200)
 @given(st.integers(1, 12).flatmap(lambda n: st.tuples(st.just(n), spans_strategy(n))))
 def test_round_trip_identity_iobes(case):
     n, spans = case
-    assert tags_to_spans(spans_to_tags(spans, n, IOBES), IOBES) == spans
+    assert tags_to_spans(spans_to_tags(spans, n, IOBES)) == spans
 
 
 @settings(max_examples=300)
 @given(st.lists(st.sampled_from(make_tagset(TYPES, IOBES)), min_size=0, max_size=15))
 def test_total_and_matches_conlleval_oracle(tags):
     # never raises on grammar violations, and agrees with the reference
-    assert tags_to_spans(tags, IOBES) == oracle_spans(tags)
-    assert tags_to_spans(tags, BIO2) == oracle_spans(tags)
+    assert tags_to_spans(tags) == oracle_spans(tags)
 
 
 class TestConvertScheme:
     # converting is decoding under one scheme and encoding under another
     def test_bio2_to_iobes(self):
-        spans = tags_to_spans(["B-PER", "I-PER"], BIO2)
+        spans = tags_to_spans(["B-PER", "I-PER"])
         assert spans_to_tags(spans, 2, IOBES) == ["B-PER", "E-PER"]
 
     def test_singleton_to_bio2(self):
-        assert spans_to_tags(tags_to_spans(["S-LOC"], IOBES), 1, BIO2) == ["B-LOC"]
+        assert spans_to_tags(tags_to_spans(["S-LOC"]), 1, BIO2) == ["B-LOC"]
 
     def test_all_o_fixed_point(self):
-        spans = tags_to_spans(["O", "O", "O"], BIO2)
+        spans = tags_to_spans(["O", "O", "O"])
         assert spans_to_tags(spans, 3, IOBES) == ["O", "O", "O"]
 
     @settings(max_examples=100)
     @given(st.lists(st.sampled_from(make_tagset(TYPES, BIO2)), min_size=1, max_size=10))
     def test_idempotent_same_scheme(self, tags):
-        once = spans_to_tags(tags_to_spans(tags, BIO2), len(tags), BIO2)
-        assert spans_to_tags(tags_to_spans(once, BIO2), len(once), BIO2) == once
+        once = spans_to_tags(tags_to_spans(tags), len(tags), BIO2)
+        assert spans_to_tags(tags_to_spans(once), len(once), BIO2) == once
 
 
 class TestTagSet:
