@@ -11,6 +11,7 @@ import tempfile
 
 import numpy as np
 
+from rnntagger.cli import one_blas_thread
 from rnntagger.pretrain import CBOW, CCONCAT, SKIPGRAM, EmbedConfig, train_embeddings
 
 
@@ -18,6 +19,7 @@ def cos(u, v):
     return float(u @ v / (np.linalg.norm(u) * np.linalg.norm(v)))
 
 
+@one_blas_thread()
 def main():
     lines = []
     for w in ("a", "b", "c"):

@@ -10,6 +10,7 @@ import sys
 import time
 
 from rnntagger.architectures import ModelSpec, init_model
+from rnntagger.cli import one_blas_thread
 from rnntagger.corpus import build_vocab
 from rnntagger.evaluation import score
 from rnntagger.linalg import SeededRng
@@ -20,6 +21,7 @@ from rnntagger.tagging import BIO2, make_tagset, tags_to_spans
 from rnntagger.training import TrainConfig, train_epoch
 
 
+@one_blas_thread()
 def main():
     ap = argparse.ArgumentParser()
     ap.add_argument("--size", type=int, default=50)

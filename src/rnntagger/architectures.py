@@ -32,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cells import SoftmaxOutput, cell_for, init_params, zero_grads
+from .cells import SoftmaxOutput, cell_for, init_params, put_grad
 from .linalg import is_int, unwindow, windows
 
 BASIC = "basic"
@@ -134,10 +134,6 @@ def init_model(spec, rng):
             for name, shapes in sorted(bundle_shapes(spec).items())}
 
 
-def zero_model_grads(params):
-    return {name: zero_grads(bundle) for name, bundle in params.items()}
-
-
 @dataclass
 class ChainRun:
     xs: np.ndarray       # (m, I) inputs
@@ -153,8 +149,8 @@ class ChainRun:
 
     @property
     def carries(self):
-        """The carry each position read: zero, then the previous state."""
-        return np.vstack([np.zeros((1, self.states.shape[1])), self.states[:-1]])
+        """The carry each stepped position read: zero, then the previous state."""
+        return np.vstack([np.zeros((1, self.states.shape[1])), self.states[: self.steps - 1]])
 
 
 def run_chain(cell, params, out_params, xss, extras=None, steps=None):
@@ -167,9 +163,11 @@ def run_chain(cell, params, out_params, xss, extras=None, steps=None):
     step (default: all of them); a chain's rows past that count stay
     zero.  The chains are sorted by it, most first, so step i runs the
     first a_i rows, the chains still stepping; no padded position is
-    computed.  Projections, and an Elman-family output layer, are
-    products per chain at its full height, and each row of a step has
-    the bits it has in a batch of one.
+    computed.  A product with a row per position (the projections, an
+    Elman-family output layer) runs per chain at its full height, since
+    BLAS rounds a row by the height of its matrix, and each row of a
+    step has the bits it has in a batch of one.  chain_backward's
+    parameter gradients, sums over positions, read the stepped rows only.
     """
     if cell.carries_output and out_params is None:
         raise ValueError("%s chain needs an output layer to carry o_prev" % cell.kind)
@@ -193,8 +191,9 @@ def run_chain(cell, params, out_params, xss, extras=None, steps=None):
     mid = np.empty((height, cell.n_mid, len(projs), hidden))
     dists = np.empty((height, len(projs), width)) if cell.carries_output else None
     for j, (p, c) in enumerate(zip(projs, counts)):
-        # full-height products read the rows not stepped: zero, not
-        # uninitialised memory, whose NaNs would survive a times zero
+        # the context stacks and the full-height products read the rows
+        # not stepped: zero, not uninitialised memory, whose NaNs would
+        # survive a times zero
         mid[c : len(p), :, j] = 0.0
         if dists is not None:
             dists[c : len(p), j] = 0.0
@@ -241,7 +240,12 @@ def chain_backward(cell, params, out_params, run, acc, acc_out,
     elif dlogits is not None:
         dh_out = SoftmaxOutput.backward_from_logits(
             out_params, run.hidden, dlogits, acc_out)
-    # the gradient products stay at full height m, which sets their bits
+    # dpre is zero past run.steps.  dX = dPre @ U has a row per position:
+    # it stays at full height m, so each row has the bits a whole-sentence
+    # backward gives it.  The parameter gradients, and the Jordan output
+    # layer's below, are sums over positions: they read the stepped rows
+    # only, the same terms less the zero ones, which BLAS may round
+    # differently in the last bits
     dpre = np.zeros((m, cell.n_dpre, hidden))
     dcarry = np.zeros(run.states.shape[1])
     for i in reversed(range(run.steps)):
@@ -253,7 +257,8 @@ def chain_backward(cell, params, out_params, run, acc, acc_out,
             dh = dstate if dlogits is None else dstate + dh_out[i]
         dcarry, dpre[i] = cell.backward(params, run.mid[i], dh)
     if cell.carries_output:
-        SoftmaxOutput.backward_from_logits(out_params, run.hidden, dlogits, acc_out)
+        k = run.steps
+        SoftmaxOutput.backward_from_logits(out_params, run.hidden[:k], dlogits[:k], acc_out)
     dxs, dextra = cell.grads(params, run, dpre, acc)
     return dxs, dextra.sum(axis=0) if run.has_extra else None
 
@@ -370,8 +375,8 @@ def decode_window(spec, params, enc, lo, hi):
 def backward_window(spec, params, enc, dec, dlogits, acc):
     """Backprop a decoded window given its (window length, O) logit grads.
 
-    Accumulates parameter gradients into acc and returns the (n, I)
-    input gradients, zero rows where no gradient reached.
+    Writes each parameter gradient into acc with put_grad and returns
+    the (n, I) input gradients, zero rows where no gradient reached.
     """
     window = slice(dec.lo, dec.hi + 1)
     if spec.arch == MESNIL:
@@ -387,7 +392,7 @@ def backward_window(spec, params, enc, dec, dlogits, acc):
         dxs[window] += d_dec
         if spec.arch == CONTEXTUAL:
             # every decoder step received S @ c_n, so dextra sums them all
-            acc["context"]["S"] += np.outer(dextra, enc.c_n)
+            put_grad(acc["context"], "S", np.outer(dextra, enc.c_n))
             dstates = np.zeros_like(enc.enc_fwd.states)
             dstates[-1] = params["context"]["S"].T @ dextra
             dxs += _encoder_backward(spec, params, "encoder_fwd", enc.enc_fwd, dstates, acc)

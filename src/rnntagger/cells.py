@@ -22,9 +22,11 @@ part of the recurrence that needs the carry:
                position's pre-activation gradients, row i of an
                (m, n_dpre, H) array;
 * grads     -- after the loop: every parameter gradient as one
-               dPreᵀ @ X or dPreᵀ @ Carry product; returns dX = dPre @ U
-               and the gradients of the pre-activation an additive
-               extra term enters.
+               dPreᵀ @ X or dPreᵀ @ Carry product over the rows the
+               chain stepped, written into the gradient set with
+               put_grad; returns dX = dPre @ U at full height and the
+               gradients of the pre-activation an additive extra term
+               enters.
 
 Faithful to the update rules as given: no cell or output layer has a
 bias term, and the GRU candidate activation is the logistic sigmoid.
@@ -40,6 +42,16 @@ JORDAN = "JORDAN"
 ELMAN_GRU = "ELMAN_GRU"
 JORDAN_GRU = "JORDAN_GRU"
 SOFTMAX = "SOFTMAX"
+
+
+def put_grad(acc, name, g):
+    """Make the fresh product g the gradient block acc[name], or add it
+    to the block an earlier window of the same objective wrote there: an
+    SGD step writes each block once, a sum over several windows adds."""
+    if name in acc:
+        acc[name] += g
+    else:
+        acc[name] = g
 
 
 def _cell_class(name, kind, carries_output, doc, n_mid, n_dpre,
@@ -80,9 +92,9 @@ def _plain_cell(name, kind, carries_output, doc):
         return p["V"].T @ dpre, (dpre,)
 
     def grads(p, run, dpre, acc):
-        dpre = dpre[:, 0]
-        acc["U"] += dpre.T @ run.xs
-        acc["V"] += dpre.T @ run.carries
+        dpre, k = dpre[:, 0], run.steps
+        put_grad(acc, "U", dpre[:k].T @ run.xs[:k])
+        put_grad(acc, "V", dpre[:k].T @ run.carries)
         return dpre @ p["U"], dpre
 
     return _cell_class(name, kind, carries_output, doc, 1, 1,
@@ -138,15 +150,16 @@ def _gated_cell(name, kind, carries_output, doc):
         return dt, (dpre_c, dpre_z, dpre_r)
 
     def grads(p, run, dpre, acc):
-        t, rt = run.mid[:, 0], run.mid[:, 3]
+        k = run.steps
+        t, rt = run.mid[:k, 0], run.mid[:k, 3]
         dX = 0.0
         for j, ((w, u), rec) in enumerate(zip(parts, (rt, t, t))):
-            d = dpre[:, j]
-            acc[w] += d.T @ run.xs
-            acc[u] += d.T @ rec
-            dX = dX + d @ p[w]
+            d = dpre[:k, j]
+            put_grad(acc, w, d.T @ run.xs[:k])
+            put_grad(acc, u, d.T @ rec)
+            dX = dX + dpre[:, j] @ p[w]
         if carries_output:
-            acc["T"] += dpre[:, 3].T @ run.carries
+            put_grad(acc, "T", dpre[:k, 3].T @ run.carries)
         return dX, dpre[:, 0]
 
     return _cell_class(name, kind, carries_output, doc, 6, 4 if carries_output else 3,
@@ -204,9 +217,9 @@ class SoftmaxOutput:
     @staticmethod
     def backward_from_logits(p, H, dlogits, acc):
         """Given d(loss)/d(logits) of every row of H (softmax + nll
-        collapses to o - onehot(y)), accumulate the layer's gradients
+        collapses to o - onehot(y)), write the layer's gradient into acc
         and return d(loss)/dH."""
-        acc["W"] += dlogits.T @ H
+        put_grad(acc, "W", dlogits.T @ H)
         return dlogits @ p["W"]
 
 
@@ -225,7 +238,3 @@ def init_params(shapes, rng):
     return {name: linalg.uniform_init(rng, shapes[name],
                                       linalg.glorot_radius(shapes[name][1], shapes[name][0]))
             for name in sorted(shapes)}
-
-
-def zero_grads(params):
-    return {k: np.zeros_like(v) for k, v in params.items()}

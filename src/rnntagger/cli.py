@@ -248,7 +248,7 @@ def _openblas_thread_fns():
 
 
 @contextlib.contextmanager
-def _one_blas_thread():
+def one_blas_thread():
     """Run BLAS on one thread, restoring the previous count on exit: a
     product split across threads rounds differently, and seeded runs
     must write the same bytes whatever the machine's thread count.
@@ -266,7 +266,7 @@ def _one_blas_thread():
         put(previous)
 
 
-@_one_blas_thread()
+@one_blas_thread()
 def main(argv=None):
     argv = list(sys.argv[1:]) if argv is None else list(argv)
     top, sub = build_parser()

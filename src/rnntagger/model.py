@@ -15,8 +15,8 @@ class Model:
     """A trained tagger.  Its parts must agree on its shape, whoever
     builds it: a ValueError names the key (v_c, spec.n_in, spec.n_tags
     or features.cache_tagset) that does not.  No code reads scheme: it is
-    kept for the model file's scheme key, and detect_scheme(tagset)
-    gives it."""
+    kept for the model file's scheme key, which the loader requires to
+    be detect_scheme(tagset)."""
 
     spec: architectures.ModelSpec
     params: dict

@@ -24,9 +24,10 @@ import numpy as np
 from . import linalg
 from .architectures import ModelSpec, bundle_shapes
 from .cells import CELLS, SoftmaxOutput
-from .corpus import PAD, UNK, Lexicon, Vocabulary
+from .corpus import PAD, UNK, Lexicon, Vocabulary, normalize
 from .model import Model
 from .representation import EmbeddingTable, FeatureConfig
+from .tagging import detect_scheme
 
 MODEL_FORMAT = "rnn-mention-tagger"
 MODEL_VERSION = 1
@@ -195,6 +196,11 @@ def _model_from_obj(obj):
     if not (_distinct_strings(words) and words[:2] == [PAD, UNK]):
         raise ValueError("vocab.words must be a list of distinct strings that begins %r, %r"
                          % (PAD, UNK))
+    for i, word in enumerate(words[2:], 2):
+        # Vocabulary.index normalizes a token first, so no token reaches such a row
+        if normalize(word) != word:
+            raise ValueError("vocab.words[%d] %r is not a normalized word "
+                             "(lowercase, digits as 0)" % (i, word))
     vocab = Vocabulary(index_to_word=list(words))
     emb = obj["embedding"]
     matrix = _array(emb["matrix"], "embedding.matrix", (len(vocab), emb["dim"]))
@@ -210,8 +216,12 @@ def _model_from_obj(obj):
     tagset = obj["tagset"]
     if not _distinct_strings(tagset):
         raise ValueError("tagset must be a list of distinct tag strings")
+    scheme = detect_scheme(tagset)
+    if obj["scheme"] != scheme:
+        raise ValueError("scheme must be %r, the scheme of the tagset, got %r"
+                         % (scheme, obj["scheme"]))
     return Model(spec=spec, params=_params_from_obj(obj["params"], spec), table=table,
-                 fconf=fconf, tagset=tagset, scheme=obj["scheme"], v_c=obj["v_c"])
+                 fconf=fconf, tagset=tagset, scheme=scheme, v_c=obj["v_c"])
 
 
 def _arrays_of(obj):

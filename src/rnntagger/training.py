@@ -20,13 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
-from .architectures import (
-    backward_window,
-    decode_window,
-    encode,
-    init_model,
-    zero_model_grads,
-)
+from .architectures import backward_window, decode_window, encode, init_model
 from .corpus import documents
 from .evaluation import score
 from .model import Model, tag_corpus
@@ -100,12 +94,13 @@ def _nll_logit_grads(dists, y):
 
 
 def _check_finite(acc, rows, emb_grads):
-    """Squared norm of the whole gradient, one dot product per block,
-    the embedding rows' gradients being one more block.  Only a block
-    whose square is not finite is searched for a non-finite value, which
-    is an error that names the block, or the first such embedding row."""
-    blocks = [((bundle, name), g) for bundle, grads in acc.items()
-              for name, g in grads.items()]
+    """Squared norm of the whole gradient, one dot product per block in
+    sorted (bundle, name) order, the embedding rows' gradients being one
+    more block, last.  Only a block whose square is not finite is
+    searched for a non-finite value, which is an error that names the
+    block, or the first such embedding row."""
+    blocks = [((bundle, name), acc[bundle][name]) for bundle in sorted(acc)
+              for name in sorted(acc[bundle])]
     sq = 0.0
     for key, g in blocks + [(None, emb_grads)]:
         s = float(np.vdot(g, g))
@@ -121,12 +116,15 @@ def window_nll(spec, params, xs, examples, v_d, acc=None):
     """The windowed objective over one encode of xs: the summed nll of
     every (position i, gold index) example, its window i - v_d..i (cut
     at 0) decoded from a zero carry.  The encoders step only the cone
-    of the examples' windows, which gives the loss and gradients the
-    bits of a whole-sentence encode.
+    of the examples' windows, which gives the loss and the input
+    gradients the bits of a whole-sentence encode (the parameter
+    gradients sum the stepped rows only; see chain_backward).
 
-    Returns (loss, dxs).  With acc, each window is also backpropagated,
-    parameter gradients accumulate into acc, and dxs is the summed (n, I)
-    input gradient; without, dxs is None.
+    Returns (loss, dxs).  With acc, a dict with a gradient dict per
+    parameter bundle, each window is also backpropagated: the first
+    window writes each parameter gradient block into acc, later ones add
+    to it, and dxs is the summed (n, I) input gradient; without, dxs is
+    None.
     """
     positions = [i for i, _ in examples]
     span = (max(0, min(positions) - v_d), max(positions)) if positions else None
@@ -151,7 +149,7 @@ def train_example(model, inputs, position, gold, cfg):
     """
     indices, features = inputs
     xs = window_inputs(model.table, indices, features, model.v_c)
-    acc = zero_model_grads(model.params)
+    acc = {bundle: {} for bundle in model.params}
     loss, dxs = window_nll(model.spec, model.params, xs, [(position, gold)], cfg.v_d, acc)
     if not math.isfinite(loss):
         raise FloatingPointError("non-finite loss")
@@ -332,7 +330,7 @@ def gradient_check(spec, seed, n_tokens, v_d=9):
     xs = rng.uniform(n_tokens * spec.n_in, -0.5, 0.5).reshape(n_tokens, spec.n_in)
     examples = [(i, rng.randint(spec.n_tags)) for i in range(n_tokens)]
 
-    acc = zero_model_grads(params)
+    acc = {bundle: {} for bundle in params}
     window_nll(spec, params, xs, examples, v_d, acc)
     blocks, abs_diffs = {}, {}
     for bundle in sorted(params):

@@ -1,3 +1,5 @@
+import copy
+import dataclasses
 import math
 
 import numpy as np
@@ -17,7 +19,6 @@ from rnntagger.architectures import (
     forward_batch,
     init_model,
     run_chain,
-    zero_model_grads,
 )
 from rnntagger.cells import (
     ELMAN,
@@ -26,9 +27,13 @@ from rnntagger.cells import (
     JORDAN_GRU,
     cell_for,
 )
+from rnntagger.corpus import Sentence, Token, build_vocab
 from rnntagger.linalg import SeededRng
+from rnntagger.model import Model
+from rnntagger.representation import EmbeddingTable, FeatureConfig, token_features, window_inputs
+from rnntagger.tagging import BIO2, make_tagset
 from rnntagger import training
-from rnntagger.training import nll_loss, window_nll
+from rnntagger.training import TrainConfig, nll_loss, train_example, window_nll
 
 
 def rand_xs(rng, n, dim):
@@ -357,7 +362,7 @@ def fd_mismatches(spec, params, xs, examples, v_d, weights=True, inputs=True):
     """Every parameter (weights) and input (inputs) entry whose analytic
     gradient of window_nll disagrees with its central difference;
     differences below 1e-9 are truncation noise and count as agreement."""
-    acc = zero_model_grads(params)
+    acc = {b: {} for b in params}
     _, dxs = window_nll(spec, params, xs, examples, v_d, acc)
     entries = []
     if weights:
@@ -430,7 +435,7 @@ def test_one_example_cone_is_bitwise_the_whole_sentence_path(spec, monkeypatch):
     monkeypatch.setattr(training, "encode", recording_encode)
     for i in range(CONE_N):
         y = int(rng.randint(spec.n_tags))
-        acc, want_acc = zero_model_grads(params), zero_model_grads(params)
+        acc, want_acc = {b: {} for b in params}, {b: {} for b in params}
         loss, dxs = window_nll(spec, params, xs, [(i, y)], CONE_VD, acc)
         want_loss, want_dxs = whole_sentence_nll(spec, params, xs, i, y, CONE_VD, want_acc)
         assert np.float64(loss).tobytes() == np.float64(want_loss).tobytes()
@@ -458,6 +463,68 @@ def test_one_example_cone_gradients_match_finite_differences(spec, i):
     xs = rand_xs(rng, CONE_N, spec.n_in)
     examples = [(i, int(rng.randint(spec.n_tags)))]
     assert fd_mismatches(spec, params, xs, examples, CONE_VD) == []
+
+
+# --- an SGD step writes each gradient block once, over the stepped rows ---
+
+def reference_step(model, inputs, i, y, cfg):
+    """train_example with every gradient block zero-filled and added to
+    at full height: the encoders run over the whole sentence, so each
+    product spans every row, then the same clip and SGD apply.  Returns
+    (loss, clip scale)."""
+    indices, features = inputs
+    xs = window_inputs(model.table, indices, features, model.v_c)
+    acc = {b: {n: np.zeros_like(p) for n, p in block.items()}
+           for b, block in model.params.items()}
+    loss, dxs = whole_sentence_nll(model.spec, model.params, xs, i, y, cfg.v_d, acc)
+    rows, emb = training._embedding_grads(indices, dxs, model.v_c, model.table.dim)
+    sq = 0.0
+    for block in acc.values():
+        for g in block.values():
+            sq += float(np.vdot(g, g))
+    norm = math.sqrt(sq + float(np.vdot(emb, emb)))
+    cap = cfg.clip_threshold
+    scale = cap / norm if cap is not None and norm > cap else 1.0
+    for b, block in acc.items():
+        for name, g in block.items():
+            model.params[b][name] -= (cfg.learning_rate * scale) * g
+    model.table.add_grad(rows, scale * emb, cfg.learning_rate)
+    return loss, scale
+
+
+def step_model(spec):
+    """A model of the grid spec's architecture and cells over a CONE_N
+    word sentence, with capitalization columns (zero in most rows) and
+    zero-padded windows in its inputs; returns (model, sentence)."""
+    words = ["Anna", "met", "bob", "at", "Acme", "corp", "today"][:CONE_N]
+    sentence = Sentence([Token(w) for w in words])
+    fconf = FeatureConfig(capitalization=True)
+    tagset = make_tagset(["ORG", "PER"], BIO2)
+    rng = SeededRng(31)
+    table = EmbeddingTable.random(build_vocab([sentence]), 3, rng)
+    spec = dataclasses.replace(spec, n_in=fconf.input_width(3, 1), n_tags=len(tagset))
+    model = Model(spec=spec, params=init_model(spec, rng), table=table, fconf=fconf,
+                  tagset=tagset, scheme=BIO2, v_c=1)
+    return model, sentence
+
+
+@pytest.mark.parametrize("clip", [None, 1e-3], ids=["unclipped", "clip-binding"])
+@pytest.mark.parametrize("i", [0, CONE_N // 2, CONE_N - 1])
+@pytest.mark.parametrize("spec", GRID_SPECS, ids=grid_id)
+def test_sgd_step_is_bitwise_the_zero_filled_full_height_step(spec, i, clip):
+    model, sentence = step_model(spec)
+    reference = copy.deepcopy(model)
+    inputs = token_features(sentence, model.table.vocab, model.fconf)
+    y = i % len(model.tagset)
+    cfg = TrainConfig(learning_rate=0.5, v_d=CONE_VD, clip_threshold=clip)
+    loss = train_example(model, inputs, i, y, cfg)
+    want_loss, scale = reference_step(reference, inputs, i, y, cfg)
+    assert (scale < 1.0) == (clip is not None)
+    assert np.float64(loss).tobytes() == np.float64(want_loss).tobytes()
+    for b, block in reference.params.items():
+        for name, want in block.items():
+            assert model.params[b][name].tobytes() == want.tobytes(), (b, name)
+    assert model.table.matrix.tobytes() == reference.table.matrix.tobytes()
 
 
 def test_empty_sentence_rejected():

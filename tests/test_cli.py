@@ -1,5 +1,6 @@
 """Exit codes, config-file merging, and end-to-end command wiring."""
 
+import importlib.util
 import json
 import os
 import subprocess
@@ -169,6 +170,27 @@ def test_model_file_value_of_the_wrong_type_is_data_error(tmp_path, capsys, muta
     rc, err, path = tag_with_model(tmp_path, capsys, json.dumps(obj))
     assert rc == 2
     assert "%s: %s" % (path, problem) in err
+
+
+@pytest.mark.parametrize("word", ["Bob", "b0b1"])
+def test_model_file_word_no_token_can_reach_is_data_error(tmp_path, capsys, word):
+    # Vocabulary.index normalizes a token before the lookup, so 'Bob' and
+    # 'b0b1' both reach <unk>, never this row
+    obj = json.loads((DATA_DIR / "compat" / "bidirectional_gru.json").read_text())
+    obj["vocab"]["words"][2] = word
+    rc, err, path = tag_with_model(tmp_path, capsys, json.dumps(obj))
+    assert rc == 2
+    assert "%s: vocab.words[2] %r is not a normalized word" % (path, word) in err
+
+
+@pytest.mark.parametrize("value", [42, None, "nonsense", "IOBES"])
+def test_model_file_scheme_other_than_the_tagsets_is_data_error(tmp_path, capsys, value):
+    obj = json.loads((DATA_DIR / "compat" / "bidirectional_gru.json").read_text())
+    obj["scheme"] = value
+    rc, err, path = tag_with_model(tmp_path, capsys, json.dumps(obj))
+    assert rc == 2
+    assert ("%s: scheme must be 'BIO2', the scheme of the tagset, got %r"
+            % (path, value)) in err
 
 
 def trained_model(tmp_path, capsys, *flags):
@@ -543,6 +565,7 @@ def test_train_on_iobes_tags_writes_an_iobes_tagset(tmp_path, capsys):
     types = {sp.type for s in sents for sp in tags_to_spans(s.tags())}
     assert obj["scheme"] == IOBES
     assert obj["tagset"] == make_tagset(types, IOBES)
+    assert load_model(str(out)).scheme == IOBES
 
 
 def test_train_same_seed_same_model_bytes(tmp_path, capsys):
@@ -573,6 +596,28 @@ def test_train_writes_the_same_bytes_whatever_the_blas_thread_count(tmp_path):
                        stdout=subprocess.DEVNULL)
         outs.append(out.read_bytes())
     assert outs[0] == outs[1]
+
+
+class BlasPinned(Exception):
+    pass
+
+
+@pytest.mark.parametrize("script", ["embed_demo", "future_dep_demo", "overfit_demo"])
+def test_demo_scripts_pin_blas_to_one_thread_first(monkeypatch, script):
+    # a thread-count setter that stops the run when asked for one thread:
+    # main must get there before it does any work
+    def put(n):
+        if n == 1:
+            raise BlasPinned
+
+    monkeypatch.setattr(cli, "_openblas_thread_fns", lambda: (lambda: 4, put))
+    path = SRC_DIR.parent / "scripts" / (script + ".py")
+    spec = importlib.util.spec_from_file_location(script, path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    monkeypatch.setattr(sys, "argv", [str(path)])
+    with pytest.raises(BlasPinned):
+        module.main()
 
 
 def test_train_with_triggers_is_seeded(tmp_path, capsys):

@@ -14,7 +14,6 @@ from rnntagger.architectures import (
     encode,
     forward_batch,
     init_model,
-    zero_model_grads,
 )
 from rnntagger.corpus import Lexicon, Sentence, Token, build_vocab
 from rnntagger.evaluation import EvalReport
@@ -41,6 +40,11 @@ from rnntagger.training import (
     train_example,
     window_nll,
 )
+
+
+def zero_grads(params):
+    """A zero-filled gradient set: the reference steps add into it."""
+    return {b: {n: np.zeros_like(p) for n, p in block.items()} for b, block in params.items()}
 
 
 def sent(words, tags, doc="0"):
@@ -181,7 +185,7 @@ def test_step_is_minus_lr_times_audited_gradient(arch, decoder, encoder):
     cfg = TrainConfig(learning_rate=0.1, v_d=2, fine_tune_embeddings=False)
     loss = train_example(model, inputs, pos, y, cfg)
 
-    acc = zero_model_grads(probe.params)
+    acc = zero_grads(probe.params)
     want, _ = window_nll(probe.spec, probe.params, xs_of(probe, TRAIN_SENTS[0]),
                          [(pos, y)], cfg.v_d, acc)
     assert loss == want
@@ -451,7 +455,7 @@ def reference_epoch(model, sentences, cfg):
     for si, pos in examples:
         s = sentences[si]
         xs = encode_sentence(s, model.table, model.fconf, model.v_c, snaps[si])
-        acc = zero_model_grads(model.params)
+        acc = zero_grads(model.params)
         loss, dxs = window_nll(model.spec, model.params, xs,
                                [(pos, t2i[s.tokens[pos].gold_tag])], cfg.v_d, acc)
         for b in acc:
@@ -719,7 +723,7 @@ def test_zero_parameters_give_symmetric_point_gradient():
     total, _ = window_nll(spec, params, xs, examples, v_d=9)
     assert total == pytest.approx(4 * math.log(3), abs=1e-12)
 
-    acc = zero_model_grads(params)
+    acc = zero_grads(params)
     window_nll(spec, params, xs, examples, v_d=9, acc=acc)
     # W = 0 makes the output uniform no matter what h is, so U and V get
     # no gradient, and dW = sum_i outer(1/O - onehot(y_i), 0.5 * ones)
