@@ -149,8 +149,8 @@ class ChainRun:
 
     @property
     def carries(self):
-        """The carry each stepped position read: zero, then the previous state."""
-        return np.vstack([np.zeros((1, self.states.shape[1])), self.states[: self.steps - 1]])
+        """The carry each position read: zero, then the previous state."""
+        return np.vstack([np.zeros((1, self.states.shape[1])), self.states[:-1]])
 
 
 def run_chain(cell, params, out_params, xss, extras=None, steps=None):
@@ -163,11 +163,12 @@ def run_chain(cell, params, out_params, xss, extras=None, steps=None):
     step (default: all of them); a chain's rows past that count stay
     zero.  The chains are sorted by it, most first, so step i runs the
     first a_i rows, the chains still stepping; no padded position is
-    computed.  A product with a row per position (the projections, an
-    Elman-family output layer) runs per chain at its full height, since
-    BLAS rounds a row by the height of its matrix, and each row of a
-    step has the bits it has in a batch of one.  chain_backward's
-    parameter gradients, sums over positions, read the stepped rows only.
+    computed.  Every product over positions (the projections, an
+    Elman-family output layer, and chain_backward's input and parameter
+    gradients) runs per chain at its full height, the zero rows past
+    the stepped ones included: BLAS rounds by the height of the
+    matrices, so a shorter product would change the bits.  Each row of
+    a step has the bits it has in a batch of one.
     """
     if cell.carries_output and out_params is None:
         raise ValueError("%s chain needs an output layer to carry o_prev" % cell.kind)
@@ -191,9 +192,8 @@ def run_chain(cell, params, out_params, xss, extras=None, steps=None):
     mid = np.empty((height, cell.n_mid, len(projs), hidden))
     dists = np.empty((height, len(projs), width)) if cell.carries_output else None
     for j, (p, c) in enumerate(zip(projs, counts)):
-        # the context stacks and the full-height products read the rows
-        # not stepped: zero, not uninitialised memory, whose NaNs would
-        # survive a times zero
+        # full-height products read the rows not stepped: zero, not
+        # uninitialised memory, whose NaNs would survive a times zero
         mid[c : len(p), :, j] = 0.0
         if dists is not None:
             dists[c : len(p), j] = 0.0
@@ -240,12 +240,10 @@ def chain_backward(cell, params, out_params, run, acc, acc_out,
     elif dlogits is not None:
         dh_out = SoftmaxOutput.backward_from_logits(
             out_params, run.hidden, dlogits, acc_out)
-    # dpre is zero past run.steps.  dX = dPre @ U has a row per position:
-    # it stays at full height m, so each row has the bits a whole-sentence
-    # backward gives it.  The parameter gradients, and the Jordan output
-    # layer's below, are sums over positions: they read the stepped rows
-    # only, the same terms less the zero ones, which BLAS may round
-    # differently in the last bits
+    # dpre is zero past run.steps, yet every product below, dX = dPre @ U
+    # and the parameter gradients (sums over positions) alike, stays at
+    # full height m: BLAS may group a shorter sum's terms differently, so
+    # only at full height are the bits a whole-sentence backward's
     dpre = np.zeros((m, cell.n_dpre, hidden))
     dcarry = np.zeros(run.states.shape[1])
     for i in reversed(range(run.steps)):
@@ -257,8 +255,7 @@ def chain_backward(cell, params, out_params, run, acc, acc_out,
             dh = dstate if dlogits is None else dstate + dh_out[i]
         dcarry, dpre[i] = cell.backward(params, run.mid[i], dh)
     if cell.carries_output:
-        k = run.steps
-        SoftmaxOutput.backward_from_logits(out_params, run.hidden[:k], dlogits[:k], acc_out)
+        SoftmaxOutput.backward_from_logits(out_params, run.hidden, dlogits, acc_out)
     dxs, dextra = cell.grads(params, run, dpre, acc)
     return dxs, dextra.sum(axis=0) if run.has_extra else None
 

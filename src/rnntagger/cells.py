@@ -22,9 +22,8 @@ part of the recurrence that needs the carry:
                position's pre-activation gradients, row i of an
                (m, n_dpre, H) array;
 * grads     -- after the loop: every parameter gradient as one
-               dPreᵀ @ X or dPreᵀ @ Carry product over the rows the
-               chain stepped, written into the gradient set with
-               put_grad; returns dX = dPre @ U at full height and the
+               dPreᵀ @ X or dPreᵀ @ Carry product, written into the
+               gradient set with put_grad; returns dX = dPre @ U and the
                gradients of the pre-activation an additive extra term
                enters.
 
@@ -92,9 +91,9 @@ def _plain_cell(name, kind, carries_output, doc):
         return p["V"].T @ dpre, (dpre,)
 
     def grads(p, run, dpre, acc):
-        dpre, k = dpre[:, 0], run.steps
-        put_grad(acc, "U", dpre[:k].T @ run.xs[:k])
-        put_grad(acc, "V", dpre[:k].T @ run.carries)
+        dpre = dpre[:, 0]
+        put_grad(acc, "U", dpre.T @ run.xs)
+        put_grad(acc, "V", dpre.T @ run.carries)
         return dpre @ p["U"], dpre
 
     return _cell_class(name, kind, carries_output, doc, 1, 1,
@@ -150,16 +149,15 @@ def _gated_cell(name, kind, carries_output, doc):
         return dt, (dpre_c, dpre_z, dpre_r)
 
     def grads(p, run, dpre, acc):
-        k = run.steps
-        t, rt = run.mid[:k, 0], run.mid[:k, 3]
+        t, rt = run.mid[:, 0], run.mid[:, 3]
         dX = 0.0
         for j, ((w, u), rec) in enumerate(zip(parts, (rt, t, t))):
-            d = dpre[:k, j]
-            put_grad(acc, w, d.T @ run.xs[:k])
+            d = dpre[:, j]
+            put_grad(acc, w, d.T @ run.xs)
             put_grad(acc, u, d.T @ rec)
-            dX = dX + dpre[:, j] @ p[w]
+            dX = dX + d @ p[w]
         if carries_output:
-            put_grad(acc, "T", dpre[:k, 3].T @ run.carries)
+            put_grad(acc, "T", dpre[:, 3].T @ run.carries)
         return dX, dpre[:, 0]
 
     return _cell_class(name, kind, carries_output, doc, 6, 4 if carries_output else 3,

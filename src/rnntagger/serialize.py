@@ -197,15 +197,11 @@ def _model_from_obj(obj):
         raise ValueError("vocab.words must be a list of distinct strings that begins %r, %r"
                          % (PAD, UNK))
     # Vocabulary.index normalizes a token first, so no token reaches the row
-    # of a word that is not normal.  Lowercasing and digit folding change
-    # a character whatever its neighbours, so the words joined by newlines
-    # are normal exactly when each one is: one call checks them all, and
-    # only a file that fails is searched word by word.
-    rest = "\n".join(words[2:])
-    if normalize(rest) != rest:
-        i = next(i for i, w in enumerate(words[2:], 2) if normalize(w) != w)
+    # of a word that is not normal
+    bad = next((i for i, w in enumerate(words[2:], 2) if normalize(w) != w), None)
+    if bad is not None:
         raise ValueError("vocab.words[%d] %r is not a normalized word "
-                         "(lowercase, digits as 0)" % (i, words[i]))
+                         "(lowercase, digits as 0)" % (bad, words[bad]))
     vocab = Vocabulary(index_to_word=list(words))
     emb = obj["embedding"]
     matrix = _array(emb["matrix"], "embedding.matrix", (len(vocab), emb["dim"]))

@@ -116,9 +116,8 @@ def window_nll(spec, params, xs, examples, v_d, acc=None):
     """The windowed objective over one encode of xs: the summed nll of
     every (position i, gold index) example, its window i - v_d..i (cut
     at 0) decoded from a zero carry.  The encoders step only the cone
-    of the examples' windows, which gives the loss and the input
-    gradients the bits of a whole-sentence encode (the parameter
-    gradients sum the stepped rows only; see chain_backward).
+    of the examples' windows, which gives the loss and gradients the
+    bits of a whole-sentence encode.
 
     Returns (loss, dxs).  With acc, a dict with a gradient dict per
     parameter bundle, each window is also backpropagated: the first

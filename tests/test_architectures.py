@@ -465,7 +465,7 @@ def test_one_example_cone_gradients_match_finite_differences(spec, i):
     assert fd_mismatches(spec, params, xs, examples, CONE_VD) == []
 
 
-# --- an SGD step writes each gradient block once, over the stepped rows ---
+# --- an SGD step writes each gradient block once, at full height ---
 
 def reference_step(model, inputs, i, y, cfg):
     """train_example with every gradient block zero-filled and added to
@@ -492,27 +492,43 @@ def reference_step(model, inputs, i, y, cfg):
     return loss, scale
 
 
-def step_model(spec):
-    """A model of the grid spec's architecture and cells over a CONE_N
-    word sentence, with capitalization columns (zero in most rows) and
-    zero-padded windows in its inputs; returns (model, sentence)."""
-    words = ["Anna", "met", "bob", "at", "Acme", "corp", "today"][:CONE_N]
+# (words, embedding dim, v_c, features, hidden) of the step models: a
+# small one with capitalization columns (zero in most rows) and the width
+# of the conll profile without feature columns, I = 550 and H = 100.  A
+# sum over the stepped rows only rounds differently from the full-height
+# one at the wide shape, and not at the small one.
+STEP_SHAPES = {
+    "small": (["Anna", "met", "bob", "at", "Acme", "corp", "today"], 3, 1,
+              FeatureConfig(capitalization=True), 3),
+    "wide": (["w" + "abcdefghijklmnopqrstuvwxyz"[k % 26] * (1 + k // 26) for k in range(30)],
+             50, 5, FeatureConfig(), 100),
+}
+
+
+def step_model(spec, shape):
+    """A model of the grid spec's architecture and cells at one of the
+    STEP_SHAPES, with zero-padded windows in its inputs; returns (model,
+    sentence)."""
+    words, dim, v_c, fconf, hidden = STEP_SHAPES[shape]
     sentence = Sentence([Token(w) for w in words])
-    fconf = FeatureConfig(capitalization=True)
     tagset = make_tagset(["ORG", "PER"], BIO2)
     rng = SeededRng(31)
-    table = EmbeddingTable.random(build_vocab([sentence]), 3, rng)
-    spec = dataclasses.replace(spec, n_in=fconf.input_width(3, 1), n_tags=len(tagset))
+    table = EmbeddingTable.random(build_vocab([sentence]), dim, rng)
+    spec = dataclasses.replace(spec, n_in=fconf.input_width(dim, v_c), hidden=hidden,
+                               n_tags=len(tagset))
     model = Model(spec=spec, params=init_model(spec, rng), table=table, fconf=fconf,
-                  tagset=tagset, scheme=BIO2, v_c=1)
+                  tagset=tagset, scheme=BIO2, v_c=v_c)
     return model, sentence
 
 
 @pytest.mark.parametrize("clip", [None, 1e-3], ids=["unclipped", "clip-binding"])
-@pytest.mark.parametrize("i", [0, CONE_N // 2, CONE_N - 1])
+@pytest.mark.parametrize("where", ["first", "middle", "last"])
+@pytest.mark.parametrize("shape", sorted(STEP_SHAPES))
 @pytest.mark.parametrize("spec", GRID_SPECS, ids=grid_id)
-def test_sgd_step_is_bitwise_the_zero_filled_full_height_step(spec, i, clip):
-    model, sentence = step_model(spec)
+def test_sgd_step_is_bitwise_the_zero_filled_full_height_step(spec, shape, where, clip):
+    model, sentence = step_model(spec, shape)
+    n = len(sentence.tokens)
+    i = {"first": 0, "middle": n // 2, "last": n - 1}[where]
     reference = copy.deepcopy(model)
     inputs = token_features(sentence, model.table.vocab, model.fconf)
     y = i % len(model.tagset)

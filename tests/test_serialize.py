@@ -6,11 +6,11 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rnntagger.architectures import ModelSpec, init_model
-from rnntagger.corpus import Lexicon, Sentence, Token, build_vocab, normalize
+from rnntagger.corpus import Lexicon, Sentence, Token, build_vocab
 from rnntagger.linalg import SeededRng
 from rnntagger.model import Model, tag_corpus
 from rnntagger.representation import EmbeddingTable, FeatureConfig
@@ -198,23 +198,6 @@ def test_fixed_keys_hold_their_one_value(section, key, value):
     del obj[section][key]
     with pytest.raises(ValueError, match="missing key '%s'" % key):
         model_from_obj(obj)
-
-
-@settings(max_examples=100, deadline=None)
-@given(st.lists(st.text(max_size=5), min_size=1, max_size=4, unique=True))
-def test_vocab_word_is_refused_exactly_when_it_is_not_normal(words):
-    # the loader checks every word in one call over the joined words; the
-    # first word a per-word check would refuse is the one it names
-    obj = model_obj()
-    vocab = obj["vocab"]["words"]
-    assume(not set(words) & set(vocab))
-    vocab[2 : 2 + len(words)] = words
-    bad = [i for i in range(2, len(vocab)) if normalize(vocab[i]) != vocab[i]]
-    if bad:
-        with pytest.raises(ValueError, match=r"^vocab\.words\[%d\] " % bad[0]):
-            model_from_obj(obj)
-    else:
-        assert model_from_obj(obj).table.vocab.index_to_word == vocab
 
 
 def test_model_file_lexicon_entries_follow_the_lexicon_file_rule():
