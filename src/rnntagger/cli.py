@@ -309,8 +309,11 @@ def cmd_embed(args):
         raise UsageError(str(e))
     model = train_embeddings(args.corpus, args.objective, cfg)
     save_text(model, args.out)
-    for i, loss in enumerate(model.epoch_losses, 1):
-        print("epoch %d  mean loss %.6f" % (i, loss))
+    for i, (loss, made) in enumerate(zip(model.epoch_losses, model.epoch_predictions), 1):
+        if made:
+            print("epoch %d  mean loss %.6f" % (i, loss))
+        else:
+            print("epoch %d  no predictions" % i)
     print("wrote %d vectors (dim %d) to %s" % (len(model.vocab), model.dim, args.out))
     return EXIT_OK
 

@@ -138,6 +138,7 @@ class EmbedModel:
     output_vectors: np.ndarray
     window: int
     epoch_losses: list = field(default_factory=list)
+    epoch_predictions: list = field(default_factory=list)
 
     @property
     def dim(self):
@@ -157,68 +158,100 @@ def init_embed_model(vocab, objective, config, rng):
                       output_vectors=out, window=config.window)
 
 
-def _sig(s):
-    if s >= 0:
-        return 1.0 / (1.0 + math.exp(-s))
-    e = math.exp(s)
-    return e / (1.0 + e)
+def _row_sum(pieces):
+    """The rows of a 2-D array summed in order onto a zero row, bitwise.
 
-
-def _scatter(rows, pieces):
-    """{row: sum of its pieces}, added in order.  Pieces are not copied,
-    so a row's value may share memory with a piece or another row."""
-    out = {}
-    for row, piece in zip(rows, pieces):
-        out[row] = out[row] + piece if row in out else piece
-    return out
+    add.reduce over axis 0 adds whole rows one after another; one column
+    is a single contiguous run, which numpy sums pairwise instead, so it
+    takes accumulate, which is sequential.  Both start from the first
+    row, so the + 0.0 gives an all -0.0 column the +0.0 of a zero start.
+    """
+    if pieces.shape[1] > 1:
+        return np.add.reduce(pieces, axis=0) + 0.0
+    return np.add.accumulate(pieces, axis=0)[-1] + 0.0
 
 
 def _ns_grads(output, h, center, negatives):
     """Negative-sampling loss and gradients for one prediction.
 
-    Returns (loss, dh, {row: du_row}); du entries accumulate when a
-    negative repeats or equals another touched row.  Each score is its
-    own stacked 1 x d product, which has the bits of output[j] @ h.  dh
-    is summed row by row in order: a reduction over the rows may pair
-    them up and round differently.
+    Returns (loss, dh, (rows, du)): rows is [center] + negatives and du
+    has one row per entry of rows, h scaled by its score's gradient; a
+    row that repeats keeps a piece per appearance.  Each score is its
+    own stacked 1 x d product, which has the bits of output[j] @ h; one
+    matrix-vector product rounds differently.  The loss is summed in
+    prediction order.
     """
-    rows = [center] + list(negatives)
+    rows = [center, *negatives]
     O = output.take(rows, axis=0)
     scores = np.matmul(O[:, None, :], h[:, None]).ravel().tolist()
-    p = [_sig(s) for s in scores]
     loss = 0.0
-    for win in [p[0]] + [1.0 - q for q in p[1:]]:
-        loss += -math.log(max(win, PROB_FLOOR))
-    g = np.array([p[0] - 1.0] + p[1:])[:, None]
-    dh = np.zeros_like(h)
-    for piece in g * O:
-        dh += piece
-    return loss, dh, _scatter(rows, g * h)
+    g = []
+    for s in scores:
+        if s >= 0:
+            p = 1.0 / (1.0 + math.exp(-s))
+        else:
+            e = math.exp(s)
+            p = e / (1.0 + e)
+        # the center's probability, then each negative's complement
+        loss += -math.log(max(1.0 - p if g else p, PROB_FLOOR))
+        g.append(p)
+    g[0] -= 1.0
+    g = np.array(g)[:, None]
+    return loss, _row_sum(g * O), (rows, g * h)
+
+
+def _merge_rows(rows, block, skip_pad):
+    """rows without repeats, and without PAD if skip_pad, and their
+    block: a repeated row's pieces added in order of appearance."""
+    at = {}
+    for i, row in enumerate(rows):
+        if not (skip_pad and row == PAD_INDEX):
+            at.setdefault(row, []).append(i)
+    merged = block[[ix[0] for ix in at.values()]]
+    for k, ix in enumerate(at.values()):
+        for i in ix[1:]:
+            merged[k] += block[i]
+    return list(at), merged
+
+
+def _subtract_rows(matrix, grads, lr, skip_pad):
+    """matrix[row] -= lr * (the sum of row's pieces) for each row of
+    grads = (rows, block), as one indexed subtract; this is the one
+    place a repeated row's pieces are summed."""
+    rows, block = grads
+    if (skip_pad and PAD_INDEX in rows) or len(set(rows)) < len(rows):
+        rows, block = _merge_rows(rows, block, skip_pad)
+    # matrix[rows] -= lr * block, spelt the faster way for one row and for many
+    if len(rows) == 1:
+        matrix[rows[0]] -= lr * block[0]
+    else:
+        matrix[rows] = matrix.take(rows, axis=0) - lr * block
 
 
 def _apply_input_grads(model, grads, lr):
-    for row, g in grads.items():
-        if row != PAD_INDEX:
-            model.input_vectors[row] -= lr * g
+    # PAD's input row stands for positions off the sentence ends and stays zero
+    _subtract_rows(model.input_vectors, grads, lr, skip_pad=True)
 
 
-def _apply_output_grads(model, du, lr):
-    model.output_vectors[np.array(list(du))] -= lr * np.array(list(du.values()))
+def _apply_output_grads(model, grads, lr):
+    _subtract_rows(model.output_vectors, grads, lr, skip_pad=False)
 
 
 def cbow_grads(model, center, context, negatives):
-    """Pure gradient computation; context is a list of word indices."""
+    """Pure gradient computation; context is a list of word indices.
+    Returns (loss, input grads, output grads), each grads a list of rows
+    and a block with one row per entry of the list."""
     if not context:
         raise ValueError("CBOW needs a nonempty context")
     h = np.mean(model.input_vectors[context], axis=0)
     loss, dh, du = _ns_grads(model.output_vectors, h, center, negatives)
-    return loss, _scatter(context, [dh / len(context)] * len(context)), du
+    return loss, (context, np.array([dh / len(context)] * len(context))), du
 
 
 def skipgram_grads(model, center, context_word, negatives):
     h = model.input_vectors[center]
     loss, dh, du = _ns_grads(model.output_vectors, h, context_word, negatives)
-    return loss, {center: dh}, du
+    return loss, ([center], dh[None]), du
 
 
 def cconcat_grads(model, center, slots, negatives):
@@ -229,7 +262,7 @@ def cconcat_grads(model, center, slots, negatives):
                          % (2 * model.window, len(slots)))
     h = model.input_vectors[slots].reshape(-1)
     loss, dh, du = _ns_grads(model.output_vectors, h, center, negatives)
-    return loss, _scatter(slots, dh.reshape(len(slots), model.dim)), du
+    return loss, (slots, dh.reshape(len(slots), model.dim)), du
 
 
 def _predictions(objective, padded, pos, w):
@@ -261,9 +294,11 @@ def read_corpus(path):
 
 def train_embeddings(corpus_path, objective, config):
     """Epoch loop over the corpus with linear lr decay down to
-    initial * 1e-4.  Deterministic for a fixed seed.  An epoch whose
-    mean loss is not finite is a FloatingPointError naming it; epochs
-    that together make no prediction are a ValueError."""
+    initial * 1e-4.  Deterministic for a fixed seed.  The model keeps
+    each epoch's mean loss (0.0 for an epoch with no prediction) and its
+    number of predictions.  An epoch whose mean loss is not finite is a
+    FloatingPointError naming it; epochs that together make no
+    prediction are a ValueError."""
     sentences = read_corpus(corpus_path)
     counts = Counter(w for sent in sentences for w in sent)
     vocab = vocab_from_counts(counts, config.min_count)
@@ -286,7 +321,6 @@ def train_embeddings(corpus_path, objective, config):
     processed = 0
     t = config.subsample
     w = config.window
-    made = 0   # predictions over all epochs
 
     # the mean-loss check below and save_text's table check report every
     # non-finite value, so numpy's own warnings would only repeat them
@@ -323,8 +357,8 @@ def train_embeddings(corpus_path, objective, config):
             if not math.isfinite(mean_loss):
                 raise FloatingPointError("epoch %d: non-finite mean loss" % epoch)
             model.epoch_losses.append(mean_loss)
-            made += epoch_updates
-    if config.epochs and not made:
+            model.epoch_predictions.append(epoch_updates)
+    if config.epochs and not sum(model.epoch_predictions):
         raise ValueError("%s: no epoch made a prediction: at --subsample %g no sentence"
                          " kept two words (one for cconcat)" % (corpus_path, t))
     return model

@@ -196,12 +196,15 @@ def _model_from_obj(obj):
     if not (_distinct_strings(words) and words[:2] == [PAD, UNK]):
         raise ValueError("vocab.words must be a list of distinct strings that begins %r, %r"
                          % (PAD, UNK))
-    # Vocabulary.index normalizes a token first, so no token reaches the row
-    # of a word that is not normal
-    bad = next((i for i, w in enumerate(words[2:], 2) if normalize(w) != w), None)
-    if bad is not None:
-        raise ValueError("vocab.words[%d] %r is not a normalized word "
-                         "(lowercase, digits as 0)" % (bad, words[bad]))
+    # no token reaches the row of a word that is not one whitespace-free
+    # token (files split on whitespace) or not normal (Vocabulary.index
+    # normalizes a token first)
+    for i, w in enumerate(words[2:], 2):
+        if w.split() != [w]:
+            raise ValueError("vocab.words[%d] %r is not a single token" % (i, w))
+        if normalize(w) != w:
+            raise ValueError("vocab.words[%d] %r is not a normalized word "
+                             "(lowercase, digits as 0)" % (i, w))
     vocab = Vocabulary(index_to_word=list(words))
     emb = obj["embedding"]
     matrix = _array(emb["matrix"], "embedding.matrix", (len(vocab), emb["dim"]))

@@ -26,6 +26,7 @@ from rnntagger.synth import future_dep_corpus, memorize_corpus
 from rnntagger.tagging import (BIO2, IOBES, Span, make_tagset, spans_to_tags,
                                tags_to_spans)
 from rnntagger.training import TrainConfig, gradient_check, train_epoch
+from test_pretrain import as_dicts
 
 CELLS = ("ELMAN", "JORDAN", "ELMAN_GRU", "JORDAN_GRU")
 README = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
@@ -245,7 +246,7 @@ def _embed_fd(objective):
     else:
         call = lambda m: cconcat_grads(m, 2, [3, 4], [4])
 
-    loss, dv, du = call(model)
+    loss, dv, du = as_dicts(call(model))
     eps = 1e-6
     for mat, grads in ((model.input_vectors, dv), (model.output_vectors, du)):
         for r in range(mat.shape[0]):
@@ -298,8 +299,8 @@ def test_embedding_objectives_suite(tmp_path):
     model = init_embed_model(vocab, CBOW, cfg, SeededRng(4))
     model.output_vectors[:] = SeededRng(9).uniform(
         model.output_vectors.size, -0.5, 0.5).reshape(model.output_vectors.shape)
-    l1, dv1, _ = cbow_grads(model, 2, [3, 4], [3])
-    l2, dv2, _ = cbow_grads(model, 2, [4, 3], [3])
+    l1, dv1, _ = as_dicts(cbow_grads(model, 2, [3, 4], [3]))
+    l2, dv2, _ = as_dicts(cbow_grads(model, 2, [4, 3], [3]))
     assert l1 == l2
     assert all(np.array_equal(dv1[r], dv2[r]) for r in dv1)
     model = init_embed_model(vocab, CCONCAT, cfg, SeededRng(4))

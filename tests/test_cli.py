@@ -172,15 +172,22 @@ def test_model_file_value_of_the_wrong_type_is_data_error(tmp_path, capsys, muta
     assert "%s: %s" % (path, problem) in err
 
 
-@pytest.mark.parametrize("word", ["Bob", "b0b1"])
-def test_model_file_word_no_token_can_reach_is_data_error(tmp_path, capsys, word):
+@pytest.mark.parametrize("word,problem", [
+    ("Bob", "is not a normalized word"),
+    ("b0b1", "is not a normalized word"),
+    ("", "is not a single token"),
+    ("a b", "is not a single token"),
+    ("x\ty", "is not a single token"),
+])
+def test_model_file_word_no_token_can_reach_is_data_error(tmp_path, capsys, word, problem):
     # Vocabulary.index normalizes a token before the lookup, so 'Bob' and
-    # 'b0b1' both reach <unk>, never this row
+    # 'b0b1' both reach <unk>, never this row; token files split on
+    # whitespace, so no token is empty or holds a space or a tab
     obj = json.loads((DATA_DIR / "compat" / "bidirectional_gru.json").read_text())
     obj["vocab"]["words"][2] = word
     rc, err, path = tag_with_model(tmp_path, capsys, json.dumps(obj))
     assert rc == 2
-    assert "%s: vocab.words[2] %r is not a normalized word" % (path, word) in err
+    assert "%s: vocab.words[2] %r %s" % (path, word, problem) in err
 
 
 @pytest.mark.parametrize("value", [42, None, "nonsense", "IOBES"])
@@ -519,6 +526,23 @@ def test_embed_that_makes_no_prediction_exits_2_without_writing_the_file(tmp_pat
     assert rc == 2
     assert "data error: %s: no epoch made a prediction: at --subsample 1e-05" % corpus in err
     assert not out.exists()
+
+
+def test_embed_says_which_epochs_made_no_prediction(tmp_path, capsys):
+    # at seed 4 the first epoch keeps no two words of one sentence and the
+    # later two do: the run is written, and epoch 1 has no mean loss to show
+    corpus = tmp_path / "two.txt"
+    corpus.write_text("alpha beta\ngamma delta\nalpha beta\n")
+    out = tmp_path / "vec.txt"
+    rc, stdout, _ = run(["embed", str(corpus), "--objective", "cbow", "--dim", "2",
+                         "--window", "1", "--negatives", "1", "--subsample", "0.05",
+                         "--epochs", "3", "--seed", "4", "--out", str(out)], capsys)
+    assert rc == 0
+    lines = [line for line in stdout.splitlines() if line.startswith("epoch ")]
+    assert lines[0] == "epoch 1  no predictions"
+    assert lines[1].startswith("epoch 2  mean loss ")
+    assert lines[2].startswith("epoch 3  mean loss ")
+    assert out.exists()
 
 
 # ------------------------------------------------------------- training

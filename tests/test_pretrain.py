@@ -8,12 +8,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from rnntagger import pretrain
 from rnntagger.corpus import PAD, PAD_INDEX, UNK, UNK_INDEX, vocab_from_counts
 from rnntagger.linalg import SeededRng
 from rnntagger.representation import load_embeddings
 from rnntagger.pretrain import (
     CBOW,
     CCONCAT,
+    OBJECTIVES,
+    PROB_FLOOR,
     SKIPGRAM,
     EmbedConfig,
     UnigramTable,
@@ -29,6 +32,21 @@ from rnntagger.pretrain import (
 )
 
 LN2 = math.log(2.0)
+
+
+def scatter(rows, pieces):
+    """{row: the sum of its pieces, added in order of appearance}."""
+    out = {}
+    for row, piece in zip(rows, pieces):
+        out[row] = out[row] + piece if row in out else piece
+    return out
+
+
+def as_dicts(result):
+    """A *_grads result, (loss, (rows, block), (rows, block)), as (loss,
+    {input row: its summed gradient}, {output row: its summed gradient})."""
+    loss, (in_rows, dv), (out_rows, du) = result
+    return loss, scatter(in_rows, dv), scatter(out_rows, du)
 
 
 def small_vocab(counts=None):
@@ -203,7 +221,7 @@ def test_cbow_single_context_hidden_is_that_vector():
     model, _, idx = small_model(CBOW)
     a, b = idx["alpha"], idx["beta"]
     model.output_vectors[a] = np.array([0.3, -0.2])
-    loss, dv, du = cbow_grads(model, a, [b], negatives=[idx["gamma"]])
+    loss, dv, du = as_dicts(cbow_grads(model, a, [b], negatives=[idx["gamma"]]))
     h = model.input_vectors[b]
     s = float(model.output_vectors[a] @ h)
     p = 1.0 / (1.0 + math.exp(-s))
@@ -215,8 +233,8 @@ def test_cbow_is_order_invariant():
     model, _, idx = small_model(CBOW)
     a, b, g = idx["alpha"], idx["beta"], idx["gamma"]
     model.output_vectors[idx["alpha"]] = np.array([0.4, 0.1])
-    l1, dv1, du1 = cbow_grads(model, a, [b, g], negatives=[b])
-    l2, dv2, du2 = cbow_grads(model, a, [g, b], negatives=[b])
+    l1, dv1, du1 = as_dicts(cbow_grads(model, a, [b, g], negatives=[b]))
+    l2, dv2, du2 = as_dicts(cbow_grads(model, a, [g, b], negatives=[b]))
     assert l1 == l2
     assert set(dv1) == set(dv2)
     for j in dv1:
@@ -234,10 +252,10 @@ def test_cbow_empty_context_rejected():
 def test_skipgram_touches_exactly_k_plus_one_output_rows():
     model, _, idx = small_model(SKIPGRAM)
     a, b, g = idx["alpha"], idx["beta"], idx["gamma"]
-    loss, dv, du = skipgram_grads(model, a, b, negatives=[g, g])
+    loss, dv, du = as_dicts(skipgram_grads(model, a, b, negatives=[g, g]))
     assert set(dv) == {a}
     assert set(du) == {b, g}  # two negatives collapse onto one row
-    loss2, _, du2 = skipgram_grads(model, a, b, negatives=[g, a])
+    loss2, _, du2 = as_dicts(skipgram_grads(model, a, b, negatives=[g, a]))
     assert set(du2) == {b, g, a}
 
 
@@ -251,8 +269,8 @@ def test_skipgram_loss_at_zero_output_is_k_plus_one_ln_two():
 def test_cconcat_all_pad_context():
     model, _, idx = small_model(CCONCAT, window=2)
     slots = [PAD_INDEX] * 4
-    loss, dv, du = cconcat_grads(model, idx["alpha"], slots,
-                                 negatives=[idx["beta"], idx["gamma"]])
+    loss, dv, du = as_dicts(cconcat_grads(model, idx["alpha"], slots,
+                                          negatives=[idx["beta"], idx["gamma"]]))
     assert loss == pytest.approx(3 * LN2, abs=1e-12)
     assert set(dv) == {PAD_INDEX}
     assert np.array_equal(dv[PAD_INDEX], np.zeros(model.dim * 4)[: model.dim])
@@ -284,6 +302,146 @@ def test_pad_input_row_never_updated(tmp_path):
     assert np.all(model.input_vectors[PAD_INDEX] == 0.0)
 
 
+# ------------------------------------- the per-row reference update path
+
+def reference_ns_grads(output, h, center, negatives):
+    """One prediction computed as it was row by row: each probability on
+    its own, the loss over the list of them, dh added onto a zero row
+    one row at a time, and the output pieces scattered into a dict."""
+    def sig(s):
+        if s >= 0:
+            return 1.0 / (1.0 + math.exp(-s))
+        e = math.exp(s)
+        return e / (1.0 + e)
+
+    rows = [center] + list(negatives)
+    O = output.take(rows, axis=0)
+    scores = np.matmul(O[:, None, :], h[:, None]).ravel().tolist()
+    p = [sig(s) for s in scores]
+    loss = 0.0
+    for win in [p[0]] + [1.0 - q for q in p[1:]]:
+        loss += -math.log(max(win, PROB_FLOOR))
+    g = np.array([p[0] - 1.0] + p[1:])[:, None]
+    dh = np.zeros_like(h)
+    for piece in g * O:
+        dh += piece
+    return loss, dh, scatter(rows, g * h)
+
+
+def reference_update(model, objective, center, context, negatives, lr):
+    """One prediction's SGD update, each touched row applied on its own,
+    PAD's input row left alone."""
+    if objective == CBOW:
+        h = np.mean(model.input_vectors[context], axis=0)
+        loss, dh, du = reference_ns_grads(model.output_vectors, h, center, negatives)
+        dv = scatter(context, [dh / len(context)] * len(context))
+    elif objective == SKIPGRAM:
+        h = model.input_vectors[center]
+        loss, dh, du = reference_ns_grads(model.output_vectors, h, context, negatives)
+        dv = {center: dh}
+    else:
+        h = model.input_vectors[context].reshape(-1)
+        loss, dh, du = reference_ns_grads(model.output_vectors, h, center, negatives)
+        dv = scatter(context, dh.reshape(len(context), model.dim))
+    for row, g in du.items():
+        model.output_vectors[row] -= lr * g
+    for row, g in dv.items():
+        if row != PAD_INDEX:
+            model.input_vectors[row] -= lr * g
+    return loss
+
+
+def update(model, objective, center, context, negatives, lr):
+    """One prediction's SGD update as train_embeddings makes it."""
+    grads = getattr(pretrain, "%s_grads" % objective)
+    loss, dv, du = grads(model, center, context, negatives)
+    pretrain._apply_output_grads(model, du, lr)
+    pretrain._apply_input_grads(model, dv, lr)
+    return loss
+
+
+def signed_zeros(rng, n):
+    return np.where(rng.random(n) < 0.5, -0.0, 0.0)
+
+
+N_ROWS = 7   # PAD, UNK and 5 words: few enough that rows repeat
+
+
+@st.composite
+def prediction(draw, objective, window):
+    """(center, context argument, negatives) over every row, PAD included:
+    a corpus may hold the literal words <pad> and <unk>."""
+    word = st.integers(0, N_ROWS - 1)
+    if objective == CBOW:
+        context = draw(st.lists(word, min_size=1, max_size=2 * window))
+    elif objective == SKIPGRAM:
+        context = draw(word)
+    else:
+        context = draw(st.lists(word, min_size=2 * window, max_size=2 * window))
+    return draw(word), context, draw(st.lists(word, min_size=1, max_size=12))
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data(), objective=st.sampled_from(OBJECTIVES), window=st.integers(1, 3),
+       seed=st.integers(0, 2 ** 32 - 1), scale=st.sampled_from([0.1, 1.0, 6.0]),
+       zero_columns=st.lists(st.integers(0, 599), max_size=3))
+def test_updates_are_bitwise_the_per_row_reference(data, objective, window, seed, scale,
+                                                   zero_columns):
+    # repeated negatives and context words, a negative equal to the word
+    # predicted, PAD slots and columns of signed zeros, whose sums are
+    # where the order and the sign of zero show
+    max_dim = 600 // (2 * window) if objective == CCONCAT else 600
+    dim = data.draw(st.integers(1, max_dim))
+    vocab = vocab_from_counts({"w%d" % i: 9 - i for i in range(N_ROWS - 2)})
+    model = init_embed_model(vocab, objective, EmbedConfig(dim=dim, window=window),
+                             SeededRng(seed))
+    width = model.output_vectors.shape[1]
+    rng = np.random.default_rng(seed)
+    sd = scale / width ** 0.25
+    model.input_vectors[:] = rng.normal(0.0, sd, model.input_vectors.shape)
+    model.output_vectors[:] = rng.normal(0.0, sd, model.output_vectors.shape)
+    for c in zero_columns:
+        model.output_vectors[:, c % width] = signed_zeros(rng, N_ROWS)
+        model.input_vectors[:, c % dim] = signed_zeros(rng, N_ROWS)
+    model.input_vectors[PAD_INDEX] = 0.0
+    reference = init_embed_model(vocab, objective, EmbedConfig(dim=dim, window=window),
+                                 SeededRng(seed))
+    reference.input_vectors[:] = model.input_vectors
+    reference.output_vectors[:] = model.output_vectors
+
+    for _ in range(data.draw(st.integers(1, 4))):
+        center, context, negatives = data.draw(prediction(objective, window))
+        lr = data.draw(st.floats(1e-3, 1.0))
+        want = reference_update(reference, objective, center, context, negatives, lr)
+        assert update(model, objective, center, context, negatives, lr) == want
+        assert model.output_vectors.tobytes() == reference.output_vectors.tobytes()
+        assert model.input_vectors.tobytes() == reference.input_vectors.tobytes()
+
+
+@settings(max_examples=300, deadline=None)
+@given(rows=st.integers(1, 21), width=st.integers(1, 600), seed=st.integers(0, 2 ** 32 - 1),
+       negative_zero_columns=st.lists(st.integers(0, 599), max_size=3),
+       signed_zero_columns=st.lists(st.integers(0, 599), max_size=3))
+def test_row_sum_is_the_zero_started_loop(rows, width, seed, negative_zero_columns,
+                                          signed_zero_columns):
+    rng = np.random.default_rng(seed)
+    pieces = rng.normal(size=(rows, width)) * 10.0 ** rng.integers(-8, 9, size=(rows, 1))
+    for c in signed_zero_columns:
+        pieces[:, c % width] = signed_zeros(rng, rows)
+    for c in negative_zero_columns:
+        pieces[:, c % width] = -0.0
+    want = np.zeros(width)
+    for piece in pieces:
+        want += piece
+    assert pretrain._row_sum(pieces).tobytes() == want.tobytes()
+
+
+def test_row_sum_of_negative_zeros_is_positive_zero():
+    got = pretrain._row_sum(np.full((3, 2), -0.0))
+    assert not np.signbit(got).any()
+    assert not np.signbit(pretrain._row_sum(np.full((3, 1), -0.0))).any()
+
+
 # ------------------------------------------------- finite-difference FD
 
 def _fd_check(objective):
@@ -305,7 +463,7 @@ def _fd_check(objective):
         args = (a, [b, g], negatives)
         grads = lambda m: cconcat_grads(m, *args)
 
-    loss, dv, du = grads(model)
+    loss, dv, du = as_dicts(grads(model))
     eps = 1e-6
 
     def numeric(matrix, i, j):
@@ -504,9 +662,12 @@ def test_an_epoch_without_predictions_is_kept_when_another_made_some(tmp_path):
     corpus = tmp_path / "c.txt"
     write_corpus(corpus, ["a b"])
     cfg = EmbedConfig(dim=3, window=1, subsample=0.0858, negatives=2, epochs=3, seed=8)
-    losses = train_embeddings(str(corpus), CBOW, cfg).epoch_losses
+    model = train_embeddings(str(corpus), CBOW, cfg)
+    losses = model.epoch_losses
     assert losses[:2] == [0.0, 0.0]
     assert losses[2] > 0.0
+    assert model.epoch_predictions[:2] == [0, 0]
+    assert model.epoch_predictions[2] > 0
 
 
 @pytest.mark.parametrize("objective", [CBOW, SKIPGRAM, CCONCAT])
