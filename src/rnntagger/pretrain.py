@@ -161,13 +161,14 @@ def init_embed_model(vocab, objective, config, rng):
 def _row_sum(pieces):
     """The rows of a 2-D array summed in order onto a zero row, bitwise.
 
-    add.reduce over axis 0 adds whole rows one after another; one column
-    is a single contiguous run, which numpy sums pairwise instead, so it
-    takes accumulate, which is sequential.  Both start from the first
-    row, so the + 0.0 gives an all -0.0 column the +0.0 of a zero start.
+    add.reduce over axis 0 starts from add's identity, +0.0, and adds
+    whole rows one after another.  One column is a single contiguous
+    run, which numpy sums pairwise instead, so it takes accumulate, which
+    is sequential but starts from the first row: the + 0.0 gives an all
+    -0.0 column the +0.0 of a zero start.
     """
     if pieces.shape[1] > 1:
-        return np.add.reduce(pieces, axis=0) + 0.0
+        return np.add.reduce(pieces, axis=0)
     return np.add.accumulate(pieces, axis=0)[-1] + 0.0
 
 
@@ -179,7 +180,8 @@ def _ns_grads(output, h, center, negatives):
     row that repeats keeps a piece per appearance.  Each score is its
     own stacked 1 x d product, which has the bits of output[j] @ h; one
     matrix-vector product rounds differently.  The loss is summed in
-    prediction order.
+    prediction order, and dh is _row_sum of the rows of output scaled by
+    their scores' gradients.
     """
     rows = [center, *negatives]
     O = output.take(rows, axis=0)
@@ -221,7 +223,8 @@ def _subtract_rows(matrix, grads, lr, skip_pad):
     rows, block = grads
     if (skip_pad and PAD_INDEX in rows) or len(set(rows)) < len(rows):
         rows, block = _merge_rows(rows, block, skip_pad)
-    # matrix[rows] -= lr * block, spelt the faster way for one row and for many
+    # matrix[rows] -= lr * block, written the way that is faster: basic
+    # indexing for one row, take's gather and one assignment for more
     if len(rows) == 1:
         matrix[rows[0]] -= lr * block[0]
     else:

@@ -388,30 +388,35 @@ def prediction(draw, objective, window):
 def test_updates_are_bitwise_the_per_row_reference(data, objective, window, seed, scale,
                                                    zero_columns):
     # repeated negatives and context words, a negative equal to the word
-    # predicted, PAD slots and columns of signed zeros, whose sums are
-    # where the order and the sign of zero show
+    # predicted, PAD slots, and zero columns: the order of a sum and the
+    # sign of a zero show there
     max_dim = 600 // (2 * window) if objective == CCONCAT else 600
     dim = data.draw(st.integers(1, max_dim))
+    predictions = data.draw(st.lists(st.tuples(prediction(objective, window),
+                                               st.floats(1e-3, 1.0)), min_size=1, max_size=4))
     vocab = vocab_from_counts({"w%d" % i: 9 - i for i in range(N_ROWS - 2)})
-    model = init_embed_model(vocab, objective, EmbedConfig(dim=dim, window=window),
-                             SeededRng(seed))
+    models = [init_embed_model(vocab, objective, EmbedConfig(dim=dim, window=window),
+                               SeededRng(seed)) for _ in range(2)]
+    model, reference = models
     width = model.output_vectors.shape[1]
     rng = np.random.default_rng(seed)
     sd = scale / width ** 0.25
     model.input_vectors[:] = rng.normal(0.0, sd, model.input_vectors.shape)
     model.output_vectors[:] = rng.normal(0.0, sd, model.output_vectors.shape)
+    # in a zero column every piece of the first prediction's dh is -0.0
+    # (its word's output row +0.0 times a negative g, the rest -0.0 times a
+    # positive one), so the loop's +0.0 reaches the input rows' -0.0
+    (center, context, _), _ = predictions[0]
+    target = context if objective == SKIPGRAM else center
     for c in zero_columns:
-        model.output_vectors[:, c % width] = signed_zeros(rng, N_ROWS)
-        model.input_vectors[:, c % dim] = signed_zeros(rng, N_ROWS)
+        model.output_vectors[:, c % width] = -0.0
+        model.output_vectors[target, c % width] = 0.0
+        model.input_vectors[:, c % dim] = -0.0
     model.input_vectors[PAD_INDEX] = 0.0
-    reference = init_embed_model(vocab, objective, EmbedConfig(dim=dim, window=window),
-                                 SeededRng(seed))
     reference.input_vectors[:] = model.input_vectors
     reference.output_vectors[:] = model.output_vectors
 
-    for _ in range(data.draw(st.integers(1, 4))):
-        center, context, negatives = data.draw(prediction(objective, window))
-        lr = data.draw(st.floats(1e-3, 1.0))
+    for (center, context, negatives), lr in predictions:
         want = reference_update(reference, objective, center, context, negatives, lr)
         assert update(model, objective, center, context, negatives, lr) == want
         assert model.output_vectors.tobytes() == reference.output_vectors.tobytes()
