@@ -305,7 +305,7 @@ def test_pad_input_row_never_updated(tmp_path):
 # ------------------------------------- the per-row reference update path
 
 def reference_ns_grads(output, h, center, negatives):
-    """One prediction computed as it was row by row: each probability on
+    """One prediction computed row by row: each probability on
     its own, the loss over the list of them, dh added onto a zero row
     one row at a time, and the output pieces scattered into a dict."""
     def sig(s):
