@@ -11,7 +11,6 @@ import tempfile
 
 import numpy as np
 
-from rnntagger.cli import one_blas_thread
 from rnntagger.pretrain import CBOW, CCONCAT, SKIPGRAM, EmbedConfig, train_embeddings
 
 
@@ -19,7 +18,6 @@ def cos(u, v):
     return float(u @ v / (np.linalg.norm(u) * np.linalg.norm(v)))
 
 
-@one_blas_thread()
 def main():
     lines = []
     for w in ("a", "b", "c"):

@@ -12,7 +12,6 @@ import sys
 import numpy as np
 
 from rnntagger.architectures import ModelSpec, forward_batch, init_model
-from rnntagger.cli import one_blas_thread
 from rnntagger.corpus import build_vocab
 from rnntagger.linalg import SeededRng
 from rnntagger.model import Model, tag_corpus
@@ -40,7 +39,6 @@ def first_token_accuracy(model, sents):
                           for t, s in zip(tags, sents)]))
 
 
-@one_blas_thread()
 def main():
     ap = argparse.ArgumentParser()
     ap.add_argument("--epochs", type=int, default=300)

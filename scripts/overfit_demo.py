@@ -10,7 +10,6 @@ import sys
 import time
 
 from rnntagger.architectures import ModelSpec, init_model
-from rnntagger.cli import one_blas_thread
 from rnntagger.corpus import build_vocab
 from rnntagger.evaluation import score
 from rnntagger.linalg import SeededRng
@@ -21,7 +20,6 @@ from rnntagger.tagging import BIO2, make_tagset, tags_to_spans
 from rnntagger.training import TrainConfig, train_epoch
 
 
-@one_blas_thread()
 def main():
     ap = argparse.ArgumentParser()
     ap.add_argument("--size", type=int, default=50)

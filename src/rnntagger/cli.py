@@ -8,12 +8,7 @@ Exit codes: 0 success, 1 usage error, 2 data error, 3 numeric failure.
 """
 
 import argparse
-import contextlib
-import ctypes
-import os
 import sys
-
-import numpy as np
 
 from . import architectures
 from .architectures import ModelSpec, init_model
@@ -224,49 +219,12 @@ def _cell_kind(name):
     return name.upper() if name else None
 
 
-def _openblas_thread_fns():
-    """(get, set) of the OpenBLAS thread count bundled with numpy's wheel,
-    found with ctypes; None when numpy ships no such library."""
-    libdir = os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs")
-    try:
-        names = sorted(f for f in os.listdir(libdir) if "openblas" in f)
-    except OSError:
-        return None
-    for fname in names:
-        try:
-            lib = ctypes.CDLL(os.path.join(libdir, fname))
-        except OSError:
-            continue
-        for prefix, suffix in (("scipy_openblas_", "64_"), ("openblas_", "64_"),
-                               ("openblas_", "")):
-            get = getattr(lib, prefix + "get_num_threads" + suffix, None)
-            put = getattr(lib, prefix + "set_num_threads" + suffix, None)
-            if get is not None and put is not None:
-                get.restype, put.argtypes = ctypes.c_int, [ctypes.c_int]
-                return get, put
-    return None
+def _decoder_kind(args):
+    """--decoder's cell kind; ELMAN when it is absent, except for mesnil,
+    which has no decoder."""
+    return _cell_kind(args.decoder or ("elman" if args.arch != "mesnil" else None))
 
 
-@contextlib.contextmanager
-def one_blas_thread():
-    """Run BLAS on one thread, restoring the previous count on exit: a
-    product split across threads rounds differently, and seeded runs
-    must write the same bytes whatever the machine's thread count.
-    As a decorator it does so for each call."""
-    fns = _openblas_thread_fns()
-    if fns is None:
-        yield
-        return
-    get, put = fns
-    previous = get()
-    put(1)
-    try:
-        yield
-    finally:
-        put(previous)
-
-
-@one_blas_thread()
 def main(argv=None):
     argv = list(sys.argv[1:]) if argv is None else list(argv)
     top, sub = build_parser()
@@ -362,13 +320,10 @@ def cmd_train(args):
         cache_tagset=tagset if args.cache else None,
     )
 
-    decoder = args.decoder
-    if args.arch != "mesnil" and decoder is None:
-        decoder = "elman"
     try:
         spec = ModelSpec(arch=args.arch, n_in=fconf.input_width(table.dim, args.v_c),
                          hidden=hidden, n_tags=len(tagset),
-                         decoder_cell=_cell_kind(decoder),
+                         decoder_cell=_decoder_kind(args),
                          encoder_cell=_cell_kind(args.encoder),
                          mesnil_k=args.mesnil_k)
     except ValueError as e:
@@ -454,13 +409,15 @@ def cmd_gradcheck(args):
                                ("--vd", args.v_d, 0)):
         if value < least:
             raise UsageError("%s must be >= %d, got %d" % (flag, least, value))
+    if not 0 < args.bound < float("inf"):
+        raise UsageError("--bound must be finite and > 0, got %r" % args.bound)
     if args.grid:
         specs = _grid_specs(args.hidden, args.n_in, args.n_tags)
     else:
         try:
             specs = [ModelSpec(arch=args.arch, n_in=args.n_in,
                                hidden=args.hidden, n_tags=args.n_tags,
-                               decoder_cell=_cell_kind(args.decoder),
+                               decoder_cell=_decoder_kind(args),
                                encoder_cell=_cell_kind(args.encoder))]
         except ValueError as e:
             raise UsageError(str(e))

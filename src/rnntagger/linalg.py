@@ -6,6 +6,10 @@ and a platform-independent RNG so that every run of the toolkit is
 bit-for-bit reproducible from a seed.
 """
 
+import ctypes
+import functools
+import os
+
 import numpy as np
 
 MASK64 = 0xFFFFFFFFFFFFFFFF
@@ -18,6 +22,50 @@ def is_int(value):
     """An integer that is not a bool: a size read as 1.0 or true from a
     file is not one."""
     return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
+@functools.cache
+def _openblas_thread_fns():
+    """(get, set) of the OpenBLAS thread count bundled with numpy's wheel,
+    found with ctypes once; None when numpy ships no such library."""
+    libdir = os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs")
+    try:
+        names = sorted(f for f in os.listdir(libdir) if "openblas" in f)
+    except OSError:
+        return None
+    for fname in names:
+        try:
+            lib = ctypes.CDLL(os.path.join(libdir, fname))
+        except OSError:
+            continue
+        for prefix, suffix in (("scipy_openblas_", "64_"), ("openblas_", "64_"),
+                               ("openblas_", "")):
+            get = getattr(lib, prefix + "get_num_threads" + suffix, None)
+            put = getattr(lib, prefix + "set_num_threads" + suffix, None)
+            if get is not None and put is not None:
+                get.restype, put.argtypes = ctypes.c_int, [ctypes.c_int]
+                return get, put
+    return None
+
+
+def one_blas_thread(fn):
+    """fn with BLAS on one thread, the count it found restored on return: a
+    product split across threads rounds differently, and seeded runs must
+    write the same bytes whatever the machine's thread count.  The
+    library's entry points into BLAS wear it; inside another pin, or with
+    no OpenBLAS, it finds nothing to set and costs one call."""
+    @functools.wraps(fn)
+    def pinned(*args, **kwargs):
+        fns = _openblas_thread_fns()
+        previous = fns[0]() if fns else 1
+        if previous == 1:
+            return fn(*args, **kwargs)
+        fns[1](1)
+        try:
+            return fn(*args, **kwargs)
+        finally:
+            fns[1](previous)
+    return pinned
 
 
 def _mix_scalar(z):

@@ -6,7 +6,7 @@ import numpy as np
 
 from . import architectures
 from .corpus import documents
-from .linalg import is_int
+from .linalg import is_int, one_blas_thread
 from .representation import DocCache, encode_sentence
 
 
@@ -50,6 +50,7 @@ def tag_sentence(model, sentence):
     return tag_corpus(model, [sentence])[0]
 
 
+@one_blas_thread
 def tag_corpus(model, sentences):
     """Tag sentences, one tag list per sentence in corpus order.
 

@@ -150,8 +150,7 @@ def init_embed_model(vocab, objective, config, rng):
         raise ValueError("unknown objective %r (expected one of %s)"
                          % (objective, OBJECTIVES))
     dim = config.dim
-    inp = linalg.uniform_init(rng, (len(vocab), dim), 0.5 / dim)
-    inp[PAD_INDEX] = 0.0
+    inp = EmbeddingTable.random(vocab, dim, rng).matrix
     out_width = 2 * config.window * dim if objective == CCONCAT else dim
     out = np.zeros((len(vocab), out_width))
     return EmbedModel(vocab=vocab, objective=objective, input_vectors=inp,
@@ -295,6 +294,7 @@ def read_corpus(path):
     return sentences
 
 
+@linalg.one_blas_thread
 def train_embeddings(corpus_path, objective, config):
     """Epoch loop over the corpus with linear lr decay down to
     initial * 1e-4.  Deterministic for a fixed seed.  The model keeps

@@ -37,10 +37,7 @@ class EmbeddingTable:
 
     @classmethod
     def random(cls, vocab, dim, rng):
-        radius = 0.5 / dim
-        m = linalg.uniform_init(rng, (len(vocab), dim), radius)
-        m[PAD_INDEX] = 0.0
-        return cls(vocab, dim, m)
+        return cls(vocab, dim, linalg.uniform_init(rng, (len(vocab), dim), 0.5 / dim))
 
     def add_grad(self, rows, grads, lr):
         """SGD step on the distinct rows `rows`, row k of grads being the

@@ -204,6 +204,7 @@ def _prepare(model, sentences):
     return prepared
 
 
+@linalg.one_blas_thread
 def train_epoch(model, sentences, cfg, rng=None):
     """Visit every (sentence, position) example once, in seeded-shuffle
     order when shuffle is on.  A numeric failure names the example's
@@ -316,6 +317,7 @@ def _guarded_rel_err(a, n):
     return abs(a - n) / max(abs(a), abs(n), 1e-8)
 
 
+@linalg.one_blas_thread
 def gradient_check(spec, seed, n_tokens, v_d=9):
     """Analytic windowed-BPTT gradients of window_nll over every position
     of a random sentence vs central differences of the same function.

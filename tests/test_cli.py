@@ -1,6 +1,5 @@
 """Exit codes, config-file merging, and end-to-end command wiring."""
 
-import importlib.util
 import json
 import os
 import subprocess
@@ -622,26 +621,30 @@ def test_train_writes_the_same_bytes_whatever_the_blas_thread_count(tmp_path):
     assert outs[0] == outs[1]
 
 
-class BlasPinned(Exception):
-    pass
+# cmd_train called as a plain function, not through cli.main: the model's
+# bytes rest on the library's own BLAS pins alone
+LIBRARY_TRAIN = ("import sys; from rnntagger.cli import build_parser, cmd_train; "
+                 "cmd_train(build_parser()[0].parse_args(sys.argv[1:]))")
 
 
-@pytest.mark.parametrize("script", ["embed_demo", "future_dep_demo", "overfit_demo"])
-def test_demo_scripts_pin_blas_to_one_thread_first(monkeypatch, script):
-    # a thread-count setter that stops the run when asked for one thread:
-    # main must get there before it does any work
-    def put(n):
-        if n == 1:
-            raise BlasPinned
-
-    monkeypatch.setattr(cli, "_openblas_thread_fns", lambda: (lambda: 4, put))
-    path = SRC_DIR.parent / "scripts" / (script + ".py")
-    spec = importlib.util.spec_from_file_location(script, path)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    monkeypatch.setattr(sys, "argv", [str(path)])
-    with pytest.raises(BlasPinned):
-        module.main()
+def test_library_training_writes_the_same_bytes_whatever_the_blas_thread_count(tmp_path):
+    short = memorize_corpus(size=40, seed=1)
+    gold = tmp_path / "g.conll"
+    write_conll([Sentence([t for s in short[i:i + 6] for t in s.tokens])
+                 for i in range(0, len(short), 6)], str(gold))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(SRC_DIR)] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    outs = []
+    for threads in ("1", "2"):
+        out = tmp_path / ("m%s.json" % threads)
+        subprocess.run([sys.executable, "-c", LIBRARY_TRAIN, "train", "--train", str(gold),
+                        "--arch", "bidirectional", "--encoder", "elman_gru",
+                        "--decoder", "jordan_gru", "--dim", "50", "--caps", "true",
+                        "--profile", "conll", "--epochs", "1", "--out-model", str(out)],
+                       env=dict(env, OPENBLAS_NUM_THREADS=threads), check=True,
+                       stdout=subprocess.DEVNULL)
+        outs.append(out.read_bytes())
+    assert outs[0] == outs[1]
 
 
 def test_train_with_triggers_is_seeded(tmp_path, capsys):
@@ -840,10 +843,34 @@ def test_gradcheck_size_below_one_is_usage_error(capsys, flag, grid):
     assert "passed" not in out
 
 
+@pytest.mark.parametrize("bound", ["nan", "0", "-1", "inf", "-inf"])
+def test_gradcheck_bound_not_finite_and_positive_is_usage_error(capsys, bound):
+    rc, out, err = run(["gradcheck", "--decoder", "elman", "--bound=" + bound], capsys)
+    assert rc == 1
+    assert "usage error: --bound must be finite and > 0" in err
+    assert "passed" not in out
+
+
 def test_gradcheck_negative_window_is_usage_error(capsys):
     rc, _, err = run(["gradcheck", "--decoder", "elman", "--vd", "-1"], capsys)
     assert rc == 1
     assert "usage error: --vd must be >= 0, got -1" in err
+
+
+def test_bare_gradcheck_checks_an_elman_decoder_and_passes(capsys):
+    rc, out, _ = run(["gradcheck"], capsys)
+    assert rc == 0
+    assert "basic enc=None dec=ELMAN" in out
+    assert "gradient check passed" in out
+
+
+def test_gradcheck_mesnil_builds_no_decoder(capsys):
+    rc, out, _ = run(["gradcheck", "--arch", "mesnil", "--encoder", "elman",
+                      "--hidden", "3", "--n-in", "4", "--n-tags", "2", "--tokens", "2"],
+                     capsys)
+    assert rc == 0
+    assert "mesnil enc=ELMAN dec=None" in out
+    assert "decoder." not in out
 
 
 def test_gradcheck_single_combo_passes(capsys):

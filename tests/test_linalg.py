@@ -3,7 +3,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from rnntagger import linalg
+from rnntagger import linalg, model, pretrain, training
 from rnntagger.linalg import SeededRng, sigmoid, softmax
 
 
@@ -212,3 +212,48 @@ def test_uniform_init_shape_and_radius():
 
 def test_glorot_radius_value():
     assert linalg.glorot_radius(3, 3) == pytest.approx(1.0)
+
+
+class BlasPinned(Exception):
+    pass
+
+
+@pytest.mark.parametrize("entry, n_args", [(training.train_epoch, 3),
+                                           (training.gradient_check, 3),
+                                           (model.tag_corpus, 2),
+                                           (pretrain.train_embeddings, 3)])
+def test_library_entry_points_pin_blas_to_one_thread_first(monkeypatch, entry, n_args):
+    # a thread-count setter that stops the call when asked for one thread:
+    # the entry point must get there before it does any work, which on
+    # these None arguments would raise something else
+    def put(n):
+        if n == 1:
+            raise BlasPinned
+
+    monkeypatch.setattr(linalg, "_openblas_thread_fns", lambda: (lambda: 4, put))
+    with pytest.raises(BlasPinned):
+        entry(*[None] * n_args)
+
+
+def test_nested_blas_pins_restore_the_outer_count(monkeypatch):
+    count, seen = [4], []
+    monkeypatch.setattr(linalg, "_openblas_thread_fns",
+                        lambda: (lambda: count[0], lambda n: count.__setitem__(0, n)))
+    inner = linalg.one_blas_thread(lambda: seen.append(count[0]))
+
+    @linalg.one_blas_thread
+    def outer():
+        inner()
+        seen.append(count[0])
+
+    outer()
+    assert seen == [1, 1]
+    assert count == [4]
+    with pytest.raises(ZeroDivisionError):
+        linalg.one_blas_thread(lambda: 1 / 0)()
+    assert count == [4]
+
+
+def test_blas_pin_does_nothing_without_openblas(monkeypatch):
+    monkeypatch.setattr(linalg, "_openblas_thread_fns", lambda: None)
+    assert linalg.one_blas_thread(lambda x: x + 1)(1) == 2
