@@ -220,9 +220,10 @@ def _cell_kind(name):
 
 
 def _decoder_kind(args):
-    """--decoder's cell kind; ELMAN when it is absent, except for mesnil,
-    which has no decoder."""
-    return _cell_kind(args.decoder or ("elman" if args.arch != "mesnil" else None))
+    """--decoder's cell kind, ELMAN by default except for mesnil (no decoder)."""
+    if args.decoder is None and args.arch != "mesnil":
+        return "ELMAN"
+    return _cell_kind(args.decoder)
 
 
 def main(argv=None):
