@@ -2,20 +2,29 @@
 
 One JSON document holds everything a tagger needs to run: the shape
 spec, every parameter bundle, the embedding table with its vocabulary,
-the feature channel setup, and the tagset.  Keys are sorted and floats
-use shortest round-trip notation, so saving the same model twice yields
-byte-identical files and load(save(m)) reproduces every array exactly.
+the feature channel setup, and the tagset.  Keys are sorted and the
+separators compact, so saving the same model twice yields byte-identical
+files.
 
-The writer streams the document: keys go out in sorted order, every
-value but an array through json's encoder, and each array row by row
-as float.__repr__ of its values, which is the notation json gives a
-finite float.  No list copy of a whole array is made, and the bytes
-are the ones json.dump(sort_keys=True, separators=(",", ":")) writes.
-A NaN or infinity has no JSON form the loader accepts, so save_model
-refuses an array that holds one with a FloatingPointError naming it,
-before the file is opened.
+The writer writes format version 2.  Each 2-D array there is an object
+{"f8le": base64 of its little-endian float64 bytes in row-major order,
+"shape": [rows, cols]}, so load(save(m)) reproduces every array bit for
+bit, -0.0 and subnormals included.  The writer streams the document:
+keys go out in sorted order, every value but an array through json's
+encoder, and each array CHUNK_ROWS rows at a time, so no copy of a whole
+array is made.  The bytes equal json.dump(sort_keys=True,
+separators=(",", ":")) of the document with each array's base64 made
+whole.  The loader refuses a NaN or an infinity, so save_model refuses an
+array that holds one with a FloatingPointError naming it, before the
+file is opened.
+
+The loader reads version 2 and version 1, whose arrays are nested lists
+of decimal floats, as files written before version 2 hold them.  Each
+version accepts only its own array form, and every defect is a
+ValueError that names the file and the key.
 """
 
+import base64
 import json
 from dataclasses import asdict, fields
 
@@ -30,7 +39,14 @@ from .representation import EmbeddingTable, FeatureConfig
 from .tagging import detect_scheme
 
 MODEL_FORMAT = "rnn-mention-tagger"
-MODEL_VERSION = 1
+MODEL_VERSION = 2
+READ_VERSIONS = (1, 2)
+
+# Rows of an array the writer encodes at a time.  A multiple of 3 rows is
+# a multiple of 3 bytes, so no chunk but the last ends in base64 padding
+# and the chunks join into the base64 of the whole array.  Encoding each
+# whole array at once raised a training run's peak RSS by about a tenth.
+CHUNK_ROWS = 3072
 
 # Keys every model file holds at one value: the model has no bias terms,
 # a sigmoid GRU candidate, and lowercased, digit-folded tokens.  They stay
@@ -111,10 +127,11 @@ def _write(fh, value):
             _write(fh, value[key])
         fh.write("}")
     elif isinstance(value, np.ndarray):     # every array in the file is 2-D
-        fh.write("[")
-        for i, row in enumerate(value):
-            fh.write("," * (i > 0) + "[" + ",".join(map(float.__repr__, row.tolist())) + "]")
-        fh.write("]")
+        fh.write('{"f8le":"')
+        for i in range(0, len(value), CHUNK_ROWS):
+            chunk = value[i:i + CHUNK_ROWS].astype("<f8", copy=False).tobytes()
+            fh.write(base64.b64encode(chunk).decode("ascii"))
+        fh.write('","shape":' + _encode(list(value.shape)) + "}")
     else:
         fh.write(_encode(value))
 
@@ -131,11 +148,45 @@ def save_model(model, path):
         fh.write("\n")
 
 
-def _array(value, where, shape):
+def _list_array(value, where):
+    """A version-1 array: nested lists of numbers, or the float64 array
+    the parser's object hook already made of them."""
     try:
-        arr = np.asarray(value, dtype=np.float64)
+        return np.asarray(value, dtype=np.float64)
     except (TypeError, ValueError, OverflowError):
         raise ValueError("%s is not a numeric array" % where) from None
+
+
+def _bytes_array(value, where):
+    """A version-2 array, {"f8le": base64, "shape": [rows, cols]}, as a
+    fresh, writable, C-contiguous native float64 array."""
+    if not isinstance(value, dict):
+        raise ValueError("%s is not an array object (keys f8le, shape)" % where)
+    if set(value) != {"f8le", "shape"}:
+        raise ValueError("%s: array keys %s, expected ['f8le', 'shape']" % (where, sorted(value)))
+    dims, text = value["shape"], value["f8le"]
+    if not (isinstance(dims, list) and len(dims) == 2
+            and all(linalg.is_int(d) and d >= 0 for d in dims)):
+        raise ValueError("%s.shape must be two integers >= 0, got %r" % (where, dims))
+    if not isinstance(text, str):
+        raise ValueError("%s.f8le must be a base64 string" % where)
+    try:
+        raw = base64.b64decode(text, validate=True)
+        # b64decode also takes padding past a full group, so a length
+        # other than that of raw's one encoding is refused here
+        if len(text) != (len(raw) + 2) // 3 * 4:
+            raise ValueError
+    except ValueError:      # a character outside the alphabet, bad padding
+        raise ValueError("%s.f8le is not valid base64" % where) from None
+    rows, cols = dims
+    if len(raw) != rows * cols * 8:
+        raise ValueError("%s.f8le holds %d bytes, shape %s needs %d"
+                         % (where, len(raw), dims, rows * cols * 8))
+    return np.frombuffer(raw, dtype="<f8").reshape(rows, cols).astype(np.float64)
+
+
+def _array(value, where, shape, version):
+    arr = (_list_array if version == 1 else _bytes_array)(value, where)
     if arr.shape != tuple(shape):
         raise ValueError("%s has shape %s, expected %s" % (where, arr.shape, tuple(shape)))
     if not np.all(np.isfinite(arr)):
@@ -143,7 +194,7 @@ def _array(value, where, shape):
     return arr
 
 
-def _params_from_obj(raw, spec):
+def _params_from_obj(raw, spec, version):
     """Parameter bundles, checked against the shapes the cells declare."""
     shapes = bundle_shapes(spec)
     if set(raw) != set(shapes):
@@ -153,7 +204,8 @@ def _params_from_obj(raw, spec):
         if set(raw[bundle]) != set(shapes[bundle]):
             raise ValueError("params.%s: parameters %s, expected %s"
                              % (bundle, sorted(raw[bundle]), sorted(shapes[bundle])))
-        params[bundle] = {name: _array(raw[bundle][name], "params.%s.%s" % (bundle, name), shape)
+        params[bundle] = {name: _array(raw[bundle][name], "params.%s.%s" % (bundle, name),
+                                       shape, version)
                           for name, shape in sorted(shapes[bundle].items())}
     return params
 
@@ -171,17 +223,17 @@ def model_from_obj(obj):
     version = obj.get("version")
     if not linalg.is_int(version):
         raise ValueError("version must be an integer, got %r" % (version,))
-    if version != MODEL_VERSION:
+    if version not in READ_VERSIONS:
         raise ValueError("unsupported model version %r" % version)
     try:
-        return _model_from_obj(obj)
+        return _model_from_obj(obj, version)
     except KeyError as e:
         raise ValueError("missing key %s" % e) from None
     except (TypeError, AttributeError) as e:
         raise ValueError("malformed model: %s" % e) from None
 
 
-def _model_from_obj(obj):
+def _model_from_obj(obj, version):
     for section, key, value in FIXED_KEYS:
         got = obj[section][key]
         if type(got) is not type(value) or got != value:
@@ -207,7 +259,7 @@ def _model_from_obj(obj):
                              "(lowercase, digits as 0)" % (i, w))
     vocab = Vocabulary(index_to_word=list(words))
     emb = obj["embedding"]
-    matrix = _array(emb["matrix"], "embedding.matrix", (len(vocab), emb["dim"]))
+    matrix = _array(emb["matrix"], "embedding.matrix", (len(vocab), emb["dim"]), version)
     table = EmbeddingTable(vocab, emb["dim"], matrix, trainable=emb["trainable"])
     f = obj["features"]
     trigger = f["trigger"]
@@ -224,16 +276,19 @@ def _model_from_obj(obj):
     if obj["scheme"] != scheme:
         raise ValueError("scheme must be %r, the scheme of the tagset, got %r"
                          % (scheme, obj["scheme"]))
-    return Model(spec=spec, params=_params_from_obj(obj["params"], spec), table=table,
+    return Model(spec=spec, params=_params_from_obj(obj["params"], spec, version), table=table,
                  fconf=fconf, tagset=tagset, scheme=scheme, v_c=obj["v_c"])
 
 
 def _arrays_of(obj):
-    """json's object hook: a value at an ARRAY_KEYS key becomes a float64
-    array as soon as its object is parsed, so only one object's Python
-    floats are alive at a time.  It is _array's own conversion, so a
-    value that does not convert stays for _array to reject by name."""
+    """json's object hook for version-1 arrays: a list at an ARRAY_KEYS
+    key becomes a float64 array as soon as its object is parsed, so only
+    one object's Python floats are alive at a time.  It is _list_array's
+    own conversion, so a list that does not convert stays for _array to
+    reject by name."""
     for key in ARRAY_KEYS.intersection(obj):
+        if not isinstance(obj[key], list):
+            continue
         try:
             obj[key] = np.array(obj[key], dtype=np.float64)
         except (TypeError, ValueError, OverflowError):

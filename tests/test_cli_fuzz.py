@@ -4,7 +4,9 @@ documented exit code, never in an exception.
 Valid model, embedding, CoNLL, config and lexicon files are written
 once; each example mutates one of them (truncation, spliced bytes, or a
 JSON value swapped for one of another type, an integer turned into the
-float of the same value, or a list cut short) or one flag value, and runs
+float of the same value, a list cut short, or a model array's base64
+truncated, made an odd length, given a character outside its alphabet
+or a NaN or infinity in its bytes) or one flag value, and runs
 `cli.main` in-process.  Sizes stay on the command line at small values,
 where a flag overrides the config file, so no mutation can ask for a
 large model.
@@ -27,6 +29,7 @@ from rnntagger.corpus import load_conll, write_conll
 from rnntagger.representation import encode_sentence, load_embeddings
 from rnntagger.serialize import load_model
 from rnntagger.synth import memorize_corpus
+from test_serialize import decoded, encoded
 
 EXIT_CODES = {cli.EXIT_OK, cli.EXIT_USAGE, cli.EXIT_DATA, cli.EXIT_NUMERIC}
 SIZES = ["--hidden", "3", "--vc", "0", "--vd", "1", "--epochs", "1"]
@@ -74,12 +77,50 @@ PICKS = {"json": lambda v: True, "float": lambda v: type(v) is int,
          "list": lambda v: type(v) is list and len(v) > 0}
 
 
+# bit patterns of NaNs and infinities: quiet, signalling, negative
+NON_FINITE_BITS = [0x7FF8000000000000, 0x7FF0000000000001, 0xFFF8000000000000,
+                   0x7FF0000000000000, 0xFFF0000000000000]
+
+
+@st.composite
+def base64_mutated(draw, data):
+    """(model file data with one array's base64 mutated, the array's
+    dotted key): truncated, made a length that is not a multiple of 4,
+    given a character outside the alphabet, or re-encoded with a NaN or
+    an infinity in place of one value."""
+    obj = json.loads(data)
+    path = draw(st.sampled_from([p[:-1] for p, _ in json_paths(obj) if p[-1:] == ("f8le",)]))
+    value = obj
+    for key in path:
+        value = value[key]
+    text = value["f8le"]
+    how = draw(st.sampled_from(["truncate", "odd length", "alphabet", "non-finite"]))
+    event("base64 " + how)
+    if how == "truncate":
+        value["f8le"] = text[:draw(st.integers(0, len(text) - 1))]
+    elif how == "odd length":
+        at = draw(st.integers(0, len(text) - 1))
+        value["f8le"] = text[:at] + draw(st.sampled_from(["", "AB", "ABC"])) + text[at + 1:]
+    elif how == "alphabet":
+        at = draw(st.integers(0, len(text) - 1))
+        value["f8le"] = text[:at] + draw(st.sampled_from("-_!.~ \n\t\x00\u00e9")) + text[at + 1:]
+    else:
+        arr = decoded(value).copy()
+        arr.view("<u8").flat[draw(st.integers(0, arr.size - 1))] = draw(
+            st.sampled_from(NON_FINITE_BITS))
+        value.update(encoded(arr))
+    return json.dumps(obj).encode(), ".".join(path)
+
+
 @st.composite
 def mutated(draw, data, is_json):
     """A mutation of data: truncated, spliced, or (for JSON) one value
     swapped for a value of another type, an int for the float of the
-    same value, or a list for a shorter prefix of it."""
-    how = draw(st.sampled_from(["truncate", "splice"] + sorted(PICKS) * is_json))
+    same value, a list for a shorter prefix of it, or an array's base64
+    mutated as base64_mutated does."""
+    how = draw(st.sampled_from(["truncate", "splice"] + (sorted(PICKS) + ["base64"]) * is_json))
+    if how == "base64":
+        return draw(base64_mutated(data))[0]
     if how == "truncate":
         return data[:draw(st.integers(0, len(data) - 1))]
     if how == "splice":
@@ -132,6 +173,23 @@ def test_mutated_input_file_ends_in_an_exit_code(valid, data):
         path = Path(d, "mutated")
         path.write_bytes(body)
         assert main(file_argv(kind, str(path), files, str(Path(d, "out")))) in EXIT_CODES
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_base64_mutated_model_file_is_data_error_naming_the_array(valid, data):
+    body, key = data.draw(base64_mutated(valid["model"]))
+    with tempfile.TemporaryDirectory() as d:
+        model, gold, out = Path(d, "m.json"), Path(d, "gold.conll"), Path(d, "out")
+        model.write_bytes(body)
+        gold.write_bytes(valid["conll"])
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            rc = cli.main(["tag", "--model", str(model), "--input", str(gold),
+                           "--out", str(out)])
+        assert rc == cli.EXIT_DATA
+        assert "data error: %s: %s" % (model, key) in err.getvalue()
+        assert not out.exists()
 
 
 # one valid command per subcommand; a flag's value is what gets mutated,
@@ -200,8 +258,8 @@ def test_tag_with_extreme_finite_weights_exits_3_or_writes_tagset_tags(valid, da
     obj = json.loads(valid["model"])
     blocks = [(b, n) for b in sorted(obj["params"]) for n in sorted(obj["params"][b])]
     for b, n in data.draw(st.lists(st.sampled_from(blocks), min_size=1, unique=True)):
-        w = np.array(obj["params"][b][n])
-        obj["params"][b][n] = (np.sign(w) * data.draw(st.sampled_from(EXTREMES))).tolist()
+        w = decoded(obj["params"][b][n])
+        obj["params"][b][n] = encoded(np.sign(w) * data.draw(st.sampled_from(EXTREMES)))
     with tempfile.TemporaryDirectory() as d:
         model, gold, out = Path(d, "m.json"), Path(d, "gold.conll"), Path(d, "out")
         model.write_text(json.dumps(obj))

@@ -1,3 +1,4 @@
+import base64
 import dataclasses
 import json
 import re
@@ -14,9 +15,20 @@ from rnntagger.corpus import Lexicon, Sentence, Token, build_vocab
 from rnntagger.linalg import SeededRng
 from rnntagger.model import Model, tag_corpus
 from rnntagger.representation import EmbeddingTable, FeatureConfig
-from rnntagger.serialize import load_model, model_from_obj, save_model
+from rnntagger.serialize import CHUNK_ROWS, load_model, model_from_obj, save_model
 from rnntagger.tagging import BIO2, make_tagset
 from rnntagger.training import TrainConfig, train_epoch
+
+
+def encoded(arr):
+    """A version-2 array object, its base64 made in one piece."""
+    arr = np.asarray(arr, dtype="<f8")
+    return {"f8le": base64.b64encode(arr.tobytes()).decode("ascii"), "shape": list(arr.shape)}
+
+
+def decoded(value):
+    """The array a version-2 array object holds."""
+    return np.frombuffer(base64.b64decode(value["f8le"]), dtype="<f8").reshape(value["shape"])
 
 
 def sent(words, tags, doc="0"):
@@ -144,15 +156,17 @@ def test_missing_file_raises_oserror(tmp_path):
         load_model(str(tmp_path / "nope.json"))
 
 
-# Two small trained models saved by the code that still had the bias and
-# GRU-candidate options (both at their defaults), with the tags they gave
-# on COMPAT_INPUT at the time.  The bidirectional one has an ELMAN_GRU
-# encoder and a JORDAN_GRU decoder; the contextual one an ELMAN encoder,
-# a JORDAN decoder, and every feature channel.  The files of the same
-# names in DATA_DIR have the same specs with bias on, which this code
-# rejects.
+# Two small trained models saved, in format version 1, by the code that
+# still had the bias and GRU-candidate options (both at their defaults),
+# with the tags they gave on COMPAT_INPUT at the time.  The bidirectional
+# one has an ELMAN_GRU encoder and a JORDAN_GRU decoder; the contextual
+# one an ELMAN encoder, a JORDAN decoder, and every feature channel.  The
+# files of the same names in DATA_DIR have the same specs with bias on,
+# which this code rejects; those in V2_DIR are the compat files re-saved
+# in format version 2.
 DATA_DIR = Path(__file__).parent / "data"
 COMPAT_DIR = DATA_DIR / "compat"
+V2_DIR = COMPAT_DIR / "v2"
 COMPAT_INPUT = [
     Sentence([Token(w) for w in ["Anna", "visits", "Acme", "Corp", "today"]], doc_id="0"),
     Sentence([Token(w) for w in ["Mr.", "Bob", "naps"]], doc_id="0"),
@@ -162,12 +176,18 @@ COMPAT_INPUT = [
 
 @pytest.mark.parametrize("name", ["bidirectional_gru.json", "contextual_elman_jordan.json"])
 def test_committed_model_files_load_tag_and_resave_identically(name, tmp_path):
-    path = COMPAT_DIR / name
-    model = load_model(str(path))
+    # the version-1 file and its version-2 copy hold the same model, tag
+    # as the version-1 file did when it was written, and both re-save to
+    # the committed version-2 bytes
     expected = json.loads((DATA_DIR / "compat_tags.json").read_text())[name]
-    assert tag_corpus(model, COMPAT_INPUT) == expected
-    save_model(model, str(tmp_path / name))
-    assert (tmp_path / name).read_bytes() == path.read_bytes()
+    v1, v2 = COMPAT_DIR / name, V2_DIR / name
+    assert [json.loads(p.read_text())["version"] for p in (v1, v2)] == [1, 2]
+    models = [load_model(str(p)) for p in (v1, v2)]
+    assert_models_equal(*models)
+    for model in models:
+        assert tag_corpus(model, COMPAT_INPUT) == expected
+        save_model(model, str(tmp_path / name))
+        assert (tmp_path / name).read_bytes() == v2.read_bytes()
 
 
 def model_obj(**changes):
@@ -304,11 +324,141 @@ def test_ragged_array_in_a_file_names_the_file_and_the_key(tmp_path):
     assert str(e.value) == "%s: params.decoder_out.W is not a numeric array" % path
 
 
+# ------------------------------------------------ version-2 array refusals
+
+def with_bits(pattern):
+    """Set the third value of the array object to the float64 whose bits
+    are pattern."""
+    def mutate(value):
+        arr = decoded(value).copy()
+        arr.view("<u8")[0, 2] = pattern
+        value.update(encoded(arr))
+    return mutate
+
+
+def set_key(key, new):
+    return lambda value: value.update({key: new})
+
+
+NAN, INF = 0x7FF8000000000000, 0x7FF0000000000000
+# params.decoder_out.W of the version-2 bidirectional compat file is a
+# 5 x 4 array: 160 bytes, 216 base64 characters of which the last two are
+# padding
+V2_REFUSALS = [
+    ("alphabet", lambda v: v.update(f8le="-" + v["f8le"][1:]), ".f8le is not valid base64"),
+    ("url-safe alphabet", lambda v: v.update(f8le=v["f8le"][:5] + "_" + v["f8le"][6:]),
+     ".f8le is not valid base64"),
+    ("whitespace", lambda v: v.update(f8le=v["f8le"][:4] + "\n" + v["f8le"][4:]),
+     ".f8le is not valid base64"),
+    ("not ascii", lambda v: v.update(f8le="\u00e9" + v["f8le"][1:]), ".f8le is not valid base64"),
+    ("no padding", lambda v: v.update(f8le=v["f8le"].rstrip("=")), ".f8le is not valid base64"),
+    ("padding inside", lambda v: v.update(f8le=v["f8le"][:8] + "=" + v["f8le"][9:]),
+     ".f8le is not valid base64"),
+    ("excess padding", lambda v: v.update(f8le=v["f8le"] + "===="), ".f8le is not valid base64"),
+    ("odd length", lambda v: v.update(f8le=v["f8le"][:-3]), ".f8le is not valid base64"),
+    ("one group short", lambda v: v.update(f8le=v["f8le"][:-4]),
+     ".f8le holds 159 bytes, shape [5, 4] needs 160"),
+    ("one value short", lambda v: v.update(f8le=encoded(decoded(v).ravel()[:-1])["f8le"]),
+     ".f8le holds 152 bytes, shape [5, 4] needs 160"),
+    ("one value more", lambda v: v.update(f8le=encoded(np.append(decoded(v), 1.0))["f8le"]),
+     ".f8le holds 168 bytes, shape [5, 4] needs 160"),
+    ("empty", set_key("f8le", ""), ".f8le holds 0 bytes, shape [5, 4] needs 160"),
+    ("f8le a number", set_key("f8le", 5), ".f8le must be a base64 string"),
+    ("f8le a list", set_key("f8le", ["AAAA"]), ".f8le must be a base64 string"),
+    ("one dim", set_key("shape", [20]), ".shape must be two integers >= 0, got [20]"),
+    ("three dims", set_key("shape", [5, 4, 1]), ".shape must be two integers >= 0, got [5, 4, 1]"),
+    ("negative", set_key("shape", [-5, -4]), ".shape must be two integers >= 0, got [-5, -4]"),
+    ("float dim", set_key("shape", [5.0, 4]), ".shape must be two integers >= 0, got [5.0, 4]"),
+    ("bool dim", set_key("shape", [5, True]), ".shape must be two integers >= 0, got [5, True]"),
+    ("shape a string", set_key("shape", "5x4"), ".shape must be two integers >= 0, got '5x4'"),
+    ("shape null", set_key("shape", None), ".shape must be two integers >= 0, got None"),
+    ("transposed", set_key("shape", [4, 5]), " has shape (4, 5), expected (5, 4)"),
+    ("other size", lambda v: v.update(encoded(np.zeros((4, 4)))),
+     " has shape (4, 4), expected (5, 4)"),
+    ("missing key", lambda v: v.pop("shape"), ": array keys ['f8le'], expected ['f8le', 'shape']"),
+    ("extra key", set_key("dtype", "<f8"),
+     ": array keys ['dtype', 'f8le', 'shape'], expected ['f8le', 'shape']"),
+    ("nan", with_bits(NAN), " holds a non-finite value"),
+    ("negative nan", with_bits(NAN | 1 << 63), " holds a non-finite value"),
+    ("signalling nan", with_bits(INF | 1), " holds a non-finite value"),
+    ("inf", with_bits(INF), " holds a non-finite value"),
+    ("-inf", with_bits(INF | 1 << 63), " holds a non-finite value"),
+]
+
+
+def v2_obj():
+    return json.loads((V2_DIR / "bidirectional_gru.json").read_text())
+
+
+@pytest.mark.parametrize("mutate,message", [pytest.param(m, msg, id=case)
+                                            for case, m, msg in V2_REFUSALS])
+def test_version_2_array_defect_names_the_file_and_the_key(mutate, message, tmp_path):
+    obj = v2_obj()
+    mutate(obj["params"]["decoder_out"]["W"])
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps(obj))
+    with pytest.raises(ValueError) as e:
+        load_model(str(path))
+    assert str(e.value) == "%s: params.decoder_out.W%s" % (path, message)
+
+
+# embedding.matrix of that file is 12 x 3: 288 bytes, whose base64 has no
+# padding, so b64decode takes padding added after it
+@pytest.mark.parametrize("mutate,message", [
+    (lambda v: v.update(f8le=v["f8le"][:-1]), ".f8le is not valid base64"),
+    (lambda v: v.update(f8le=v["f8le"] + "="), ".f8le is not valid base64"),
+    (lambda v: v.update(f8le=v["f8le"] + "===="), ".f8le is not valid base64"),
+    (with_bits(INF), " holds a non-finite value"),
+], ids=["odd length", "padding added", "padding group added", "inf"])
+def test_version_2_embedding_matrix_defect_is_named(mutate, message):
+    obj = v2_obj()
+    assert not obj["embedding"]["matrix"]["f8le"].endswith("=")
+    mutate(obj["embedding"]["matrix"])
+    with pytest.raises(ValueError) as e:
+        model_from_obj(obj)
+    assert str(e.value) == "embedding.matrix" + message
+
+
+def test_each_version_reads_only_its_own_array_form(tmp_path):
+    # a version-2 file whose array is a version-1 list, and the reverse;
+    # through the file, so the version-1 parser's object hook is on
+    v1, v2 = model_obj(), v2_obj()
+    v1["params"]["decoder_out"]["W"], v2["params"]["decoder_out"]["W"] = (
+        v2["params"]["decoder_out"]["W"], v1["params"]["decoder_out"]["W"])
+    for obj, message in [(v2, "is not an array object (keys f8le, shape)"),
+                         (v1, "is not a numeric array")]:
+        path = tmp_path / ("v%d.json" % obj["version"])
+        path.write_text(json.dumps(obj))
+        with pytest.raises(ValueError) as e:
+            load_model(str(path))
+        assert str(e.value) == "%s: params.decoder_out.W %s" % (path, message)
+
+
+def test_version_2_arrays_load_fresh_and_bit_exact(tmp_path):
+    def arrays(model):
+        return [model.table.matrix] + [model.params[b][n] for b in sorted(model.params)
+                                       for n in sorted(model.params[b])]
+
+    model = bare_model()
+    pool = np.array(EDGE_FLOATS + [2.2250738585072014e-308, -1.5e-310])
+    for i, arr in enumerate(arrays(model)):
+        arr.flat[:] = np.resize(np.roll(pool, i), arr.size)
+    model.table.matrix[0] = 0.0     # the PAD row
+    path = tmp_path / "m.json"
+    save_model(model, str(path))
+    for a, b in zip(arrays(model), arrays(load_model(str(path))), strict=True):
+        assert a.tobytes() == b.tobytes()     # -0.0 and subnormals keep their bits
+        assert b.dtype == np.float64 and b.dtype.isnative
+        assert b.flags.owndata and b.flags.writeable and b.flags.aligned
+        assert b.flags.c_contiguous
+
+
 # ------------------------------------------------- the streaming writer
 
 def json_oracle_bytes(model):
-    """The model file as json.dump writes it from list copies of every
-    array: the writer's output must equal this byte for byte."""
+    """The model file as json.dump writes it with every array's base64
+    made in one piece: the writer's output, streamed in row chunks, must
+    equal this byte for byte."""
     fconf = model.fconf
 
     def lexicon(lex):
@@ -316,7 +466,7 @@ def json_oracle_bytes(model):
 
     obj = {
         "format": "rnn-mention-tagger",
-        "version": 1,
+        "version": 2,
         "spec": dict(dataclasses.asdict(model.spec), bias=False, gru_candidate="sigmoid"),
         "tagset": list(model.tagset),
         "scheme": model.scheme,
@@ -330,8 +480,8 @@ def json_oracle_bytes(model):
         "vocab": {"words": list(model.table.vocab.index_to_word),
                   "lowercase": True, "digits_to_zero": True},
         "embedding": {"dim": model.table.dim, "trainable": model.table.trainable,
-                      "matrix": model.table.matrix.tolist()},
-        "params": {bundle: {name: arr.tolist() for name, arr in grads.items()}
+                      "matrix": encoded(model.table.matrix)},
+        "params": {bundle: {name: encoded(arr) for name, arr in grads.items()}
                    for bundle, grads in model.params.items()},
     }
     return (json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n").encode("utf-8")
@@ -344,10 +494,13 @@ EDGE_FLOATS = [-0.0, 5e-324, -5e-324, 1e308, -1e308, 1.0, 0.1 + 0.2]
 @given(st.sampled_from([bare_model, featureful_model]),
        st.integers(0, 2**32 - 1),
        st.lists(st.text(min_size=1, max_size=6), max_size=4, unique=True),
-       st.lists(st.floats(allow_nan=False, allow_infinity=False), max_size=8))
-def test_writer_bytes_equal_json_dump(build, seed, extra_words, drawn):
+       st.lists(st.floats(allow_nan=False, allow_infinity=False), max_size=8),
+       st.sampled_from([0, 0, 0, CHUNK_ROWS]))
+def test_writer_bytes_equal_json_dump(build, seed, extra_words, drawn, extra_rows):
+    # CHUNK_ROWS more words give the embedding matrix more rows than one
+    # chunk; the drawn words vary the rows left for the last chunk
     model = build()
-    for word in extra_words:
+    for word in extra_words + ["\x00%d" % i for i in range(extra_rows)]:
         model.table.vocab.add(word)
     rng = np.random.default_rng(seed)
     model.table = EmbeddingTable(model.table.vocab, model.table.dim,
