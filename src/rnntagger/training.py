@@ -32,6 +32,9 @@ FD_STEP = 1e-5
 # central differences carry ~1e-11 truncation noise on O(1) losses, so
 # absolute agreement this tight counts as a match regardless of ratio
 FD_NOISE = 1e-9
+# The bundles only the decoders read: perturbing one leaves the encode as
+# it was.  context.S is not one, since encode applies it.
+DECODER_BUNDLES = {"decoder", "decoder_out", "mesnil_out"}
 
 
 @dataclass
@@ -112,7 +115,13 @@ def _check_finite(acc, rows, emb_grads):
     return sq
 
 
-def window_nll(spec, params, xs, examples, v_d, acc=None):
+def _cone(examples, v_d):
+    """The (lo, hi) span of positions the examples' windows read."""
+    positions = [i for i, _ in examples]
+    return (max(0, min(positions) - v_d), max(positions)) if positions else None
+
+
+def window_nll(spec, params, xs, examples, v_d, acc=None, enc=None):
     """The windowed objective over one encode of xs: the summed nll of
     every (position i, gold index) example, its window i - v_d..i (cut
     at 0) decoded from a zero carry.  The encoders step only the cone
@@ -123,11 +132,10 @@ def window_nll(spec, params, xs, examples, v_d, acc=None):
     parameter bundle, each window is also backpropagated: the first
     window writes each parameter gradient block into acc, later ones add
     to it, and dxs is the summed (n, I) input gradient; without, dxs is
-    None.
+    None.  enc, when given, is that encode, made by the caller.
     """
-    positions = [i for i, _ in examples]
-    span = (max(0, min(positions) - v_d), max(positions)) if positions else None
-    enc = encode(spec, params, xs, span)
+    if enc is None:
+        enc = encode(spec, params, xs, _cone(examples, v_d))
     total = 0.0
     dxs = None
     for i, y in examples:
@@ -333,8 +341,11 @@ def gradient_check(spec, seed, n_tokens, v_d=9):
 
     acc = {bundle: {} for bundle in params}
     window_nll(spec, params, xs, examples, v_d, acc)
+    # one encode serves every perturbation of a decoder bundle
+    enc = encode(spec, params, xs, _cone(examples, v_d))
     blocks, abs_diffs = {}, {}
     for bundle in sorted(params):
+        fixed = enc if bundle in DECODER_BUNDLES else None
         for name in sorted(params[bundle]):
             p = params[bundle][name]
             worst = worst_abs = 0.0
@@ -343,9 +354,9 @@ def gradient_check(spec, seed, n_tokens, v_d=9):
             for j in range(flat.shape[0]):
                 keep = flat[j]
                 flat[j] = keep + FD_STEP
-                up, _ = window_nll(spec, params, xs, examples, v_d)
+                up, _ = window_nll(spec, params, xs, examples, v_d, enc=fixed)
                 flat[j] = keep - FD_STEP
-                down, _ = window_nll(spec, params, xs, examples, v_d)
+                down, _ = window_nll(spec, params, xs, examples, v_d, enc=fixed)
                 flat[j] = keep
                 numeric = (up - down) / (2.0 * FD_STEP)
                 worst = max(worst, _guarded_rel_err(float(gflat[j]), numeric))

@@ -351,6 +351,12 @@ V2_REFUSALS = [
     ("whitespace", lambda v: v.update(f8le=v["f8le"][:4] + "\n" + v["f8le"][4:]),
      ".f8le is not valid base64"),
     ("not ascii", lambda v: v.update(f8le="\u00e9" + v["f8le"][1:]), ".f8le is not valid base64"),
+    # a fullwidth A (NFKC folds it to A) and a character past the BMP, each
+    # in place of an alphabet character mid-string
+    ("fullwidth letter", lambda v: v.update(f8le=v["f8le"][:9] + "\uff21" + v["f8le"][10:]),
+     ".f8le is not valid base64"),
+    ("not in the BMP", lambda v: v.update(f8le=v["f8le"][:9] + "\U0001d400" + v["f8le"][10:]),
+     ".f8le is not valid base64"),
     ("no padding", lambda v: v.update(f8le=v["f8le"].rstrip("=")), ".f8le is not valid base64"),
     ("padding inside", lambda v: v.update(f8le=v["f8le"][:8] + "=" + v["f8le"][9:]),
      ".f8le is not valid base64"),
@@ -365,6 +371,8 @@ V2_REFUSALS = [
     ("empty", set_key("f8le", ""), ".f8le holds 0 bytes, shape [5, 4] needs 160"),
     ("f8le a number", set_key("f8le", 5), ".f8le must be a base64 string"),
     ("f8le a list", set_key("f8le", ["AAAA"]), ".f8le must be a base64 string"),
+    ("shape past memory", set_key("shape", [2**40, 2**40]),
+     ".f8le holds 160 bytes, shape [1099511627776, 1099511627776] needs %d" % 2**83),
     ("one dim", set_key("shape", [20]), ".shape must be two integers >= 0, got [20]"),
     ("three dims", set_key("shape", [5, 4, 1]), ".shape must be two integers >= 0, got [5, 4, 1]"),
     ("negative", set_key("shape", [-5, -4]), ".shape must be two integers >= 0, got [-5, -4]"),
@@ -511,6 +519,17 @@ def test_writer_bytes_equal_json_dump(build, seed, extra_words, drawn, extra_row
         arr[:] = rng.normal(size=arr.shape) * 10.0 ** rng.integers(-300, 300)
         picks = rng.random(arr.shape) < 0.5
         arr[picks] = rng.choice(pool, size=int(picks.sum()))
+    # the writer encodes each array's own buffer, so arrays that are not
+    # C-contiguous little-endian go in too: a Fortran-order parameter, a
+    # transposed copy, a big-endian copy and a strided slice, each holding
+    # the values it replaces
+    slots = [(grads, n) for _, grads in sorted(model.params.items()) for n in sorted(grads)]
+    for j, relayout in zip(rng.choice(len(slots), 3, replace=False),
+                           [np.asfortranarray, lambda a: a.T.copy().T,
+                            lambda a: a.astype(">f8")]):
+        grads, name = slots[j]
+        grads[name] = relayout(grads[name])
+    model.table.matrix = np.repeat(model.table.matrix, 2, axis=1)[:, ::2]
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "m.json"
         save_model(model, str(path))
