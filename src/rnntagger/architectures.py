@@ -33,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cells import SoftmaxOutput, cell_for, init_params, put_grad
-from .linalg import is_int, unwindow, windows
+from .linalg import unwindow, windows
 
 BASIC = "basic"
 CONTEXTUAL = "contextual"
@@ -55,10 +55,6 @@ class ModelSpec:
     def __post_init__(self):
         if self.arch not in ARCHS:
             raise ValueError("unknown architecture %r (expected one of %s)" % (self.arch, ARCHS))
-        for name, value in (("n_in", self.n_in), ("hidden", self.hidden),
-                            ("n_tags", self.n_tags), ("mesnil_k", self.mesnil_k)):
-            if not is_int(value):
-                raise ValueError("spec.%s must be an integer, got %r" % (name, value))
         if min(self.n_in, self.hidden, self.n_tags) < 1:
             raise ValueError("dimensions must be positive: I=%d H=%d O=%d"
                              % (self.n_in, self.hidden, self.n_tags))

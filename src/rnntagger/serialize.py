@@ -1,80 +1,44 @@
 """Model persistence.
 
-One JSON document holds everything a tagger needs to run: the shape
-spec, every parameter bundle, the embedding table with its vocabulary,
-the feature channel setup, and the tagset.  Keys are sorted and the
-separators compact, so saving the same model twice yields byte-identical
-files.
+One JSON document holds everything a tagger needs to run.  The writer
+writes format version 2 to a binary file: each 2-D array is an object
+{"f8le": base64 of its little-endian float64 bytes, "shape": [rows,
+cols]}, streamed CHUNK_ROWS rows at a time from its buffer, so a load
+gives back every bit, -0.0 and subnormals included; every other value
+goes through json's encoder.  The bytes equal json.dump(sort_keys=True,
+separators=(",", ":")) of the document, so equal models give equal files.
 
-The writer writes format version 2.  Each 2-D array there is an object
-{"f8le": base64 of its little-endian float64 bytes in row-major order,
-"shape": [rows, cols]}, so load(save(m)) reproduces every array bit for
-bit, -0.0 and subnormals included.  The writer streams the document:
-keys go out in sorted order, every value but an array through json's
-encoder as its ASCII bytes, and each array CHUNK_ROWS rows at a time,
-base64 read straight from the array's buffer, so no copy of a whole array
-is made.  The file is binary, so no platform translates its newlines.
-The bytes equal json.dump(sort_keys=True,
-separators=(",", ":")) of the document with each array's base64 made
-whole.  The loader refuses a NaN or an infinity, so save_model refuses an
-array that holds one with a FloatingPointError naming it, before the
-file is opened.
-
-The loader reads version 2 and version 1, whose arrays are nested lists
-of decimal floats, as files written before version 2 hold them.  Each
-version accepts only its own array form, and every defect is a
-ValueError that names the file and the key.
+MODEL_FILE declares the document once, each key with its JSON type or
+its rule.  The loader walks it and refuses a missing, unknown or
+ill-typed key, or a value that breaks its rule, with a ValueError naming
+the file and the key.  It reads version 2 and version 1, whose arrays
+are nested lists of decimal floats; only the array leaf differs.
 """
 
 import binascii
 import json
 from dataclasses import asdict, fields
+from functools import partial
 
 import numpy as np
 
 from . import linalg
 from .architectures import ModelSpec, bundle_shapes
-from .cells import CELLS, SoftmaxOutput
 from .corpus import PAD, UNK, Lexicon, Vocabulary, normalize
 from .model import Model
 from .representation import EmbeddingTable, FeatureConfig
-from .tagging import detect_scheme
+from .tagging import detect_scheme, split_tag
 
 MODEL_FORMAT = "rnn-mention-tagger"
 MODEL_VERSION = 2
-READ_VERSIONS = (1, 2)
 
 # Rows of an array the writer encodes at a time.  A multiple of 3 rows is
-# a multiple of 3 bytes, so no chunk but the last ends in base64 padding
-# and the chunks join into the base64 of the whole array.  Encoding each
-# whole array at once raised a training run's peak RSS by about a tenth.
+# a multiple of 3 bytes, so only the last chunk ends in base64 padding and
+# the chunks join into the whole array's; whole arrays cost training 10% RSS.
 CHUNK_ROWS = 3072
 
-# Keys every model file holds at one value: the model has no bias terms,
-# a sigmoid GRU candidate, and lowercased, digit-folded tokens.  They stay
-# in the format so files keep their bytes; a file with any other value
-# holds a model this code cannot run.
-FIXED_KEYS = (("spec", "bias", False), ("spec", "gru_candidate", "sigmoid"),
-              ("vocab", "lowercase", True), ("vocab", "digits_to_zero", True))
-
-# Every key the writer emits at the top and in the two sections whose
-# keys are not otherwise checked; a key outside them would be dropped
-# unread, so the loader rejects it.
-KNOWN_KEYS = {
-    "": {"format", "version", "spec", "tagset", "scheme", "v_c", "features",
-         "vocab", "embedding", "params"},
-    "spec.": {f.name for f in fields(ModelSpec)} | {"bias", "gru_candidate"},
-    "vocab.": {"words", "lowercase", "digits_to_zero"},
-}
-
-# The keys the writer puts arrays at: embedding.matrix, context.S and
-# the parameters of every cell and output layer.
-ARRAY_KEYS = ({"matrix", "S"} | set(SoftmaxOutput.param_shapes(1, 1))
-              | {k for cell in CELLS.values() for k in cell.param_shapes(1, 1, 1)})
-
-# Every value but an array goes through json's own encoder at the file's
-# settings, one value at a time.  It escapes every non-ASCII character, so
-# its text is its ASCII bytes.
+# json's encoder at the file's settings escapes every non-ASCII
+# character, so its text is its ASCII bytes.
 _json_encode = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
 
 
@@ -87,33 +51,20 @@ def _lexicon_obj(lex):
 
 
 def _model_sections(model):
-    """The file's content as nested dicts, with every array left as the
-    model's own ndarray for the writer to stream."""
-    fconf = model.fconf
-    obj = {
-        "format": MODEL_FORMAT,
-        "version": MODEL_VERSION,
-        "spec": asdict(model.spec),
-        "tagset": list(model.tagset),
-        "scheme": model.scheme,
-        "v_c": model.v_c,
-        "features": {
-            "capitalization": fconf.capitalization,
-            "gazetteers": [_lexicon_obj(g) for g in fconf.gazetteers],
-            "trigger": _lexicon_obj(fconf.trigger) if fconf.trigger else None,
-            "cache_tagset": list(fconf.cache_tagset) if fconf.cache_tagset else None,
-        },
-        "vocab": {"words": list(model.table.vocab.index_to_word)},
-        "embedding": {
-            "dim": model.table.dim,
-            "trainable": model.table.trainable,
-            "matrix": model.table.matrix,
-        },
+    """The file's content, every array left as the model's own ndarray."""
+    fconf, table = model.fconf, model.table
+    return {
+        "format": MODEL_FORMAT, "version": MODEL_VERSION,
+        "spec": dict(asdict(model.spec), **_fixed_values("spec")),
+        "tagset": list(model.tagset), "scheme": model.scheme, "v_c": model.v_c,
+        "features": {"capitalization": fconf.capitalization,
+                     "gazetteers": [_lexicon_obj(g) for g in fconf.gazetteers],
+                     "trigger": _lexicon_obj(fconf.trigger) if fconf.trigger else None,
+                     "cache_tagset": list(fconf.cache_tagset) if fconf.cache_tagset else None},
+        "vocab": dict(words=list(table.vocab.index_to_word), **_fixed_values("vocab")),
+        "embedding": {"dim": table.dim, "trainable": table.trainable, "matrix": table.matrix},
         "params": model.params,
     }
-    for section, key, value in FIXED_KEYS:
-        obj[section][key] = value
-    return obj
 
 
 def _arrays(obj, where=""):
@@ -146,8 +97,8 @@ def _write(fh, value):
 
 
 def save_model(model, path):
-    """Write model to path; a non-finite array is a FloatingPointError
-    that names it, raised before the file is opened."""
+    """Write model to path; a non-finite array, which the loader refuses,
+    is a FloatingPointError naming it, raised before the file is opened."""
     obj = _model_sections(model)
     for where, arr in _arrays(obj):
         if not np.all(np.isfinite(arr)):
@@ -158,8 +109,7 @@ def save_model(model, path):
 
 
 def _list_array(value, where):
-    """A version-1 array: nested lists of numbers, or the float64 array
-    the parser's object hook already made of them."""
+    """A version-1 array: nested number lists, or the array _arrays_of made."""
     try:
         return np.asarray(value, dtype=np.float64)
     except (TypeError, ValueError, OverflowError):
@@ -167,8 +117,7 @@ def _list_array(value, where):
 
 
 def _bytes_array(value, where):
-    """A version-2 array, {"f8le": base64, "shape": [rows, cols]}, as a
-    fresh, writable, C-contiguous native float64 array."""
+    """A version-2 array object as a fresh, writable, C-contiguous array."""
     if not isinstance(value, dict):
         raise ValueError("%s is not an array object (keys f8le, shape)" % where)
     if set(value) != {"f8le", "shape"}:
@@ -180,18 +129,14 @@ def _bytes_array(value, where):
     if not isinstance(text, str):
         raise ValueError("%s.f8le must be a base64 string" % where)
     rows, cols = dims
-    # the array is made before the bytes it is filled from, so freeing
-    # them leaves no hole under it in the heap; a hole per array raised a
-    # tagging run's peak RSS by about 6%.  base64 holds 3 bytes per 4
-    # characters, so a shape that needs more bytes than text has
-    # characters is refused below without being allocated.
+    # made before the bytes it is filled from, so freeing them leaves no
+    # hole under it in the heap (6% of a tagging run's peak RSS); base64
+    # holds 3 bytes per 4 characters, so a larger shape is not allocated
     arr = np.empty((rows, cols)) if rows * cols * 8 <= len(text) else None
     try:
-        # b64decode(validate=True) without its ASCII copy of text; a
-        # non-ASCII character is a ValueError here too
+        # b64decode(validate=True) with no ASCII copy of text (non-ASCII is a
+        # ValueError too); strict mode takes excess padding, so check length
         raw = binascii.a2b_base64(text, strict_mode=True)
-        # strict mode also takes padding past a full group, so a length
-        # other than that of raw's one encoding is refused here
         if len(text) != (len(raw) + 2) // 3 * 4:
             raise ValueError
     except ValueError:      # a character outside the alphabet, bad padding
@@ -203,120 +148,175 @@ def _bytes_array(value, where):
     return arr
 
 
-def _array(value, where, shape, version):
-    arr = (_list_array if version == 1 else _bytes_array)(value, where)
+def _must(ok, key, what, value):
+    if not ok:
+        raise ValueError("%s must be %s, got %.60r" % (key, what, value))
+    return value
+
+
+def _array(shape, value, key, doc):
+    arr = (_list_array if doc["version"] == 1 else _bytes_array)(value, key)
     if arr.shape != tuple(shape):
-        raise ValueError("%s has shape %s, expected %s" % (where, arr.shape, tuple(shape)))
+        raise ValueError("%s has shape %s, expected %s" % (key, arr.shape, tuple(shape)))
     if not np.all(np.isfinite(arr)):
-        raise ValueError("%s holds a non-finite value" % where)
+        raise ValueError("%s holds a non-finite value" % key)
     return arr
 
 
-def _params_from_obj(raw, spec, version):
-    """Parameter bundles, checked against the shapes the cells declare."""
-    shapes = bundle_shapes(spec)
-    if set(raw) != set(shapes):
-        raise ValueError("params: bundles %s, expected %s" % (sorted(raw), sorted(shapes)))
-    params = {}
-    for bundle in sorted(shapes):
-        if set(raw[bundle]) != set(shapes[bundle]):
-            raise ValueError("params.%s: parameters %s, expected %s"
-                             % (bundle, sorted(raw[bundle]), sorted(shapes[bundle])))
-        params[bundle] = {name: _array(raw[bundle][name], "params.%s.%s" % (bundle, name),
-                                       shape, version)
-                          for name, shape in sorted(shapes[bundle].items())}
-    return params
+def _fixed(expected, value, key, doc):
+    """A key the model has no option at, kept so that files keep their bytes."""
+    return _must(type(value) is type(expected) and value == expected, key, repr(expected), value)
 
 
-def _distinct_strings(value):
-    return (isinstance(value, list) and all(isinstance(v, str) for v in value)
-            and len(set(value)) == len(value))
+def _words(words, key, doc):
+    """A word's place is its embedding row: the words are distinct, begin
+    PAD, UNK, and each later one is a single token (files split on
+    whitespace) and normal (Vocabulary.index normalizes a token), checked
+    in one pass over the joined words; a list that fails is searched."""
+    _must(type(words) is list and all(type(w) is str for w in words) and len(set(words))
+          == len(words) and words[:2] == [PAD, UNK], key, "a list of distinct strings that "
+          "begins %r, %r" % (PAD, UNK), words)
+    joined = " ".join(words[2:])
+    if normalize(joined) != joined or joined.split() != words[2:]:
+        i, w = next((i, w) for i, w in enumerate(words[2:], 2)
+                    if w.split() != [w] or normalize(w) != w)
+        raise ValueError("%s[%d] %r is not %s" % (key, i, w, "a single token" if w.split() != [w]
+                         else "a normalized word (lowercase, digits as 0)"))
+    return words
+
+
+def _tagset(tags, key, doc):
+    """Distinct tags, each one that load_conll accepts."""
+    _must(type(tags) is list and all(type(t) is str for t in tags)
+          and len(set(tags)) == len(tags), key, "a list of distinct tag strings", tags)
+    for i, tag in enumerate(tags):
+        try:
+            split_tag(tag)
+        except ValueError as e:
+            raise ValueError("%s[%d]: %s" % (key, i, e)) from None
+    return tags
+
+
+def _scheme(value, key, doc):
+    """The tagset's scheme, which no code reads but the writer."""
+    scheme = detect_scheme(doc["tagset"])
+    return _must(type(value) is str and value == scheme, key,
+                 "%r, the scheme of the tagset" % scheme, value)
+
+
+def _spec(section):
+    return ModelSpec(**{f.name: section[f.name] for f in fields(ModelSpec)})
+
+
+class _Keys(dict):
+    """An object whose keys the spec decides: another key set is refused
+    whole, '<key>: <noun> [...], expected [...]'."""
+
+    def __init__(self, noun, decls):
+        super().__init__(decls)
+        self.noun = noun
+
+
+def _params(value, key, doc):
+    return _walk(value, _Keys("bundles", {
+        bundle: _Keys("parameters", {name: partial(_array, s) for name, s in shapes.items()})
+        for bundle, shapes in bundle_shapes(_spec(doc["spec"])).items()}), key, doc)
+
+
+# The model file, declared once, in walk order.  A dict is an object with
+# exactly its keys; [d] a list of d; (None, d) null or d; a type a JSON
+# type (int: no fraction, not a bool); anything else a rule(value, key,
+# doc) that returns the value loaded or raises a ValueError naming key,
+# reading from doc, the parsed file, only keys declared before its own.
+LEXICON = {"name": str, "entries": [str]}
+MODEL_FILE = {
+    "format": partial(_fixed, MODEL_FORMAT),
+    "version": lambda value, key, doc: _must(linalg.is_int(value) and value in (1, MODEL_VERSION),
+                                             key, "an integer in [1, 2]", value),
+    "spec": {"arch": str, "n_in": int, "hidden": int, "n_tags": int, "mesnil_k": int,
+             "decoder_cell": (None, str), "encoder_cell": (None, str),
+             "bias": partial(_fixed, False), "gru_candidate": partial(_fixed, "sigmoid")},
+    "vocab": {"words": _words, "lowercase": partial(_fixed, True),
+              "digits_to_zero": partial(_fixed, True)},
+    "embedding": {"dim": int, "trainable": bool, "matrix": lambda value, key, doc: _array(
+        (len(doc["vocab"]["words"]), doc["embedding"]["dim"]), value, key, doc)},
+    "tagset": _tagset, "scheme": _scheme, "v_c": int,
+    "features": {"capitalization": bool, "gazetteers": [LEXICON], "trigger": (None, LEXICON),
+                 "cache_tagset": (None, [str])},
+    "params": _params,
+}
+_NAMES = {dict: "an object", list: "a list", str: "a string", bool: "a boolean", int: "an integer"}
+
+
+def _fixed_values(section):
+    return {key: rule.args[0] for key, rule in MODEL_FILE[section].items()
+            if isinstance(rule, partial) and rule.func is _fixed}
+
+
+def _walk(value, decl, key, doc, in_list=False):
+    """value checked against decl, with its arrays read.  A value of the
+    wrong JSON type where the file has an object or a list, or in a list,
+    breaks the document's shape: 'malformed model: <key> must be ...'."""
+    if not isinstance(decl, (type, tuple, dict, list)):
+        return decl(value, key, doc)
+    nullable = isinstance(decl, tuple)
+    if nullable and value is None:
+        return None
+    decl = decl[1] if nullable else decl
+    if isinstance(value, np.ndarray):       # a list of lists _arrays_of read
+        value = value.tolist()
+    kind = dict if isinstance(decl, dict) else list if isinstance(decl, list) else decl
+    _must(type(value) is kind, "malformed model: " * (in_list or kind in (dict, list))
+          + (key or "the file"), "null or " * nullable + _NAMES[kind], value)
+    if kind is list:        # a list of one JSON type is checked in one pass
+        if isinstance(decl[0], type) and all(type(v) is decl[0] for v in value):
+            return value
+        return [_walk(v, decl[0], "%s[%d]" % (key, i), doc, True) for i, v in enumerate(value)]
+    if kind is not dict:
+        return value
+    if isinstance(decl, _Keys) and set(value) != set(decl):
+        raise ValueError("%s: %s %s, expected %s" % (key, decl.noun, sorted(value), sorted(decl)))
+    out = {}
+    for name, d in decl.items():
+        if name not in value:
+            raise ValueError("missing key %r in %s" % (name, key or "the file"))
+        out[name] = _walk(value[name], d, key + "." + name if key else name, doc)
+    for name in sorted(set(value) - set(decl)):
+        raise ValueError("unknown key %s" % (key + "." + name if key else name))
+    return out
 
 
 def model_from_obj(obj):
-    """The model a parsed file holds; any defect is a ValueError that
-    names the key."""
-    if not isinstance(obj, dict) or obj.get("format") != MODEL_FORMAT:
-        raise ValueError("not a model file (no %r format tag)" % MODEL_FORMAT)
-    version = obj.get("version")
-    if not linalg.is_int(version):
-        raise ValueError("version must be an integer, got %r" % (version,))
-    if version not in READ_VERSIONS:
-        raise ValueError("unsupported model version %r" % version)
+    """The model a parsed file holds; a defect is a ValueError naming its key."""
     try:
-        return _model_from_obj(obj, version)
+        d = _walk(obj, MODEL_FILE, "", obj)
+        emb, f = d["embedding"], d["features"]
+        table = EmbeddingTable(Vocabulary(index_to_word=d["vocab"]["words"]), emb["dim"],
+                               emb["matrix"], trainable=emb["trainable"])
+        fconf = FeatureConfig(f["capitalization"], [Lexicon(**g) for g in f["gazetteers"]],
+                              f["trigger"] and Lexicon(**f["trigger"]), f["cache_tagset"])
+        return Model(spec=_spec(d["spec"]), params=d["params"], table=table, fconf=fconf,
+                     tagset=d["tagset"], scheme=d["scheme"], v_c=d["v_c"])
     except KeyError as e:
         raise ValueError("missing key %s" % e) from None
     except (TypeError, AttributeError) as e:
         raise ValueError("malformed model: %s" % e) from None
 
 
-def _model_from_obj(obj, version):
-    for section, key, value in FIXED_KEYS:
-        got = obj[section][key]
-        if type(got) is not type(value) or got != value:
-            raise ValueError("%s.%s must be %r, got %r" % (section, key, value, got))
-    for prefix, section in (("", obj), ("spec.", obj["spec"]), ("vocab.", obj["vocab"])):
-        unknown = sorted(set(section) - KNOWN_KEYS[prefix])
-        if unknown:
-            raise ValueError("unknown key %s%s" % (prefix, unknown[0]))
-    fixed = {(section, key) for section, key, _ in FIXED_KEYS}
-    spec = ModelSpec(**{k: v for k, v in obj["spec"].items() if ("spec", k) not in fixed})
-    words = obj["vocab"]["words"]
-    if not (_distinct_strings(words) and words[:2] == [PAD, UNK]):
-        raise ValueError("vocab.words must be a list of distinct strings that begins %r, %r"
-                         % (PAD, UNK))
-    # no token reaches the row of a word that is not one whitespace-free
-    # token (files split on whitespace) or not normal (Vocabulary.index
-    # normalizes a token first)
-    for i, w in enumerate(words[2:], 2):
-        if w.split() != [w]:
-            raise ValueError("vocab.words[%d] %r is not a single token" % (i, w))
-        if normalize(w) != w:
-            raise ValueError("vocab.words[%d] %r is not a normalized word "
-                             "(lowercase, digits as 0)" % (i, w))
-    vocab = Vocabulary(index_to_word=list(words))
-    emb = obj["embedding"]
-    matrix = _array(emb["matrix"], "embedding.matrix", (len(vocab), emb["dim"]), version)
-    table = EmbeddingTable(vocab, emb["dim"], matrix, trainable=emb["trainable"])
-    f = obj["features"]
-    trigger = f["trigger"]
-    fconf = FeatureConfig(
-        capitalization=f["capitalization"],
-        gazetteers=[Lexicon(g["name"], g["entries"]) for g in f["gazetteers"]],
-        trigger=Lexicon(trigger["name"], trigger["entries"]) if trigger else None,
-        cache_tagset=list(f["cache_tagset"]) if f["cache_tagset"] else None,
-    )
-    tagset = obj["tagset"]
-    if not _distinct_strings(tagset):
-        raise ValueError("tagset must be a list of distinct tag strings")
-    scheme = detect_scheme(tagset)
-    if obj["scheme"] != scheme:
-        raise ValueError("scheme must be %r, the scheme of the tagset, got %r"
-                         % (scheme, obj["scheme"]))
-    return Model(spec=spec, params=_params_from_obj(obj["params"], spec, version), table=table,
-                 fconf=fconf, tagset=tagset, scheme=scheme, v_c=obj["v_c"])
-
-
 def _arrays_of(obj):
-    """json's object hook for version-1 arrays: a list at an ARRAY_KEYS
-    key becomes a float64 array as soon as its object is parsed, so only
-    one object's Python floats are alive at a time.  It is _list_array's
-    own conversion, so a list that does not convert stays for _array to
-    reject by name."""
-    for key in ARRAY_KEYS.intersection(obj):
-        if not isinstance(obj[key], list):
-            continue
-        try:
-            obj[key] = np.array(obj[key], dtype=np.float64)
-        except (TypeError, ValueError, OverflowError):
-            pass
+    """json's object hook: a list of lists, in a valid file a version-1
+    array, is read as its object is parsed, so few floats are alive at once."""
+    for key, value in obj.items():
+        if type(value) is list and value and type(value[0]) is list:
+            try:
+                obj[key] = np.array(value, dtype=np.float64)
+            except (TypeError, ValueError, OverflowError):
+                pass
     return obj
 
 
 def load_model(path):
-    """Read and check a model file; every defect in it is a ValueError
-    that names the file and the key."""
+    """The model a file holds; a defect is a ValueError naming file and key."""
     try:
         with open(path, encoding="utf-8") as fh:
             obj = json.load(fh, object_hook=_arrays_of)

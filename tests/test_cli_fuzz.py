@@ -10,6 +10,12 @@ or a NaN or infinity in its bytes) or one flag value, and runs
 `cli.main` in-process.  Sizes stay on the command line at small values,
 where a flag overrides the config file, so no mutation can ask for a
 large model.
+
+The model file is also mutated rule by rule: for each key that
+serialize.MODEL_FILE declares, a mutation that breaks that key's rule
+alone (a repeated tag, a word that is not normal, a shape off by one, a
+swapped scheme, a flag that is not a boolean, an unknown key, ...) must
+be refused with exit 2 naming the key.
 """
 
 import contextlib
@@ -23,11 +29,11 @@ import pytest
 from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
-from rnntagger import cli
+from rnntagger import cli, serialize
 from rnntagger.architectures import forward_batch
 from rnntagger.corpus import load_conll, write_conll
 from rnntagger.representation import encode_sentence, load_embeddings
-from rnntagger.serialize import load_model
+from rnntagger.serialize import MODEL_FILE, load_model
 from rnntagger.synth import memorize_corpus
 from test_serialize import decoded, encoded
 
@@ -306,3 +312,195 @@ def test_embed_at_extreme_rates_exits_3_or_writes_finite_vectors(valid, lr, obje
             assert rc == cli.EXIT_NUMERIC
             assert "numeric error: epoch " in err.getvalue()
             assert not out.exists()
+
+
+# ------------------------------------------- one mutation per rule of the model file
+
+# every feature channel is on in this model, so every key MODEL_FILE
+# declares is in its file; one file per format version
+RULE_FILES = [Path(__file__).parent / "data" / "compat" / v / "contextual_elman_jordan.json"
+              for v in ("", "v2")]
+
+
+def declared(decl, value, path=()):
+    """(path, declaration) of every key MODEL_FILE declares, walked beside
+    a valid file's parsed document; a list's first element stands for
+    every element, and a list of one JSON type is a single rule."""
+    yield path, decl
+    if isinstance(decl, tuple):             # (None, d): the file holds d
+        decl = decl[1]
+    if isinstance(decl, dict):
+        for key, d in decl.items():
+            yield from declared(d, value[key], path + (key,))
+    elif isinstance(decl, list) and not isinstance(decl[0], type):
+        yield from declared(decl[0], value[0], path + (0,))
+
+
+def dotted(path):
+    return "".join("[%d]" % k if isinstance(k, int) else "." * (i > 0) + k
+                   for i, k in enumerate(path))
+
+
+def rule_mutations(decl):
+    """The mutations that break decl's rule, and no other."""
+    if isinstance(decl, tuple):
+        decl = decl[1]
+    if isinstance(decl, dict):
+        return ["unknown key", "missing key", "not an object"]
+    if isinstance(decl, list):
+        return ["not a list", "element of another type"]
+    if isinstance(decl, type):
+        return ["another type"]
+    if getattr(decl, "func", None) is serialize._fixed:
+        return ["another value"]
+    return {serialize._words: ["repeated word", "word before <pad>, <unk>", "word not a string",
+                               "word not normal", "word not one token"],
+            serialize._tagset: ["repeated tag", "not a tag", "tag not a string"],
+            serialize._scheme: ["swapped scheme"],
+            MODEL_FILE["version"]: ["unreadable version"],
+            MODEL_FILE["embedding"]["matrix"]: ["shape off by one"],
+            serialize._params: ["bundle renamed", "parameter renamed", "shape off by one"]}[decl]
+
+
+RULE_CASES = [(f, path, how) for f in RULE_FILES
+              for path, decl in declared(MODEL_FILE, json.loads(f.read_text()))
+              for how in rule_mutations(decl)]
+
+
+def off_by_one(draw, value, version):
+    """An array of one row or one column more or fewer than value's."""
+    arr = np.asarray(value) if version == 1 else decoded(value)
+    axis, more = draw(st.integers(0, 1)), draw(st.booleans())
+    arr = np.concatenate([arr, arr.take([0], axis)], axis) if more else arr.take(
+        range(arr.shape[axis] - 1), axis)
+    return arr.tolist() if version == 1 else encoded(arr)
+
+
+def break_rule(draw, obj, path, decl, how):
+    """Mutate obj at path so that it breaks decl's rule alone; returns the
+    start of the refusal: the key, or the shape or type it breaks."""
+    parent = obj
+    for key in path[:-1]:
+        parent = parent[key]
+    at = path[-1] if path else None
+    value = parent[at] if path else obj
+    nullable = isinstance(decl, tuple)
+    null_or = "null or " * nullable
+    name = dotted(path)
+    others = [v for v in [None, True, 1, 1.5, "x", [1], {"a": 1}]
+              if not (v is None and nullable)]
+
+    def pick(kinds):
+        return draw(st.sampled_from([v for v in others if type(v) not in kinds]))
+
+    if how == "unknown key":
+        value["zz"] = 1
+        return "unknown key %s" % dotted(path + ("zz",))
+    if how == "missing key":
+        del value[draw(st.sampled_from(sorted(value)))]
+        missing = next(k for k in (decl[1] if nullable else decl) if k not in value)
+        return "missing key %r in %s" % (missing, name or "the file")
+    if how == "not an object":
+        new = pick({dict})
+        if not path:
+            return new, "malformed model: the file must be an object"
+        parent[at] = new
+        return "malformed model: %s must be %san object" % (name, null_or)
+    if how == "not a list":
+        parent[at] = pick({list})
+        return "malformed model: %s must be %sa list" % (name, null_or)
+    if how == "element of another type":
+        i = draw(st.integers(0, len(value) - 1))
+        inner = (decl[1] if nullable else decl)[0]
+        inner = dict if isinstance(inner, dict) else inner
+        value[i] = pick({inner})
+        return "malformed model: %s[%d] must be %s" % (name, i, serialize._NAMES[inner])
+    if how == "another type":
+        kind = decl[1] if nullable else decl
+        parent[at] = pick({kind} | ({int, float} if kind is int else set()))
+        if kind is int:
+            parent[at] = draw(st.sampled_from([float(value), str(value), parent[at]]))
+        return "%s must be %s%s, got" % (name, null_or, serialize._NAMES[kind])
+    if how == "another value":
+        expected = decl.args[0]
+        parent[at] = draw(st.sampled_from(
+            [not expected, int(expected), None] if type(expected) is bool
+            else [expected + "x", expected.upper(), None]))
+        return "%s must be %r, got" % (name, expected)
+    if how == "unreadable version":
+        parent[at] = draw(st.sampled_from([0, 3, float(value), True, str(value), None]))
+        return "version must be an integer in [1, 2], got"
+    if how == "shape off by one" and path == ("embedding", "matrix"):
+        parent[at] = off_by_one(draw, value, obj["version"])
+        return "embedding.matrix has shape"
+    if how == "shape off by one":
+        bundle = draw(st.sampled_from(sorted(value)))
+        param = draw(st.sampled_from(sorted(value[bundle])))
+        value[bundle][param] = off_by_one(draw, value[bundle][param], obj["version"])
+        return "params.%s.%s has shape" % (bundle, param)
+    if how == "bundle renamed":
+        bundle = draw(st.sampled_from(sorted(value)))
+        value[bundle + "x"] = value.pop(bundle)
+        return "params: bundles"
+    if how == "parameter renamed":
+        bundle = draw(st.sampled_from(sorted(value)))
+        param = draw(st.sampled_from(sorted(value[bundle])))
+        value[bundle][param + "x"] = value[bundle].pop(param)
+        return "params.%s: parameters" % bundle
+    if how == "swapped scheme":
+        parent[at] = draw(st.sampled_from(["IOBES", "bio2", "", 42, None]))
+        return "scheme must be 'BIO2', the scheme of the tagset, got"
+    # the vocabulary and tagset rules, on the lists they judge
+    i = draw(st.integers(2 if at == "words" else 0, len(value) - 1))
+    j = draw(st.integers(0, len(value) - 1).filter(lambda j: j != i))
+    if how in ("repeated word", "repeated tag"):
+        value[i] = value[j]
+    elif how == "word before <pad>, <unk>":
+        value[i], value[i % 2] = value[i % 2], value[i]
+    elif how in ("word not a string", "tag not a string"):
+        value[i] = draw(st.sampled_from([None, 1, ["x"]]))
+    elif how == "word not normal":
+        value[i] += draw(st.sampled_from(["X", "7", "É"]))
+        return "vocab.words[%d] %r is not a normalized word" % (i, value[i])
+    elif how == "word not one token":
+        value[i] = draw(st.sampled_from(["", " ", value[i] + " x", "x\ty", " " + value[i]]))
+        return "vocab.words[%d] %r is not a single token" % (i, value[i])
+    elif how == "not a tag":
+        value[i] = draw(st.sampled_from(["Q-X", "B", "BX-ORG", "b-ORG", "-ORG", "", "o"]))
+        return "tagset[%d]: unknown tag string" % i
+    return ("vocab.words must be a list of distinct strings that begins '<pad>', '<unk>'"
+            if at == "words" else "tagset must be a list of distinct tag strings")
+
+
+@pytest.mark.parametrize("source,path,how", [
+    pytest.param(f, p, how, id="v%d-%s-%s" % (1 + ("v2" in f.parts), dotted(p) or "file", how))
+    for f, p, how in RULE_CASES])
+@settings(max_examples=4, deadline=None)
+@given(data=st.data())
+def test_semantic_mutation_is_data_error_naming_its_key(valid, source, path, how, data):
+    """Each rule MODEL_FILE declares, broken alone in a valid file of
+    either version, is exit 2 with the refusal naming the key, and no
+    output is written."""
+    obj = json.loads(source.read_text())
+    decl = dict(declared(MODEL_FILE, obj))[path]
+    expected = break_rule(data.draw, obj, path, decl, how)
+    body, expected = expected if isinstance(expected, tuple) else (obj, expected)
+    with tempfile.TemporaryDirectory() as d:
+        model, gold, out = Path(d, "m.json"), Path(d, "gold.conll"), Path(d, "out")
+        model.write_text(json.dumps(body))
+        gold.write_bytes(valid["conll"])
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            rc = cli.main(["tag", "--model", str(model), "--input", str(gold),
+                           "--out", str(out)])
+        assert (rc, not out.exists()) == (cli.EXIT_DATA, True), err.getvalue()
+        assert "data error: %s: %s" % (model, expected) in err.getvalue()
+
+
+def test_rule_files_hold_every_declared_key_and_load():
+    # the semantic gate reaches a rule only through a key that both files
+    # hold (declared() fails on a key a file lacks), and unmutated they load
+    for source in RULE_FILES:
+        paths = {p for p, _ in declared(MODEL_FILE, json.loads(source.read_text()))}
+        assert ("features", "trigger", "entries") in paths and ("params",) in paths
+        load_model(str(source))

@@ -10,8 +10,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from rnntagger import serialize
 from rnntagger.architectures import ModelSpec, init_model
-from rnntagger.corpus import Lexicon, Sentence, Token, build_vocab
+from rnntagger.corpus import Lexicon, Sentence, Token, build_vocab, normalize
 from rnntagger.linalg import SeededRng
 from rnntagger.model import Model, tag_corpus
 from rnntagger.representation import EmbeddingTable, FeatureConfig
@@ -252,6 +253,105 @@ def test_unknown_key_is_named(section, key, tmp_path):
     message = r"^%s: unknown key %s$" % (re.escape(str(path)), re.escape(name))
     with pytest.raises(ValueError, match=message):
         load_model(str(path))
+
+
+def featureful_obj():
+    """The version-1 compat file with every feature channel on."""
+    return json.loads((COMPAT_DIR / "contextual_elman_jordan.json").read_text())
+
+
+def set_at(path, value):
+    def mutate(obj):
+        *parents, last = path
+        for key in parents:
+            obj = obj[key]
+        obj[last] = value
+    return mutate
+
+
+GAZETTEER = ("features", "gazetteers", 0)
+TRIGGER = ("features", "trigger")
+
+
+@pytest.mark.parametrize("mutate,message", [
+    # an unknown key in every object, not only the top, spec and vocab
+    (set_at(("features", "zz"), 1), r"unknown key features\.zz"),
+    (set_at(("embedding", "zz"), 1), r"unknown key embedding\.zz"),
+    (set_at(GAZETTEER + ("zz",), 1), r"unknown key features\.gazetteers\[0\]\.zz"),
+    (set_at(TRIGGER + ("zz",), 1), r"unknown key features\.trigger\.zz"),
+    (lambda obj: obj["features"]["gazetteers"][0].pop("name"),
+     r"missing key 'name' in features\.gazetteers\[0\]"),
+    # flags are JSON booleans: "no" is truthy and would train the table
+    (set_at(("embedding", "trainable"), "no"),
+     r"embedding\.trainable must be a boolean, got 'no'"),
+    (set_at(("embedding", "trainable"), None),
+     r"embedding\.trainable must be a boolean, got None"),
+    (set_at(("features", "capitalization"), 1),
+     r"features\.capitalization must be a boolean, got 1"),
+    (set_at(("features", "capitalization"), 0),
+     r"features\.capitalization must be a boolean, got 0"),
+    # null, or the object or list itself: [] and 0 are no longer read as null
+    (set_at(TRIGGER, 0), r"malformed model: features\.trigger must be null or an object, got 0"),
+    (set_at(TRIGGER, []),
+     r"malformed model: features\.trigger must be null or an object, got \[\]"),
+    (set_at(("features", "cache_tagset"), 0),
+     r"malformed model: features\.cache_tagset must be null or a list, got 0"),
+    (set_at(("features", "cache_tagset"), []), r"spec\.n_in is 45, expected"),
+    # a lexicon is a name and a list of strings
+    (set_at(GAZETTEER + ("entries",), "acme"),
+     r"malformed model: features\.gazetteers\[0\]\.entries must be a list, got 'acme'"),
+    (set_at(GAZETTEER + ("entries",), [1]),
+     r"malformed model: features\.gazetteers\[0\]\.entries\[0\] must be a string, got 1"),
+    (set_at(("features", "gazetteers"), [1]),
+     r"malformed model: features\.gazetteers\[0\] must be an object, got 1"),
+    (set_at(GAZETTEER + ("name",), 1), r"features\.gazetteers\[0\]\.name must be a string, got 1"),
+    (set_at(TRIGGER + ("name",), None), r"features\.trigger\.name must be a string, got None"),
+    # a tag load_conll refuses, an unhashable cell name, a size as a string
+    (lambda obj: obj["tagset"].__setitem__(2, "Q-X"), r"tagset\[2\]: unknown tag string: 'Q-X'"),
+    (set_at(("spec", "decoder_cell"), []),
+     r"spec\.decoder_cell must be null or a string, got \[\]"),
+    (set_at(("embedding", "dim"), "2"), r"embedding\.dim must be an integer, got '2'"),
+])
+def test_defect_anywhere_in_the_file_names_its_key(mutate, message):
+    obj = featureful_obj()
+    mutate(obj)
+    with pytest.raises(ValueError, match="^" + message):
+        model_from_obj(obj)
+
+
+@pytest.mark.parametrize("path,value,message", [
+    (("features", "gazetteers"), [[1, 2]],
+     r"malformed model: features\.gazetteers\[0\] must be an object, got \[1\.0, 2\.0\]"),
+    (("features", "cache_tagset"), [[1]],
+     r"malformed model: features\.cache_tagset\[0\] must be a string, got \[1\.0\]"),
+    (("scheme",), [[1, 2], [3, 4]], r"scheme must be 'BIO2', the scheme of the tagset, got "),
+    (("v_c",), [[1]], r"v_c must be an integer, got \[\[1\.0\]\]"),
+])
+def test_version_1_list_of_lists_away_from_an_array_names_its_key(path, value, message, tmp_path):
+    # the parser's object hook reads every list of lists as an array, as
+    # only arrays have that form in a valid file; elsewhere the key is
+    # still refused by its own rule
+    obj = featureful_obj()
+    set_at(path, value)(obj)
+    model = tmp_path / "m.json"
+    model.write_text(json.dumps(obj))
+    with pytest.raises(ValueError, match="^%s: %s" % (re.escape(str(model)), message)):
+        load_model(str(model))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.sampled_from(["a", "b0", "B", "7", "é", "É", "x y", "", " ", "\t", "ς", "Σ",
+                                 "İ", "ǅ", "a b", " ", "٣"]), max_size=6, unique=True))
+def test_joined_vocabulary_check_equals_the_word_by_word_rule(extra):
+    # one pass over the joined words refuses a vocabulary exactly when
+    # some word is not a single normal token, and names the first one
+    words = ["<pad>", "<unk>"] + extra
+    bad = [(i, w) for i, w in enumerate(words[2:], 2) if w.split() != [w] or normalize(w) != w]
+    if bad:
+        with pytest.raises(ValueError, match=r"^vocab\.words\[%d\] " % bad[0][0]):
+            serialize._words(words, "vocab.words", {})
+    else:
+        assert serialize._words(words, "vocab.words", {}) == words
 
 
 def test_parameter_shape_checked_against_the_cells():
