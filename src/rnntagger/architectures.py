@@ -53,26 +53,27 @@ class ModelSpec:
     mesnil_k: int = 1
 
     def __post_init__(self):
+        """A value the architectures cannot take is a ValueError whose
+        message starts with the field it refuses."""
         if self.arch not in ARCHS:
-            raise ValueError("unknown architecture %r (expected one of %s)" % (self.arch, ARCHS))
-        if min(self.n_in, self.hidden, self.n_tags) < 1:
-            raise ValueError("dimensions must be positive: I=%d H=%d O=%d"
-                             % (self.n_in, self.hidden, self.n_tags))
+            raise ValueError("arch: unknown architecture %r (expected one of %s)"
+                             % (self.arch, ARCHS))
+        for name, least in (("n_in", 1), ("hidden", 1), ("n_tags", 1), ("mesnil_k", 0)):
+            if getattr(self, name) < least:
+                raise ValueError("%s must be >= %d, got %r" % (name, least, getattr(self, name)))
         if self.arch == MESNIL:
             if self.decoder_cell is not None:
-                raise ValueError("the word-wise variant has no recurrent decoder")
-            if self.mesnil_k < 0:
-                raise ValueError("context size k must be >= 0, got %d" % self.mesnil_k)
+                raise ValueError("decoder_cell: the word-wise variant has no recurrent decoder,"
+                                 " got %r" % self.decoder_cell)
         else:
-            cell_for(self.decoder_cell)
+            _cell(self, "decoder_cell")
         if self.arch == BASIC:
             if self.encoder_cell is not None:
-                raise ValueError("basic architecture takes no encoder")
-        else:
-            enc = cell_for(self.encoder_cell)
-            if self.arch == CONTEXTUAL and enc.carries_output:
-                raise ValueError(
-                    "contextual encoder must be Elman-family, got %r" % self.encoder_cell)
+                raise ValueError("encoder_cell: basic architecture takes no encoder, got %r"
+                                 % self.encoder_cell)
+        elif _cell(self, "encoder_cell").carries_output and self.arch == CONTEXTUAL:
+            raise ValueError("encoder_cell: contextual encoder must be Elman-family, got %r"
+                             % self.encoder_cell)
 
     @property
     def enc_state_dim(self):
@@ -98,6 +99,13 @@ class ModelSpec:
     @property
     def beta_dim(self):
         return 2 * (self.context_k + 1) * self.enc_state_dim
+
+
+def _cell(spec, name):
+    try:
+        return cell_for(getattr(spec, name))
+    except ValueError as e:
+        raise ValueError("%s: %s" % (name, e)) from None
 
 
 def bundle_shapes(spec):

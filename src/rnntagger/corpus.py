@@ -66,13 +66,19 @@ class Vocabulary:
     word_to_index: dict = field(init=False)
 
     def __post_init__(self):
-        self.word_to_index = {w: i for i, w in enumerate(self.index_to_word)}
+        self.word_to_index = dict(zip(self.index_to_word, range(len(self.index_to_word))))
 
     def __len__(self):
         return len(self.index_to_word)
 
     def index(self, surface):
         return self.word_to_index.get(normalize(surface), UNK_INDEX)
+
+    @classmethod
+    def of(cls, words):
+        """The vocabulary that add() of each of the distinct words in turn
+        builds, made in one pass: a literal PAD or UNK keeps its row."""
+        return cls([PAD, UNK] + [w for w in words if w != PAD and w != UNK])
 
     def add(self, word):
         """Register an already-normalized word, returning its index."""
@@ -165,14 +171,9 @@ def vocab_from_counts(freq, min_count=1):
     """
     if min_count < 1:
         raise ValueError("min_count must be >= 1, got %d" % min_count)
-    kept = sorted(
-        (w for w, c in freq.items() if c >= min_count),
-        key=lambda w: (-freq[w], w),
-    )
-    vocab = Vocabulary()
-    for w in kept:
-        vocab.add(w)
-    return vocab
+    kept = sorted(w for w, c in freq.items() if c >= min_count)
+    kept.sort(key=freq.__getitem__, reverse=True)   # stable: a tie keeps word order
+    return Vocabulary.of(kept)
 
 
 def build_vocab(sentences):

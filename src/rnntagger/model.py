@@ -29,16 +29,18 @@ class Model:
     def __post_init__(self):
         if not is_int(self.v_c) or self.v_c < 0:
             raise ValueError("v_c must be an integer >= 0, got %r" % (self.v_c,))
+        if len(self.tagset) != self.spec.n_tags:
+            raise ValueError("tagset has %d tags, spec.n_tags is %d"
+                             % (len(self.tagset), self.spec.n_tags))
+        # the cache's columns are part of n_in, so a wrong cache is named
+        # before the width it makes wrong
+        cached = self.fconf.cache_tagset
+        if cached is not None and list(cached) != list(self.tagset):
+            raise ValueError("features.cache_tagset must be null or equal tagset")
         n_in = self.fconf.input_width(self.table.dim, self.v_c)
         if self.spec.n_in != n_in:
             raise ValueError("spec.n_in is %d, expected (dim %d + features %d) x (2 v_c + 1) = %d"
                              % (self.spec.n_in, self.table.dim, self.fconf.width, n_in))
-        if len(self.tagset) != self.spec.n_tags:
-            raise ValueError("tagset has %d tags, spec.n_tags is %d"
-                             % (len(self.tagset), self.spec.n_tags))
-        cached = self.fconf.cache_tagset
-        if cached is not None and list(cached) != list(self.tagset):
-            raise ValueError("features.cache_tagset must be null or equal tagset")
 
     @property
     def tag_to_index(self):

@@ -11,6 +11,7 @@ loop; an objective only decides which predictions a kept word makes.
 import math
 from collections import Counter
 from dataclasses import dataclass, field
+from itertools import chain
 
 import numpy as np
 
@@ -285,13 +286,12 @@ def _predictions(objective, padded, pos, w):
 
 def read_corpus(path):
     """One sentence per line, whitespace tokens, normalized the same way
-    the tagging vocabulary is."""
-    sentences = []
-    for _, line in read_lines(path):
-        words = [normalize(w) for w in line.split()]
-        if words:
-            sentences.append(words)
-    return sentences
+    the tagging vocabulary is.  A line is normalized whole, which equals
+    normalizing each token: no case mapping or digit fold makes or
+    removes whitespace, and the final-sigma rule looks no further than
+    the next whitespace, which is neither cased nor case-ignorable."""
+    return [words for words in (normalize(line).split() for _, line in read_lines(path))
+            if words]
 
 
 @linalg.one_blas_thread
@@ -303,16 +303,13 @@ def train_embeddings(corpus_path, objective, config):
     FloatingPointError naming it; epochs that together make no
     prediction are a ValueError."""
     sentences = read_corpus(corpus_path)
-    counts = Counter(w for sent in sentences for w in sent)
+    counts = Counter(chain.from_iterable(sentences))
     vocab = vocab_from_counts(counts, config.min_count)
     if len(vocab) <= 2:
         raise ValueError("no words survive the min_count=%d filter" % config.min_count)
 
-    index_counts = np.zeros(len(vocab))
-    for w, c in counts.items():
-        i = vocab.word_to_index.get(w)
-        if i is not None:
-            index_counts[i] = c
+    # a literal PAD or UNK in the text counts at its reserved row
+    index_counts = np.array(list(map(counts.__getitem__, vocab.index_to_word)), dtype=np.float64)
     table = UnigramTable(index_counts)
 
     rng = linalg.SeededRng(config.seed)

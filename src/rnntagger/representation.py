@@ -13,6 +13,13 @@ from . import linalg
 from .corpus import PAD_INDEX, UNK, UNK_INDEX, Vocabulary, read_lines
 
 
+def check_dim(dim):
+    """dim, if an embedding table can be that wide."""
+    if not linalg.is_int(dim) or dim < 1:
+        raise ValueError("embedding.dim must be an integer >= 1, got %r" % (dim,))
+    return dim
+
+
 class EmbeddingTable:
     """|V| x dim float matrix, one row per vocabulary entry.
 
@@ -21,10 +28,8 @@ class EmbeddingTable:
     """
 
     def __init__(self, vocab, dim, matrix, trainable=True):
-        if not linalg.is_int(dim) or dim < 1:
-            raise ValueError("embedding.dim must be an integer >= 1, got %r" % (dim,))
         self.vocab = vocab
-        self.dim = dim
+        self.dim = check_dim(dim)
         matrix = np.asarray(matrix, dtype=np.float64)
         if matrix.shape != (len(vocab), dim):
             raise ValueError(
@@ -111,9 +116,7 @@ def load_embeddings(path):
     first = {}   # word -> its first line; a duplicate line is dropped
     for i, w in enumerate(words):
         first.setdefault(w, i)
-    vocab = Vocabulary()
-    for w in first:
-        vocab.add(w)
+    vocab = Vocabulary.of(first)
     matrix = np.zeros((len(vocab), dim))
     if UNK not in first:
         with np.errstate(over="ignore"):   # an overflow is reported below

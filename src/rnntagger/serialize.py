@@ -26,7 +26,7 @@ from . import linalg
 from .architectures import ModelSpec, bundle_shapes
 from .corpus import PAD, UNK, Lexicon, Vocabulary, normalize
 from .model import Model
-from .representation import EmbeddingTable, FeatureConfig
+from .representation import EmbeddingTable, FeatureConfig, check_dim
 from .tagging import detect_scheme, split_tag
 
 MODEL_FORMAT = "rnn-mention-tagger"
@@ -205,7 +205,12 @@ def _scheme(value, key, doc):
 
 
 def _spec(section):
-    return ModelSpec(**{f.name: section[f.name] for f in fields(ModelSpec)})
+    """The spec section's ModelSpec; ModelSpec's refusal starts with the
+    field, which is the key under spec."""
+    try:
+        return ModelSpec(**{f.name: section[f.name] for f in fields(ModelSpec)})
+    except ValueError as e:
+        raise ValueError("spec.%s" % e) from None
 
 
 class _Keys(dict):
@@ -239,7 +244,7 @@ MODEL_FILE = {
     "vocab": {"words": _words, "lowercase": partial(_fixed, True),
               "digits_to_zero": partial(_fixed, True)},
     "embedding": {"dim": int, "trainable": bool, "matrix": lambda value, key, doc: _array(
-        (len(doc["vocab"]["words"]), doc["embedding"]["dim"]), value, key, doc)},
+        (len(doc["vocab"]["words"]), check_dim(doc["embedding"]["dim"])), value, key, doc)},
     "tagset": _tagset, "scheme": _scheme, "v_c": int,
     "features": {"capitalization": bool, "gazetteers": [LEXICON], "trigger": (None, LEXICON),
                  "cache_tagset": (None, [str])},

@@ -233,6 +233,24 @@ def test_model_file_integer_key_of_another_type_is_data_error(tmp_path, capsys, 
     assert "%s: %s must be an integer" % (path, key) in err
 
 
+def test_model_file_negative_mesnil_k_is_data_error_for_any_architecture(tmp_path, capsys):
+    obj = json.loads((DATA_DIR / "compat" / "v2" / "contextual_elman_jordan.json").read_text())
+    obj["spec"]["mesnil_k"] = -1
+    rc, err, path = tag_with_model(tmp_path, capsys, json.dumps(obj))
+    assert rc == 2
+    assert "%s: spec.mesnil_k must be >= 0, got -1" % path in err
+
+
+def test_train_negative_mesnil_k_is_usage_error_for_any_architecture(tmp_path, capsys):
+    out = tmp_path / "m.json"
+    rc, _, err = run(["train", "--train", write_gold(tmp_path / "g.conll", size=4),
+                      "--arch", "contextual", "--mesnil-k", "-1", "--dim", "3", "--hidden", "3",
+                      "--vc", "0", "--epochs", "1", "--out-model", str(out)], capsys)
+    assert rc == 1
+    assert "usage error: mesnil_k must be >= 0, got -1" in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("how", ["first three tags", "reversed"])
 def test_model_file_cache_tagset_other_than_the_tagset_is_data_error(tmp_path, capsys, how):
     obj = trained_model(tmp_path, capsys, "--cache", "true")

@@ -173,6 +173,28 @@ class TestVocabulary:
             vocab_from_counts(Counter({"a": 1}), min_count=0)
 
 
+def vocab_by_add(freq, min_count=1):
+    """One add() per kept word in (-count, word) order: the reference
+    vocab_from_counts builds in one pass."""
+    vocab = Vocabulary()
+    for w in sorted((w for w, c in freq.items() if c >= min_count),
+                    key=lambda w: (-freq[w], w)):
+        vocab.add(w)
+    return vocab
+
+
+@settings(max_examples=300, deadline=None)
+@given(freq=st.dictionaries(st.sampled_from(["a", "b", "ab", "B", "\u00e9", "0", "<pad>x",
+                                             corpus.PAD, corpus.UNK]) | st.text(max_size=3),
+                            st.integers(1, 4), max_size=12),
+       min_count=st.integers(1, 3))
+def test_one_pass_vocabulary_equals_the_add_loop(freq, min_count):
+    # counts from 1 to 4 tie often; a literal PAD or UNK keeps its row
+    got = vocab_from_counts(Counter(freq), min_count)
+    want = vocab_by_add(freq, min_count)
+    assert (got.index_to_word, got.word_to_index) == (want.index_to_word, want.word_to_index)
+
+
 def test_normalize_modes():
     assert normalize("Abc123") == "abc000"
 

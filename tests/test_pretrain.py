@@ -1,6 +1,7 @@
 import hashlib
 import json
 import math
+import tempfile
 from pathlib import Path
 
 import numpy as np
@@ -9,7 +10,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rnntagger import pretrain
-from rnntagger.corpus import PAD, PAD_INDEX, UNK, UNK_INDEX, vocab_from_counts
+from rnntagger.corpus import (PAD, PAD_INDEX, UNK, UNK_INDEX, normalize, read_lines,
+                              vocab_from_counts)
 from rnntagger.linalg import SeededRng
 from rnntagger.representation import load_embeddings
 from rnntagger.pretrain import (
@@ -690,3 +692,42 @@ def test_literal_reserved_words_get_their_reserved_rows(objective, tmp_path):
     table = load_embeddings(str(out))
     assert np.array_equal(table.matrix, model.input_vectors)
     assert np.all(table.matrix[PAD_INDEX] == 0.0)
+
+
+# where normalizing a line could part from normalizing its tokens: Greek
+# capitals and the sigma whose lowercase depends on what follows it,
+# case-ignorable marks, the I with dot above that lowercases to two
+# characters, whitespace outside ASCII and the C0 separators, and decimal
+# digits outside ASCII
+LINE_ALPHABET = ("ΑΒΓΟΣΩa" "'\u00ad\u0301\u180e" "\u0130"
+                 " \t\u00a0\u0085\u2028\u3000\x1c\x1d\x1e\x1f" "\u0663\u06f5\u07c1\u0967")
+
+
+def per_token(line):
+    return [normalize(w) for w in line.split()]
+
+
+def read_corpus_per_token(path):
+    """read_corpus as it was when it normalized each token: the reference."""
+    return [words for words in (per_token(line) for _, line in read_lines(path)) if words]
+
+
+@settings(max_examples=500, deadline=None)
+@given(line=st.text(alphabet=LINE_ALPHABET, max_size=24))
+def test_a_normalized_line_splits_into_the_normalized_tokens(line):
+    assert normalize(line).split() == per_token(line)
+
+
+@settings(max_examples=100, deadline=None)
+@given(lines=st.lists(st.text(alphabet=LINE_ALPHABET, max_size=24), max_size=6))
+def test_read_corpus_equals_normalizing_each_token(lines):
+    with tempfile.TemporaryDirectory() as d:
+        path = Path(d) / "raw.txt"
+        path.write_bytes("".join(ln + "\n" for ln in lines).encode("utf-8"))
+        assert pretrain.read_corpus(str(path)) == read_corpus_per_token(path)
+
+
+def test_final_sigma_is_decided_within_its_token():
+    # a sigma that ends a word before NBSP or a C0 separator is final; one
+    # that starts a word after it is not
+    assert normalize("ΟΣ\u00a0ΣΟ\x1cΟΣ'").split() == ["ος", "σο", "ος'"]

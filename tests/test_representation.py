@@ -340,6 +340,25 @@ def test_saved_vectors_load_back_bit_exact(words, dim, header, reserved, data):
         assert got.matrix[UNK_INDEX].tobytes() == np.mean(every_line, axis=0).tobytes()
 
 
+@settings(max_examples=200, deadline=None)
+@given(words=st.lists(st.sampled_from(["a", "b", "B", "\u00e7a", "\u4e2d", PAD, UNK]),
+                      min_size=1, max_size=10))
+def test_loaded_vocabulary_equals_the_add_loop(words):
+    """The one-pass vocabulary is what one add() per distinct word in
+    file order builds: a repeated word keeps its first line's place, and
+    a literal PAD or UNK anywhere its reserved row."""
+    with tempfile.TemporaryDirectory() as d:
+        path = Path(d) / "vec.txt"
+        path.write_text("".join("%s %d.5\n" % (w, i) for i, w in enumerate(words)),
+                        encoding="utf-8")
+        got = load_embeddings(str(path))
+        _, oracle = float_loop_load(path)
+    want = small_vocab(*dict.fromkeys(words))
+    assert (got.vocab.index_to_word, got.vocab.word_to_index) == (want.index_to_word,
+                                                                   want.word_to_index)
+    assert got.matrix.tobytes() == oracle.tobytes()
+
+
 def test_loading_vectors_peaks_below_six_times_the_matrix(tmp_path):
     """The loader holds no Python float per value: loading a 5000 x 50
     file peaks below 6x the matrix's bytes under tracemalloc."""

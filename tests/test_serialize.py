@@ -296,7 +296,8 @@ TRIGGER = ("features", "trigger")
      r"malformed model: features\.trigger must be null or an object, got \[\]"),
     (set_at(("features", "cache_tagset"), 0),
      r"malformed model: features\.cache_tagset must be null or a list, got 0"),
-    (set_at(("features", "cache_tagset"), []), r"spec\.n_in is 45, expected"),
+    (set_at(("features", "cache_tagset"), []),
+     r"features\.cache_tagset must be null or equal tagset"),
     # a lexicon is a name and a list of strings
     (set_at(GAZETTEER + ("entries",), "acme"),
      r"malformed model: features\.gazetteers\[0\]\.entries must be a list, got 'acme'"),
@@ -311,6 +312,11 @@ TRIGGER = ("features", "trigger")
     (set_at(("spec", "decoder_cell"), []),
      r"spec\.decoder_cell must be null or a string, got \[\]"),
     (set_at(("embedding", "dim"), "2"), r"embedding\.dim must be an integer, got '2'"),
+    # a value the dataclasses refuse is named by its key too
+    (set_at(("spec", "arch"), "x"), r"spec\.arch: unknown architecture 'x'"),
+    (set_at(("spec", "n_in"), 0), r"spec\.n_in must be >= 1, got 0"),
+    (set_at(("spec", "mesnil_k"), -1), r"spec\.mesnil_k must be >= 0, got -1"),
+    (set_at(("embedding", "dim"), 0), r"embedding\.dim must be an integer >= 1, got 0"),
 ])
 def test_defect_anywhere_in_the_file_names_its_key(mutate, message):
     obj = featureful_obj()
