@@ -2,12 +2,15 @@
 
 Every flag has a config-file equivalent (flat key=value lines, keyed by
 the flag's dest name); explicit command-line flags override the file,
-and the merged, effective configuration is echoed at startup.
+and the merged, effective configuration is echoed at startup.  Every
+setting is checked before the first file is opened.
 
 Exit codes: 0 success, 1 usage error, 2 data error, 3 numeric failure.
 """
 
 import argparse
+import dataclasses
+import re
 import sys
 
 from . import architectures
@@ -17,7 +20,7 @@ from .evaluation import format_kv, format_table, score
 from .linalg import SeededRng
 from .model import Model, tag_corpus
 from .pretrain import OBJECTIVES, EmbedConfig, save_text, train_embeddings
-from .representation import EmbeddingTable, FeatureConfig, load_embeddings
+from .representation import EmbeddingTable, FeatureConfig, check_dim, load_embeddings
 from .serialize import load_model, save_model
 from .synth import future_dep_corpus, memorize_corpus
 from .tagging import detect_scheme, make_tagset, tags_to_spans
@@ -169,27 +172,25 @@ def _read_config_file(path):
 
 
 def _namespace_from_config(cmd_parser, path):
-    entries = _read_config_file(path)
-    actions = {a.dest: a for a in cmd_parser._actions}
+    """The config file's settings, each parsed by cmd_parser as --flag=value
+    (so -3 or --x stays a value), --flag v1 v2 for nargs="*", or bare."""
+    actions = {a.dest: a for a in cmd_parser._actions if a.dest not in ("help", "config")}
     ns = argparse.Namespace()
-    for key, (val, lineno) in entries.items():
+    for key, (val, lineno) in _read_config_file(path).items():
         where = "%s:%d: config key %r" % (path, lineno, key)
-        if key not in actions or key in ("help", "config"):
+        if key not in actions:
             raise UsageError("%s is unknown" % where)
         a = actions[key]
+        if not a.option_strings:
+            argv = [val]
+        elif a.nargs == "*":
+            argv = [a.option_strings[0]] + val.split()
+        else:
+            argv = ["%s=%s" % (a.option_strings[0], val)]
         try:
-            if a.nargs in ("*", "+"):
-                value = [a.type(v) if a.type else v for v in val.split()]
-            elif a.type:
-                value = a.type(val)
-            else:
-                value = val
-        except (ValueError, argparse.ArgumentTypeError) as e:
+            setattr(ns, key, getattr(cmd_parser.parse_args(argv), key))
+        except UsageError as e:
             raise UsageError("%s: %s" % (where, e))
-        if a.choices and value not in a.choices:
-            raise UsageError("%s: %r is not one of %s"
-                             % (where, value, sorted(a.choices)))
-        setattr(ns, key, value)
     return ns
 
 
@@ -204,15 +205,29 @@ def _echo_config(args):
         print("%s=%s" % (key, "" if value is None else value))
 
 
-_FLAG_NAMES = {"train_path": "--train", "dev_path": "--dev",
-               "learning_rate": "--lr", "corpus": "corpus"}
+def _flag(args, name):
+    """How args.command spells setting name, or None: learning_rate -> --lr,
+    corpus -> corpus, embedding.dim -> --dim, encoder_cell -> --encoder."""
+    name = name.rsplit(".", 1)[-1]
+    for a in build_parser()[1].choices[args.command]._actions:
+        if name in (a.dest, a.dest + "_cell"):
+            return a.option_strings[0] if a.option_strings else a.dest
+
+
+def _settings(args, make, *given, **fields):
+    """make(*given, **fields); its ValueError, which starts with the field
+    it refuses, is a usage error that starts with the field's flag."""
+    try:
+        return make(*given, **fields)
+    except ValueError as e:
+        field = re.match(r"[\w.]*", str(e)).group()
+        raise UsageError((_flag(args, field) or field) + str(e)[len(field):]) from None
 
 
 def _require(args, *names):
     for name in names:
         if getattr(args, name) in (None, ""):
-            flag = _FLAG_NAMES.get(name, "--" + name.replace("_", "-"))
-            raise UsageError("%s is required" % flag)
+            raise UsageError("%s is required" % _flag(args, name))
 
 
 def _cell_kind(name):
@@ -259,13 +274,10 @@ def main(argv=None):
 
 def cmd_embed(args):
     _require(args, "corpus", "out")
-    try:
-        cfg = EmbedConfig(dim=args.dim, window=args.window,
-                          subsample=args.subsample, negatives=args.negatives,
-                          epochs=args.epochs, learning_rate=args.learning_rate,
-                          min_count=args.min_count, seed=args.seed)
-    except ValueError as e:
-        raise UsageError(str(e))
+    cfg = _settings(args, EmbedConfig, dim=args.dim, window=args.window,
+                    subsample=args.subsample, negatives=args.negatives,
+                    epochs=args.epochs, learning_rate=args.learning_rate,
+                    min_count=args.min_count, seed=args.seed)
     model = train_embeddings(args.corpus, args.objective, cfg)
     save_text(model, args.out)
     for i, (loss, made) in enumerate(zip(model.epoch_losses, model.epoch_predictions), 1):
@@ -281,20 +293,19 @@ def cmd_embed(args):
 
 def cmd_train(args):
     _require(args, "train_path", "out_model")
-    if args.dim < 1:
-        raise UsageError("dim must be >= 1, got %d" % args.dim)
+    _settings(args, check_dim, args.dim)
     hidden = args.hidden if args.hidden is not None else PROFILES[args.profile]["hidden"]
     lr = (args.learning_rate if args.learning_rate is not None
           else PROFILES[args.profile]["learning_rate"])
-    try:
-        tcfg = TrainConfig(learning_rate=lr, epochs=args.epochs, v_d=args.v_d,
-                           v_c=args.v_c, hidden=hidden, seed=args.seed,
-                           shuffle=args.shuffle,
-                           fine_tune_embeddings=args.fine_tune_embeddings,
-                           dev_eval_every=args.dev_eval_every,
-                           clip_threshold=args.clip_threshold)
-    except ValueError as e:
-        raise UsageError(str(e))
+    tcfg = _settings(args, TrainConfig, learning_rate=lr, epochs=args.epochs, v_d=args.v_d,
+                     v_c=args.v_c, hidden=hidden, seed=args.seed, shuffle=args.shuffle,
+                     fine_tune_embeddings=args.fine_tune_embeddings,
+                     dev_eval_every=args.dev_eval_every,
+                     clip_threshold=args.clip_threshold)
+    # the input width and the tag count follow from the data: 1 stands in
+    spec = _settings(args, ModelSpec, arch=args.arch, n_in=1, hidden=hidden, n_tags=1,
+                     decoder_cell=_decoder_kind(args),
+                     encoder_cell=_cell_kind(args.encoder), mesnil_k=args.mesnil_k)
 
     train_sents = load_conll(args.train_path)
     if not train_sents:
@@ -321,15 +332,8 @@ def cmd_train(args):
         cache_tagset=tagset if args.cache else None,
     )
 
-    try:
-        spec = ModelSpec(arch=args.arch, n_in=fconf.input_width(table.dim, args.v_c),
-                         hidden=hidden, n_tags=len(tagset),
-                         decoder_cell=_decoder_kind(args),
-                         encoder_cell=_cell_kind(args.encoder),
-                         mesnil_k=args.mesnil_k)
-    except ValueError as e:
-        raise UsageError(str(e))
-
+    spec = dataclasses.replace(spec, n_in=fconf.input_width(table.dim, args.v_c),
+                               n_tags=len(tagset))
     model = Model(spec=spec, params=init_model(spec, rng), table=table,
                   fconf=fconf, tagset=tagset, scheme=scheme, v_c=args.v_c)
 
@@ -405,23 +409,19 @@ def _spec_label(spec):
 
 
 def cmd_gradcheck(args):
-    for flag, value, least in (("--hidden", args.hidden, 1), ("--n-in", args.n_in, 1),
-                               ("--n-tags", args.n_tags, 1), ("--tokens", args.tokens, 1),
-                               ("--vd", args.v_d, 0)):
+    for flag, value, least in (("--tokens", args.tokens, 1), ("--vd", args.v_d, 0)):
         if value < least:
             raise UsageError("%s must be >= %d, got %d" % (flag, least, value))
     if not 0 < args.bound < float("inf"):
         raise UsageError("--bound must be finite and > 0, got %r" % args.bound)
+    sizes = {"n_in": args.n_in, "hidden": args.hidden, "n_tags": args.n_tags}
     if args.grid:
-        specs = _grid_specs(args.hidden, args.n_in, args.n_tags)
+        # every spec of the grid has these sizes: one spec checks them
+        _settings(args, ModelSpec, arch=architectures.BASIC, decoder_cell="ELMAN", **sizes)
+        specs = _grid_specs(**sizes)
     else:
-        try:
-            specs = [ModelSpec(arch=args.arch, n_in=args.n_in,
-                               hidden=args.hidden, n_tags=args.n_tags,
-                               decoder_cell=_decoder_kind(args),
-                               encoder_cell=_cell_kind(args.encoder))]
-        except ValueError as e:
-            raise UsageError(str(e))
+        specs = [_settings(args, ModelSpec, arch=args.arch, decoder_cell=_decoder_kind(args),
+                           encoder_cell=_cell_kind(args.encoder), **sizes)]
     worst = worst_abs = 0.0
     failed = False
     print("%-45s %-22s %-9s %s" % ("spec", "block", "rel err", "max |analytic - numeric|"))
@@ -450,10 +450,7 @@ def cmd_synth(args):
     _require(args, "out")
     make = memorize_corpus if args.task == "memorize" else future_dep_corpus
     size = {} if args.size is None else {"size": args.size}
-    try:
-        sents = make(seed=args.seed, **size)
-    except ValueError as e:
-        raise UsageError(str(e))
+    sents = _settings(args, make, seed=args.seed, **size)
     write_conll(sents, args.out)
     print("wrote %d sentences to %s" % (len(sents), args.out))
     return EXIT_OK

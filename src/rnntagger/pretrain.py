@@ -40,11 +40,10 @@ class EmbedConfig:
     seed: int = 1
 
     def __post_init__(self):
-        for name in ("dim", "window", "negatives", "min_count"):
-            if getattr(self, name) < 1:
-                raise ValueError("%s must be >= 1" % name)
-        if self.epochs < 0:
-            raise ValueError("epochs must be >= 0")
+        for name, least in (("dim", 1), ("window", 1), ("negatives", 1), ("min_count", 1),
+                            ("epochs", 0)):
+            if getattr(self, name) < least:
+                raise ValueError("%s must be >= %d, got %r" % (name, least, getattr(self, name)))
         for name in ("subsample", "learning_rate"):
             value = getattr(self, name)
             if not (math.isfinite(value) and value > 0):

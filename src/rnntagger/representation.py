@@ -267,8 +267,6 @@ def window_inputs(table, indices, features, v_c):
     view of the w-vectors [embedding row, feature columns] with v_c zero rows
     on each side, so positions beyond the sentence contribute zero blocks
     (PAD embedding, no feature fires)."""
-    if v_c < 0:
-        raise ValueError("v_c must be >= 0, got %d" % v_c)
     n, dim = len(indices), table.dim
     padded = np.zeros((n + 2 * v_c, dim + features.shape[1]))
     padded[v_c : v_c + n, :dim] = table.matrix[indices]   # row v_c + i is w_i

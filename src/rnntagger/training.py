@@ -58,12 +58,9 @@ class TrainConfig:
                 continue
             if not (math.isfinite(value) and value > 0):
                 raise ValueError("%s must be finite and > 0, got %r" % (name, value))
-        if self.v_d < 0 or self.v_c < 0:
-            raise ValueError("window sizes must be >= 0")
-        if self.epochs < 0:
-            raise ValueError("epochs must be >= 0")
-        if self.dev_eval_every < 1:
-            raise ValueError("dev_eval_every must be >= 1")
+        for name, least in (("v_d", 0), ("v_c", 0), ("epochs", 0), ("dev_eval_every", 1)):
+            if getattr(self, name) < least:
+                raise ValueError("%s must be >= %d, got %r" % (name, least, getattr(self, name)))
 
 
 def nll_loss(o, y):

@@ -247,7 +247,7 @@ def test_train_negative_mesnil_k_is_usage_error_for_any_architecture(tmp_path, c
                       "--arch", "contextual", "--mesnil-k", "-1", "--dim", "3", "--hidden", "3",
                       "--vc", "0", "--epochs", "1", "--out-model", str(out)], capsys)
     assert rc == 1
-    assert "usage error: mesnil_k must be >= 0, got -1" in err
+    assert "usage error: --mesnil-k must be >= 0, got -1" in err
     assert not out.exists()
 
 
@@ -286,7 +286,7 @@ def test_train_dim_below_one_is_usage_error(tmp_path, capsys):
     rc, _, err = run(["train", "--train", write_gold(tmp_path / "g.conll"), "--dim", "0",
                       "--out-model", str(tmp_path / "m.json")], capsys)
     assert rc == 1
-    assert "dim must be >= 1, got 0" in err
+    assert "usage error: --dim must be an integer >= 1, got 0" in err
 
 
 def test_eval_sentence_count_mismatch_is_data_error(tmp_path, capsys):
@@ -343,9 +343,9 @@ def test_config_respects_choices(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("line,problem", [
-    ("hidden=abc", "config key 'hidden': invalid literal for int()"),
+    ("hidden=abc", "config key 'hidden': argument --hidden: invalid int value: 'abc'"),
     ("sneed=9", "config key 'sneed' is unknown"),
-    ("arch=wide", "config key 'arch': 'wide' is not one of"),
+    ("arch=wide", "config key 'arch': argument --arch: invalid choice: 'wide'"),
     ("clip=true", "config key 'clip' is unknown"),
     ("scheme=iobes", "config key 'scheme' is unknown"),
 ])
@@ -446,7 +446,7 @@ def test_bad_rate_is_reported_before_the_data_is_read(tmp_path, capsys):
     rc, _, err = run(["train", "--train", str(tmp_path / "missing.conll"), "--lr", "nan",
                       "--out-model", str(tmp_path / "m.json")], capsys)
     assert rc == 1
-    assert "learning_rate must be finite and > 0" in err
+    assert "usage error: --lr must be finite and > 0" in err
 
 
 # ---------------------------------------------------------------- synth
@@ -476,7 +476,7 @@ def test_synth_bad_size_is_usage_error(tmp_path, capsys, task, size):
     out = tmp_path / "s.conll"
     rc, _, err = run(["synth", "--task", task, "--size", size, "--out", str(out)], capsys)
     assert rc == 1
-    assert "usage error: size must be" in err
+    assert "usage error: --size must be" in err
     assert not out.exists()
 
 

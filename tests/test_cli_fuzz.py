@@ -21,6 +21,7 @@ be refused with exit 2 naming the key.
 import contextlib
 import io
 import json
+import re
 import tempfile
 from pathlib import Path
 
@@ -247,6 +248,69 @@ def test_mutated_flag_value_ends_in_an_exit_code(valid, command, data):
         filled = [a.format(**paths) for a in argv]
         filled[at] = value
         assert main(filled) in EXIT_CODES
+
+
+def below(least):
+    return st.integers(max_value=least - 1).map(str)
+
+
+def not_one_of(choices):
+    return st.text(max_size=6).filter(lambda t: t not in choices)
+
+
+NOT_INT = st.sampled_from(["", "x", "1.5", "1e3", "nan"])
+NOT_POSITIVE = st.one_of(st.sampled_from(["", "x", "nan", "inf", "1e400"]),
+                         st.floats(max_value=0).map(repr))
+NOT_BOOL = st.text(max_size=6).filter(
+    lambda t: t.strip().lower() not in {"1", "true", "yes", "on", "0", "false", "no", "off"})
+# values each flag's rule refuses, given to a COMMANDS line
+REFUSED = {
+    "train": {"--dim": below(1), "--hidden": below(1), "--mesnil-k": below(0),
+              "--vc": below(0), "--vd": below(0), "--epochs": below(0),
+              "--dev-eval-every": below(1), "--lr": NOT_POSITIVE,
+              "--clip-threshold": NOT_POSITIVE, "--seed": NOT_INT,
+              "--arch": st.one_of(st.sampled_from(["basic", "contextual", "mesnil"]),
+                                  not_one_of(cli.architectures.ARCHS)),
+              "--encoder": not_one_of(cli.CELL_NAMES), "--decoder": not_one_of(cli.CELL_NAMES),
+              "--profile": not_one_of(cli.PROFILES), "--caps": NOT_BOOL, "--cache": NOT_BOOL,
+              "--shuffle": NOT_BOOL, "--fine-tune-embeddings": NOT_BOOL},
+    "embed": {"--dim": below(1), "--window": below(1), "--negatives": below(1),
+              "--min-count": below(1), "--epochs": below(0), "--lr": NOT_POSITIVE,
+              "--subsample": NOT_POSITIVE, "--seed": NOT_INT,
+              "--objective": not_one_of(cli.OBJECTIVES)},
+    "gradcheck": {"--hidden": below(1), "--n-in": below(1), "--n-tags": below(1),
+                  "--tokens": below(1), "--vd": below(0), "--bound": NOT_POSITIVE,
+                  "--seed": NOT_INT, "--grid": NOT_BOOL,
+                  "--arch": st.one_of(st.just("basic"), not_one_of(cli.architectures.ARCHS)),
+                  "--encoder": not_one_of(cli.CELL_NAMES),
+                  # mesnil has no decoder: every cell name is refused too
+                  "--decoder": st.one_of(st.sampled_from(cli.CELL_NAMES), st.text(max_size=6))},
+    "synth": {"--size": st.one_of(below(1), st.integers(0, 50).map(lambda i: str(2 * i + 1))),
+              "--task": not_one_of(("memorize", "future-dep")), "--seed": NOT_INT},
+}
+# an architecture that the COMMANDS line's cells do not suit is refused
+# under the cell's flag
+BLAMED = {("train", "--arch", "basic"): "--encoder", ("train", "--arch", "contextual"): "--encoder",
+          ("train", "--arch", "mesnil"): "--decoder", ("gradcheck", "--arch", "basic"): "--encoder"}
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(sorted(REFUSED)), st.data())
+def test_refused_flag_value_is_usage_error_before_any_file_is_read(command, data):
+    """Every input path is missing, so a value refused only after a read
+    would be a data error; the refusal names the flag and writes nothing."""
+    flag = data.draw(st.sampled_from(sorted(REFUSED[command])))
+    value = data.draw(REFUSED[command][flag])
+    named = BLAMED.get((command, flag, value), flag)
+    with tempfile.TemporaryDirectory() as d:
+        paths = {k: str(Path(d, k)) for k in ("conll", "model", "out")}
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            rc = cli.main([a.format(**paths) for a in COMMANDS[command]]
+                          + ["%s=%s" % (flag, value)])
+        assert rc == cli.EXIT_USAGE, err.getvalue()
+        assert re.match(r"usage error: (argument )?%s[: ]" % re.escape(named), err.getvalue())
+        assert not any(Path(d).iterdir())
 
 
 # finite magnitudes, from ones a forward pass holds to ones it overflows
