@@ -33,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cells import SoftmaxOutput, cell_for, init_params, put_grad
-from .linalg import unwindow, windows
+from .linalg import check_size, unwindow, windows
 
 BASIC = "basic"
 CONTEXTUAL = "contextual"
@@ -59,8 +59,7 @@ class ModelSpec:
             raise ValueError("arch: unknown architecture %r (expected one of %s)"
                              % (self.arch, ARCHS))
         for name, least in (("n_in", 1), ("hidden", 1), ("n_tags", 1), ("mesnil_k", 0)):
-            if getattr(self, name) < least:
-                raise ValueError("%s must be >= %d, got %r" % (name, least, getattr(self, name)))
+            check_size(name, getattr(self, name), least)
         if self.arch == MESNIL:
             if self.decoder_cell is not None:
                 raise ValueError("decoder_cell: the word-wise variant has no recurrent decoder,"

@@ -1,8 +1,9 @@
 """Batch command-line surface: embed, train, tag, eval, gradcheck, synth.
 
 Every flag has a config-file equivalent (flat key=value lines, keyed by
-the flag's dest name); explicit command-line flags override the file,
-and the merged, effective configuration is echoed at startup.  Every
+the flag's dest name; corpus= sets embed's positional); explicit
+command-line flags and the positional override the file, and the
+merged, effective configuration is echoed at startup.  Every
 setting is checked before the first file is opened.
 
 Exit codes: 0 success, 1 usage error, 2 data error, 3 numeric failure.
@@ -17,10 +18,10 @@ from . import architectures
 from .architectures import ModelSpec, init_model
 from .corpus import build_vocab, load_conll, load_lexicon, read_lines, write_conll
 from .evaluation import format_kv, format_table, score
-from .linalg import SeededRng
+from .linalg import SeededRng, check_rate, check_size
 from .model import Model, tag_corpus
 from .pretrain import OBJECTIVES, EmbedConfig, save_text, train_embeddings
-from .representation import EmbeddingTable, FeatureConfig, check_dim, load_embeddings
+from .representation import EmbeddingTable, FeatureConfig, load_embeddings
 from .serialize import load_model, save_model
 from .synth import future_dep_corpus, memorize_corpus
 from .tagging import detect_scheme, make_tagset, tags_to_spans
@@ -250,13 +251,11 @@ def main(argv=None):
             raise UsageError("a command is required "
                              "(embed, train, tag, eval, gradcheck, synth)")
         if getattr(args, "config", None):
-            # re-parse with the subparser itself: the top-level parser hands
-            # subcommands a fresh namespace, which would drop config values
+            # the config's values are the command's defaults, embed's corpus
+            # positional included, so the command line overrides each of them
             cmd_parser = sub.choices[args.command]
-            ns = _namespace_from_config(cmd_parser, args.config)
-            ns.command = args.command
-            rest = argv[argv.index(args.command) + 1:]
-            args = cmd_parser.parse_args(rest, namespace=ns)
+            cmd_parser.set_defaults(**vars(_namespace_from_config(cmd_parser, args.config)))
+            args = top.parse_args(argv)
         _echo_config(args)
         return args.func(args)
     except UsageError as e:
@@ -293,7 +292,7 @@ def cmd_embed(args):
 
 def cmd_train(args):
     _require(args, "train_path", "out_model")
-    _settings(args, check_dim, args.dim)
+    _settings(args, check_size, "dim", args.dim, 1)
     hidden = args.hidden if args.hidden is not None else PROFILES[args.profile]["hidden"]
     lr = (args.learning_rate if args.learning_rate is not None
           else PROFILES[args.profile]["learning_rate"])
@@ -409,11 +408,9 @@ def _spec_label(spec):
 
 
 def cmd_gradcheck(args):
-    for flag, value, least in (("--tokens", args.tokens, 1), ("--vd", args.v_d, 0)):
-        if value < least:
-            raise UsageError("%s must be >= %d, got %d" % (flag, least, value))
-    if not 0 < args.bound < float("inf"):
-        raise UsageError("--bound must be finite and > 0, got %r" % args.bound)
+    _settings(args, check_size, "tokens", args.tokens, 1)
+    _settings(args, check_size, "v_d", args.v_d, 0)
+    _settings(args, check_rate, "bound", args.bound)
     sizes = {"n_in": args.n_in, "hidden": args.hidden, "n_tags": args.n_tags}
     if args.grid:
         # every spec of the grid has these sizes: one spec checks them

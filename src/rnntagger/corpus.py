@@ -5,6 +5,7 @@ import re
 from collections import Counter
 from dataclasses import dataclass, field
 
+from .linalg import check_size
 from .tagging import split_tag
 
 PAD = "<pad>"
@@ -169,8 +170,7 @@ def vocab_from_counts(freq, min_count=1):
     the map is identical across runs on the same corpus. A literal PAD
     or UNK word maps to its reserved row.
     """
-    if min_count < 1:
-        raise ValueError("min_count must be >= 1, got %d" % min_count)
+    check_size("min_count", min_count, 1)
     kept = sorted(w for w, c in freq.items() if c >= min_count)
     kept.sort(key=freq.__getitem__, reverse=True)   # stable: a tie keeps word order
     return Vocabulary.of(kept)

@@ -8,6 +8,8 @@ bit-for-bit reproducible from a seed.
 
 import ctypes
 import functools
+import math
+import numbers
 import os
 
 import numpy as np
@@ -22,6 +24,22 @@ def is_int(value):
     """An integer that is not a bool: a size read as 1.0 or true from a
     file is not one."""
     return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
+def check_size(field, value, least):
+    """value, if it is an integer (not a bool) >= least.  Every size of
+    the toolkit is refused here, in one wording led by its field."""
+    if not is_int(value) or value < least:
+        raise ValueError("%s must be an integer >= %d, got %r" % (field, least, value))
+    return value
+
+
+def check_rate(field, value):
+    """value, if it is a real number (not a bool), finite and above 0."""
+    if not (isinstance(value, numbers.Real) and not isinstance(value, bool)
+            and math.isfinite(value) and value > 0):
+        raise ValueError("%s must be finite and > 0, got %r" % (field, value))
+    return value
 
 
 @functools.cache

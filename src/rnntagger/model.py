@@ -6,7 +6,7 @@ import numpy as np
 
 from . import architectures
 from .corpus import documents
-from .linalg import is_int, one_blas_thread
+from .linalg import check_size, one_blas_thread
 from .representation import DocCache, encode_sentence
 
 
@@ -27,8 +27,7 @@ class Model:
     v_c: int = 5
 
     def __post_init__(self):
-        if not is_int(self.v_c) or self.v_c < 0:
-            raise ValueError("v_c must be an integer >= 0, got %r" % (self.v_c,))
+        check_size("v_c", self.v_c, 0)
         if len(self.tagset) != self.spec.n_tags:
             raise ValueError("tagset has %d tags, spec.n_tags is %d"
                              % (len(self.tagset), self.spec.n_tags))

@@ -42,12 +42,9 @@ class EmbedConfig:
     def __post_init__(self):
         for name, least in (("dim", 1), ("window", 1), ("negatives", 1), ("min_count", 1),
                             ("epochs", 0)):
-            if getattr(self, name) < least:
-                raise ValueError("%s must be >= %d, got %r" % (name, least, getattr(self, name)))
+            linalg.check_size(name, getattr(self, name), least)
         for name in ("subsample", "learning_rate"):
-            value = getattr(self, name)
-            if not (math.isfinite(value) and value > 0):
-                raise ValueError("%s must be finite and > 0, got %r" % (name, value))
+            linalg.check_rate(name, getattr(self, name))
 
 
 class UnigramTable:

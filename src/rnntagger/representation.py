@@ -13,13 +13,6 @@ from . import linalg
 from .corpus import PAD_INDEX, UNK, UNK_INDEX, Vocabulary, read_lines
 
 
-def check_dim(dim):
-    """dim, if an embedding table can be that wide."""
-    if not linalg.is_int(dim) or dim < 1:
-        raise ValueError("embedding.dim must be an integer >= 1, got %r" % (dim,))
-    return dim
-
-
 class EmbeddingTable:
     """|V| x dim float matrix, one row per vocabulary entry.
 
@@ -29,7 +22,7 @@ class EmbeddingTable:
 
     def __init__(self, vocab, dim, matrix, trainable=True):
         self.vocab = vocab
-        self.dim = check_dim(dim)
+        self.dim = linalg.check_size("embedding.dim", dim, 1)
         matrix = np.asarray(matrix, dtype=np.float64)
         if matrix.shape != (len(vocab), dim):
             raise ValueError(

@@ -26,7 +26,7 @@ from . import linalg
 from .architectures import ModelSpec, bundle_shapes
 from .corpus import PAD, UNK, Lexicon, Vocabulary, normalize
 from .model import Model
-from .representation import EmbeddingTable, FeatureConfig, check_dim
+from .representation import EmbeddingTable, FeatureConfig
 from .tagging import detect_scheme, split_tag
 
 MODEL_FORMAT = "rnn-mention-tagger"
@@ -244,7 +244,8 @@ MODEL_FILE = {
     "vocab": {"words": _words, "lowercase": partial(_fixed, True),
               "digits_to_zero": partial(_fixed, True)},
     "embedding": {"dim": int, "trainable": bool, "matrix": lambda value, key, doc: _array(
-        (len(doc["vocab"]["words"]), check_dim(doc["embedding"]["dim"])), value, key, doc)},
+        (len(doc["vocab"]["words"]), linalg.check_size("embedding.dim", doc["embedding"]["dim"], 1)),
+        value, key, doc)},
     "tagset": _tagset, "scheme": _scheme, "v_c": int,
     "features": {"capitalization": bool, "gazetteers": [LEXICON], "trigger": (None, LEXICON),
                  "cache_tagset": (None, [str])},

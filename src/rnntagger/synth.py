@@ -8,7 +8,7 @@ future can get right.
 """
 
 from .corpus import Sentence, Token
-from .linalg import SeededRng
+from .linalg import SeededRng, check_size
 
 PERSON_WORDS = ["alice", "bruno", "carla", "dmitri", "elena", "farid"]
 ORG_WORDS = ["acme", "globex", "initech", "umbrella"]
@@ -28,8 +28,7 @@ FUTURE_LENGTH = 5
 def memorize_corpus(size=50, seed=1):
     """Tagged sentences (BIO2) whose labels are a pure function of the
     surface form; 3 entity types, occasional two-token ORG mentions."""
-    if size < 1:
-        raise ValueError("size must be >= 1, got %d" % size)
+    check_size("size", size, 1)
     rng = SeededRng(seed)
     sentences = []
     for _ in range(size):
@@ -59,8 +58,8 @@ def future_dep_corpus(size=40, seed=1):
     Every sentence has exactly FUTURE_LENGTH tokens, so with v_c = 1 the
     first position's input window never reaches the cue.
     """
-    if size < 1 or size % 2:
-        raise ValueError("size must be even and >= 2, got %d" % size)
+    if check_size("size", size, 2) % 2:
+        raise ValueError("size must be even, got %d" % size)
     rng = SeededRng(seed)
     sentences = []
     for _ in range(size // 2):

@@ -52,15 +52,12 @@ class TrainConfig:
     clip_threshold: float = None   # the global gradient norm cap; None: no clipping
 
     def __post_init__(self):
-        for name in ("learning_rate", "clip_threshold"):
-            value = getattr(self, name)
-            if value is None and name == "clip_threshold":
-                continue
-            if not (math.isfinite(value) and value > 0):
-                raise ValueError("%s must be finite and > 0, got %r" % (name, value))
-        for name, least in (("v_d", 0), ("v_c", 0), ("epochs", 0), ("dev_eval_every", 1)):
-            if getattr(self, name) < least:
-                raise ValueError("%s must be >= %d, got %r" % (name, least, getattr(self, name)))
+        linalg.check_rate("learning_rate", self.learning_rate)
+        if self.clip_threshold is not None:
+            linalg.check_rate("clip_threshold", self.clip_threshold)
+        for name, least in (("v_d", 0), ("v_c", 0), ("hidden", 1), ("epochs", 0),
+                            ("dev_eval_every", 1)):
+            linalg.check_size(name, getattr(self, name), least)
 
 
 def nll_loss(o, y):

@@ -238,7 +238,7 @@ def test_model_file_negative_mesnil_k_is_data_error_for_any_architecture(tmp_pat
     obj["spec"]["mesnil_k"] = -1
     rc, err, path = tag_with_model(tmp_path, capsys, json.dumps(obj))
     assert rc == 2
-    assert "%s: spec.mesnil_k must be >= 0, got -1" % path in err
+    assert "%s: spec.mesnil_k must be an integer >= 0, got -1" % path in err
 
 
 def test_train_negative_mesnil_k_is_usage_error_for_any_architecture(tmp_path, capsys):
@@ -247,7 +247,7 @@ def test_train_negative_mesnil_k_is_usage_error_for_any_architecture(tmp_path, c
                       "--arch", "contextual", "--mesnil-k", "-1", "--dim", "3", "--hidden", "3",
                       "--vc", "0", "--epochs", "1", "--out-model", str(out)], capsys)
     assert rc == 1
-    assert "usage error: --mesnil-k must be >= 0, got -1" in err
+    assert "usage error: --mesnil-k must be an integer >= 0, got -1" in err
     assert not out.exists()
 
 
@@ -508,6 +508,39 @@ def test_embed_same_seed_same_bytes(tmp_path, capsys):
     assert run(["embed", corpus] + EMBED_FLAGS + ["--out", str(a)], capsys)[0] == 0
     assert run(["embed", corpus] + EMBED_FLAGS + ["--out", str(b)], capsys)[0] == 0
     assert a.read_bytes() == b.read_bytes()
+
+
+def embed_config(tmp_path, corpus):
+    """A config file holding EMBED_FLAGS and corpus=corpus."""
+    cfg = tmp_path / "e.cfg"
+    pairs = zip(EMBED_FLAGS[::2], EMBED_FLAGS[1::2])
+    cfg.write_text("".join("%s=%s\n" % (flag[2:], value) for flag, value in pairs)
+                   + "corpus=%s\n" % corpus)
+    return str(cfg)
+
+
+def test_embed_config_corpus_is_the_positional(tmp_path, capsys):
+    corpus = corpus_file(tmp_path)
+    flags, cfg = tmp_path / "flags.txt", tmp_path / "cfg.txt"
+    assert run(["embed", corpus] + EMBED_FLAGS + ["--out", str(flags)], capsys)[0] == 0
+    rc, out, _ = run(["embed", "--config", embed_config(tmp_path, corpus),
+                      "--out", str(cfg)], capsys)
+    assert rc == 0
+    assert "corpus=%s\n" % corpus in out
+    assert cfg.read_bytes() == flags.read_bytes()
+
+
+def test_embed_corpus_on_the_command_line_overrides_the_config(tmp_path, capsys):
+    corpus = corpus_file(tmp_path)
+    other = tmp_path / "other.txt"
+    other.write_text("a dog ran by the red barn\nthe barn was red\n" * 10)
+    want, got = tmp_path / "want.txt", tmp_path / "got.txt"
+    assert run(["embed", str(other)] + EMBED_FLAGS + ["--out", str(want)], capsys)[0] == 0
+    rc, out, _ = run(["embed", "--config", embed_config(tmp_path, corpus), str(other),
+                      "--out", str(got)], capsys)
+    assert rc == 0
+    assert "corpus=%s\n" % other in out
+    assert got.read_bytes() == want.read_bytes()
 
 
 def test_embed_zero_epochs_writes_initialized_matrix(tmp_path, capsys):
@@ -858,7 +891,7 @@ def test_train_mesnil_needs_no_decoder(tmp_path, capsys):
 def test_gradcheck_size_below_one_is_usage_error(capsys, flag, grid):
     rc, out, err = run(["gradcheck", "--grid", grid, flag, "0"], capsys)
     assert rc == 1
-    assert "usage error: %s must be >= 1, got 0" % flag in err
+    assert "usage error: %s must be an integer >= 1, got 0" % flag in err
     assert "passed" not in out
 
 
@@ -873,7 +906,7 @@ def test_gradcheck_bound_not_finite_and_positive_is_usage_error(capsys, bound):
 def test_gradcheck_negative_window_is_usage_error(capsys):
     rc, _, err = run(["gradcheck", "--decoder", "elman", "--vd", "-1"], capsys)
     assert rc == 1
-    assert "usage error: --vd must be >= 0, got -1" in err
+    assert "usage error: --vd must be an integer >= 0, got -1" in err
 
 
 def test_bare_gradcheck_checks_an_elman_decoder_and_passes(capsys):

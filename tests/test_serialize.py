@@ -314,8 +314,8 @@ TRIGGER = ("features", "trigger")
     (set_at(("embedding", "dim"), "2"), r"embedding\.dim must be an integer, got '2'"),
     # a value the dataclasses refuse is named by its key too
     (set_at(("spec", "arch"), "x"), r"spec\.arch: unknown architecture 'x'"),
-    (set_at(("spec", "n_in"), 0), r"spec\.n_in must be >= 1, got 0"),
-    (set_at(("spec", "mesnil_k"), -1), r"spec\.mesnil_k must be >= 0, got -1"),
+    (set_at(("spec", "n_in"), 0), r"spec\.n_in must be an integer >= 1, got 0"),
+    (set_at(("spec", "mesnil_k"), -1), r"spec\.mesnil_k must be an integer >= 0, got -1"),
     (set_at(("embedding", "dim"), 0), r"embedding\.dim must be an integer >= 1, got 0"),
 ])
 def test_defect_anywhere_in_the_file_names_its_key(mutate, message):
