@@ -41,7 +41,7 @@ class EmbedConfig:
 
     def __post_init__(self):
         for name, least in (("dim", 1), ("window", 1), ("negatives", 1), ("min_count", 1),
-                            ("epochs", 0)):
+                            ("epochs", 0), ("seed", 0)):
             linalg.check_size(name, getattr(self, name), least)
         for name in ("subsample", "learning_rate"):
             linalg.check_rate(name, getattr(self, name))

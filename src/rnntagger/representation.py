@@ -5,6 +5,7 @@ the model input is the window x_i = [w_{i-v_c}, ..., w_i, ..., w_{i+v_c}]
 with zero blocks past either sentence edge.
 """
 
+import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -57,24 +58,64 @@ class EmbeddingTable:
                 fh.write(word + " " + " ".join(map(float.__repr__, row.tolist())) + "\n")
 
 
-def load_embeddings(path):
-    """Read the text format back into a table.
+def _header(raw):
+    """(count, dim) when the line raw is two integers, else None."""
+    parts = raw.split()
+    if len(parts) == 2 and all(p.isdecimal() for p in parts):
+        return tuple(map(int, parts))
+    return None
 
-    Accepts files with or without the "count dim" header. Words absent
-    from the file get deterministic rows: PAD zero, UNK the mean of all
-    loaded vectors. A value that is not a finite number, a row with no
-    values or of the wrong width, or a row count other than the header's
-    raises ValueError naming the file and line; so does a sum of the
-    rows that overflows, naming the file, when the file has no row for UNK.
+
+def _parse_one_pass(path):
+    """(words, values, line numbers, header) of a vectors file, every value
+    read by one np.loadtxt call over the text after each line's word.
+
+    None when loadtxt refuses a value, or reads a row count or a width
+    other than the lines give: a value that only float() reads (1_000,
+    an Arabic-Indic digit), a lone CR, a word with no values and every
+    defect.  _parse_per_line then gives the same values or the message.
     """
+    words, linenos, header = [], [], None
+
+    def rests():
+        nonlocal header
+        for lineno, raw in read_lines(path):
+            parts = raw.split(None, 1)
+            if not parts:
+                continue
+            if lineno == 1 and (header := _header(raw)):
+                continue
+            words.append(parts[0])
+            linenos.append(lineno)
+            # a word with no values yields a blank line, which loadtxt
+            # skips, so the row count tells it
+            yield parts[1] if len(parts) == 2 else ""
+
+    lines = rests()
+    try:
+        with warnings.catch_warnings():
+            # an empty file is refused below, by the caller
+            warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
+            values = np.loadtxt(lines, dtype=np.float64, comments=None, ndmin=2)
+    except ValueError:
+        return None
+    finally:
+        lines.close()
+    if len(values) != len(words) or header and values.shape[1] != header[1]:
+        return None
+    return words, values, linenos, header
+
+
+def _parse_per_line(path):
+    """_parse_one_pass's result one line at a time; the first malformed
+    line raises ValueError naming the file and the line."""
     words, rows, linenos = [], [], []
     header = None   # (count, dim), from a first line of two integers
     for lineno, raw in read_lines(path):
         parts = raw.split()
         if not parts:
             continue
-        if lineno == 1 and len(parts) == 2 and all(p.isdecimal() for p in parts):
-            header = tuple(map(int, parts))
+        if lineno == 1 and (header := _header(raw)):
             continue
         try:
             # numpy parses each str as float() does, without making a
@@ -92,11 +133,23 @@ def load_embeddings(path):
         words.append(parts[0])
         rows.append(row)
         linenos.append(lineno)
+    return words, np.stack(rows) if rows else np.empty((0, 0)), linenos, header
+
+
+def load_embeddings(path):
+    """Read the text format back into a table.
+
+    Accepts files with or without the "count dim" header. Words absent
+    from the file get deterministic rows: PAD zero, UNK the mean of all
+    loaded vectors. A value that is not a finite number, a row with no
+    values or of the wrong width, or a row count other than the header's
+    raises ValueError naming the file and line; so does a sum of the
+    rows that overflows, naming the file, when the file has no row for UNK.
+    """
+    words, values, linenos, header = _parse_one_pass(path) or _parse_per_line(path)
     if not words:
         raise ValueError("%s: no embedding rows" % path)
-    dim = len(rows[0])
-    values = np.stack(rows)
-    del rows   # freed before the matrix is built, which lowers the peak
+    dim = values.shape[1]
     finite = np.isfinite(values).all(axis=1)
     if not finite.all():
         i = int(np.argmin(finite))
@@ -270,5 +323,6 @@ def window_inputs(table, indices, features, v_c):
 def encode_sentence(sentence, table, fconf, v_c, doc_state=None, facts=None):
     """The sentence's (n, I) model inputs under the document cache state
     doc_state, reading and extending the surface facts table facts."""
+    linalg.check_size("v_c", v_c, 0)
     return window_inputs(table, *token_features(sentence, table.vocab, fconf, doc_state, facts),
                          v_c)

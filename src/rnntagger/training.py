@@ -56,7 +56,7 @@ class TrainConfig:
         if self.clip_threshold is not None:
             linalg.check_rate("clip_threshold", self.clip_threshold)
         for name, least in (("v_d", 0), ("v_c", 0), ("hidden", 1), ("epochs", 0),
-                            ("dev_eval_every", 1)):
+                            ("dev_eval_every", 1), ("seed", 0)):
             linalg.check_size(name, getattr(self, name), least)
 
 

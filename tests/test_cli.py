@@ -449,6 +449,19 @@ def test_bad_rate_is_reported_before_the_data_is_read(tmp_path, capsys):
     assert "usage error: --lr must be finite and > 0" in err
 
 
+@pytest.mark.parametrize("command", ["train", "embed"])
+def test_negative_seed_is_usage_error(tmp_path, capsys, command):
+    out = tmp_path / "out"
+    if command == "train":
+        argv = ["train", "--train", str(tmp_path / "missing.conll"), "--out-model", str(out)]
+    else:
+        argv = ["embed", str(tmp_path / "missing.txt"), "--out", str(out)]
+    rc, _, err = run(argv + ["--seed", "-1"], capsys)
+    assert rc == 1
+    assert "usage error: --seed must be an integer >= 0, got -1" in err
+    assert not out.exists()
+
+
 # ---------------------------------------------------------------- synth
 
 def test_synth_same_seed_same_bytes(tmp_path, capsys):

@@ -1,6 +1,8 @@
 import tempfile
 import tracemalloc
+import warnings
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -8,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from rnntagger import representation
 from rnntagger.corpus import (
     PAD,
     PAD_INDEX,
@@ -359,6 +362,83 @@ def test_loaded_vocabulary_equals_the_add_loop(words):
     assert got.matrix.tobytes() == oracle.tobytes()
 
 
+def load_outcome(path):
+    """load_embeddings' words and matrix bytes for the file, or its message."""
+    try:
+        t = load_embeddings(str(path))
+    except ValueError as e:
+        return str(e)
+    return t.vocab.index_to_word, t.matrix.tobytes()
+
+
+# a value token: finite values as save_text writes them, syntax that only
+# float() reads, non-finite values and one that nothing reads
+VALUE = st.one_of(FINITE.map(float.__repr__),
+                  st.sampled_from(["1_000", "\u0663", "+.5", "-0.0", "1e-400", "nan", "1e400",
+                                   "-inf", "x"]))
+SEP = st.sampled_from([" ", "  ", "\t", "\u00a0", "\u3000"])
+
+
+@st.composite
+def vectors_files(draw):
+    """The bytes of a vectors file with the edges of the format: a header
+    right or wrong or none, blank lines, LF, CRLF and lone-CR line ends,
+    non-ASCII separators, rows too wide or without values, repeated
+    words and <unk> rows."""
+    dim = draw(st.integers(1, 3))
+    lines = []
+    for _ in range(draw(st.integers(0, 6))):
+        if draw(st.integers(0, 5)) == 0:
+            lines.append(draw(st.sampled_from(["", "  ", "\t", "\u3000"])))
+            continue
+        width = draw(st.sampled_from([dim] * 6 + [0, dim + 1]))
+        sep = draw(SEP)
+        lines.append(sep.join([draw(st.sampled_from(["a", "b", "\u00e7a", "\u4e2d", UNK]))]
+                              + draw(st.lists(VALUE, min_size=width, max_size=width)))
+                     + draw(st.sampled_from(["", " ", "\t"])))
+    if draw(st.booleans()):
+        count = sum(bool(ln.split()) for ln in lines)
+        lines.insert(0, "%d %d" % (draw(st.sampled_from([count, count + 1])),
+                                   draw(st.sampled_from([dim, dim + 1]))))
+    ends = [draw(st.sampled_from(["\n"] * 4 + ["\r\n", "\r"])) for _ in lines]
+    return "".join(ln + end for ln, end in zip(lines, ends)).encode("utf-8")
+
+
+@settings(max_examples=300, deadline=None)
+@given(vectors_files())
+def test_one_pass_loads_as_the_per_line_reader(data):
+    """load_embeddings gives the per-line reader's words and matrix bytes,
+    or its message, whichever of its two readers answers, and lets no
+    warning of either through."""
+    with tempfile.TemporaryDirectory() as d:
+        path = Path(d) / "vec.txt"
+        path.write_bytes(data)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = load_outcome(path)
+            with mock.patch.object(representation, "_parse_one_pass", return_value=None):
+                want = load_outcome(path)
+    assert got == want
+
+
+def test_saved_vectors_take_the_one_pass(tmp_path, monkeypatch):
+    """A save_text file and its CRLF copy load without the per-line
+    reader, which is only for files the one pass cannot read."""
+    table = EmbeddingTable.random(small_vocab("a", "b", "\u00e7a"), 5, SeededRng(3))
+    path, crlf = tmp_path / "vec.txt", tmp_path / "vec_crlf.txt"
+    table.save_text(str(path))
+    crlf.write_bytes(path.read_bytes().replace(b"\n", b"\r\n"))
+
+    def per_line(path):
+        raise AssertionError("%s went through the per-line reader" % path)
+
+    monkeypatch.setattr(representation, "_parse_per_line", per_line)
+    for p in (path, crlf):
+        t = load_embeddings(str(p))
+        assert t.vocab.index_to_word == table.vocab.index_to_word
+        assert t.matrix.tobytes() == table.matrix.tobytes()
+
+
 def test_loading_vectors_peaks_below_six_times_the_matrix(tmp_path):
     """The loader holds no Python float per value: loading a 5000 x 50
     file peaks below 6x the matrix's bytes under tracemalloc."""
@@ -439,7 +519,7 @@ class TestEncodeSentence:
 
     def test_negative_window_rejected(self):
         t = self._table(["a"])
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="v_c must be an integer >= 0, got -1"):
             encode_sentence(sent("a"), t, FeatureConfig(), v_c=-1)
 
     @settings(max_examples=40)

@@ -56,10 +56,10 @@ SIZES = [size(ModelSpec, name, floor, lambda value, name=name: spec(**{name: val
          for name, floor in (("n_in", 1), ("hidden", 1), ("n_tags", 1), ("mesnil_k", 0))]
 SIZES += [size(TrainConfig, name, floor)
           for name, floor in (("v_d", 0), ("v_c", 0), ("hidden", 1), ("epochs", 0),
-                              ("dev_eval_every", 1))]
+                              ("dev_eval_every", 1), ("seed", 0))]
 SIZES += [size(EmbedConfig, name, floor)
           for name, floor in (("dim", 1), ("window", 1), ("negatives", 1), ("min_count", 1),
-                              ("epochs", 0))]
+                              ("epochs", 0), ("seed", 0))]
 SIZES += [
     size(Model, "v_c", 0, model),
     size(EmbeddingTable, "embedding.dim", 1, table),
