@@ -327,10 +327,10 @@ def _beta(l, r, k):
                       windows(np.vstack([r, pad]), k + 1)])
 
 
-def _scatter_beta_grads(dbeta, lo, n, k):
-    """Adjoint of _beta for the stacks of positions lo.. in dbeta: (dl, dr)."""
+def _scatter_beta_grads(dbeta, k):
+    """Adjoint of _beta: (dl, dr) from the (n, ·) stacks' gradients dbeta."""
     halves = dbeta.reshape(len(dbeta), 2, k + 1, -1)
-    return unwindow(halves[:, 0], lo, n + k)[k:], unwindow(halves[:, 1], lo, n + k)[:n]
+    return unwindow(halves[:, 0])[k:], unwindow(halves[:, 1])[: len(dbeta)]
 
 
 @dataclass
@@ -373,44 +373,42 @@ def decode_window(spec, params, enc, lo, hi):
 
 
 def backward_window(spec, params, enc, dec, dlogits, acc):
-    """Backprop a decoded window given its (window length, O) logit grads.
-
-    Writes each parameter gradient into acc with put_grad and returns
-    the (n, I) input gradients, zero rows where no gradient reached.
-    """
-    window = slice(dec.lo, dec.hi + 1)
+    """Adjoint of decode_window given the window's (hi - lo + 1, O) logit
+    grads; writes the decoder's parameter gradients into acc with put_grad.
+    Returns the gradients on rows dec.lo..dec.hi of enc.dec_inputs and on
+    the extra term (None without one)."""
     if spec.arch == MESNIL:
-        d_dec = SoftmaxOutput.backward_from_logits(
-            params["mesnil_out"], enc.dec_inputs[window], dlogits, acc["mesnil_out"])
-    else:
-        d_dec, dextra = chain_backward(
-            cell_for(spec.decoder_cell), params["decoder"], params["decoder_out"], dec.run,
-            acc["decoder"], acc["decoder_out"], dlogits=dlogits)
+        window = enc.dec_inputs[dec.lo : dec.hi + 1]
+        return SoftmaxOutput.backward_from_logits(
+            params["mesnil_out"], window, dlogits, acc["mesnil_out"]), None
+    return chain_backward(cell_for(spec.decoder_cell), params["decoder"], params["decoder_out"],
+                          dec.run, acc["decoder"], acc["decoder_out"], dlogits=dlogits)
 
-    dxs = np.zeros_like(enc.xs)
-    if spec.arch in (BASIC, CONTEXTUAL):
-        dxs[window] += d_dec
-        if spec.arch == CONTEXTUAL:
-            # every decoder step received S @ c_n, so dextra sums them all
-            put_grad(acc["context"], "S", np.outer(dextra, enc.c_n))
-            dstates = np.zeros_like(enc.enc_fwd.states)
-            dstates[-1] = params["context"]["S"].T @ dextra
-            dxs += _encoder_backward(spec, params, "encoder_fwd", enc.enc_fwd, dstates, acc)
-        return dxs
 
-    dl, dr = _scatter_beta_grads(d_dec, dec.lo, len(dxs), spec.context_k)
-    dxs += _encoder_backward(spec, params, "encoder_fwd", enc.enc_fwd, dl, acc)
+def backward_encode(spec, params, enc, d_inputs, dextra, acc):
+    """Adjoint of encode given the (n, ·) gradient on enc.dec_inputs and the
+    one on the extra term: runs each encoder's BPTT once, into acc.  Returns
+    the (n, I) input gradient: basic and contextual add into d_inputs."""
+    if spec.arch == BASIC:
+        return d_inputs
+    cell = cell_for(spec.encoder_cell)
+
+    def bptt(name, run, dstates):
+        out = name + "_out"   # the Jordan family's own output layer, if any
+        return chain_backward(cell, params[name], params.get(out), run, acc[name],
+                              acc.get(out), dstates=dstates)[0]
+
+    if spec.arch == CONTEXTUAL:
+        # every decoder step received S @ c_n, so dextra sums them all
+        put_grad(acc["context"], "S", np.outer(dextra, enc.c_n))
+        dstates = np.zeros_like(enc.enc_fwd.states)
+        dstates[-1] = params["context"]["S"].T @ dextra
+        d_inputs += bptt("encoder_fwd", enc.enc_fwd, dstates)
+        return d_inputs
+    dl, dr = _scatter_beta_grads(d_inputs, spec.context_k)
+    dxs = bptt("encoder_fwd", enc.enc_fwd, dl)
     # the backward encoder ran over xs[::-1]: flip its grads in and out
-    dxs += _encoder_backward(spec, params, "encoder_bwd", enc.enc_bwd, dr[::-1], acc)[::-1]
-    return dxs
-
-
-def _encoder_backward(spec, params, name, run, dstates, acc):
-    """BPTT through one encoder chain; returns its input gradients."""
-    out = name + "_out"   # the Jordan family's own output layer, if any
-    dxs, _ = chain_backward(
-        cell_for(spec.encoder_cell), params[name], params.get(out), run, acc[name],
-        acc.get(out), dstates=dstates)
+    dxs += bptt("encoder_bwd", enc.enc_bwd, dr[::-1])[::-1]
     return dxs
 
 

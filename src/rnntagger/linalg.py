@@ -174,13 +174,13 @@ def windows(padded, width):
     return view
 
 
-def unwindow(slots, lo, rows):
-    """Adjoint of windows for its rows lo..lo + m - 1: slot k of row i of the
-    (m, width, cols) slots is added onto row i + k of a (rows, cols) zero
-    array, one shifted add per slot in slot order."""
-    out = np.zeros((rows, slots.shape[2]))
+def unwindow(slots):
+    """Adjoint of windows: slot k of row i of the (m, width, cols) slots is
+    added onto row i + k of an (m + width - 1, cols) zero array, one
+    shifted add per slot in slot order."""
+    out = np.zeros((len(slots) + slots.shape[1] - 1, slots.shape[2]))
     for k in range(slots.shape[1]):
-        out[lo + k : lo + k + len(slots)] += slots[:, k]
+        out[k : k + len(slots)] += slots[:, k]
     return out
 
 

@@ -14,9 +14,8 @@ from .representation import DocCache, encode_sentence
 class Model:
     """A trained tagger.  Its parts must agree on its shape, whoever
     builds it: a ValueError names the key (v_c, spec.n_in, spec.n_tags
-    or features.cache_tagset) that does not.  No code reads scheme: it is
-    kept for the model file's scheme key, which the loader requires to
-    be detect_scheme(tagset)."""
+    or features.cache_tagset) that does not.  No code reads scheme: the
+    model file's scheme key is detect_scheme(tagset), whatever it holds."""
 
     spec: architectures.ModelSpec
     params: dict

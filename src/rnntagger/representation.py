@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import linalg
-from .corpus import PAD_INDEX, UNK, UNK_INDEX, Vocabulary, read_lines
+from .corpus import PAD_INDEX, UNK, UNK_INDEX, Vocabulary, normalize, read_lines
 
 
 class EmbeddingTable:
@@ -139,12 +139,14 @@ def _parse_per_line(path):
 def load_embeddings(path):
     """Read the text format back into a table.
 
-    Accepts files with or without the "count dim" header. Words absent
-    from the file get deterministic rows: PAD zero, UNK the mean of all
-    loaded vectors. A value that is not a finite number, a row with no
-    values or of the wrong width, or a row count other than the header's
-    raises ValueError naming the file and line; so does a sum of the
-    rows that overflows, naming the file, when the file has no row for UNK.
+    Accepts files with or without the "count dim" header. Words are
+    normalized, and a word's first line gives its row (<UNK>'s is UNK's).
+    Words absent from the file get deterministic rows: PAD zero, UNK the
+    mean of all loaded vectors. A value that is not a finite number, a
+    row with no values or of the wrong width, or a row count other than
+    the header's raises ValueError naming the file and line; so does a
+    sum of the rows that overflows, naming the file, when the file has
+    no row for UNK.
     """
     words, values, linenos, header = _parse_one_pass(path) or _parse_per_line(path)
     if not words:
@@ -159,7 +161,10 @@ def load_embeddings(path):
         raise ValueError("%s:1: the header gives %d rows, the file has %d"
                          % (path, header[0], len(words)))
 
-    first = {}   # word -> its first line; a duplicate line is dropped
+    joined = " ".join(words)   # normalized in one pass over the joined words
+    if (normal := normalize(joined)) != joined:
+        words = normal.split(" ")
+    first = {}   # word -> its first line; a later line of the same word is dropped
     for i, w in enumerate(words):
         first.setdefault(w, i)
     vocab = Vocabulary.of(first)
@@ -247,15 +252,8 @@ class FeatureConfig:
 
     @property
     def width(self):
-        w = 0
-        if self.capitalization:
-            w += CAP_WIDTH
-        w += len(self.gazetteers)
-        if self.trigger is not None:
-            w += 1
-        if self.cache_tagset is not None:
-            w += len(self.cache_tagset)
-        return w
+        return (CAP_WIDTH * bool(self.capitalization) + len(self.gazetteers)
+                + (self.trigger is not None) + len(self.cache_tagset or ()))
 
     @property
     def uses_cache(self):

@@ -56,7 +56,7 @@ def _model_sections(model):
     return {
         "format": MODEL_FORMAT, "version": MODEL_VERSION,
         "spec": dict(asdict(model.spec), **_fixed_values("spec")),
-        "tagset": list(model.tagset), "scheme": model.scheme, "v_c": model.v_c,
+        "tagset": list(model.tagset), "scheme": detect_scheme(model.tagset), "v_c": model.v_c,
         "features": {"capitalization": fconf.capitalization,
                      "gazetteers": [_lexicon_obj(g) for g in fconf.gazetteers],
                      "trigger": _lexicon_obj(fconf.trigger) if fconf.trigger else None,

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
-from .architectures import backward_window, decode_window, encode, init_model
+from .architectures import backward_encode, backward_window, decode_window, encode, init_model
 from .corpus import documents
 from .evaluation import score
 from .model import Model, tag_corpus
@@ -74,7 +74,7 @@ def _embedding_grads(indices, dxs, v_c, dim):
     Returns (rows, grads): the sentence's distinct rows, sorted, and
     their (len(rows), dim) sums."""
     n = len(dxs)
-    padded = linalg.unwindow(dxs.reshape(n, 2 * v_c + 1, -1)[:, :, :dim], 0, n + 2 * v_c)
+    padded = linalg.unwindow(dxs.reshape(n, 2 * v_c + 1, -1)[:, :, :dim])
     rows, at = np.unique(indices, return_inverse=True)
     grads = np.zeros((len(rows), dim))
     np.add.at(grads, at, padded[v_c : v_c + n])   # row q of padded is position q - v_c
@@ -122,23 +122,25 @@ def window_nll(spec, params, xs, examples, v_d, acc=None, enc=None):
     of the examples' windows, which gives the loss and gradients the
     bits of a whole-sentence encode.
 
-    Returns (loss, dxs).  With acc, a dict with a gradient dict per
-    parameter bundle, each window is also backpropagated: the first
-    window writes each parameter gradient block into acc, later ones add
-    to it, and dxs is the summed (n, I) input gradient; without, dxs is
-    None.  enc, when given, is that encode, made by the caller.
+    Returns (loss, dxs).  With acc, a gradient dict per parameter bundle,
+    the windows' decoder gradients are summed, then each encoder's BPTT
+    runs once, all into acc, and dxs is the (n, I) input gradient;
+    without, dxs is None.  enc, when given, is the caller's encode.
     """
     if enc is None:
         enc = encode(spec, params, xs, _cone(examples, v_d))
-    total = 0.0
-    dxs = None
+    total, dextra = 0.0, None
+    d_inputs = None if acc is None else np.zeros_like(enc.dec_inputs)
     for i, y in examples:
         dec = decode_window(spec, params, enc, max(0, i - v_d), i)
         total += nll_loss(dec.dists[-1], y)
         if acc is not None:
-            d = backward_window(spec, params, enc, dec, _nll_logit_grads(dec.dists, y), acc)
-            dxs = d if dxs is None else dxs + d
-    return total, dxs
+            d, de = backward_window(spec, params, enc, dec, _nll_logit_grads(dec.dists, y), acc)
+            d_inputs[dec.lo : dec.hi + 1] += d
+            dextra = de if dextra is None else dextra + de
+    if acc is not None:
+        d_inputs = backward_encode(spec, params, enc, d_inputs, dextra, acc)
+    return total, d_inputs
 
 
 def train_example(model, inputs, position, gold, cfg):

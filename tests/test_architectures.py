@@ -12,6 +12,7 @@ from rnntagger.architectures import (
     MESNIL,
     ModelSpec,
     argmax_tags,
+    backward_encode,
     backward_window,
     bundle_shapes,
     decode_window,
@@ -32,7 +33,7 @@ from rnntagger.linalg import SeededRng
 from rnntagger.model import Model
 from rnntagger.representation import EmbeddingTable, FeatureConfig, token_features, window_inputs
 from rnntagger.tagging import BIO2, make_tagset
-from rnntagger import training
+from rnntagger import architectures, training
 from rnntagger.training import TrainConfig, nll_loss, train_example, window_nll
 
 
@@ -412,13 +413,17 @@ CONE_VD = 2
 
 def whole_sentence_nll(spec, params, xs, i, y, v_d, acc):
     """window_nll of the one example (i, y) the long way: every encoder
-    over the whole sentence, then decode_window and backward_window."""
+    over the whole sentence, then decode_window, backward_window and
+    backward_encode."""
     enc = encode(spec, params, xs)
     dec = decode_window(spec, params, enc, max(0, i - v_d), i)
     dlogits = np.zeros_like(dec.dists)
     dlogits[-1] = dec.dists[-1]
     dlogits[-1, y] -= 1.0
-    return nll_loss(dec.dists[-1], y), backward_window(spec, params, enc, dec, dlogits, acc)
+    d, dextra = backward_window(spec, params, enc, dec, dlogits, acc)
+    d_inputs = np.zeros_like(enc.dec_inputs)
+    d_inputs[dec.lo : dec.hi + 1] += d
+    return nll_loss(dec.dists[-1], y), backward_encode(spec, params, enc, d_inputs, dextra, acc)
 
 
 @pytest.mark.parametrize("spec", GRID_SPECS, ids=grid_id)
@@ -463,6 +468,62 @@ def test_one_example_cone_gradients_match_finite_differences(spec, i):
     xs = rand_xs(rng, CONE_N, spec.n_in)
     examples = [(i, int(rng.randint(spec.n_tags)))]
     assert fd_mismatches(spec, params, xs, examples, CONE_VD) == []
+
+
+# --- a window_nll call sums its windows' gradients, then runs each encoder once ---
+
+ENCODER_BPTTS = {BASIC: 0, CONTEXTUAL: 1, BIDIRECTIONAL: 2, MESNIL: 2}
+
+
+@pytest.mark.parametrize("spec", GRID_SPECS, ids=grid_id)
+def test_window_nll_runs_each_encoder_bptt_once(spec, monkeypatch):
+    rng = SeededRng(13)
+    params = init_model(spec, rng)
+    xs = rand_xs(rng, CONE_N, spec.n_in)
+    examples = [(i, int(rng.randint(spec.n_tags))) for i in (0, 2, 3, 6)]
+    encoders = {id(params[b]) for b in ("encoder_fwd", "encoder_bwd") if b in params}
+    calls = []
+    chain_backward = architectures.chain_backward
+
+    def counting(cell, block, *args, **kwargs):
+        calls.append(id(block) in encoders)
+        return chain_backward(cell, block, *args, **kwargs)
+
+    monkeypatch.setattr(architectures, "chain_backward", counting)
+    window_nll(spec, params, xs, examples, CONE_VD, {b: {} for b in params})
+    assert calls.count(True) == ENCODER_BPTTS[spec.arch]
+    assert calls.count(False) == (0 if spec.arch == MESNIL else len(examples))
+
+
+@pytest.mark.parametrize("spec", GRID_SPECS, ids=grid_id)
+def test_window_nll_gradients_are_the_sum_of_single_example_ones(spec):
+    """One encoder BPTT over the summed windows only reorders sums: every
+    gradient block and dxs stay within 1e-12 relative of the sum of the
+    examples' own gradients, and the loss keeps its bits."""
+    rng = SeededRng(17)
+    params = init_model(spec, rng)
+    xs = rand_xs(rng, CONE_N, spec.n_in)
+    examples = [(i, int(rng.randint(spec.n_tags))) for i in range(CONE_N)]
+    acc = {b: {} for b in params}
+    loss, dxs = window_nll(spec, params, xs, examples, CONE_VD, acc)
+    want_loss, want_dxs = 0.0, np.zeros_like(dxs)
+    want_acc = {b: {} for b in params}
+    for example in examples:
+        one = {b: {} for b in params}
+        one_loss, one_dxs = window_nll(spec, params, xs, [example], CONE_VD, one)
+        want_loss += one_loss
+        want_dxs += one_dxs
+        for b, block in one.items():
+            for name, g in block.items():
+                want_acc[b][name] = want_acc[b].get(name, 0.0) + g
+    assert loss == want_loss
+    assert np.abs(dxs - want_dxs).max() <= 1e-12 * np.abs(want_dxs).max()
+    assert {b: sorted(block) for b, block in acc.items()} == {
+        b: sorted(block) for b, block in want_acc.items()}
+    for b, block in acc.items():
+        for name, g in block.items():
+            w = want_acc[b][name]
+            assert np.abs(g - w).max() <= 1e-12 * np.abs(w).max(), (b, name)
 
 
 # --- an SGD step writes each gradient block once, at full height ---

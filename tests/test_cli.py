@@ -782,6 +782,24 @@ def test_train_with_pretrained_embeddings(tmp_path, capsys):
     assert load_model(str(out)).table.dim == 6
 
 
+def test_train_on_vectors_with_unnormalized_words_writes_a_model_tag_loads(tmp_path, capsys):
+    gold = write_gold(tmp_path / "g.conll")
+    words = sorted({w for s in load_conll(gold) for w in s.surfaces()})
+    vec = tmp_path / "vec.txt"
+    vec.write_text("".join("%s %d.5 -0.25 0.125\n" % (w, k)
+                           for k, w in enumerate(words + ["Paris", "1999", "<UNK>"])))
+    model_path, pred = tmp_path / "m.json", tmp_path / "p.conll"
+    rc, _, _ = run(["train", "--train", gold, "--embeddings", str(vec), "--hidden", "4",
+                    "--vc", "0", "--vd", "2", "--epochs", "1",
+                    "--out-model", str(model_path)], capsys)
+    assert rc == 0
+    rc, _, err = run(["tag", "--model", str(model_path), "--input", gold,
+                      "--out", str(pred)], capsys)
+    assert (rc, err) == (0, "")
+    vocab = load_model(str(model_path)).table.vocab.index_to_word
+    assert {"paris", "0000"} <= set(vocab) and not {"Paris", "1999", "<UNK>"} & set(vocab)
+
+
 def test_clip_threshold_on_its_own_clips(tmp_path, capsys):
     argv = ["train", "--train", write_gold(tmp_path / "g.conll"), "--dim", "4",
             "--hidden", "4", "--vc", "0", "--epochs", "1", "--out-model"]

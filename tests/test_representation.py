@@ -277,10 +277,25 @@ class TestEmbeddingTable:
         assert len(t.vocab) == 3
 
 
+    def test_words_are_normalized_and_a_normal_words_first_line_gives_its_row(self, tmp_path):
+        path = tmp_path / "vec.txt"
+        path.write_text("Paris 1.0 2.0\nparis 3.0 4.0\n1999 5.0 6.0\n<UNK> 7.0 8.0\n"
+                        "0000 9.0 1.0\n\u039f\u0394\u039f\u03a3 2.0 3.0\n", encoding="utf-8")
+        t = load_embeddings(str(path))
+        assert t.vocab.index_to_word[2:] == ["paris", "0000", "\u03bf\u03b4\u03bf\u03c2"]
+        assert t.matrix[t.vocab.index("PARIS")].tolist() == [1.0, 2.0]
+        assert t.matrix[t.vocab.index("2024")].tolist() == [5.0, 6.0]
+        assert t.matrix[UNK_INDEX].tolist() == [7.0, 8.0]
+        assert t.matrix[t.vocab.index("\u039f\u0394\u039f\u03a3")].tolist() == [2.0, 3.0]
+        # a refusal names the word as the file writes it
+        path.write_text("Paris 1.0 nan\n", encoding="utf-8")
+        with pytest.raises(ValueError, match=":1: row for 'Paris' holds a non-finite value"):
+            load_embeddings(str(path))
+
 def float_loop_load(path):
     """The vectors file as a per-value float() loop reads it: the
-    vocabulary's words and the matrix, PAD zero and UNK the mean of
-    every line unless a line holds it."""
+    vocabulary's words, each normalized on its own, and the matrix, PAD
+    zero and UNK the mean of every line unless a line holds it."""
     lines = [raw.split() for raw in Path(path).read_text(encoding="utf-8").splitlines()]
     if len(lines[0]) == 2 and all(p.isdecimal() for p in lines[0]):
         lines = lines[1:]
@@ -288,7 +303,7 @@ def float_loop_load(path):
     rows = [[float(v) for v in p[1:]] for p in lines]
     first = {}
     for p, row in zip(lines, rows):
-        first.setdefault(p[0], row)
+        first.setdefault(normalize(p[0]), row)
     vocab = small_vocab(*first)
     matrix = np.zeros((len(vocab), len(rows[0])))
     matrix[UNK_INDEX] = np.mean(np.array(rows), axis=0)
@@ -347,16 +362,17 @@ def test_saved_vectors_load_back_bit_exact(words, dim, header, reserved, data):
 @given(words=st.lists(st.sampled_from(["a", "b", "B", "\u00e7a", "\u4e2d", PAD, UNK]),
                       min_size=1, max_size=10))
 def test_loaded_vocabulary_equals_the_add_loop(words):
-    """The one-pass vocabulary is what one add() per distinct word in
-    file order builds: a repeated word keeps its first line's place, and
-    a literal PAD or UNK anywhere its reserved row."""
+    """The one-pass vocabulary is what one add() per distinct normalized
+    word in file order builds: a repeated word, or one that normalizes
+    to an earlier one (B to b), keeps its first line's place, and a
+    literal PAD or UNK anywhere its reserved row."""
     with tempfile.TemporaryDirectory() as d:
         path = Path(d) / "vec.txt"
         path.write_text("".join("%s %d.5\n" % (w, i) for i, w in enumerate(words)),
                         encoding="utf-8")
         got = load_embeddings(str(path))
         _, oracle = float_loop_load(path)
-    want = small_vocab(*dict.fromkeys(words))
+    want = small_vocab(*dict.fromkeys(map(normalize, words)))
     assert (got.vocab.index_to_word, got.vocab.word_to_index) == (want.index_to_word,
                                                                    want.word_to_index)
     assert got.matrix.tobytes() == oracle.tobytes()
@@ -441,14 +457,16 @@ def test_saved_vectors_take_the_one_pass(tmp_path, monkeypatch):
 
 def test_loading_vectors_peaks_below_six_times_the_matrix(tmp_path):
     """The loader holds no Python float per value: loading a 5000 x 50
-    file peaks below 6x the matrix's bytes under tracemalloc."""
+    file peaks below 6x the matrix's bytes under tracemalloc.  Its words
+    are distinct but capitalized, so the normalization pass runs too."""
     n, dim = 5000, 50
     values = np.random.default_rng(0).standard_normal((n, dim))
     path = tmp_path / "vec.txt"
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("%d %d\n" % (n, dim))
         for i, row in enumerate(values.tolist()):
-            fh.write("w%d %s\n" % (i, " ".join(map(repr, row))))
+            word = "W" + str(i).translate(str.maketrans("0123456789", "abcdefghij"))
+            fh.write("%s %s\n" % (word, " ".join(map(repr, row))))
     tracemalloc.start()
     try:
         t = load_embeddings(str(path))

@@ -89,6 +89,13 @@ def assert_models_equal(a, b):
     assert a.table.trainable == b.table.trainable
 
 
+def test_a_scheme_other_than_the_tagsets_saves_as_the_tagsets(tmp_path):
+    bare, odd = tmp_path / "bare.json", tmp_path / "odd.json"
+    save_model(bare_model(), str(bare))
+    save_model(dataclasses.replace(bare_model(), scheme="nonsense"), str(odd))
+    assert odd.read_bytes() == bare.read_bytes()
+    assert load_model(str(odd)).scheme == BIO2
+
 def test_round_trip_is_exact(tmp_path):
     model = featureful_model()
     # a little training makes every array carry arbitrary float values
