@@ -25,7 +25,7 @@ from .representation import EmbeddingTable, FeatureConfig, load_embeddings
 from .serialize import load_model, save_model
 from .synth import future_dep_corpus, memorize_corpus
 from .tagging import detect_scheme, make_tagset, tags_to_spans
-from .training import TrainConfig, fit, gradient_check
+from .training import TrainConfig, fit, gradient_check, worse
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -428,8 +428,8 @@ def cmd_gradcheck(args):
             diff = report.abs_diffs[block]
             print("%-45s %-22s %.3e %.3e" % (_spec_label(spec), block,
                                              report.blocks[block], diff))
-            worst_abs = max(worst_abs, diff)
-        worst = max(worst, report.max_error)
+            worst_abs = worse(diff, worst_abs)
+        worst = worse(report.max_error, worst)
         if not report.ok(args.bound):
             failed = True
     print("max relative error: %.3e (bound %.1e)" % (worst, args.bound))

@@ -1,22 +1,29 @@
 """Model persistence.
 
 One JSON document holds everything a tagger needs to run.  The writer
-writes format version 2 to a binary file: each 2-D array is an object
-{"f8le": base64 of its little-endian float64 bytes, "shape": [rows,
-cols]}, streamed CHUNK_ROWS rows at a time from its buffer, so a load
-gives back every bit, -0.0 and subnormals included; every other value
-goes through json's encoder.  The bytes equal json.dump(sort_keys=True,
-separators=(",", ":")) of the document, so equal models give equal files.
+writes format version 3: the document on one line, json.dumps(...,
+sort_keys=True, separators=(",", ":")) with each 2-D array written as
+{"shape": [rows, cols]}, then a newline, then each array's little-endian
+row-major float64 bytes, back to back in the order the line lists them,
+and nothing after.  So equal models give equal files, and a load gives
+back every bit, -0.0 and subnormals included.
 
-MODEL_FILE declares the document once, each key with its JSON type or
-its rule.  The loader walks it and refuses a missing, unknown or
-ill-typed key, or a value that breaks its rule, with a ValueError naming
-the file and the key.  It reads version 2 and version 1, whose arrays
-are nested lists of decimal floats; only the array leaf differs.
+The loader parses the line, then reads each array's bytes straight into
+a fresh array, once its shape is known to fit in what the file has
+left.  MODEL_FILE declares the document once, each key with its JSON
+type or its rule.  The loader walks it and refuses a missing, unknown
+or ill-typed key, or a value that breaks its rule, with a ValueError
+naming the file and the key.  It also reads version 2, one JSON
+document whose arrays are {"f8le": base64 of the bytes, "shape": ...},
+and version 1, whose arrays are nested lists of decimal floats; only
+the array leaf differs.
 """
 
 import binascii
+import io
 import json
+import os
+import stat
 from dataclasses import asdict, fields
 from functools import partial
 
@@ -30,20 +37,25 @@ from .representation import EmbeddingTable, FeatureConfig
 from .tagging import detect_scheme, split_tag
 
 MODEL_FORMAT = "rnn-mention-tagger"
-MODEL_VERSION = 2
+MODEL_VERSION = 3
 
-# Rows of an array the writer encodes at a time.  A multiple of 3 rows is
-# a multiple of 3 bytes, so only the last chunk ends in base64 padding and
-# the chunks join into the whole array's; whole arrays cost training 10% RSS.
+# Rows of an array the writer converts at a time when they are not
+# C-contiguous little-endian float64; a whole converted copy would raise
+# training's peak RSS.
 CHUNK_ROWS = 3072
+
+
+def _shape_object(value):
+    """An array's place in the header; its bytes follow the header."""
+    if isinstance(value, np.ndarray):
+        return {"shape": list(value.shape)}
+    raise TypeError("%s is not JSON serializable" % type(value).__name__)
+
 
 # json's encoder at the file's settings escapes every non-ASCII
 # character, so its text is its ASCII bytes.
-_json_encode = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
-
-
-def _encode(value):
-    return _json_encode(value).encode("ascii")
+_json_encode = json.JSONEncoder(sort_keys=True, separators=(",", ":"),
+                                default=_shape_object).encode
 
 
 def _lexicon_obj(lex):
@@ -77,35 +89,22 @@ def _arrays(obj, where=""):
             yield where + key, value
 
 
-def _write(fh, value):
-    if isinstance(value, dict):
-        fh.write(b"{")
-        for i, key in enumerate(sorted(value)):
-            fh.write(b"," * (i > 0) + _encode(key) + b":")
-            _write(fh, value[key])
-        fh.write(b"}")
-    elif isinstance(value, np.ndarray):     # every array in the file is 2-D
-        fh.write(b'{"f8le":"')
-        for i in range(0, len(value), CHUNK_ROWS):
-            # a copy only when the rows are not C-contiguous little-endian
-            # float64: b2a_base64 reads the buffer as it lies
-            chunk = np.ascontiguousarray(value[i:i + CHUNK_ROWS], dtype="<f8")
-            fh.write(binascii.b2a_base64(chunk, newline=False))
-        fh.write(b'","shape":' + _encode(list(value.shape)) + b"}")
-    else:
-        fh.write(_encode(value))
-
-
 def save_model(model, path):
     """Write model to path; a non-finite array, which the loader refuses,
     is a FloatingPointError naming it, raised before the file is opened."""
     obj = _model_sections(model)
-    for where, arr in _arrays(obj):
+    arrays = list(_arrays(obj))
+    for where, arr in arrays:
         if not np.all(np.isfinite(arr)):
             raise FloatingPointError("%s holds a non-finite value" % where)
+    header = _json_encode(obj).encode("ascii") + b"\n"
     with open(path, "wb") as fh:
-        _write(fh, obj)
-        fh.write(b"\n")
+        fh.write(header)
+        for _, arr in arrays:       # every array in the file is 2-D
+            for i in range(0, len(arr), CHUNK_ROWS):
+                # a view, not a copy, when the rows are C-contiguous
+                # little-endian float64: the file takes the buffer as it lies
+                fh.write(np.ascontiguousarray(arr[i:i + CHUNK_ROWS], dtype="<f8"))
 
 
 def _list_array(value, where):
@@ -116,16 +115,24 @@ def _list_array(value, where):
         raise ValueError("%s is not a numeric array" % where) from None
 
 
-def _bytes_array(value, where):
-    """A version-2 array object as a fresh, writable, C-contiguous array."""
+def _dims(value, where, keys):
+    """[rows, cols] of a version-2 or version-3 array object, whose keys
+    are keys."""
     if not isinstance(value, dict):
-        raise ValueError("%s is not an array object (keys f8le, shape)" % where)
-    if set(value) != {"f8le", "shape"}:
-        raise ValueError("%s: array keys %s, expected ['f8le', 'shape']" % (where, sorted(value)))
-    dims, text = value["shape"], value["f8le"]
+        raise ValueError("%s is not an array object (keys %s)" % (where, ", ".join(keys)))
+    if set(value) != set(keys):
+        raise ValueError("%s: array keys %s, expected %s" % (where, sorted(value), keys))
+    dims = value["shape"]
     if not (isinstance(dims, list) and len(dims) == 2
             and all(linalg.is_int(d) and d >= 0 for d in dims)):
         raise ValueError("%s.shape must be two integers >= 0, got %r" % (where, dims))
+    return dims
+
+
+def _bytes_array(value, where):
+    """A version-2 array object as a fresh, writable, C-contiguous array."""
+    dims = _dims(value, where, ["f8le", "shape"])
+    text = value["f8le"]
     if not isinstance(text, str):
         raise ValueError("%s.f8le must be a base64 string" % where)
     rows, cols = dims
@@ -155,7 +162,8 @@ def _must(ok, key, what, value):
 
 
 def _array(shape, value, key, doc):
-    arr = (_list_array if doc["version"] == 1 else _bytes_array)(value, key)
+    # version 3's arrays were read from the file before the walk
+    arr = (_bytes_array if doc["version"] == 2 else _list_array)(value, key)
     if arr.shape != tuple(shape):
         raise ValueError("%s has shape %s, expected %s" % (key, arr.shape, tuple(shape)))
     if not np.all(np.isfinite(arr)):
@@ -236,8 +244,8 @@ def _params(value, key, doc):
 LEXICON = {"name": str, "entries": [str]}
 MODEL_FILE = {
     "format": partial(_fixed, MODEL_FORMAT),
-    "version": lambda value, key, doc: _must(linalg.is_int(value) and value in (1, MODEL_VERSION),
-                                             key, "an integer in [1, 2]", value),
+    "version": lambda value, key, doc: _must(linalg.is_int(value) and 1 <= value <= MODEL_VERSION,
+                                             key, "an integer in [1, %d]" % MODEL_VERSION, value),
     "spec": {"arch": str, "n_in": int, "hidden": int, "n_tags": int, "mesnil_k": int,
              "decoder_cell": (None, str), "encoder_cell": (None, str),
              "bias": partial(_fixed, False), "gru_candidate": partial(_fixed, "sigmoid")},
@@ -321,11 +329,69 @@ def _arrays_of(obj):
     return obj
 
 
+def _parse(data):
+    return json.loads(data.decode("utf-8"), object_hook=_arrays_of)
+
+
+def _array_places(header):
+    """(dotted key, object, name) of every array of a version-3 header,
+    embedding.matrix and params.<bundle>.<name>, in the order it lists
+    them; a section that is no object holds none, and the walk refuses it."""
+    for section, value in header.items():
+        if section == "embedding" and isinstance(value, dict) and "matrix" in value:
+            yield "embedding.matrix", value, "matrix"
+        elif section == "params" and isinstance(value, dict):
+            for bundle, params in value.items():
+                if isinstance(params, dict):
+                    yield from (("params.%s.%s" % (bundle, name), params, name)
+                                for name in params)
+
+
+def _read_arrays(fh, header):
+    """Put in place of each array object of header its array, read from
+    fh; returns the last array's key and the bytes left after it."""
+    info = os.fstat(fh.fileno())
+    if stat.S_ISREG(info.st_mode):
+        left = info.st_size - fh.tell()
+    else:                               # a pipe's length is known once read
+        fh = io.BytesIO(fh.read())
+        left = len(fh.getbuffer())
+    key = None
+    for key, obj, name in _array_places(header):
+        rows, cols = _dims(obj[name], key, ["shape"])
+        need = rows * cols * 8
+        if need > left:         # refused before anything is allocated
+            raise ValueError("%s: shape %s needs %d bytes, the file has %d left"
+                             % (key, [rows, cols], need, left))
+        arr = np.empty((rows, cols), dtype="<f8")
+        if fh.readinto(arr) != need:
+            raise ValueError("%s: the file ends inside its bytes" % key)
+        left -= need
+        obj[name] = arr.astype(np.float64, copy=False)
+    return key, left
+
+
 def load_model(path):
     """The model a file holds; a defect is a ValueError naming file and key."""
     try:
-        with open(path, encoding="utf-8") as fh:
-            obj = json.load(fh, object_hook=_arrays_of)
-        return model_from_obj(obj)
+        with open(path, "rb") as fh:
+            head = fh.readline()
+            try:
+                doc = _parse(head)
+            except ValueError:      # no JSON line: version 1 on many lines, or a defect
+                doc = None
+            version = doc.get("version") if isinstance(doc, dict) else None
+            if isinstance(doc, dict) and not (type(version) is int and version in (1, 2)):
+                # version 3, or a version the walk refuses before any array
+                last, left = _read_arrays(fh, doc) if version == MODEL_VERSION else (None, 0)
+                model = model_from_obj(doc)
+                if left:
+                    raise ValueError("%s is the last array, but %d byte(s) follow it"
+                                     % (last, left))
+                return model
+            rest = fh.read()
+        if doc is None or rest.strip(b" \t\n\r"):   # json's whitespace
+            doc = _parse(head + rest)
+        return model_from_obj(doc)
     except ValueError as e:
         raise ValueError("%s: %s" % (path, e)) from None

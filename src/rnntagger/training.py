@@ -13,6 +13,7 @@ every position of a sentence, so the check audits the code SGD runs.
 """
 
 import copy
+import functools
 import math
 import time
 from dataclasses import dataclass
@@ -309,10 +310,17 @@ class GradCheckReport:
 
     @property
     def max_error(self):
-        return max(self.blocks.values()) if self.blocks else 0.0
+        return functools.reduce(worse, self.blocks.values(), 0.0)
 
     def ok(self, bound):
         return self.max_error < bound
+
+
+def worse(a, b):
+    """The larger of two errors, a NaN counting as larger than any number,
+    so that a check that meets one fails (max keeps its first argument
+    against a NaN)."""
+    return a if math.isnan(a) or a > b else b
 
 
 def _guarded_rel_err(a, n):
@@ -355,8 +363,8 @@ def gradient_check(spec, seed, n_tokens, v_d=9):
                 down, _ = window_nll(spec, params, xs, examples, v_d, enc=fixed)
                 flat[j] = keep
                 numeric = (up - down) / (2.0 * FD_STEP)
-                worst = max(worst, _guarded_rel_err(float(gflat[j]), numeric))
-                worst_abs = max(worst_abs, abs(float(gflat[j]) - numeric))
+                worst = worse(_guarded_rel_err(float(gflat[j]), numeric), worst)
+                worst_abs = worse(abs(float(gflat[j]) - numeric), worst_abs)
             blocks["%s.%s" % (bundle, name)] = worst
             abs_diffs["%s.%s" % (bundle, name)] = worst_abs
     return GradCheckReport(blocks=blocks, abs_diffs=abs_diffs)

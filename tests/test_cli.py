@@ -2,6 +2,7 @@
 
 import json
 import os
+import resource
 import subprocess
 import sys
 from pathlib import Path
@@ -16,7 +17,7 @@ from rnntagger.serialize import load_model
 from rnntagger.synth import memorize_corpus
 from rnntagger.tagging import IOBES, make_tagset, spans_to_tags, tags_to_spans
 from rnntagger.training import GradCheckReport
-from test_serialize import decoded, encoded
+from test_serialize import v3_bytes, v3_doc
 
 DATA_DIR = Path(__file__).parent / "data"
 SRC_DIR = Path(__file__).parent.parent / "src"
@@ -75,8 +76,9 @@ def test_missing_input_file_is_data_error(tmp_path, capsys):
 
 
 def tag_with_model(tmp_path, capsys, model_text):
+    """Tag with a model file of model_text, or of its bytes."""
     model = tmp_path / "m.json"
-    model.write_text(model_text)
+    model.write_bytes(model_text if isinstance(model_text, bytes) else model_text.encode())
     rc, out, err = run(["tag", "--model", str(model), "--input", write_gold(tmp_path / "in.conll"),
                         "--out", str(tmp_path / "p.conll")], capsys)
     return rc, err, str(model)
@@ -201,12 +203,13 @@ def test_model_file_scheme_other_than_the_tagsets_is_data_error(tmp_path, capsys
 
 
 def trained_model(tmp_path, capsys, *flags):
-    """The parsed file of a small model trained by the CLI (v_c 0, dim 3)."""
+    """The document of a small model trained by the CLI (v_c 0, dim 3),
+    its arrays in place; v3_bytes writes it back."""
     out = tmp_path / "trained.json"
     assert run(["train", "--train", write_gold(tmp_path / "g.conll", size=4), "--dim", "3",
                 "--hidden", "3", "--vc", "0", "--epochs", "1", "--out-model", str(out)]
                + list(flags), capsys)[0] == 0
-    return json.loads(out.read_text())
+    return v3_doc(out.read_bytes())
 
 
 @pytest.mark.parametrize("arch,key,value", [
@@ -228,7 +231,8 @@ def test_model_file_integer_key_of_another_type_is_data_error(tmp_path, capsys, 
         obj = json.loads((DATA_DIR / "compat" / "bidirectional_gru.json").read_text())
     *section, name = key.split(".")
     (obj[section[0]] if section else obj)[name] = value
-    rc, err, path = tag_with_model(tmp_path, capsys, json.dumps(obj))
+    rc, err, path = tag_with_model(tmp_path, capsys,
+                                   v3_bytes(obj) if arch == "mesnil" else json.dumps(obj))
     assert rc == 2
     assert "%s: %s must be an integer" % (path, key) in err
 
@@ -263,8 +267,8 @@ def test_model_file_cache_tagset_other_than_the_tagset_is_data_error(tmp_path, c
         # the cache columns of the tags cut off; the file stays consistent
         obj["features"]["cache_tagset"] = tagset[:3]
         obj["spec"]["n_in"] -= 4
-        obj["params"]["decoder"]["U"] = encoded(decoded(obj["params"]["decoder"]["U"])[:, :-4])
-    rc, err, path = tag_with_model(tmp_path, capsys, json.dumps(obj))
+        obj["params"]["decoder"]["U"] = obj["params"]["decoder"]["U"][:, :-4]
+    rc, err, path = tag_with_model(tmp_path, capsys, v3_bytes(obj))
     assert rc == 2
     assert "%s: features.cache_tagset must be null or equal tagset" % path in err
 
@@ -303,6 +307,16 @@ def test_gradcheck_failure_exits_3(monkeypatch, capsys):
                        capsys)
     assert rc == 3
     assert "FAILED" in err
+
+
+def test_gradcheck_with_a_nan_gradient_exits_3(monkeypatch, capsys):
+    from test_training import nan_in_analytic_block
+    nan_in_analytic_block(monkeypatch, "decoder", "V")
+    rc, out, err = run(["gradcheck", "--arch", "basic", "--decoder", "elman", "--hidden", "2",
+                        "--n-in", "2", "--n-tags", "2", "--tokens", "2"], capsys)
+    assert rc == 3
+    assert "FAILED" in err and "passed" not in out
+    assert "max relative error: nan" in out and "max absolute difference: nan" in out
 
 
 # ---------------------------------------------------------- config file
@@ -649,7 +663,7 @@ def test_train_on_iobes_tags_writes_an_iobes_tagset(tmp_path, capsys):
     write_conll(sents, str(gold))
     assert run(["train", "--train", str(gold), "--dim", "3", "--hidden", "3", "--vc", "0",
                 "--epochs", "1", "--out-model", str(out)], capsys)[0] == 0
-    obj = json.loads(out.read_text())
+    obj = v3_doc(out.read_bytes())
     types = {sp.type for s in sents for sp in tags_to_spans(s.tags())}
     assert obj["scheme"] == IOBES
     assert obj["tagset"] == make_tagset(types, IOBES)
@@ -710,6 +724,30 @@ def test_library_training_writes_the_same_bytes_whatever_the_blas_thread_count(t
                        stdout=subprocess.DEVNULL)
         outs.append(out.read_bytes())
     assert outs[0] == outs[1]
+
+
+def test_model_declaring_an_array_larger_than_the_file_is_refused_before_allocating(tmp_path):
+    # the header asks for a 40 GB embedding matrix over a 4 kB tail; with
+    # the address space of the child alone held to 2 GiB, an allocation
+    # of it would end in a MemoryError
+    head, tail = (DATA_DIR / "compat" / "v3" / "bidirectional_gru.json").read_bytes().split(
+        b"\n", 1)
+    header = json.loads(head)
+    header["embedding"]["matrix"]["shape"] = [100000000, 50]
+    model, out = tmp_path / "big.json", tmp_path / "p.conll"
+    model.write_bytes(json.dumps(header).encode() + b"\n" + tail)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(SRC_DIR)] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    limit = 2 * 1024 ** 3
+    proc = subprocess.run([sys.executable, "-m", "rnntagger.cli", "tag", "--model", str(model),
+                           "--input", write_gold(tmp_path / "in.conll"), "--out", str(out)],
+                          env=env, capture_output=True, text=True,
+                          preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS,
+                                                                (limit, limit)))
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr == ("data error: %s: embedding.matrix: shape [100000000, 50] needs "
+                           "40000000000 bytes, the file has %d left\n" % (model, len(tail)))
+    assert not out.exists()
 
 
 def test_train_with_triggers_is_seeded(tmp_path, capsys):

@@ -1,10 +1,13 @@
 """Fuzz gate for the CLI: mutated input files and flag values end in a
 documented exit code, never in an exception.
 
-Valid model, embedding, CoNLL, config and lexicon files are written
-once; each example mutates one of them (truncation, spliced bytes, or a
-JSON value swapped for one of another type, an integer turned into the
-float of the same value, a list cut short, or a model array's base64
+Valid model (format versions 3 and 2), embedding, CoNLL, config and
+lexicon files are written once; each example mutates one of them
+(truncation, spliced bytes, or a JSON value, in a version-3 model file
+one of its header line, swapped for one of another type, an integer
+turned into the float of the same value, a list cut short; a version-3
+model's tail cut at any byte, bytes appended, a header shape changed
+or a NaN or infinity put in its bytes; a version-2 array's base64
 truncated, made an odd length, given a character outside its alphabet
 or a NaN or infinity in its bytes) or one flag value, and runs
 `cli.main` in-process.  Sizes stay on the command line at small values,
@@ -36,12 +39,13 @@ from rnntagger.corpus import load_conll, write_conll
 from rnntagger.representation import encode_sentence, load_embeddings
 from rnntagger.serialize import MODEL_FILE, load_model
 from rnntagger.synth import memorize_corpus
-from test_serialize import decoded, encoded
+from test_serialize import decoded, encoded, v3_bytes, v3_doc
 
 EXIT_CODES = {cli.EXIT_OK, cli.EXIT_USAGE, cli.EXIT_DATA, cli.EXIT_NUMERIC}
 SIZES = ["--hidden", "3", "--vc", "0", "--vd", "1", "--epochs", "1"]
 # values of other JSON types, including numbers no float64 can hold
 SWAPS = [None, True, "x", [], {}, 0.5, -1, [[1.0]], 10 ** 400, 1e308]
+COMPAT_DIR = Path(__file__).parent / "data" / "compat"
 
 
 def main(argv):
@@ -65,7 +69,8 @@ def valid(tmp_path_factory):
     assert main(["train", "--train", str(files["conll"]), "--dim", "2", "--caps", "true",
                  "--gazetteers", str(files["lexicon"]), "--out-model", str(files["model"])]
                 + SIZES) == cli.EXIT_OK
-    return {k: p.read_bytes() for k, p in files.items()}
+    return dict({k: p.read_bytes() for k, p in files.items()},
+                model_v2=(COMPAT_DIR / "v2" / "contextual_elman_jordan.json").read_bytes())
 
 
 def json_paths(value, path=()):
@@ -119,21 +124,79 @@ def base64_mutated(draw, data):
     return json.dumps(obj).encode(), ".".join(path)
 
 
+def array_places(header):
+    """(dotted key, shape) of every array object of a version-3 header, in
+    the order the header lists them, which is the order of the tail."""
+    return [(".".join(p), v["shape"]) for p, v in json_paths(header)
+            if isinstance(v, dict) and set(v) == {"shape"}]
+
+
+def first_past(ends, size):
+    """The index of the first array whose bytes end past size, or None."""
+    i = int(np.searchsorted(ends, size, side="right"))
+    return i if i < len(ends) else None
+
+
 @st.composite
-def mutated(draw, data, is_json):
-    """A mutation of data: truncated, spliced, or (for JSON) one value
-    swapped for a value of another type, an int for the float of the
-    same value, a list for a shorter prefix of it, or an array's base64
-    mutated as base64_mutated does."""
-    how = draw(st.sampled_from(["truncate", "splice"] + (sorted(PICKS) + ["base64"]) * is_json))
+def tail_mutated(draw, data):
+    """(version-3 model file data with its tail cut at any byte, bytes
+    appended, one header shape changed, or a NaN or an infinity in one
+    value; the start of the refusal, which names the array: the one the
+    file ends in, the last one, or the changed one, unless a later one
+    then runs past the end)."""
+    head, tail = data.split(b"\n", 1)
+    header = json.loads(head)
+    places = array_places(header)
+    ends = np.cumsum([8 * rows * cols for _, (rows, cols) in places])
+    assert ends[-1] == len(tail)
+    how = draw(st.sampled_from(["truncate", "append", "shape", "non-finite"]))
+    event("tail " + how)
+    if how == "truncate":
+        cut = draw(st.integers(0, len(tail) - 1))
+        return head + b"\n" + tail[:cut], "%s: shape" % places[first_past(ends, cut)][0]
+    if how == "append":
+        extra = draw(st.binary(min_size=1, max_size=16))
+        return data + extra, "%s is the last array, but %d byte(s) follow it" % (
+            places[-1][0], len(extra))
+    i = draw(st.integers(0, len(places) - 1))
+    key, shape = places[i]
+    if how == "non-finite":
+        at = int(ends[i]) - 8 * draw(st.integers(1, shape[0] * shape[1]))
+        bits = draw(st.sampled_from(NON_FINITE_BITS)).to_bytes(8, "little")
+        return head + b"\n" + tail[:at] + bits + tail[at + 8:], "%s holds a non-finite" % key
+    new = draw(st.lists(st.integers(0, 2 * max(shape) + 2), min_size=2, max_size=2)
+               .filter(lambda dims: dims != shape))
+    value = header
+    for part in key.split("."):
+        value = value[part]
+    value["shape"] = new
+    sizes = [8 * rows * cols for _, (rows, cols) in array_places(header)]
+    past = first_past(np.cumsum(sizes), len(tail))
+    expected = "%s has shape" % key if past is None else "%s: shape" % places[past][0]
+    return json.dumps(header).encode() + b"\n" + tail, expected
+
+
+@st.composite
+def mutated(draw, data, form):
+    """A mutation of data: truncated, spliced, or for a model file (form
+    "json" for one JSON document, "v3" for a version-3 file, whose header
+    line is the JSON) one JSON value swapped for a value of another type,
+    an int for the float of the same value, a list for a shorter prefix
+    of it, or a version-2 array's base64 mutated as base64_mutated does
+    or a version-3 tail as tail_mutated does."""
+    how = draw(st.sampled_from(["truncate", "splice"] + {
+        None: [], "json": sorted(PICKS) + ["base64"], "v3": sorted(PICKS) + ["tail"]}[form]))
     if how == "base64":
         return draw(base64_mutated(data))[0]
+    if how == "tail":
+        return draw(tail_mutated(data))[0]
     if how == "truncate":
         return data[:draw(st.integers(0, len(data) - 1))]
     if how == "splice":
         at = draw(st.integers(0, len(data)))
         cut = draw(st.integers(0, 8))
         return data[:at] + draw(st.binary(max_size=8)) + data[at + cut:]
+    data, newline, tail = data.partition(b"\n") if form == "v3" else (data, b"", b"")
     obj = json.loads(data)
     path = draw(st.sampled_from([p for p, v in list(json_paths(obj))[1:] if PICKS[how](v)]))
     parent = obj
@@ -146,13 +209,14 @@ def mutated(draw, data, is_json):
         parent[path[-1]] = old[:draw(st.integers(0, len(old) - 1))]
     else:
         parent[path[-1]] = draw(st.sampled_from([v for v in SWAPS if type(v) is not type(old)]))
-    return json.dumps(obj).encode()
+    return json.dumps(obj).encode() + newline + tail
 
 
 def file_argv(kind, path, files, out):
     gold, train = str(files["conll"]), ["train", "--train", str(files["conll"])]
     return {
         "model": ["tag", "--model", path, "--input", gold, "--out", out],
+        "model v2": ["tag", "--model", path, "--input", gold, "--out", out],
         "embeddings": train + ["--embeddings", path, "--out-model", out] + SIZES,
         "conll": train[:1] + ["--train", path, "--dim", "2", "--out-model", out] + SIZES,
         "tag input": ["tag", "--model", str(files["model"]), "--input", path, "--out", out],
@@ -163,7 +227,7 @@ def file_argv(kind, path, files, out):
     }[kind]
 
 
-SOURCE = {"model": "model", "embeddings": "embeddings", "conll": "conll",
+SOURCE = {"model": "model", "model v2": "model_v2", "embeddings": "embeddings", "conll": "conll",
           "tag input": "conll", "eval pred": "conll", "config": "config",
           "gazetteer": "lexicon", "triggers": "lexicon"}
 
@@ -172,7 +236,7 @@ SOURCE = {"model": "model", "embeddings": "embeddings", "conll": "conll",
 @given(st.data())
 def test_mutated_input_file_ends_in_an_exit_code(valid, data):
     kind = data.draw(st.sampled_from(sorted(SOURCE)))
-    body = data.draw(mutated(valid[SOURCE[kind]], is_json=kind == "model"))
+    body = data.draw(mutated(valid[SOURCE[kind]], {"model": "v3", "model v2": "json"}.get(kind)))
     with tempfile.TemporaryDirectory() as d:
         files = {k: Path(d, k) for k in valid}
         for k, p in files.items():
@@ -182,10 +246,9 @@ def test_mutated_input_file_ends_in_an_exit_code(valid, data):
         assert main(file_argv(kind, str(path), files, str(Path(d, "out")))) in EXIT_CODES
 
 
-@settings(max_examples=100, deadline=None)
-@given(st.data())
-def test_base64_mutated_model_file_is_data_error_naming_the_array(valid, data):
-    body, key = data.draw(base64_mutated(valid["model"]))
+def tag_refuses(valid, body, expected):
+    """tag with a model file of body is exit 2, its message starting with
+    the file and expected, and writes nothing."""
     with tempfile.TemporaryDirectory() as d:
         model, gold, out = Path(d, "m.json"), Path(d, "gold.conll"), Path(d, "out")
         model.write_bytes(body)
@@ -194,9 +257,22 @@ def test_base64_mutated_model_file_is_data_error_naming_the_array(valid, data):
         with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
             rc = cli.main(["tag", "--model", str(model), "--input", str(gold),
                            "--out", str(out)])
-        assert rc == cli.EXIT_DATA
-        assert "data error: %s: %s" % (model, key) in err.getvalue()
+        assert rc == cli.EXIT_DATA, err.getvalue()
+        assert err.getvalue().startswith("data error: %s: %s" % (model, expected)), err.getvalue()
         assert not out.exists()
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_base64_mutated_model_file_is_data_error_naming_the_array(valid, data):
+    body, key = data.draw(base64_mutated(valid["model_v2"]))
+    tag_refuses(valid, body, key)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_tail_mutated_model_file_is_data_error_naming_the_array(valid, data):
+    tag_refuses(valid, *data.draw(tail_mutated(valid["model"])))
 
 
 # one valid command per subcommand; a flag's value is what gets mutated,
@@ -325,14 +401,14 @@ def test_tag_with_extreme_finite_weights_exits_3_or_writes_tagset_tags(valid, da
     file loads, and tag exits 3 naming the place, writing nothing, exactly
     when a distribution of the input is not finite; else it writes tags
     from the tagset."""
-    obj = json.loads(valid["model"])
+    obj = v3_doc(valid["model"])
     blocks = [(b, n) for b in sorted(obj["params"]) for n in sorted(obj["params"][b])]
     for b, n in data.draw(st.lists(st.sampled_from(blocks), min_size=1, unique=True)):
-        w = decoded(obj["params"][b][n])
-        obj["params"][b][n] = encoded(np.sign(w) * data.draw(st.sampled_from(EXTREMES)))
+        w = obj["params"][b][n]
+        obj["params"][b][n] = np.sign(w) * data.draw(st.sampled_from(EXTREMES))
     with tempfile.TemporaryDirectory() as d:
         model, gold, out = Path(d, "m.json"), Path(d, "gold.conll"), Path(d, "out")
-        model.write_text(json.dumps(obj))
+        model.write_bytes(v3_bytes(obj))
         gold.write_bytes(valid["conll"])
         err = io.StringIO()
         with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
@@ -382,8 +458,21 @@ def test_embed_at_extreme_rates_exits_3_or_writes_finite_vectors(valid, lr, obje
 
 # every feature channel is on in this model, so every key MODEL_FILE
 # declares is in its file; one file per format version
-RULE_FILES = [Path(__file__).parent / "data" / "compat" / v / "contextual_elman_jordan.json"
-              for v in ("", "v2")]
+RULE_FILES = [COMPAT_DIR / v / "contextual_elman_jordan.json" for v in ("", "v2", "v3")]
+
+
+def file_version(source):
+    return int(source.parent.name[1:]) if source.parent.name.startswith("v") else 1
+
+
+def read_doc(source):
+    """A rule file's document; a version-3 file's arrays are in place."""
+    return v3_doc(source.read_bytes()) if file_version(source) == 3 else json.loads(
+        source.read_text())
+
+
+def file_bytes(doc, version):
+    return v3_bytes(doc) if version == 3 else json.dumps(doc).encode()
 
 
 def declared(decl, value, path=()):
@@ -427,17 +516,17 @@ def rule_mutations(decl):
 
 
 RULE_CASES = [(f, path, how) for f in RULE_FILES
-              for path, decl in declared(MODEL_FILE, json.loads(f.read_text()))
+              for path, decl in declared(MODEL_FILE, read_doc(f))
               for how in rule_mutations(decl)]
 
 
 def off_by_one(draw, value, version):
     """An array of one row or one column more or fewer than value's."""
-    arr = np.asarray(value) if version == 1 else decoded(value)
+    arr = decoded(value) if version == 2 else np.asarray(value)
     axis, more = draw(st.integers(0, 1)), draw(st.booleans())
     arr = np.concatenate([arr, arr.take([0], axis)], axis) if more else arr.take(
         range(arr.shape[axis] - 1), axis)
-    return arr.tolist() if version == 1 else encoded(arr)
+    return {1: arr.tolist(), 2: encoded(arr), 3: arr}[version]
 
 
 def break_rule(draw, obj, path, decl, how):
@@ -492,8 +581,8 @@ def break_rule(draw, obj, path, decl, how):
             else [expected + "x", expected.upper(), None]))
         return "%s must be %r, got" % (name, expected)
     if how == "unreadable version":
-        parent[at] = draw(st.sampled_from([0, 3, float(value), True, str(value), None]))
-        return "version must be an integer in [1, 2], got"
+        parent[at] = draw(st.sampled_from([0, 4, float(value), True, str(value), None]))
+        return "version must be an integer in [1, 3], got"
     if how == "shape off by one" and path == ("embedding", "matrix"):
         parent[at] = off_by_one(draw, value, obj["version"])
         return "embedding.matrix has shape"
@@ -537,21 +626,21 @@ def break_rule(draw, obj, path, decl, how):
 
 
 @pytest.mark.parametrize("source,path,how", [
-    pytest.param(f, p, how, id="v%d-%s-%s" % (1 + ("v2" in f.parts), dotted(p) or "file", how))
+    pytest.param(f, p, how, id="v%d-%s-%s" % (file_version(f), dotted(p) or "file", how))
     for f, p, how in RULE_CASES])
 @settings(max_examples=4, deadline=None)
 @given(data=st.data())
 def test_semantic_mutation_is_data_error_naming_its_key(valid, source, path, how, data):
     """Each rule MODEL_FILE declares, broken alone in a valid file of
-    either version, is exit 2 with the refusal naming the key, and no
+    any version, is exit 2 with the refusal naming the key, and no
     output is written."""
-    obj = json.loads(source.read_text())
+    obj = read_doc(source)
     decl = dict(declared(MODEL_FILE, obj))[path]
     expected = break_rule(data.draw, obj, path, decl, how)
     body, expected = expected if isinstance(expected, tuple) else (obj, expected)
     with tempfile.TemporaryDirectory() as d:
         model, gold, out = Path(d, "m.json"), Path(d, "gold.conll"), Path(d, "out")
-        model.write_text(json.dumps(body))
+        model.write_bytes(file_bytes(body, file_version(source)))
         gold.write_bytes(valid["conll"])
         err = io.StringIO()
         with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
@@ -562,9 +651,9 @@ def test_semantic_mutation_is_data_error_naming_its_key(valid, source, path, how
 
 
 def test_rule_files_hold_every_declared_key_and_load():
-    # the semantic gate reaches a rule only through a key that both files
-    # hold (declared() fails on a key a file lacks), and unmutated they load
+    # the semantic gate reaches a rule only through a key that every file
+    # holds (declared() fails on a key a file lacks), and unmutated they load
     for source in RULE_FILES:
-        paths = {p for p, _ in declared(MODEL_FILE, json.loads(source.read_text()))}
+        paths = {p for p, _ in declared(MODEL_FILE, read_doc(source))}
         assert ("features", "trigger", "entries") in paths and ("params",) in paths
         load_model(str(source))

@@ -737,6 +737,37 @@ def test_zero_parameters_give_symmetric_point_gradient():
     assert np.allclose(acc["decoder_out"]["W"], want, atol=1e-12)
 
 
+def nan_in_analytic_block(monkeypatch, bundle, name):
+    """Make window_nll's analytic gradient of one block NaN at one entry."""
+    real = training.window_nll
+
+    def patched(spec, params, xs, examples, v_d, acc=None, **kw):
+        out = real(spec, params, xs, examples, v_d, acc, **kw)
+        if acc is not None:
+            acc[bundle][name][0, 0] = float("nan")
+        return out
+    monkeypatch.setattr(training, "window_nll", patched)
+
+
+@pytest.mark.parametrize("block", [("decoder", "U"), ("decoder_out", "W")])
+def test_gradient_check_fails_on_a_nan_gradient(monkeypatch, block):
+    # max() keeps its first argument against a NaN, so a NaN block once
+    # read as rel err 0 and passed
+    nan_in_analytic_block(monkeypatch, *block)
+    spec = ModelSpec(arch="basic", n_in=4, hidden=3, n_tags=2, decoder_cell="ELMAN")
+    report = gradient_check(spec, seed=5, n_tokens=3)
+    key = "%s.%s" % block
+    assert math.isnan(report.blocks[key]) and math.isnan(report.abs_diffs[key])
+    assert math.isnan(report.max_error)
+    assert not report.ok(1e-4)
+
+
+def test_worse_ranks_a_nan_above_every_number():
+    for a, b in [(float("nan"), 1.0), (1.0, float("nan")), (float("nan"), float("inf"))]:
+        assert math.isnan(training.worse(a, b))
+    assert training.worse(0.5, 0.25) == training.worse(0.25, 0.5) == 0.5
+
+
 def test_gradient_check_is_deterministic():
     spec = ModelSpec(arch="basic", n_in=4, hidden=3, n_tags=2, decoder_cell="ELMAN")
     r1 = gradient_check(spec, seed=5, n_tokens=3)
