@@ -6,21 +6,26 @@ command-line flags and the positional override the file, and the
 merged, effective configuration is echoed at startup.  Every
 setting is checked before the first file is opened.
 
-Exit codes: 0 success, 1 usage error, 2 data error, 3 numeric failure.
+Exit codes: 0 success, 1 usage error, 2 data error, 3 numeric failure,
+4 resource failure (out of memory, or a tagging worker that ended
+without its tags).
 """
 
 import argparse
 import dataclasses
+import math
+import os
 import re
+import resource
 import sys
 
 from . import architectures
-from .architectures import ModelSpec, init_model
+from .architectures import ModelSpec, bundle_shapes, init_model
 from .corpus import build_vocab, load_conll, load_lexicon, read_lines, write_conll
 from .evaluation import format_kv, format_table, score
 from .linalg import SeededRng, check_rate, check_size
-from .model import Model, tag_corpus
-from .pretrain import OBJECTIVES, EmbedConfig, save_text, train_embeddings
+from .model import Model, WorkerError, tag_corpus
+from .pretrain import CCONCAT, OBJECTIVES, EmbedConfig, save_text, train_embeddings
 from .representation import EmbeddingTable, FeatureConfig, load_embeddings
 from .serialize import load_model, save_model
 from .synth import future_dep_corpus, memorize_corpus
@@ -31,6 +36,7 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_DATA = 2
 EXIT_NUMERIC = 3
+EXIT_RESOURCE = 4
 
 # dataset-style presets: hidden size and learning rate travel together
 PROFILES = {
@@ -242,9 +248,23 @@ def _decoder_kind(args):
     return _cell_kind(args.decoder)
 
 
+def _check_fits(what, nbytes):
+    """A usage error led by what, the flags that set a size, when the
+    nbytes they make the run allocate are more than the process can hold:
+    its address-space limit or the machine's memory, whichever is less."""
+    limit = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    soft = resource.getrlimit(resource.RLIMIT_AS)[0]
+    if soft != resource.RLIM_INFINITY:
+        limit = min(limit, soft)
+    if nbytes > limit:
+        raise UsageError("%s needs %d bytes, more than the %d this process can hold"
+                         % (what, nbytes, limit))
+
+
 def main(argv=None):
     argv = list(sys.argv[1:]) if argv is None else list(argv)
     top, sub = build_parser()
+    args = None
     try:
         args = top.parse_args(argv)
         if getattr(args, "command", None) is None:
@@ -267,6 +287,11 @@ def main(argv=None):
     except (OSError, ValueError) as e:
         print("data error: %s" % e, file=sys.stderr)
         return EXIT_DATA
+    except (MemoryError, WorkerError) as e:
+        # a bare MemoryError has no message
+        print("resource error: %s: %s" % (getattr(args, "command", None) or "rnntagger",
+                                          e if str(e) else "out of memory"), file=sys.stderr)
+        return EXIT_RESOURCE
 
 
 # ---------------------------------------------------------------- embed
@@ -277,6 +302,15 @@ def cmd_embed(args):
                     subsample=args.subsample, negatives=args.negatives,
                     epochs=args.epochs, learning_rate=args.learning_rate,
                     min_count=args.min_count, seed=args.seed)
+    # the least the run allocates, whatever the corpus: a sentence padded
+    # with window slots on each side, 8 bytes each, and the input and
+    # output matrices of the smallest vocabulary, PAD, UNK and one word
+    _check_fits("--window %d" % cfg.window, 8 * 2 * cfg.window)
+    if args.objective == CCONCAT:
+        _check_fits("--dim %d with --window %d" % (cfg.dim, cfg.window),
+                    8 * 3 * (cfg.dim + 2 * cfg.window * cfg.dim))
+    else:
+        _check_fits("--dim %d" % cfg.dim, 8 * 3 * 2 * cfg.dim)
     model = train_embeddings(args.corpus, args.objective, cfg)
     save_text(model, args.out)
     for i, (loss, made) in enumerate(zip(model.epoch_losses, model.epoch_predictions), 1):
@@ -419,6 +453,10 @@ def cmd_gradcheck(args):
     else:
         specs = [_settings(args, ModelSpec, arch=args.arch, decoder_cell=_decoder_kind(args),
                            encoder_cell=_cell_kind(args.encoder), **sizes)]
+    # the parameters alone, of the spec with the most
+    _check_fits("--hidden %d --n-in %d --n-tags %d" % (args.hidden, args.n_in, args.n_tags),
+                max(8 * sum(math.prod(shape) for bundle in bundle_shapes(spec).values()
+                            for shape in bundle.values()) for spec in specs))
     worst = worst_abs = 0.0
     failed = False
     print("%-45s %-22s %-9s %s" % ("spec", "block", "rel err", "max |analytic - numeric|"))

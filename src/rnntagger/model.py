@@ -1,5 +1,11 @@
 """Trained-model container and whole-corpus tagging."""
 
+import contextlib
+import os
+import pickle
+import signal
+import sys
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -8,6 +14,25 @@ from . import architectures
 from .corpus import documents
 from .linalg import check_size, one_blas_thread
 from .representation import DocCache, encode_sentence
+
+# The fewest tokens worth a process of their own.  Measured on a 2 vCPU
+# Xeon VM (Python 3.11, one BLAS thread) holding the four perfbench tag
+# models: a fork, the child's exit and the wait take 3.9 ms, and a worker
+# then runs about 6 ms slower than the caller on a 371-token group, as
+# its first writes copy the pages it shares with the caller.  A group's
+# rounds also shrink less than its batches, as each round steps through
+# its longest sentence.  On the first k documents of the perfbench seed-1
+# tag input, two processes against one ran 0.56-1.18x as fast at 371
+# tokens, 0.91-1.37x at 737, 0.99-1.31x at 1117 and 1.08-1.37x at 1611
+# over the four configs: the fastest break even near 1000 tokens.
+MIN_TOKENS_PER_PROCESS = 500
+
+_in_worker = False
+
+
+class WorkerError(RuntimeError):
+    """A tagging worker process that ended without sending its tags back:
+    killed, say by the kernel when memory ran out."""
 
 
 @dataclass
@@ -61,33 +86,173 @@ def tag_corpus(model, sentences):
     sentence of every document that has one under that document's
     cache, runs them through the model as one batch, and updates the
     caches from the round's tags before round j + 1.  Each sentence gets
-    bitwise the distributions it gets when tagged alone.  All rounds
-    share one surface facts table (see token_features).  A distribution
-    that is not finite is a FloatingPointError naming its document, its
-    sentence in the document and its position, all counted from 1.
+    bitwise the distributions it gets when tagged alone.  A process's
+    rounds share one surface facts table (see token_features).
+
+    On Linux the documents are split into groups of near-equal token
+    counts, one per CPU this process may run on (taskset limits them),
+    but no more than one per document or per MIN_TOKENS_PER_PROCESS
+    tokens.  The calling process tags one group and a forked worker each
+    other one; a group whose fork the system refuses is tagged by the
+    caller.  Every process runs the same rounds on one BLAS thread, so
+    the tags are the same bytes however the documents are split.  The
+    call tags in-process on other platforms, beside other Python threads
+    and inside a worker.  No worker outlives the call.
+
+    A distribution that is not finite is a FloatingPointError naming its
+    document, its sentence in the document and its position, all counted
+    from 1: the first in round then document order, over all groups, as
+    in-process.  An exception a worker raises is raised again here (one
+    that does not pickle as the nearest built-in exception class, naming
+    it); a worker that ends without its tags is a WorkerError naming its
+    documents.
     """
-    docs = documents(sentences)
+    docs = list(enumerate(documents(sentences)))
+    groups = _groups(sentences, docs)
+    own = groups[0]
+    workers = {}
+    try:
+        for group in groups[1:]:
+            r, w = os.pipe()
+            try:
+                pid = os.fork()
+            except OSError:
+                os.close(r)
+                os.close(w)
+                own = own + group
+                continue
+            if pid == 0:
+                _work(w, model, sentences, group)
+            os.close(w)
+            workers[pid] = (os.fdopen(r, "rb"), group)
+        results = [_tag_documents(model, sentences, sorted(own))]
+        for pid in list(workers):
+            fh, group = workers[pid]
+            with fh:
+                data = fh.read()
+            status = os.waitpid(pid, 0)[1]
+            del workers[pid]
+            results.append(_result(data, status, group))
+    finally:
+        # only when the call is ending with an exception
+        for pid, (fh, _) in workers.items():
+            fh.close()
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+    failures = [failure for _, failure in results if failure is not None]
+    if failures:
+        raise min(failures, key=lambda failure: failure[0])[1]
+    out = [None] * len(sentences)
+    for tags, _ in results:
+        for i, sent_tags in tags.items():
+            out[i] = sent_tags
+    return out
+
+
+def _groups(sentences, docs):
+    """docs, a list of (document index, its sentence indices), split into
+    the number of groups _process_count gives: the longest document
+    first, each to the group with the fewest tokens so far."""
+    sizes = [sum(len(sentences[i]) for i in doc) for _, doc in docs]
+    n = _process_count(len(docs), sum(sizes))
+    groups = [[] for _ in range(n)]
+    load = [0] * n
+    for k in sorted(range(len(docs)), key=lambda k: -sizes[k]):
+        g = load.index(min(load))
+        groups[g].append(docs[k])
+        load[g] += sizes[k]
+    return [sorted(group) for group in groups]
+
+
+def _process_count(n_docs, n_tokens):
+    """How many processes tag n_docs documents of n_tokens tokens.  One on
+    a platform other than Linux (numpy's macOS BLAS is not fork-safe),
+    beside other Python threads (a fork copies only the calling one, and
+    a lock another one holds stays held in the child) and in a worker."""
+    if sys.platform != "linux" or _in_worker or threading.active_count() > 1:
+        return 1
+    return max(1, min(len(os.sched_getaffinity(0)), n_docs,
+                      n_tokens // MIN_TOKENS_PER_PROCESS))
+
+
+def _tag_documents(model, sentences, docs):
+    """Tag the documents docs, a list of (document index, its sentence
+    indices), in rounds.  Returns ({sentence index: tags}, failure):
+    failure is None, or (where, exception) for the first exception, where
+    = (round, phase, document) orders it as the in-process loop over all
+    documents would meet it."""
     caches = [DocCache() if model.fconf.uses_cache else None for _ in docs]
     t2i = model.tag_to_index
     facts = {}
-    out = [None] * len(sentences)
+    out = {}
+    where = None
     # the check below finds every non-finite distribution and says where
     # it is, so numpy's own warnings would only repeat it
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        for j in range(max(map(len, docs), default=0)):
-            live = [(d, doc[j], cache) for d, (doc, cache) in enumerate(zip(docs, caches))
-                    if j < len(doc)]
-            xss = [encode_sentence(sentences[i], model.table, model.fconf, model.v_c, cache,
-                                   facts)
-                   for _, i, cache in live]
-            dists = architectures.forward_batch(model.spec, model.params, xss)
-            for (d, i, cache), dist in zip(live, dists):
-                if not np.isfinite(dist).all():
-                    p = np.isfinite(dist).all(axis=1).argmin()
-                    raise FloatingPointError(
-                        "document %d, sentence %d, position %d: non-finite output distribution"
-                        % (d + 1, j + 1, p + 1))
-                out[i] = architectures.argmax_tags(dist, model.tagset)
-                if cache is not None:
-                    cache.update_sentence(sentences[i], out[i], t2i)
-    return out
+    try:
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            for j in range(max((len(doc) for _, doc in docs), default=0)):
+                live = [(d, doc[j], cache) for (d, doc), cache in zip(docs, caches)
+                        if j < len(doc)]
+                xss = []
+                for d, i, cache in live:
+                    where = (j, 0, d)
+                    xss.append(encode_sentence(sentences[i], model.table, model.fconf,
+                                               model.v_c, cache, facts))
+                where = (j, 1, live[0][0])
+                dists = architectures.forward_batch(model.spec, model.params, xss)
+                for (d, i, cache), dist in zip(live, dists):
+                    where = (j, 2, d)
+                    if not np.isfinite(dist).all():
+                        p = np.isfinite(dist).all(axis=1).argmin()
+                        raise FloatingPointError(
+                            "document %d, sentence %d, position %d: non-finite output "
+                            "distribution" % (d + 1, j + 1, p + 1))
+                    out[i] = architectures.argmax_tags(dist, model.tagset)
+                    if cache is not None:
+                        cache.update_sentence(sentences[i], out[i], t2i)
+    except Exception as e:
+        return out, (where, e)
+    return out, None
+
+
+def _work(fd, model, sentences, docs):
+    """A forked worker: tag docs, write the pickled result to the pipe fd
+    and end with os._exit, which runs no atexit handler, flushes no stdio
+    buffer and never returns into the caller's stack."""
+    global _in_worker
+    code = 1
+    try:
+        _in_worker = True
+        tags, failure = _tag_documents(model, sentences, docs)
+        if failure is not None:
+            tags, failure = {}, (failure[0], _portable(failure[1]))
+        with os.fdopen(fd, "wb") as fh:
+            fh.write(pickle.dumps((tags, failure), pickle.HIGHEST_PROTOCOL))
+        code = 0
+    finally:
+        os._exit(code)
+
+
+def _portable(exc):
+    """exc if it comes back whole through pickle, else an instance of its
+    nearest built-in base class whose message names it."""
+    try:
+        pickle.loads(pickle.dumps(exc))
+        return exc
+    except Exception:
+        pass
+    for cls in type(exc).__mro__:
+        if cls.__module__ == "builtins":
+            with contextlib.suppress(TypeError):
+                return cls("%s: %s" % (type(exc).__qualname__, exc))
+
+
+def _result(data, status, docs):
+    """The result a worker tagging docs wrote to its pipe, given the
+    bytes read to the pipe's end and the wait status."""
+    code = os.waitstatus_to_exitcode(status)
+    if code != 0 or not data:
+        how = "was killed by signal %d" % -code if code < 0 else "exited with status %d" % code
+        raise WorkerError("the worker tagging documents %s %s without sending its tags"
+                          % (", ".join(str(d + 1) for d, _ in docs), how))
+    return pickle.loads(data)

@@ -750,6 +750,49 @@ def test_model_declaring_an_array_larger_than_the_file_is_refused_before_allocat
     assert not out.exists()
 
 
+
+def run_limited(argv, cwd):
+    """rnntagger argv in a child whose address space alone is held to 2 GiB,
+    so that a size the machine cannot hold fails there and nowhere else."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(SRC_DIR)] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    limit = 2 * 1024 ** 3
+    return subprocess.run([sys.executable, "-m", "rnntagger.cli"] + argv, cwd=cwd, env=env,
+                          capture_output=True, text=True,
+                          preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS,
+                                                                (limit, limit)))
+
+
+@pytest.mark.parametrize("argv, what, nbytes", [
+    (["embed", "raw.txt", "--window", "1000000000", "--out", "out.txt"],
+     "--window 1000000000", 16000000000),
+    (["embed", "raw.txt", "--dim", "1000000000", "--out", "out.txt"],
+     "--dim 1000000000", 48000000000),
+    (["embed", "raw.txt", "--objective", "cconcat", "--dim", "50", "--window", "100000000",
+      "--out", "out.txt"], "--dim 50 with --window 100000000", 240000001200),
+    (["gradcheck", "--hidden", "1000000000"],
+     "--hidden 1000000000 --n-in 6 --n-tags 3", 8000000072000000000),
+], ids=["embed-window", "embed-dim", "cconcat-window", "gradcheck-hidden"])
+def test_size_flag_the_process_cannot_hold_is_refused_by_name(tmp_path, argv, what, nbytes):
+    # the flag is checked before the corpus is read, so raw.txt need not exist
+    proc = run_limited(argv, tmp_path)
+    assert proc.returncode == cli.EXIT_USAGE, proc.stderr
+    assert proc.stderr.startswith("usage error: %s needs %d bytes, more than the "
+                                  % (what, nbytes)), proc.stderr
+    assert proc.stderr.endswith(" this process can hold\n")
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_memory_error_is_a_resource_error_naming_the_command(tmp_path):
+    # 102 rows of 2e7 floats pass the flag check, which assumes the
+    # smallest vocabulary of 3 rows, but not the allocation
+    (tmp_path / "raw.txt").write_text(" ".join("w%d" % i for i in range(100)) + "\n")
+    proc = run_limited(["embed", "raw.txt", "--dim", "20000000", "--out", "out.txt"], tmp_path)
+    assert proc.returncode == cli.EXIT_RESOURCE, proc.stderr
+    assert proc.stderr.startswith("resource error: embed: Unable to allocate "), proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert not (tmp_path / "out.txt").exists()
+
 def test_train_with_triggers_is_seeded(tmp_path, capsys):
     gold = write_gold(tmp_path / "g.conll")
     words = sorted({tok.surface for sent in load_conll(gold) for tok in sent.tokens})
