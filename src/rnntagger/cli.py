@@ -16,7 +16,6 @@ import dataclasses
 import math
 import os
 import re
-import resource
 import sys
 
 from . import architectures
@@ -251,14 +250,24 @@ def _decoder_kind(args):
 def _check_fits(what, nbytes):
     """A usage error led by what, the flags that set a size, when the
     nbytes they make the run allocate are more than the process can hold:
-    its address-space limit or the machine's memory, whichever is less."""
-    limit = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
-    soft = resource.getrlimit(resource.RLIMIT_AS)[0]
-    if soft != resource.RLIM_INFINITY:
-        limit = min(limit, soft)
-    if nbytes > limit:
+    its address-space limit or the machine's memory, whichever is less,
+    of those the platform tells."""
+    limits = []
+    try:
+        limits.append(os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES"))
+    except (AttributeError, ValueError, OSError):
+        pass                             # no sysconf, as on Windows
+    try:
+        import resource
+    except ImportError:
+        pass                             # not a Unix
+    else:
+        soft = resource.getrlimit(resource.RLIMIT_AS)[0]
+        if soft != resource.RLIM_INFINITY:
+            limits.append(soft)
+    if limits and nbytes > min(limits):
         raise UsageError("%s needs %d bytes, more than the %d this process can hold"
-                         % (what, nbytes, limit))
+                         % (what, nbytes, min(limits)))
 
 
 def main(argv=None):

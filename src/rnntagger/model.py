@@ -1,6 +1,5 @@
 """Trained-model container and whole-corpus tagging."""
 
-import contextlib
 import os
 import pickle
 import signal
@@ -26,8 +25,6 @@ from .representation import DocCache, encode_sentence
 # tokens, 0.91-1.37x at 737, 0.99-1.31x at 1117 and 1.08-1.37x at 1611
 # over the four configs: the fastest break even near 1000 tokens.
 MIN_TOKENS_PER_PROCESS = 500
-
-_in_worker = False
 
 
 class WorkerError(RuntimeError):
@@ -96,21 +93,27 @@ def tag_corpus(model, sentences):
     other one; a group whose fork the system refuses is tagged by the
     caller.  Every process runs the same rounds on one BLAS thread, so
     the tags are the same bytes however the documents are split.  The
-    call tags in-process on other platforms, beside other Python threads
-    and inside a worker.  No worker outlives the call.
+    call tags in-process on other platforms and beside other Python
+    threads.  No worker outlives the call.
 
     A distribution that is not finite is a FloatingPointError naming its
     document, its sentence in the document and its position, all counted
-    from 1: the first in round then document order, over all groups, as
-    in-process.  An exception a worker raises is raised again here (one
-    that does not pickle as the nearest built-in exception class, naming
-    it); a worker that ends without its tags is a WorkerError naming its
+    from 1: the first in round then document order.  When any group
+    raises, the caller tags every document again itself (see
+    tag_in_process), so the exception is the in-process one: tagging is
+    deterministic, so the caller meets it too, unless a worker alone
+    failed, say for want of memory, and then the call returns the tags.
+    A worker that ends without its tags is a WorkerError naming its
     documents.
     """
     docs = list(enumerate(documents(sentences)))
     groups = _groups(sentences, docs)
+    if len(groups) == 1:
+        return _in_order(_tag_documents(model, sentences, docs), sentences)
     own = groups[0]
     workers = {}
+    tags = {}
+    failed = False
     try:
         for group in groups[1:]:
             r, w = os.pipe()
@@ -125,28 +128,41 @@ def tag_corpus(model, sentences):
                 _work(w, model, sentences, group)
             os.close(w)
             workers[pid] = (os.fdopen(r, "rb"), group)
-        results = [_tag_documents(model, sentences, sorted(own))]
+        try:
+            tags.update(_tag_documents(model, sentences, sorted(own)))
+        except Exception:
+            failed = True
         for pid in list(workers):
             fh, group = workers[pid]
             with fh:
                 data = fh.read()
             status = os.waitpid(pid, 0)[1]
             del workers[pid]
-            results.append(_result(data, status, group))
+            result = _result(data, status, group)
+            failed = failed or result is None
+            tags.update(result or {})
     finally:
         # only when the call is ending with an exception
         for pid, (fh, _) in workers.items():
             fh.close()
             os.kill(pid, signal.SIGKILL)
             os.waitpid(pid, 0)
-    failures = [failure for _, failure in results if failure is not None]
-    if failures:
-        raise min(failures, key=lambda failure: failure[0])[1]
-    out = [None] * len(sentences)
-    for tags, _ in results:
-        for i, sent_tags in tags.items():
-            out[i] = sent_tags
-    return out
+    if failed:
+        return tag_in_process(model, sentences)
+    return _in_order(tags, sentences)
+
+
+@one_blas_thread
+def tag_in_process(model, sentences):
+    """tag_corpus's tags, or the exception it raises, with every document
+    tagged in the calling process."""
+    docs = list(enumerate(documents(sentences)))
+    return _in_order(_tag_documents(model, sentences, docs), sentences)
+
+
+def _in_order(tags, sentences):
+    """{sentence index: tags} as one tag list per sentence."""
+    return [tags.get(i) for i in range(len(sentences))]
 
 
 def _groups(sentences, docs):
@@ -166,90 +182,65 @@ def _groups(sentences, docs):
 
 def _process_count(n_docs, n_tokens):
     """How many processes tag n_docs documents of n_tokens tokens.  One on
-    a platform other than Linux (numpy's macOS BLAS is not fork-safe),
+    a platform other than Linux (numpy's macOS BLAS is not fork-safe) and
     beside other Python threads (a fork copies only the calling one, and
-    a lock another one holds stays held in the child) and in a worker."""
-    if sys.platform != "linux" or _in_worker or threading.active_count() > 1:
+    a lock another one holds stays held in the child)."""
+    if sys.platform != "linux" or threading.active_count() > 1:
         return 1
     return max(1, min(len(os.sched_getaffinity(0)), n_docs,
                       n_tokens // MIN_TOKENS_PER_PROCESS))
 
 
 def _tag_documents(model, sentences, docs):
-    """Tag the documents docs, a list of (document index, its sentence
-    indices), in rounds.  Returns ({sentence index: tags}, failure):
-    failure is None, or (where, exception) for the first exception, where
-    = (round, phase, document) orders it as the in-process loop over all
-    documents would meet it."""
+    """{sentence index: tags} for the documents docs, a list of (document
+    index, its sentence indices), tagged in rounds."""
     caches = [DocCache() if model.fconf.uses_cache else None for _ in docs]
     t2i = model.tag_to_index
     facts = {}
     out = {}
-    where = None
     # the check below finds every non-finite distribution and says where
     # it is, so numpy's own warnings would only repeat it
-    try:
-        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            for j in range(max((len(doc) for _, doc in docs), default=0)):
-                live = [(d, doc[j], cache) for (d, doc), cache in zip(docs, caches)
-                        if j < len(doc)]
-                xss = []
-                for d, i, cache in live:
-                    where = (j, 0, d)
-                    xss.append(encode_sentence(sentences[i], model.table, model.fconf,
-                                               model.v_c, cache, facts))
-                where = (j, 1, live[0][0])
-                dists = architectures.forward_batch(model.spec, model.params, xss)
-                for (d, i, cache), dist in zip(live, dists):
-                    where = (j, 2, d)
-                    if not np.isfinite(dist).all():
-                        p = np.isfinite(dist).all(axis=1).argmin()
-                        raise FloatingPointError(
-                            "document %d, sentence %d, position %d: non-finite output "
-                            "distribution" % (d + 1, j + 1, p + 1))
-                    out[i] = architectures.argmax_tags(dist, model.tagset)
-                    if cache is not None:
-                        cache.update_sentence(sentences[i], out[i], t2i)
-    except Exception as e:
-        return out, (where, e)
-    return out, None
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        for j in range(max((len(doc) for _, doc in docs), default=0)):
+            live = [(d, doc[j], cache) for (d, doc), cache in zip(docs, caches)
+                    if j < len(doc)]
+            xss = [encode_sentence(sentences[i], model.table, model.fconf, model.v_c, cache,
+                                   facts)
+                   for _, i, cache in live]
+            dists = architectures.forward_batch(model.spec, model.params, xss)
+            for (d, i, cache), dist in zip(live, dists):
+                if not np.isfinite(dist).all():
+                    p = np.isfinite(dist).all(axis=1).argmin()
+                    raise FloatingPointError(
+                        "document %d, sentence %d, position %d: non-finite output distribution"
+                        % (d + 1, j + 1, p + 1))
+                out[i] = architectures.argmax_tags(dist, model.tagset)
+                if cache is not None:
+                    cache.update_sentence(sentences[i], out[i], t2i)
+    return out
 
 
 def _work(fd, model, sentences, docs):
-    """A forked worker: tag docs, write the pickled result to the pipe fd
-    and end with os._exit, which runs no atexit handler, flushes no stdio
-    buffer and never returns into the caller's stack."""
-    global _in_worker
+    """A forked worker: tag docs, write the pickled tags (None when the
+    tagging raised) to the pipe fd and end with os._exit, which runs no
+    atexit handler, flushes no stdio buffer and never returns into the
+    caller's stack."""
     code = 1
     try:
-        _in_worker = True
-        tags, failure = _tag_documents(model, sentences, docs)
-        if failure is not None:
-            tags, failure = {}, (failure[0], _portable(failure[1]))
+        try:
+            tags = _tag_documents(model, sentences, docs)
+        except Exception:
+            tags = None
         with os.fdopen(fd, "wb") as fh:
-            fh.write(pickle.dumps((tags, failure), pickle.HIGHEST_PROTOCOL))
+            pickle.dump(tags, fh, pickle.HIGHEST_PROTOCOL)
         code = 0
     finally:
         os._exit(code)
 
 
-def _portable(exc):
-    """exc if it comes back whole through pickle, else an instance of its
-    nearest built-in base class whose message names it."""
-    try:
-        pickle.loads(pickle.dumps(exc))
-        return exc
-    except Exception:
-        pass
-    for cls in type(exc).__mro__:
-        if cls.__module__ == "builtins":
-            with contextlib.suppress(TypeError):
-                return cls("%s: %s" % (type(exc).__qualname__, exc))
-
-
 def _result(data, status, docs):
-    """The result a worker tagging docs wrote to its pipe, given the
-    bytes read to the pipe's end and the wait status."""
+    """The tags, or None, a worker tagging docs wrote to its pipe, given
+    the bytes read to the pipe's end and the wait status."""
     code = os.waitstatus_to_exitcode(status)
     if code != 0 or not data:
         how = "was killed by signal %d" % -code if code < 0 else "exited with status %d" % code

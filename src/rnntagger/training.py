@@ -24,7 +24,7 @@ from . import linalg
 from .architectures import backward_encode, backward_window, decode_window, encode, init_model
 from .corpus import documents
 from .evaluation import score
-from .model import Model, tag_corpus
+from .model import Model, tag_in_process
 from .representation import DocCache, token_features, window_inputs
 from .tagging import tags_to_spans
 
@@ -250,7 +250,9 @@ class FitResult:
 
 
 def _dev_f1(model, dev_sentences, gold_spans):
-    pred = tag_corpus(model, dev_sentences)
+    # in-process: what forked workers would cost or save beside a
+    # training process's heap has not been measured
+    pred = tag_in_process(model, dev_sentences)
     pred_spans = [tags_to_spans(tags) for tags in pred]
     return score(gold_spans, pred_spans)
 

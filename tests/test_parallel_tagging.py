@@ -20,9 +20,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rnntagger import model as tagger
+from rnntagger import training
 from rnntagger.cli import EXIT_RESOURCE
 from rnntagger.corpus import UNK_INDEX, Token, documents, load_conll, write_conll
-from rnntagger.model import WorkerError, tag_corpus
+from rnntagger.model import WorkerError, tag_corpus, tag_in_process
 from rnntagger.serialize import load_model, save_model
 from test_batching import SPECS, corpus, make_model
 
@@ -179,11 +180,25 @@ def test_refused_fork_is_tagged_by_the_caller(monkeypatch):
 def in_worker_only(monkeypatch, act):
     """encode_sentence, with act() run first in a worker."""
     encode_sentence = tagger.encode_sentence
+    caller = os.getpid()
 
     def patched(*args):
-        if tagger._in_worker:
+        if os.getpid() != caller:
             act()
         return encode_sentence(*args)
+
+    monkeypatch.setattr(tagger, "encode_sentence", patched)
+
+
+def on_length(monkeypatch, n, act):
+    """encode_sentence, with act() run first for a sentence of n tokens,
+    in whichever process tags it."""
+    encode_sentence = tagger.encode_sentence
+
+    def patched(sentence, *args):
+        if len(sentence) == n:
+            act()
+        return encode_sentence(sentence, *args)
 
     monkeypatch.setattr(tagger, "encode_sentence", patched)
 
@@ -199,16 +214,18 @@ def test_no_worker_outlives_a_successful_call(monkeypatch):
 
 
 def test_a_worker_exception_is_raised_in_the_caller(monkeypatch):
+    # document b (sentences of 5 and 2 tokens) is the worker's
     model = make_model(*SPECS[0], cache=True, seed=1)
     sents = corpus([("a", [3, 4]), ("b", [5, 2])])
-    force_processes(monkeypatch, 2)
+    forks = force_processes(monkeypatch, 2)
 
     def fail():
-        raise ValueError("bad input in a worker")
+        raise ValueError("bad input")
 
-    in_worker_only(monkeypatch, fail)
-    with pytest.raises(ValueError, match="^bad input in a worker$"):
+    on_length(monkeypatch, 5, fail)
+    with pytest.raises(ValueError, match="^bad input$"):
         tag_corpus(model, sents)
+    assert len(forks) == 1
     assert_no_children()
 
 
@@ -218,19 +235,46 @@ class Unpicklable(ValueError):
         self.handle = handle
 
 
-def test_an_exception_that_does_not_pickle_reaches_the_caller_by_name(monkeypatch):
+def test_an_exception_that_does_not_pickle_reaches_the_caller_whole(monkeypatch):
     model = make_model(*SPECS[0], cache=True, seed=1)
     sents = corpus([("a", [3, 4]), ("b", [5, 2])])
     force_processes(monkeypatch, 2)
+    handle = lambda: None  # noqa: E731
 
     def fail():
-        raise Unpicklable("no way back", lambda: None)
+        raise Unpicklable("no way back", handle)
+
+    on_length(monkeypatch, 5, fail)
+    with pytest.raises(Unpicklable, match="^no way back$") as info:
+        tag_corpus(model, sents)
+    assert info.value.handle is handle
+    assert_no_children()
+
+
+def test_an_exception_only_a_worker_meets_leaves_the_caller_to_tag(monkeypatch):
+    # as when a worker runs out of memory: the caller tags every document
+    model = make_model(*SPECS[0], cache=True, seed=1)
+    sents = corpus([("a", [3, 4]), ("b", [5, 2]), ("c", [6])])
+    expected = in_process(model, sents)
+    forks = force_processes(monkeypatch, 3)
+
+    def fail():
+        raise MemoryError
 
     in_worker_only(monkeypatch, fail)
-    with pytest.raises(ValueError, match="^Unpicklable: no way back$") as info:
-        tag_corpus(model, sents)
-    assert type(info.value) is ValueError
+    assert tag_corpus(model, sents) == expected
+    assert len(forks) == 2
     assert_no_children()
+
+
+def test_dev_evaluation_tags_in_process(monkeypatch):
+    model = make_model(*SPECS[0], cache=True, seed=1)
+    sents = corpus([("a", [3, 4]), ("b", [5, 2]), ("c", [6])])
+    expected = in_process(model, sents)
+    forks = force_processes(monkeypatch, 2)
+    assert tag_in_process(model, sents) == expected
+    training._dev_f1(model, sents, [[] for _ in sents])
+    assert forks == []
 
 
 def test_a_killed_worker_is_an_error_naming_its_documents(monkeypatch):
@@ -252,8 +296,10 @@ def test_the_caller_failing_ends_every_worker(monkeypatch):
     force_processes(monkeypatch, 3)
     tag_documents = tagger._tag_documents
 
+    caller = os.getpid()
+
     def patched(model, sentences, docs):
-        if tagger._in_worker:
+        if os.getpid() != caller:
             time.sleep(60)
         else:
             raise KeyboardInterrupt
@@ -275,13 +321,17 @@ from rnntagger.cli import main
 model.MIN_TOKENS_PER_PROCESS = 1
 os.sched_getaffinity = lambda pid: {0, 1}
 encode_sentence = model.encode_sentence
+caller = os.getpid()
 
-def patched(*args):
-    if model._in_worker and sys.argv[1] == "kill":
+def patched(sentence, *args):
+    in_worker = os.getpid() != caller
+    if in_worker and sys.argv[1] == "kill":
         os.kill(os.getpid(), signal.SIGKILL)
-    if model._in_worker and sys.argv[1] == "raise":
-        raise ValueError("worker failed")
-    return encode_sentence(*args)
+    if in_worker and sys.argv[1] == "raise":
+        raise MemoryError
+    if len(sentence) == 5 and sys.argv[1] == "raise-everywhere":
+        raise ValueError("tagging failed")
+    return encode_sentence(sentence, *args)
 
 model.encode_sentence = patched
 atexit.register(lambda: print("atexit ran"))
@@ -316,13 +366,14 @@ def test_tag_command_with_a_killed_worker_writes_nothing(tmp_path):
     assert proc.stdout.count("atexit ran") == 1
 
 
-@pytest.mark.parametrize("ending", ["ok", "raise"])
+@pytest.mark.parametrize("ending", ["ok", "raise", "raise-everywhere"])
 def test_workers_run_no_exit_handler_and_flush_no_buffer(tmp_path, ending):
+    # "raise" fails in the worker alone, so the caller tags its documents
     proc, out = run_tag(tmp_path, ending)
     assert proc.stdout.count("# effective config") == 1
     assert proc.stdout.endswith("atexit ran\n")
     assert proc.stdout.count("atexit ran") == 1
-    if ending == "ok":
+    if ending != "raise-everywhere":
         assert proc.returncode == 0, proc.stderr
         sents = load_conll(str(tmp_path / "in.conll"), tagged=False)
         write_conll(sents, str(tmp_path / "expected.conll"),
@@ -330,5 +381,5 @@ def test_workers_run_no_exit_handler_and_flush_no_buffer(tmp_path, ending):
         assert out.read_bytes() == (tmp_path / "expected.conll").read_bytes()
     else:
         assert proc.returncode == 2
-        assert proc.stderr == "data error: worker failed\n"
+        assert proc.stderr == "data error: tagging failed\n"
         assert not out.exists()
