@@ -7,8 +7,8 @@ merged, effective configuration is echoed at startup.  Every
 setting is checked before the first file is opened.
 
 Exit codes: 0 success, 1 usage error, 2 data error, 3 numeric failure,
-4 resource failure (out of memory, or a tagging worker that ended
-without its tags).
+4 resource failure (out of memory, or a worker process, tagging or
+writing vectors, that ended without its result).
 """
 
 import argparse
@@ -23,13 +23,14 @@ from .architectures import ModelSpec, bundle_shapes, init_model
 from .corpus import build_vocab, load_conll, load_lexicon, read_lines, write_conll
 from .evaluation import format_kv, format_table, score
 from .linalg import SeededRng, check_rate, check_size
-from .model import Model, WorkerError, tag_corpus
+from .model import Model, tag_corpus
 from .pretrain import CCONCAT, OBJECTIVES, EmbedConfig, save_text, train_embeddings
 from .representation import EmbeddingTable, FeatureConfig, load_embeddings
 from .serialize import load_model, save_model
 from .synth import future_dep_corpus, memorize_corpus
 from .tagging import detect_scheme, make_tagset, tags_to_spans
 from .training import TrainConfig, fit, gradient_check, worse
+from .workers import WorkerError
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -270,6 +271,12 @@ def _check_fits(what, nbytes):
                          % (what, nbytes, min(limits)))
 
 
+def _param_bytes(spec):
+    """The bytes of spec's parameters, 8 a value."""
+    return 8 * sum(math.prod(shape) for bundle in bundle_shapes(spec).values()
+                   for shape in bundle.values())
+
+
 def main(argv=None):
     argv = list(sys.argv[1:]) if argv is None else list(argv)
     top, sub = build_parser()
@@ -365,7 +372,9 @@ def cmd_train(args):
     if args.embeddings:
         table = load_embeddings(args.embeddings)
     else:
-        table = EmbeddingTable.random(build_vocab(train_sents), args.dim, rng)
+        vocab = build_vocab(train_sents)
+        _check_fits("--dim %d" % args.dim, 8 * len(vocab) * args.dim)
+        table = EmbeddingTable.random(vocab, args.dim, rng)
 
     fconf = FeatureConfig(
         capitalization=args.caps,
@@ -376,6 +385,8 @@ def cmd_train(args):
 
     spec = dataclasses.replace(spec, n_in=fconf.input_width(table.dim, args.v_c),
                                n_tags=len(tagset))
+    _check_fits("--hidden %d with %d inputs and %d tags" % (hidden, spec.n_in, spec.n_tags),
+                _param_bytes(spec))
     model = Model(spec=spec, params=init_model(spec, rng), table=table,
                   fconf=fconf, tagset=tagset, scheme=scheme, v_c=args.v_c)
 
@@ -464,8 +475,7 @@ def cmd_gradcheck(args):
                            encoder_cell=_cell_kind(args.encoder), **sizes)]
     # the parameters alone, of the spec with the most
     _check_fits("--hidden %d --n-in %d --n-tags %d" % (args.hidden, args.n_in, args.n_tags),
-                max(8 * sum(math.prod(shape) for bundle in bundle_shapes(spec).values()
-                            for shape in bundle.values()) for spec in specs))
+                max(map(_param_bytes, specs)))
     worst = worst_abs = 0.0
     failed = False
     print("%-45s %-22s %-9s %s" % ("spec", "block", "rel err", "max |analytic - numeric|"))

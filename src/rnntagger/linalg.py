@@ -93,11 +93,15 @@ def _mix_scalar(z):
     return z ^ (z >> 31)
 
 
-def _mix_array(z):
-    # uint64 array ops wrap silently, matching the masked scalar path
-    z = (z ^ (z >> np.uint64(30))) * np.uint64(MIX1)
-    z = (z ^ (z >> np.uint64(27))) * np.uint64(MIX2)
-    return z ^ (z >> np.uint64(31))
+def _mix_array(z, t):
+    # _mix_scalar of each entry of the uint64 array z, in place, with t as
+    # scratch; uint64 array ops wrap silently, matching the masked scalar path
+    for shift, mul in ((30, MIX1), (27, MIX2)):
+        np.right_shift(z, np.uint64(shift), out=t)
+        z ^= t
+        z *= np.uint64(mul)
+    np.right_shift(z, np.uint64(31), out=t)
+    z ^= t
 
 
 class SeededRng:
@@ -116,15 +120,25 @@ class SeededRng:
         return _mix_scalar(self._state)
 
     def uniform(self, n, low=0.0, high=1.0):
-        """n floats in [low, high), drawn as a single batch."""
+        """n floats in [low, high), drawn as a single batch.  Every step
+        runs in place in two arrays of n entries, the floats ending in
+        the scratch one, so a large batch writes two arrays' worth of
+        memory, not the six that a fresh array per step would."""
         if n < 0:
             raise ValueError("uniform: n must be >= 0, got %d" % n)
-        ks = np.arange(1, n + 1, dtype=np.uint64)
-        states = np.uint64(self._state) + ks * np.uint64(GOLDEN)
-        bits = _mix_array(states)
+        z = np.arange(1, n + 1, dtype=np.uint64)
+        z *= np.uint64(GOLDEN)
+        z += np.uint64(self._state)
+        t = np.empty_like(z)
+        _mix_array(z, t)
         self._state = (self._state + n * GOLDEN) & MASK64
-        u = (bits >> np.uint64(11)).astype(np.float64) * (2.0 ** -53)
-        return low + u * (high - low)
+        z >>= np.uint64(11)
+        u = t.view(np.float64)
+        u[...] = z
+        u *= 2.0 ** -53
+        u *= high - low
+        u += low
+        return u
 
     def uniform_scalar(self):
         """One float in [0, 1)."""

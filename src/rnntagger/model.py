@@ -1,18 +1,18 @@
 """Trained-model container and whole-corpus tagging."""
 
-import os
+# os is not called here, but the tests patch its fork and sched_getaffinity
+# through this module to hold the worker rule
+import os  # noqa: F401
 import pickle
-import signal
-import sys
-import threading
 from dataclasses import dataclass
 
 import numpy as np
 
-from . import architectures
+from . import architectures, workers
 from .corpus import documents
 from .linalg import check_size, one_blas_thread
 from .representation import DocCache, encode_sentence
+from .workers import WorkerError  # noqa: F401  (re-exported: tag_corpus raises it)
 
 # The fewest tokens worth a process of their own.  Measured on a 2 vCPU
 # Xeon VM (Python 3.11, one BLAS thread) holding the four perfbench tag
@@ -25,11 +25,6 @@ from .representation import DocCache, encode_sentence
 # tokens, 0.91-1.37x at 737, 0.99-1.31x at 1117 and 1.08-1.37x at 1611
 # over the four configs: the fastest break even near 1000 tokens.
 MIN_TOKENS_PER_PROCESS = 500
-
-
-class WorkerError(RuntimeError):
-    """A tagging worker process that ended without sending its tags back:
-    killed, say by the kernel when memory ran out."""
 
 
 @dataclass
@@ -87,66 +82,53 @@ def tag_corpus(model, sentences):
     rounds share one surface facts table (see token_features).
 
     On Linux the documents are split into groups of near-equal token
-    counts, one per CPU this process may run on (taskset limits them),
-    but no more than one per document or per MIN_TOKENS_PER_PROCESS
-    tokens.  The calling process tags one group and a forked worker each
-    other one; a group whose fork the system refuses is tagged by the
-    caller.  Every process runs the same rounds on one BLAS thread, so
-    the tags are the same bytes however the documents are split.  The
-    call tags in-process on other platforms and beside other Python
-    threads.  No worker outlives the call.
+    counts, as many as _process_count gives: the shared worker rule of
+    workers.process_count (one per CPU this process may run on, taskset
+    limiting them), but no more than one per document or per
+    MIN_TOKENS_PER_PROCESS tokens.  The calling process tags one group
+    and a worker forked by workers.run_parts each other one, which sends
+    its tags back through an unnamed temporary file; the caller tags a
+    group itself when the system refuses its file or fork, or when its
+    worker raised.  Every process runs the same rounds on one BLAS
+    thread, so the tags are the same bytes however the documents are
+    split.  The call tags in-process on other platforms and beside other
+    Python threads.  No worker outlives the call.
 
     A distribution that is not finite is a FloatingPointError naming its
     document, its sentence in the document and its position, all counted
-    from 1: the first in round then document order.  When any group
-    raises, the caller tags every document again itself (see
+    from 1: the first in round then document order.  When the caller's
+    tagging of a group raises, it tags every document again itself (see
     tag_in_process), so the exception is the in-process one: tagging is
-    deterministic, so the caller meets it too, unless a worker alone
-    failed, say for want of memory, and then the call returns the tags.
-    A worker that ends without its tags is a WorkerError naming its
-    documents.
+    deterministic, so a group that raised in a worker raises in the
+    caller too, unless the worker alone failed, say for want of memory,
+    and then the call returns the tags.  A worker that ends without its
+    tags is a WorkerError naming its documents.
     """
     docs = list(enumerate(documents(sentences)))
     groups = _groups(sentences, docs)
     if len(groups) == 1:
         return _in_order(_tag_documents(model, sentences, docs), sentences)
-    own = groups[0]
-    workers = {}
     tags = {}
     failed = False
-    try:
-        for group in groups[1:]:
-            r, w = os.pipe()
-            try:
-                pid = os.fork()
-            except OSError:
-                os.close(r)
-                os.close(w)
-                own = own + group
-                continue
-            if pid == 0:
-                _work(w, model, sentences, group)
-            os.close(w)
-            workers[pid] = (os.fdopen(r, "rb"), group)
+
+    def work(group, fh):
+        pickle.dump(_tag_documents(model, sentences, group), fh, pickle.HIGHEST_PROTOCOL)
+
+    def collect(group, fh):
+        nonlocal failed
+        if fh is not None:
+            tags.update(pickle.load(fh))
+            return
         try:
-            tags.update(_tag_documents(model, sentences, sorted(own)))
+            tags.update(_tag_documents(model, sentences, group))
         except Exception:
             failed = True
-        for pid in list(workers):
-            fh, group = workers[pid]
-            with fh:
-                data = fh.read()
-            status = os.waitpid(pid, 0)[1]
-            del workers[pid]
-            result = _result(data, status, group)
-            failed = failed or result is None
-            tags.update(result or {})
-    finally:
-        # only when the call is ending with an exception
-        for pid, (fh, _) in workers.items():
-            fh.close()
-            os.kill(pid, signal.SIGKILL)
-            os.waitpid(pid, 0)
+
+    def lost(group, how):
+        return ("the worker tagging documents %s %s without sending its tags"
+                % (", ".join(str(d + 1) for d, _ in group), how))
+
+    workers.run_parts(groups, work, collect, lost)
     if failed:
         return tag_in_process(model, sentences)
     return _in_order(tags, sentences)
@@ -181,14 +163,10 @@ def _groups(sentences, docs):
 
 
 def _process_count(n_docs, n_tokens):
-    """How many processes tag n_docs documents of n_tokens tokens.  One on
-    a platform other than Linux (numpy's macOS BLAS is not fork-safe) and
-    beside other Python threads (a fork copies only the calling one, and
-    a lock another one holds stays held in the child)."""
-    if sys.platform != "linux" or threading.active_count() > 1:
-        return 1
-    return max(1, min(len(os.sched_getaffinity(0)), n_docs,
-                      n_tokens // MIN_TOKENS_PER_PROCESS))
+    """How many processes tag n_docs documents of n_tokens tokens: the
+    rule of workers.process_count, at most one per document and per
+    MIN_TOKENS_PER_PROCESS tokens."""
+    return workers.process_count(n_docs, n_tokens // MIN_TOKENS_PER_PROCESS)
 
 
 def _tag_documents(model, sentences, docs):
@@ -218,32 +196,3 @@ def _tag_documents(model, sentences, docs):
                 if cache is not None:
                     cache.update_sentence(sentences[i], out[i], t2i)
     return out
-
-
-def _work(fd, model, sentences, docs):
-    """A forked worker: tag docs, write the pickled tags (None when the
-    tagging raised) to the pipe fd and end with os._exit, which runs no
-    atexit handler, flushes no stdio buffer and never returns into the
-    caller's stack."""
-    code = 1
-    try:
-        try:
-            tags = _tag_documents(model, sentences, docs)
-        except Exception:
-            tags = None
-        with os.fdopen(fd, "wb") as fh:
-            pickle.dump(tags, fh, pickle.HIGHEST_PROTOCOL)
-        code = 0
-    finally:
-        os._exit(code)
-
-
-def _result(data, status, docs):
-    """The tags, or None, a worker tagging docs wrote to its pipe, given
-    the bytes read to the pipe's end and the wait status."""
-    code = os.waitstatus_to_exitcode(status)
-    if code != 0 or not data:
-        how = "was killed by signal %d" % -code if code < 0 else "exited with status %d" % code
-        raise WorkerError("the worker tagging documents %s %s without sending its tags"
-                          % (", ".join(str(d + 1) for d, _ in docs), how))
-    return pickle.loads(data)

@@ -362,5 +362,7 @@ def train_embeddings(corpus_path, objective, config):
 
 def save_text(model, path):
     """Write the input-vector matrix (the downstream embedding) in the
-    shared text format."""
-    EmbeddingTable(model.vocab, model.dim, model.input_vectors.copy()).save_text(path)
+    shared text format.  The table wraps the matrix itself, not a copy:
+    the zero it writes to PAD's row is already there, as that row starts
+    at zero and no update reaches it."""
+    EmbeddingTable(model.vocab, model.dim, model.input_vectors).save_text(path)

@@ -5,13 +5,25 @@ the model input is the window x_i = [w_{i-v_c}, ..., w_i, ..., w_{i+v_c}]
 with zero blocks past either sentence edge.
 """
 
+import os
+import shutil
 import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import linalg
+from . import linalg, workers
 from .corpus import PAD_INDEX, UNK, UNK_INDEX, Vocabulary, normalize, read_lines
+
+
+# The fewest values worth a process of their own when writing a vectors
+# file.  Measured on a 2 vCPU Xeon VM (Python 3.11) in a process that had
+# just run the perfbench seed-1 embed workload, on its first k rows of 50
+# values (medians of 25 writes, two runs): two processes against one ran
+# 0.46x as fast at 2000 values, 0.85-0.88x at 6000, 0.93-1.00x at 8000,
+# 1.04x at 10000, 1.06-1.08x at 12000 and 1.70x at the whole table's
+# 94550: they break even near 9000 values.
+MIN_VALUES_PER_PROCESS = 5000
 
 
 class EmbeddingTable:
@@ -46,16 +58,69 @@ class EmbeddingTable:
             self.matrix[rows[keep]] -= lr * grads[keep]
 
     def save_text(self, path):
-        """Write the text format; a non-finite row is a FloatingPointError
-        that names its word, raised before the file is opened."""
+        """Write the text format: a "count dim" line, then a line per row,
+        its word and float.__repr__ of each value.  A non-finite row is a
+        FloatingPointError that names its word, raised before the file is
+        opened.
+
+        On Linux the rows are split into contiguous ranges of near-equal
+        size (see _row_ranges): one per CPU this process may run on
+        (taskset limits them), but no more than one per row or per
+        MIN_VALUES_PER_PROCESS values.  The calling process writes the
+        header and the first range to path; a worker forked by
+        workers.run_parts formats each other range, a line at a time, into
+        an unnamed temporary file beside path, which the caller then
+        appends in order.  The caller formats a range itself when the
+        system refuses its file or fork, or when its worker raised.  Every
+        line comes from _write_rows, so the bytes do not depend on the
+        split.  A worker that ends without its rows is a WorkerError
+        naming them and path; when the write fails in any way, the partial
+        file is removed.
+        """
         finite = np.isfinite(self.matrix).all(axis=1)
         if not finite.all():
             raise FloatingPointError("the row for %r holds a non-finite value"
                                      % self.vocab.index_to_word[finite.argmin()])
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write("%d %d\n" % (len(self.vocab), self.dim))
-            for word, row in zip(self.vocab.index_to_word, self.matrix):
-                fh.write(word + " " + " ".join(map(float.__repr__, row.tolist())) + "\n")
+        words = self.vocab.index_to_word
+
+        def work(part, fh):
+            _write_rows(fh, words[part], self.matrix[part])
+
+        def collect(part, fh):
+            if fh is None:
+                _write_rows(out, words[part], self.matrix[part])
+            else:
+                shutil.copyfileobj(fh, out)
+
+        def lost(part, how):
+            return ("the worker writing rows %d-%d of %s %s without writing them"
+                    % (part.start + 1, part.stop, path, how))
+
+        out = open(path, "wb")
+        try:
+            with out:
+                out.write(b"%d %d\n" % (len(words), self.dim))
+                workers.run_parts(_row_ranges(len(words), self.dim), work, collect, lost,
+                                  tmpdir=os.path.dirname(os.path.abspath(path)))
+        except BaseException:
+            os.remove(path)
+            raise
+
+
+def _row_ranges(rows, dim):
+    """rows rows of dim values split into contiguous slices of near-equal
+    size, one per process that workers.process_count allows, but no more
+    than one per row or per MIN_VALUES_PER_PROCESS values."""
+    n = workers.process_count(rows, rows * dim // MIN_VALUES_PER_PROCESS)
+    return [slice(k * rows // n, (k + 1) * rows // n) for k in range(n)]
+
+
+def _write_rows(fh, words, matrix):
+    """The text format's line for each word and its row of matrix, written
+    one at a time to the binary file fh."""
+    for word, row in zip(words, matrix):
+        fh.write((word + " " + " ".join(map(float.__repr__, row.tolist())) + "\n")
+                 .encode("utf-8"))
 
 
 def _header(raw):

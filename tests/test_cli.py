@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from rnntagger import cli, pretrain
-from rnntagger.corpus import Sentence, load_conll, vocab_from_counts, write_conll
+from rnntagger.corpus import Sentence, build_vocab, load_conll, vocab_from_counts, write_conll
 from rnntagger.representation import load_embeddings
 from rnntagger.serialize import load_model
 from rnntagger.synth import memorize_corpus
@@ -781,6 +781,27 @@ def test_size_flag_the_process_cannot_hold_is_refused_by_name(tmp_path, argv, wh
                                   % (what, nbytes)), proc.stderr
     assert proc.stderr.endswith(" this process can hold\n")
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("flags, what", [
+    (["--dim", "1000000000"], "--dim 1000000000 needs %d bytes"),
+    (["--hidden", "1000000000"], "--hidden 1000000000 with 550 inputs and 7 tags needs "),
+    # 300000 columns fit as a table, but not 11 windows of them as the
+    # encoder's 200 x 3300000 weights
+    (["--dim", "300000"], "--hidden 200 with 3300000 inputs and 7 tags needs "),
+], ids=["dim", "hidden", "dim-through-the-inputs"])
+def test_train_size_flag_the_process_cannot_hold_is_refused_by_name(tmp_path, flags, what):
+    # the bytes follow from the data too, so the check waits for the
+    # vocabulary and the tagset, and comes before anything that size
+    gold = write_gold(tmp_path / "train.conll")
+    vocab = len(build_vocab(load_conll(gold)))
+    proc = run_limited(["train", "--train", "train.conll", "--out-model", "m.json"] + flags,
+                       tmp_path)
+    assert proc.returncode == cli.EXIT_USAGE, proc.stderr
+    expected = what % (8 * vocab * 1000000000) if "%d" in what else what
+    assert proc.stderr.startswith("usage error: " + expected), proc.stderr
+    assert proc.stderr.endswith(" this process can hold\n")
+    assert list(tmp_path.iterdir()) == [tmp_path / "train.conll"]
 
 
 def test_memory_error_is_a_resource_error_naming_the_command(tmp_path):

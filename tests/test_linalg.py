@@ -166,6 +166,13 @@ class TestSeededRng:
         scalars = np.array([rng2.uniform_scalar() for _ in range(257)])
         assert np.array_equal(bulk, scalars)
 
+    @pytest.mark.parametrize("low, high", [(-0.5, 0.5), (-1e-3, 2e-2), (3.0, 3.0 + 1e-9)])
+    def test_bulk_range_is_the_scalar_affine_map(self, low, high):
+        bulk = SeededRng(777).uniform(257, low, high)
+        rng = SeededRng(777)
+        scalars = np.array([low + rng.uniform_scalar() * (high - low) for _ in range(257)])
+        assert bulk.tobytes() == scalars.tobytes()
+
     def test_stream_continues_across_calls(self):
         rng = SeededRng(9)
         first = rng.uniform(5)
