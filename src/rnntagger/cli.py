@@ -271,10 +271,10 @@ def _check_fits(what, nbytes):
                          % (what, nbytes, min(limits)))
 
 
-def _param_bytes(spec):
-    """The bytes of spec's parameters, 8 a value."""
-    return 8 * sum(math.prod(shape) for bundle in bundle_shapes(spec).values()
-                   for shape in bundle.values())
+def _param_sizes(spec):
+    """The number of values in each of spec's parameter blocks."""
+    return [math.prod(shape) for bundle in bundle_shapes(spec).values()
+            for shape in bundle.values()]
 
 
 def main(argv=None):
@@ -373,7 +373,8 @@ def cmd_train(args):
         table = load_embeddings(args.embeddings)
     else:
         vocab = build_vocab(train_sents)
-        _check_fits("--dim %d" % args.dim, 8 * len(vocab) * args.dim)
+        # SeededRng.uniform draws the table beside a scratch array as large
+        _check_fits("--dim %d" % args.dim, 16 * len(vocab) * args.dim)
         table = EmbeddingTable.random(vocab, args.dim, rng)
 
     fconf = FeatureConfig(
@@ -385,8 +386,10 @@ def cmd_train(args):
 
     spec = dataclasses.replace(spec, n_in=fconf.input_width(table.dim, args.v_c),
                                n_tags=len(tagset))
+    # the parameters, and the scratch array beside the largest as it is drawn
+    sizes = _param_sizes(spec)
     _check_fits("--hidden %d with %d inputs and %d tags" % (hidden, spec.n_in, spec.n_tags),
-                _param_bytes(spec))
+                8 * (sum(sizes) + max(sizes)))
     model = Model(spec=spec, params=init_model(spec, rng), table=table,
                   fconf=fconf, tagset=tagset, scheme=scheme, v_c=args.v_c)
 
@@ -475,7 +478,7 @@ def cmd_gradcheck(args):
                            encoder_cell=_cell_kind(args.encoder), **sizes)]
     # the parameters alone, of the spec with the most
     _check_fits("--hidden %d --n-in %d --n-tags %d" % (args.hidden, args.n_in, args.n_tags),
-                max(map(_param_bytes, specs)))
+                max(8 * sum(_param_sizes(spec)) for spec in specs))
     worst = worst_abs = 0.0
     failed = False
     print("%-45s %-22s %-9s %s" % ("spec", "block", "rel err", "max |analytic - numeric|"))

@@ -1,8 +1,6 @@
 """Trained-model container and whole-corpus tagging."""
 
-# os is not called here, but the tests patch its fork and sched_getaffinity
-# through this module to hold the worker rule
-import os  # noqa: F401
+import io
 import pickle
 from dataclasses import dataclass
 
@@ -12,7 +10,6 @@ from . import architectures, workers
 from .corpus import documents
 from .linalg import check_size, one_blas_thread
 from .representation import DocCache, encode_sentence
-from .workers import WorkerError  # noqa: F401  (re-exported: tag_corpus raises it)
 
 # The fewest tokens worth a process of their own.  Measured on a 2 vCPU
 # Xeon VM (Python 3.11, one BLAS thread) holding the four perfbench tag
@@ -83,54 +80,46 @@ def tag_corpus(model, sentences):
 
     On Linux the documents are split into groups of near-equal token
     counts, as many as _process_count gives: the shared worker rule of
-    workers.process_count (one per CPU this process may run on, taskset
-    limiting them), but no more than one per document or per
-    MIN_TOKENS_PER_PROCESS tokens.  The calling process tags one group
-    and a worker forked by workers.run_parts each other one, which sends
-    its tags back through an unnamed temporary file; the caller tags a
-    group itself when the system refuses its file or fork, or when its
-    worker raised.  Every process runs the same rounds on one BLAS
-    thread, so the tags are the same bytes however the documents are
-    split.  The call tags in-process on other platforms and beside other
-    Python threads.  No worker outlives the call.
+    workers.process_count, but no more than one per document or per
+    MIN_TOKENS_PER_PROCESS tokens.  workers.run_parts tags each group,
+    the first in the calling process and each other one in a forked
+    worker, and gathers their tags.  Every process runs the same rounds
+    on one BLAS thread, so the tags are the same bytes however the
+    documents are split.
 
     A distribution that is not finite is a FloatingPointError naming its
     document, its sentence in the document and its position, all counted
-    from 1: the first in round then document order.  When the caller's
-    tagging of a group raises, it tags every document again itself (see
-    tag_in_process), so the exception is the in-process one: tagging is
-    deterministic, so a group that raised in a worker raises in the
-    caller too, unless the worker alone failed, say for want of memory,
-    and then the call returns the tags.  A worker that ends without its
-    tags is a WorkerError naming its documents.
+    from 1: the first in round then document order.  When the documents
+    are split and tagging raises, the caller tags every document again
+    itself (see tag_in_process), so the exception is the in-process one:
+    tagging is deterministic, so a group that raised in a worker raises
+    in the caller too, unless the worker alone failed, say for want of
+    memory, and then the call returns the tags.  A worker that ends
+    without its tags is a WorkerError naming its documents.
     """
     docs = list(enumerate(documents(sentences)))
     groups = _groups(sentences, docs)
-    if len(groups) == 1:
-        return _in_order(_tag_documents(model, sentences, docs), sentences)
-    tags = {}
-    failed = False
 
     def work(group, fh):
         pickle.dump(_tag_documents(model, sentences, group), fh, pickle.HIGHEST_PROTOCOL)
-
-    def collect(group, fh):
-        nonlocal failed
-        if fh is not None:
-            tags.update(pickle.load(fh))
-            return
-        try:
-            tags.update(_tag_documents(model, sentences, group))
-        except Exception:
-            failed = True
 
     def lost(group, how):
         return ("the worker tagging documents %s %s without sending its tags"
                 % (", ".join(str(d + 1) for d, _ in group), how))
 
-    workers.run_parts(groups, work, collect, lost)
-    if failed:
+    sink = io.BytesIO()
+    try:
+        workers.run_parts(groups, work, sink, lost)
+    except workers.WorkerError:
+        raise
+    except Exception:
+        if len(groups) == 1:
+            raise
         return tag_in_process(model, sentences)
+    sink.seek(0)
+    tags = {}
+    for _ in groups:
+        tags.update(pickle.load(sink))
     return _in_order(tags, sentences)
 
 

@@ -6,7 +6,6 @@ with zero blocks past either sentence edge.
 """
 
 import os
-import shutil
 import warnings
 from dataclasses import dataclass, field
 
@@ -64,14 +63,10 @@ class EmbeddingTable:
         opened.
 
         On Linux the rows are split into contiguous ranges of near-equal
-        size (see _row_ranges): one per CPU this process may run on
-        (taskset limits them), but no more than one per row or per
-        MIN_VALUES_PER_PROCESS values.  The calling process writes the
-        header and the first range to path; a worker forked by
-        workers.run_parts formats each other range, a line at a time, into
-        an unnamed temporary file beside path, which the caller then
-        appends in order.  The caller formats a range itself when the
-        system refuses its file or fork, or when its worker raised.  Every
+        size (see _row_ranges): one per process of workers.process_count,
+        but no more than one per row or per MIN_VALUES_PER_PROCESS values.
+        After the header, workers.run_parts writes each range to path, the
+        other processes' ones through temporary files beside path.  Every
         line comes from _write_rows, so the bytes do not depend on the
         split.  A worker that ends without its rows is a WorkerError
         naming them and path; when the write fails in any way, the partial
@@ -86,12 +81,6 @@ class EmbeddingTable:
         def work(part, fh):
             _write_rows(fh, words[part], self.matrix[part])
 
-        def collect(part, fh):
-            if fh is None:
-                _write_rows(out, words[part], self.matrix[part])
-            else:
-                shutil.copyfileobj(fh, out)
-
         def lost(part, how):
             return ("the worker writing rows %d-%d of %s %s without writing them"
                     % (part.start + 1, part.stop, path, how))
@@ -100,7 +89,7 @@ class EmbeddingTable:
         try:
             with out:
                 out.write(b"%d %d\n" % (len(words), self.dim))
-                workers.run_parts(_row_ranges(len(words), self.dim), work, collect, lost,
+                workers.run_parts(_row_ranges(len(words), self.dim), work, out, lost,
                                   tmpdir=os.path.dirname(os.path.abspath(path)))
         except BaseException:
             os.remove(path)

@@ -1,12 +1,12 @@
 """Running a job's parts in forked worker processes.
 
-A job is split into parts whose results do not depend on which process
-computes them.  The calling process does the first part and a forked
-worker each other one; every worker writes its result to an unnamed
-temporary file, and the caller takes the results up in part order.
+A job is split into parts whose bytes do not depend on which process
+makes them.  The calling process makes the first part and a forked worker
+each other one; every part's bytes end up in one sink, in part order.
 """
 
 import os
+import shutil
 import signal
 import sys
 import tempfile
@@ -29,21 +29,23 @@ def process_count(*limits):
     return max(1, min([len(os.sched_getaffinity(0)), *limits]))
 
 
-def run_parts(parts, work, collect, lost, tmpdir=None):
-    """Do parts[0] in the calling process and each other part in a worker
-    forked for it.
+def run_parts(parts, work, sink, lost, tmpdir=None):
+    """Write every part's bytes to sink, a binary file, in part order:
+    work(part, fh) writes one part's bytes to fh.
 
-    work(part, fh) runs in the worker: it writes the part's result to fh,
-    an unnamed temporary file (in tmpdir, when given) opened in binary mode
-    before the fork.  collect(part, fh) runs in the caller once per part,
-    in part order: fh is the worker's file, rewound, or None when the
-    caller is to do the part itself.  It does so for parts[0], for a part
-    whose temporary file or fork the system refuses, and for a part whose
-    work raised in its worker.  A worker that ends any other way is a
-    WorkerError whose message is lost(part, how), how saying how the
-    worker ended ("was killed by signal 9").  When the caller raises, it
-    kills and reaps every worker it has not reaped, so no worker outlives
-    the call, and no temporary file does either.
+    The caller runs work(parts[0], sink) itself, after forking a worker
+    for each other part.  A worker runs work onto an unnamed temporary
+    file (in tmpdir, when given) opened in binary mode before the fork,
+    then ends by os._exit, so it runs no exit handler and flushes no
+    buffer of the caller's.  The caller takes the workers up in part
+    order, appending each one's rewound file to sink.  It runs work onto
+    sink itself for a part whose temporary file or fork the system
+    refuses, and for a part whose work raised in its worker.  A worker
+    that ends any other way is a WorkerError whose message is
+    lost(part, how), how saying how the worker ended ("was killed by
+    signal 9").  When the caller raises, it kills and reaps every worker
+    it has not reaped, so no worker outlives the call, and no temporary
+    file does either.
     """
     live = {}       # pid: temporary file, of each worker not yet reaped
     started = []    # (part, pid or None), of parts[1:]
@@ -53,22 +55,20 @@ def run_parts(parts, work, collect, lost, tmpdir=None):
             if pid is not None:
                 live[pid] = fh
             started.append((part, pid))
-        collect(parts[0], None)
+        work(parts[0], sink)
         for part, pid in started:
-            if pid is None:
-                collect(part, None)
-                continue
-            code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
-            with live.pop(pid) as fh:
-                if code == 0:
-                    fh.seek(0)
-                    collect(part, fh)
-                elif code == 1:
-                    collect(part, None)
-                else:
-                    how = ("was killed by signal %d" % -code if code < 0
-                           else "exited with status %d" % code)
-                    raise WorkerError(lost(part, how))
+            if pid is not None:
+                code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+                with live.pop(pid) as fh:
+                    if code == 0:
+                        fh.seek(0)
+                        shutil.copyfileobj(fh, sink)
+                        continue
+                    if code != 1:
+                        how = ("was killed by signal %d" % -code if code < 0
+                               else "exited with status %d" % code)
+                        raise WorkerError(lost(part, how))
+            work(part, sink)
     finally:
         # only when the call is ending with an exception
         for pid, fh in live.items():

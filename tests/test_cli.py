@@ -789,7 +789,10 @@ def test_size_flag_the_process_cannot_hold_is_refused_by_name(tmp_path, argv, wh
     # 300000 columns fit as a table, but not 11 windows of them as the
     # encoder's 200 x 3300000 weights
     (["--dim", "300000"], "--hidden 200 with 3300000 inputs and 7 tags needs "),
-], ids=["dim", "hidden", "dim-through-the-inputs"])
+    # 200 x 1100000 weights fit, but not beside the random generator's
+    # scratch array of the same size, which draws them
+    (["--dim", "100000"], "--hidden 200 with 1100000 inputs and 7 tags needs "),
+], ids=["dim", "hidden", "dim-through-the-inputs", "dim-with-the-draw-scratch"])
 def test_train_size_flag_the_process_cannot_hold_is_refused_by_name(tmp_path, flags, what):
     # the bytes follow from the data too, so the check waits for the
     # vocabulary and the tagset, and comes before anything that size
@@ -798,7 +801,7 @@ def test_train_size_flag_the_process_cannot_hold_is_refused_by_name(tmp_path, fl
     proc = run_limited(["train", "--train", "train.conll", "--out-model", "m.json"] + flags,
                        tmp_path)
     assert proc.returncode == cli.EXIT_USAGE, proc.stderr
-    expected = what % (8 * vocab * 1000000000) if "%d" in what else what
+    expected = what % (16 * vocab * 1000000000) if "%d" in what else what
     assert proc.stderr.startswith("usage error: " + expected), proc.stderr
     assert proc.stderr.endswith(" this process can hold\n")
     assert list(tmp_path.iterdir()) == [tmp_path / "train.conll"]

@@ -23,8 +23,9 @@ from rnntagger import model as tagger
 from rnntagger import training
 from rnntagger.cli import EXIT_RESOURCE
 from rnntagger.corpus import UNK_INDEX, Token, documents, load_conll, write_conll
-from rnntagger.model import WorkerError, tag_corpus, tag_in_process
+from rnntagger.model import tag_corpus, tag_in_process
 from rnntagger.serialize import load_model, save_model
+from rnntagger.workers import WorkerError
 from test_batching import SPECS, corpus, make_model
 
 SRC_DIR = Path(__file__).parent.parent / "src"
@@ -34,7 +35,7 @@ def force_processes(mp, processes):
     """Hold the worker rule to `processes` processes; the list it returns
     gets one entry per fork the calling process makes."""
     mp.setattr(tagger, "MIN_TOKENS_PER_PROCESS", 1)
-    mp.setattr(tagger.os, "sched_getaffinity", lambda pid: set(range(processes)))
+    mp.setattr(os, "sched_getaffinity", lambda pid: set(range(processes)))
     forks = []
     fork = os.fork
 
@@ -42,7 +43,7 @@ def force_processes(mp, processes):
         forks.append(os.getpid())
         return fork()
 
-    mp.setattr(tagger.os, "fork", counting)
+    mp.setattr(os, "fork", counting)
     return forks
 
 
@@ -127,12 +128,12 @@ def test_groups_balance_tokens_and_keep_corpus_order(monkeypatch):
 
 
 def test_worker_rule(monkeypatch):
-    monkeypatch.setattr(tagger.os, "sched_getaffinity", lambda pid: {0, 1, 2, 3})
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3})
     least = tagger.MIN_TOKENS_PER_PROCESS
     assert tagger._process_count(24, 4763) == min(4, 4763 // least)
     assert tagger._process_count(3, 10 * least) == 3
     assert tagger._process_count(24, 2 * least - 1) == 1
-    monkeypatch.setattr(tagger.os, "sched_getaffinity", lambda pid: {0})
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
     assert tagger._process_count(24, 4763) == 1
 
 
@@ -140,7 +141,7 @@ def test_benchmark_input_gets_two_processes_and_small_corpora_none(monkeypatch):
     # perfbench's tag input is 24 documents of 4763 tokens; no corpus of
     # test_batching.py holds more than 240 tokens, and its recording of
     # forward_batch sees only the calling process's batches
-    monkeypatch.setattr(tagger.os, "sched_getaffinity", lambda pid: {0, 1})
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
     assert tagger._process_count(24, 4763) == 2
     assert tagger._process_count(5, 240) == 1
 
@@ -170,7 +171,7 @@ def test_refused_fork_is_tagged_by_the_caller(monkeypatch):
     def refused():
         raise BlockingIOError(11, "Resource temporarily unavailable")
 
-    monkeypatch.setattr(tagger.os, "fork", refused)
+    monkeypatch.setattr(os, "fork", refused)
     assert tag_corpus(model, sents) == expected
     assert_no_children()
 
